@@ -8,17 +8,22 @@ themselves per task via bind(); stateless environments return self.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
-import requests
+import numpy as np
 
-from .core import DataError, ValidationError, iter_jsonl, segment_text
+from .core import DataError, ValidationError, iter_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "Observation",
@@ -61,11 +66,19 @@ class Environment(Protocol):
 
 
 _WORD = re.compile(r"\w+", re.UNICODE)
+# Document norms square with pow(w, 2), as the formula's w ** 2 does: libm's
+# pow rounds differently from w * w for about one weight in a thousand.
+_SQUARE = itertools.repeat(2)
 
 
 def terms(text: str) -> list[str]:
-    """Lowercased word tokens; whitespace and punctuation are dropped."""
-    return [tok.lower() for tok in segment_text(text) if _WORD.fullmatch(tok)]
+    """Lowercased word tokens; whitespace and punctuation are dropped.
+
+    Each token is lowercased on its own: lowercasing the whole text first
+    could change where words split, since Unicode case mapping can change
+    lengths.
+    """
+    return list(map(str.lower, _WORD.findall(text)))
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,21 @@ class Corpus:
     Term weights are ln(1+tf) * ln(N/df); ranking sorts by cosine descending
     with ties broken by ascending doc_id. Zero-score documents still rank, so
     a query never returns fewer than min(k, N) results. Query terms absent
-    from the corpus carry no weight and do not enter the query norm. All sums
-    use math.fsum, so scores do not depend on accumulation order.
+    from the corpus carry no weight and do not enter the query norm.
+
+    The index is CSR postings over documents numbered in doc_id order: term
+    id t owns entries _starts[t]:_starts[t + 1] of _post_docs (int32 document
+    numbers, ascending) and _post_w (float64 ln(1+tf)). A query costs time
+    proportional to the lengths of its terms' postings plus k: only documents
+    in those postings are scored, the k-th best score is found with
+    np.partition, and a shortfall is filled with zero-score documents in
+    doc_id order.
+
+    Scores do not depend on accumulation order. A matching term contributes
+    (q_w * ln(1+tf)) * idf; a document's dot product is that contribution
+    alone for one matching term, the IEEE sum for two (which is already
+    correctly rounded) and math.fsum for three or more. Query and document
+    norms use math.fsum.
     """
 
     def __init__(self, docs: Sequence[Doc]) -> None:
@@ -93,21 +119,36 @@ class Corpus:
                 raise DataError(f"duplicate doc_id {doc.doc_id!r} in corpus")
             seen.add(doc.doc_id)
         self.docs = list(docs)
-        self._doc_terms = [Counter(terms(f"{d.title} {d.body}")) for d in self.docs]
-        self._df: Counter = Counter()
-        for tf in self._doc_terms:
-            self._df.update(tf.keys())
-        n = len(self.docs)
-        self._idf = {t: math.log(n / df) for t, df in self._df.items()}
-        self._postings: dict[str, list[int]] = defaultdict(list)
-        for idx, tf in enumerate(self._doc_terms):
-            for t in tf:
-                self._postings[t].append(idx)
-        self._norms = []
-        for tf in self._doc_terms:
-            self._norms.append(
-                math.sqrt(math.fsum((math.log(1 + c) * self._idf[t]) ** 2 for t, c in tf.items()))
-            )
+        self._ordered = sorted(self.docs, key=lambda d: d.doc_id)
+        n = len(self._ordered)
+        vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        term_ids, counts, lengths = array("i"), array("i"), array("i")
+        for doc in self._ordered:
+            tf = Counter(terms(f"{doc.title} {doc.body}"))
+            term_ids.extend(map(vocab.__getitem__, tf))
+            counts.extend(tf.values())
+            lengths.append(len(tf))
+        self._vocab = dict(vocab)
+        term_arr = np.frombuffer(term_ids, dtype=np.intc)
+        tf_arr = np.frombuffer(counts, dtype=np.intc)
+        df = np.bincount(term_arr, minlength=len(self._vocab))
+        self._idf = [math.log(n / c) for c in df.tolist()]
+        max_tf = int(tf_arr.max()) if tf_arr.size else 0
+        log_tf = np.array([math.log(1 + c) for c in range(max_tf + 1)])[tf_arr]
+        # Document-major here, so each document's weights are one slice.
+        weights = log_tf * np.array(self._idf)[term_arr]
+        ends = np.cumsum(lengths).tolist()
+        self._norms = np.array(
+            [
+                math.sqrt(math.fsum(map(pow, weights[start:end].tolist(), _SQUARE)))
+                for start, end in zip([0, *ends[:-1]], ends)
+            ],
+            dtype=np.float64,
+        )
+        by_term = np.argsort(term_arr, kind="stable")
+        self._post_docs = np.repeat(np.arange(n, dtype=np.int32), lengths)[by_term]
+        self._post_w = log_tf[by_term]
+        self._starts = np.concatenate(([0], np.cumsum(df))).tolist()
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -126,28 +167,50 @@ class Corpus:
         """Top-k (doc, cosine) pairs; all docs when the corpus is smaller than k."""
         if k < 1:
             raise ValidationError("k must be >= 1")
-        q_tf = Counter(t for t in terms(query) if t in self._idf)
+        q_tf = Counter(self._vocab[t] for t in terms(query) if t in self._vocab)
         q_weights = {t: math.log(1 + c) * self._idf[t] for t, c in q_tf.items()}
         q_norm = math.sqrt(math.fsum(w * w for w in q_weights.values()))
-        candidates: set[int] = set()
-        for t in q_weights:
-            candidates.update(self._postings[t])
-        scores = []
-        for idx, doc in enumerate(self.docs):
-            denom = q_norm * self._norms[idx]
-            if idx in candidates and denom > 0:
-                tf = self._doc_terms[idx]
-                dot = math.fsum(
-                    q_weights[t] * math.log(1 + tf[t]) * self._idf[t]
-                    for t in sorted(q_weights)
-                    if t in tf
-                )
-                score = dot / denom
+        top: list[int] = []
+        top_scores: list[float] = []
+        # A zero weight (a term in every document) adds nothing to any dot
+        # product, so its postings are skipped.
+        postings = [
+            (slice(self._starts[t], self._starts[t + 1]), w, self._idf[t])
+            for t, w in q_weights.items()
+            if w > 0
+        ]
+        if postings:
+            cand = np.concatenate([self._post_docs[span] for span, _, _ in postings])
+            contrib = np.concatenate([(w * self._post_w[span]) * idf for span, w, idf in postings])
+            if len(postings) > 1:
+                order = np.argsort(cand, kind="stable")
+                cand, contrib = cand[order], contrib[order]
+                first = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
+                ends = np.append(first[1:], cand.size)
+                cand, dots = cand[first], np.add.reduceat(contrib, first)
+                for i in np.flatnonzero(ends - first >= 3).tolist():
+                    dots[i] = math.fsum(contrib[first[i] : ends[i]].tolist())
             else:
-                score = 0.0
-            scores.append((doc, score))
-        scores.sort(key=lambda pair: (-pair[1], pair[0].doc_id))
-        return scores[: min(k, len(scores))]
+                dots = contrib
+            # Every candidate shares a term of positive weight with the query,
+            # so its dot product and both norms are positive.
+            scores = dots / (q_norm * self._norms[cand])
+            if cand.size > k:
+                kth = np.partition(scores, cand.size - k)[cand.size - k]
+                at_least = scores >= kth
+                cand, scores = cand[at_least], scores[at_least]
+            # cand is ascending, i.e. in doc_id order, so a stable sort on the
+            # score alone breaks ties by doc_id.
+            order = np.argsort(-scores, kind="stable")[:k]
+            top, top_scores = cand[order].tolist(), scores[order].tolist()
+        results = [(self._ordered[i], s) for i, s in zip(top, top_scores)]
+        taken = set(top)
+        for i in range(len(self._ordered)):
+            if len(results) >= k:
+                break
+            if i not in taken:
+                results.append((self._ordered[i], 0.0))
+        return results
 
 
 def render_passages(docs: Sequence[Doc]) -> list[str]:
@@ -267,7 +330,11 @@ class HttpSearchEnv:
         self.title_key = title_key
         self.snippet_key = snippet_key
         self.url_key = url_key
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # only HTTP backends pay for this import
+
+            session = requests.Session()
+        self._session = session
 
     def respond(self, query: str) -> Observation:
         headers = {self.auth_header: self.api_key} if self.api_key else {}

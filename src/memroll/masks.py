@@ -17,8 +17,11 @@ a u32 header length, a JSON header {n, counter_id, format, sha256}, then the
 payload arrays in order (tokens i32, positions i32, loss u8, segments u8,
 turn_of u16, mask rows). dense_bitpack rows are ceil(n/64) little-endian u64
 words per token, bit i of word w covering token 64*w+i; index_list rows are a
-u32 count followed by that many u32 indices. The sha256 in the header covers
-the payload and is checked on import.
+u32 count followed by that many u32 indices. The header is the canonical
+(sort_keys) JSON of exactly those four fields. In version 2 the sha256 covers
+the canonical JSON of the other three header fields followed by the payload,
+so no byte of a container can change unnoticed; version 1 containers, whose
+sha256 covers the payload alone, are still read.
 """
 
 from __future__ import annotations
@@ -71,7 +74,10 @@ _HINT_RE = re.compile(
 )
 
 MAGIC = b"MEM1MASK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+_PREFIX = struct.Struct("<HI")  # version, header length
+_HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
 
 
 @dataclass
@@ -344,9 +350,11 @@ def verify_masks(
             prev_k = k
 
 
-def _pack_rows(mask: Mask2D, fmt: str) -> bytes:
+def _pack_rows(mask: Mask2D, fmt: str) -> bytes | np.ndarray:
     if fmt == "dense_bitpack":
-        return mask.words.astype("<u8").tobytes()
+        # The rows are the largest part of a container; on a little-endian
+        # host they are written straight from the mask, without a copy.
+        return np.ascontiguousarray(mask.words, dtype="<u8")
     chunks = []
     for k in range(mask.n):
         idx = visible_tokens(mask, k).astype("<u4")
@@ -365,55 +373,69 @@ def export_masks(
     """Serialize a stitched sequence and its masks to the binary container."""
     if fmt not in ("dense_bitpack", "index_list"):
         raise ValueError(f"unknown mask format {fmt!r}")
-    n = stitched.n
-    payload = b"".join(
-        [
-            stitched.tokens.astype("<i4").tobytes(),
-            stitched.positions.astype("<i4").tobytes(),
-            mask1d.loss.astype(np.uint8).tobytes(),
-            stitched.segments.astype(np.uint8).tobytes(),
-            stitched.turn_of.astype("<u2").tobytes(),
-            _pack_rows(mask2d, fmt),
-        ]
-    )
-    header = {
-        "n": n,
-        "counter_id": counter_id,
-        "format": fmt,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (
-        MAGIC
-        + struct.pack("<H", FORMAT_VERSION)
-        + struct.pack("<I", len(header_bytes))
-        + header_bytes
-        + payload
-    )
+    payload = [
+        stitched.tokens.astype("<i4").tobytes(),
+        stitched.positions.astype("<i4").tobytes(),
+        mask1d.loss.astype(np.uint8).tobytes(),
+        stitched.segments.astype(np.uint8).tobytes(),
+        stitched.turn_of.astype("<u2").tobytes(),
+        _pack_rows(mask2d, fmt),
+    ]
+    header = {"n": stitched.n, "counter_id": counter_id, "format": fmt}
+    header["sha256"] = _digest(FORMAT_VERSION, header, payload)
+    header_bytes = _canonical(header)
+    # One join: the payload is never held twice.
+    return b"".join([MAGIC, _PREFIX.pack(FORMAT_VERSION, len(header_bytes)), header_bytes, *payload])
+
+
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def _digest(version: int, header: dict, payload_parts: list) -> str:
+    """The container hash: the payload alone in version 1; from version 2
+    the other header fields first, so they are covered too."""
+    h = hashlib.sha256()
+    if version >= 2:
+        h.update(_canonical({k: v for k, v in header.items() if k != "sha256"}))
+    for part in payload_parts:
+        h.update(part)
+    return h.hexdigest()
 
 
 def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]:
-    """Parse the binary container, verifying magic, version, and payload hash."""
+    """Parse the binary container, verifying magic, version, header and hash.
+
+    Every malformed input, truncated or altered anywhere, raises
+    IntegrityError.
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<H", data, offset)
-    offset += 2
-    if version != FORMAT_VERSION:
+    offset = len(MAGIC) + _PREFIX.size
+    if len(data) < offset:
+        raise IntegrityError("mask container truncated before its header")
+    version, header_len = _PREFIX.unpack_from(data, len(MAGIC))
+    if version not in _READABLE_VERSIONS:
         raise IntegrityError(f"unsupported mask container version {version}")
-    (header_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
     header_bytes = data[offset : offset + header_len]
     offset += header_len
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise IntegrityError(f"corrupt mask header: {exc}") from None
-    payload = data[offset:]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("sha256"):
+    if (
+        not isinstance(header, dict)
+        or header.keys() != _HEADER_TYPES.keys()
+        or any(type(header[k]) is not t for k, t in _HEADER_TYPES.items())
+        or header["n"] < 0
+    ):
+        raise IntegrityError(f"corrupt mask header: expected fields {sorted(_HEADER_TYPES)}")
+    if _canonical(header) != header_bytes:
+        raise IntegrityError("corrupt mask header: not in canonical form")
+    payload = memoryview(data)[offset:]  # read in place, not copied
+    if _digest(version, header, [payload]) != header["sha256"]:
         raise IntegrityError("mask payload hash mismatch")
-    n = int(header["n"])
+    n = header["n"]
     fmt = header["format"]
     pos = 0
 

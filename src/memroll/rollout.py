@@ -20,9 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from .compose import CompositeTask, composite_from_dict
 from .context import (
@@ -35,6 +33,9 @@ from .context import (
 from .core import DataError, RolloutConfig, WordTokenizer, config_from_mapping
 from .envs import Environment, Observation
 from .tagparse import Answer, ParsedTurn, Query, parse_turn
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "Generation",
@@ -194,7 +195,11 @@ class HttpPolicy:
         self.temperature = temperature
         self.api_style = api_style
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # only HTTP backends pay for this import
+
+            session = requests.Session()
+        self._session = session
 
     @classmethod
     def from_config(cls, config: RolloutConfig, url: str | None = None) -> "HttpPolicy":

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import memroll
 from memroll import import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 
@@ -117,6 +121,19 @@ class TestExitCodes:
             ["export-masks", "--archive", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m")]
         )
         assert code == EXIT_DATA
+
+
+class TestStartup:
+    def test_cli_import_leaves_requests_unloaded(self):
+        # Only the HTTP backends need requests; every command pays for
+        # anything imported at module level.
+        src = str(Path(memroll.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, memroll.cli; print('requests' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCompose:

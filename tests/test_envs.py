@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from memroll import (
     render_passages,
     retrieve,
 )
+from memroll.core import segment_text
 from memroll.envs import terms
 
 
@@ -37,6 +39,17 @@ class TestTerms:
 
     def test_empty(self):
         assert terms("  ... ") == []
+
+    def test_case_mapping_that_changes_length(self):
+        # "İ".lower() is two code points, the second a combining mark that
+        # is not a word character: tokens split before lowercasing.
+        assert terms("İSTANBUL straße") == ["i̇stanbul", "straße"]
+
+    @given(st.text())
+    def test_matches_segmentation_definition(self, text):
+        """terms() keeps the word segments of the tokenizer's segmentation."""
+        old = [tok.lower() for tok in segment_text(text) if re.fullmatch(r"\w+", tok)]
+        assert terms(text) == old
 
 
 CORPUS = Corpus(
@@ -139,6 +152,80 @@ class TestCorpus:
             k = rng.randint(1, 25)
             got = [(d.doc_id, s) for d, s in corpus.search(query, k)]
             assert got == expected[: min(k, len(docs))]
+
+
+def assert_matches_oracle(docs: list[Doc], queries: list[str], ks: list[int]) -> None:
+    """Ranked ids and scores equal the brute-force oracle exactly."""
+    corpus = Corpus(docs)
+    for query in queries:
+        expected = brute_force_rank(docs, query)
+        for k in ks:
+            got = [(d.doc_id, s) for d, s in corpus.search(query, k)]
+            assert got == expected[: min(k, len(docs))], (query, k)
+
+
+class TestCorpusEdgeCases:
+    """The posting-list index against brute_force_rank, compared with ==."""
+
+    def test_term_in_every_doc(self):
+        # idf 0: "common" alone has q_norm 0, so every score is 0.0 and the
+        # ranking is doc_id order.
+        docs = [Doc(f"d{i}", "common", f"common {w}") for i, w in enumerate("x y x z".split())]
+        docs.reverse()
+        assert_matches_oracle(docs, ["common", "common common", "common x", "z common"], [1, 2, 4])
+        assert [d.doc_id for d, _ in Corpus(docs).search("common", 3)] == ["d0", "d1", "d2"]
+
+    def test_repeated_query_words(self):
+        docs = [Doc(f"d{i}", "t", body) for i, body in enumerate(
+            ["paris rome", "paris paris", "rome rome rome", "vienna", "paris vienna rome"]
+        )]
+        assert_matches_oracle(docs, ["paris paris rome", "rome rome rome rome", "Paris PARIS"], [1, 3, 5])
+
+    def test_docs_matching_three_or_more_terms(self):
+        rng = random.Random(11)
+        vocab = "a b c d e f g h".split()
+        docs = [Doc(f"d{i:03d}", "", " ".join(rng.choices(vocab, k=12))) for i in range(60)]
+        query = "a b c d e f"
+        matching = [sum(t in terms(d.body) for t in query.split()) for d in docs]
+        assert max(matching) >= 3
+        assert_matches_oracle(docs, [query, "a b c", "a a b c d"], [1, 5, 60])
+
+    def test_ties_at_the_kth_score(self):
+        twins = [Doc(f"t{i}", "alpha", "beta gamma") for i in (4, 2, 9, 7)]
+        others = [Doc("a", "alpha", "delta"), Doc("z", "gamma", "omega")]
+        docs = twins + others
+        corpus = Corpus(docs)
+        for k in (1, 2, 3, 4, 5):
+            scores = [s for _, s in corpus.search("alpha beta gamma", k)]
+            assert len(scores) == k
+        assert [d.doc_id for d, _ in corpus.search("alpha beta gamma", 3)] == ["t2", "t4", "t7"]
+        assert_matches_oracle(docs, ["alpha beta gamma", "beta"], [1, 2, 3, 4, 5, 6])
+
+    def test_k_above_corpus_size_and_empty_corpus(self):
+        docs = [Doc("b", "x", "one two"), Doc("a", "y", "two three")]
+        assert_matches_oracle(docs, ["two", "three", "four"], [3, 100])
+        assert Corpus([]).search("anything", 5) == []
+
+    def test_norms_square_with_pow(self):
+        # The formula squares with **, i.e. libm's pow, which rounds
+        # ln(3) * ln(28) differently from its product with itself (glibc):
+        # d00's score then depends on which square its norm uses.
+        docs = [Doc("d00", "", "t t u"), Doc("d01", "", "u")]
+        docs += [Doc(f"d{i:02d}", "", f"filler{i}") for i in range(2, 28)]
+        assert_matches_oracle(docs, ["t", "t u", "u"], [1, 3])
+
+    def test_zipf_corpus_multi_term_queries(self):
+        rng = random.Random(2024)
+        vocab = [f"w{i}" for i in range(800)]
+        weights = [1 / (rank + 1) ** 1.1 for rank in range(len(vocab))]
+        docs = [
+            Doc(f"d{i:05d}", " ".join(rng.choices(vocab, weights, k=2)),
+                " ".join(rng.choices(vocab, weights, k=rng.randint(0, 30))))
+            for i in rng.sample(range(100_000), 2_000)
+        ]
+        queries = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 7))) for _ in range(12)]
+        queries += [" ".join(rng.choices(vocab, k=3)) for _ in range(4)]
+        assert_matches_oracle(docs, queries, [1, 3, 10, 50])
 
 
 class TestRetrieve:

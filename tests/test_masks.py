@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -388,12 +389,17 @@ def container_parts(blob: bytes) -> tuple[dict, bytes]:
     return header, blob[14 + header_len :]
 
 
-def forge(header: dict, payload: bytes) -> bytes:
-    """Re-sign a container so only the hash check itself stays honest."""
-    header = dict(header)
-    header["sha256"] = hashlib.sha256(payload).hexdigest()
+def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """Re-sign a container so only the hash check itself stays honest.
+
+    Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
+    the other header fields, then the payload.
+    """
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    header["sha256"] = hashlib.sha256(signed).hexdigest()
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<I", len(hb)) + hb + payload
+    return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + payload
 
 
 class TestExportImport:
@@ -517,6 +523,86 @@ class TestExportImport:
     def test_garbage_is_rejected(self, junk):
         with pytest.raises(IntegrityError):
             import_masks(b"X" + junk)
+
+
+@functools.cache
+def valid_container(fmt: str) -> bytes:
+    st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(72), turns=3))
+    return export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
+
+
+FORMATS = ("dense_bitpack", "index_list")
+
+
+class TestMalformedContainers:
+    """Every malformed input raises IntegrityError, so the CLI exits 3."""
+
+    def test_buffer_shorter_than_prefix(self):
+        with pytest.raises(IntegrityError, match="truncated"):
+            import_masks(MAGIC + b"\x01")
+
+    def test_header_without_n(self):
+        header, payload = container_parts(valid_container("dense_bitpack"))
+        del header["n"]
+        with pytest.raises(IntegrityError, match="header"):
+            import_masks(forge(header, payload))
+
+    @pytest.mark.parametrize("header_bytes", [b"[]", b'"n"', b"null", b"{}"])
+    def test_header_not_an_object_of_the_four_fields(self, header_bytes):
+        blob = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(header_bytes)) + header_bytes
+        with pytest.raises(IntegrityError, match="header"):
+            import_masks(blob)
+
+    @pytest.mark.parametrize("field, value", [("n", "12"), ("n", -1), ("n", True), ("format", 1)])
+    def test_header_field_of_wrong_type_or_range(self, field, value):
+        header, payload = container_parts(valid_container("dense_bitpack"))
+        header[field] = value
+        with pytest.raises(IntegrityError, match="header"):
+            import_masks(forge(header, payload))
+
+    def test_non_canonical_header_rejected(self):
+        blob = valid_container("dense_bitpack")
+        (header_len,) = struct.unpack_from("<I", blob, 10)
+        spaced = blob[14 : 14 + header_len].replace(b": ", b":\t", 1)
+        bad = blob[:10] + struct.pack("<I", len(spaced)) + spaced + blob[14 + header_len :]
+        with pytest.raises(IntegrityError, match="canonical"):
+            import_masks(bad)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_version_1_container_still_read(self, fmt):
+        blob = valid_container(fmt)
+        header, payload = container_parts(blob)
+        st1, mask1, loss1, header1 = import_masks(forge(header, payload, version=1))
+        st2, mask2, loss2, header2 = import_masks(blob)
+        assert header1 == header2 | {"sha256": header1["sha256"]}
+        assert np.array_equal(st1.tokens, st2.tokens)
+        assert np.array_equal(mask1.words, mask2.words)
+        assert np.array_equal(loss1.loss, loss2.loss)
+
+    def test_counter_id_is_covered_by_the_hash(self):
+        blob = valid_container("dense_bitpack")
+        header, payload = container_parts(blob)
+        header["counter_id"] = "other"
+        resigned_payload_only = forge(header, payload, version=1)
+        as_v2 = MAGIC + struct.pack("<H", FORMAT_VERSION) + resigned_payload_only[10:]
+        with pytest.raises(IntegrityError, match="hash"):
+            import_masks(as_v2)
+
+    @given(fmt=hst.sampled_from(FORMATS), data=hst.data())
+    def test_any_truncation_rejected(self, fmt, data):
+        blob = valid_container(fmt)
+        cut = data.draw(hst.integers(0, len(blob) - 1))
+        with pytest.raises(IntegrityError):
+            import_masks(blob[:cut])
+
+    @given(fmt=hst.sampled_from(FORMATS), data=hst.data())
+    def test_any_single_byte_flip_rejected(self, fmt, data):
+        blob = valid_container(fmt)
+        pos = data.draw(hst.integers(0, len(blob) - 1))
+        flip = data.draw(hst.integers(1, 255))
+        bad = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1 :]
+        with pytest.raises(IntegrityError):
+            import_masks(bad)
 
 
 class TestOracleProperty:
