@@ -274,32 +274,39 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool) -> dict:
+    """Write one trajectory's mask container and return its manifest entry.
+
+    A function of its own so that the mask, the container and the re-imported
+    rows are freed before the next trajectory is built.
+    """
+    try:
+        stitched = stitch(record, DEFAULT_COUNTER)
+        mask2d, mask1d = build_masks(stitched)
+        if verify:
+            verify_masks(record, stitched, mask2d, DEFAULT_COUNTER)
+    except IntegrityError as exc:
+        raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None
+    blob = export_masks(stitched, mask2d, mask1d, DEFAULT_COUNTER.name, fmt=fmt)
+    if verify:
+        re_st, re_mask, re_loss, _ = import_masks(blob)
+        same = (
+            (re_st.tokens == stitched.tokens).all()
+            and (re_mask.words == mask2d.words).all()
+            and (re_loss.loss == mask1d.loss).all()
+        )
+        if not same:
+            raise IntegrityError(f"trajectory {record.task.id!r}: export does not round-trip")
+    name = f"{_safe_name(record.task.id)}.mem1mask"
+    (out_dir / name).write_bytes(blob)
+    return {"id": record.task.id, "file": name, "n": stitched.n}
+
+
 def _cmd_export_masks(args: argparse.Namespace) -> int:
     records = read_archive(args.archive)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for record in records:
-        try:
-            stitched = stitch(record, DEFAULT_COUNTER)
-            mask2d, mask1d = build_masks(stitched)
-            if args.verify:
-                verify_masks(record, stitched, mask2d, DEFAULT_COUNTER)
-        except IntegrityError as exc:
-            raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None
-        blob = export_masks(stitched, mask2d, mask1d, DEFAULT_COUNTER.name, fmt=args.format)
-        if args.verify:
-            re_st, re_mask, re_loss, _ = import_masks(blob)
-            same = (
-                (re_st.tokens == stitched.tokens).all()
-                and (re_mask.words == mask2d.words).all()
-                and (re_loss.loss == mask1d.loss).all()
-            )
-            if not same:
-                raise IntegrityError(f"trajectory {record.task.id!r}: export does not round-trip")
-        name = f"{_safe_name(record.task.id)}.mem1mask"
-        (out_dir / name).write_bytes(blob)
-        entries.append({"id": record.task.id, "file": name, "n": stitched.n})
+    entries = [_export_one(record, out_dir, args.format, args.verify) for record in records]
     (out_dir / "masks_manifest.json").write_text(
         json.dumps({"format": args.format, "masks": entries}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -2,11 +2,14 @@
 
 Training on consolidation-style rollouts needs a single stitched sequence in
 which every generated token attends to exactly the tokens it could see when it
-was sampled: the head once, then, per turn, the previous turn's kept tag
-blocks plus injected feedback (consolidate) or everything so far
-(full_append). stitch() verifies byte-for-byte that the tokens selected for
-each turn decode to the recorded context snapshot and refuses to emit masks
-otherwise.
+was sampled. There is one visibility rule: row k is its turn's base plus the
+earlier tokens of its own turn, and the head is turn 0, with an empty base.
+stitch() alone decides each turn's base, as (start, end) index ranges: turn 1
+sees the head; a later turn sees the head plus the previous turn's is/query
+runs and info block (consolidate) or everything before it (full_append). It
+verifies byte-for-byte that those ranges decode to the recorded context
+snapshot, refuses to emit anything otherwise, and keeps them as the
+sequence's bases, which build_masks() turns into rows.
 
 Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
@@ -65,10 +68,6 @@ _INFO = SEGMENT_CODES["info"]
 _HINT = SEGMENT_CODES["hint"]
 _GLUE = SEGMENT_CODES["glue"]
 
-# Tokens a later turn may attend to from a kept turn: the tag blocks that are
-# re-rendered into the next context, plus the injected feedback.
-_RETAINED_CODES = (_IS, _QUERY, _INFO, _HINT)
-
 _HINT_RE = re.compile(
     re.escape(HINT_TEMPLATE).replace(re.escape("{turns_left}"), r"\d+")
 )
@@ -85,8 +84,9 @@ class StitchedTrajectory:
     """One episode as a flat token sequence with per-token annotations.
 
     turn_of is 0 for head tokens and 1-based for turn tokens. positions are
-    rollout-context-local. mode is carried for mask construction and is None
-    for imported sequences (which arrive with their masks prebuilt).
+    rollout-context-local. bases[t] holds the (start, end) index ranges turn t
+    saw as its context, bases[0] = () for the head; it is None for imported
+    sequences (which arrive with their masks prebuilt).
     """
 
     tokens: np.ndarray  # int32
@@ -94,7 +94,7 @@ class StitchedTrajectory:
     turn_of: np.ndarray  # uint16
     generated: np.ndarray  # bool
     positions: np.ndarray  # int32
-    mode: str | None = "consolidate"
+    bases: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -134,10 +134,12 @@ def _token_spans(text: str, counter: TokenCounter) -> tuple[list[int], list[tupl
 def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTrajectory:
     """Concatenate head, generations, and injected feedback into one sequence.
 
-    For every turn the tokens that should reconstruct its context snapshot are
-    decoded and compared byte-for-byte against the recorded snapshot; any
-    disagreement (tampered records, reordered tag blocks, a lossy counter)
-    raises IntegrityError rather than producing wrong masks.
+    This is the one place that decides which tokens a turn sees. For every turn
+    the base ranges that should reconstruct its context snapshot are decoded
+    and compared byte-for-byte against the recorded snapshot; any disagreement
+    (tampered records, reordered tag blocks, a lossy counter) raises
+    IntegrityError rather than producing wrong masks. The checked ranges are
+    kept as the result's bases, from which build_masks derives the rows.
     """
     turns = trajectory.turns
     if not turns:
@@ -151,56 +153,50 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     generated: list[bool] = []
     positions: list[int] = []
 
-    head = turns[0].context_snapshot
-    head_ids, _ = _token_spans(head, counter)
-    tokens.extend(head_ids)
-    segments.extend([_HEAD] * len(head_ids))
-    turn_of.extend([0] * len(head_ids))
-    generated.extend([False] * len(head_ids))
-    positions.extend(range(len(head_ids)))
-    head_indices = list(range(len(head_ids)))
+    def emit(ids: list[int], codes: list[int], turn: int, gen: bool, pos0: int) -> None:
+        tokens.extend(ids)
+        segments.extend(codes)
+        turn_of.extend([turn] * len(ids))
+        generated.extend([gen] * len(ids))
+        positions.extend(range(pos0, pos0 + len(ids)))
 
-    prev_retained: list[int] = []
-    prev_info: list[int] = []
+    head_ids, _ = _token_spans(turns[0].context_snapshot, counter)
+    emit(head_ids, [_HEAD] * len(head_ids), 0, False, 0)
+    head = (0, len(head_ids))
+    bases: list[tuple[tuple[int, int], ...]] = [()]  # the head is turn 0
+    # The previous turn's is/query runs and info block; turn 1 sees the head alone.
+    kept: list[tuple[int, int]] = []
 
     for i, turn in enumerate(turns):
-        if i == 0:
-            visible = list(head_indices)
-        elif mode == "full_append":
-            visible = list(range(len(tokens)))
-        else:
-            visible = head_indices + prev_retained + prev_info
-        reconstructed = counter.decode([tokens[j] for j in visible])
-        if reconstructed != turn.context_snapshot:
+        visible = [(0, len(tokens))] if mode == "full_append" else [head, *kept]
+        context_ids = [t for s, e in visible for t in tokens[s:e]]
+        if counter.decode(context_ids) != turn.context_snapshot:
             raise IntegrityError(
                 f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
             )
-        if len(visible) != counter.count(turn.context_snapshot):
+        if len(context_ids) != counter.count(turn.context_snapshot):
             raise IntegrityError(f"turn {i}: context token count mismatch")
+        bases.append(tuple(visible))
 
-        base = len(visible)
-        raw = turn.generation.text
-        gen_ids, char_spans = _token_spans(raw, counter)
+        gen_ids, char_spans = _token_spans(turn.generation.text, counter)
         label_ranges = []
         for name, code in (("is", _IS), ("query", _QUERY), ("answer", _ANSWER)):
             span = turn.parsed.spans.get(name)
             if span is not None:
                 label_ranges.append((span.start, span.end, code))
-        start_index = len(tokens)
-        for j, (token_id, (cs, ce)) in enumerate(zip(gen_ids, char_spans)):
-            code = _GLUE
-            for s, e, c in label_ranges:
-                if cs >= s and ce <= e:
-                    code = c
-                    break
-            tokens.append(token_id)
-            segments.append(code)
-            turn_of.append(i + 1)
-            generated.append(True)
-            positions.append(base + j)
-        gen_indices = list(range(start_index, len(tokens)))
+        gen_codes = [
+            next((c for s, e, c in label_ranges if cs >= s and ce <= e), _GLUE)
+            for cs, ce in char_spans
+        ]
+        kept = []
+        for j, code in enumerate(gen_codes, len(tokens)):
+            if code in (_IS, _QUERY):
+                if kept and kept[-1][1] == j:
+                    kept[-1] = (kept[-1][0], j + 1)
+                else:
+                    kept.append((j, j + 1))
+        emit(gen_ids, gen_codes, i + 1, True, len(context_ids))
 
-        info_indices: list[int] = []
         if turn.info is not None:
             block = preset.info_open + turn.info + preset.info_close
             info_ids, info_spans = _token_spans(block, counter)
@@ -209,18 +205,10 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             if match:
                 hint_start = len(preset.info_open)
                 hint_end = hint_start + match.end()
-            info_base = base + len(gen_indices)
-            for m, (token_id, (cs, _)) in enumerate(zip(info_ids, info_spans)):
-                code = _HINT if hint_start <= cs < hint_end else _INFO
-                info_indices.append(len(tokens))
-                tokens.append(token_id)
-                segments.append(code)
-                turn_of.append(i + 1)
-                generated.append(False)
-                positions.append(info_base + m)
-
-        prev_retained = [k for k in gen_indices if segments[k] in (_IS, _QUERY)]
-        prev_info = info_indices
+            info_codes = [_HINT if hint_start <= cs < hint_end else _INFO for cs, _ in info_spans]
+            info_start = len(tokens)
+            emit(info_ids, info_codes, i + 1, False, len(context_ids) + len(gen_ids))
+            kept.append((info_start, len(tokens)))
 
     return StitchedTrajectory(
         tokens=np.asarray(tokens, dtype=np.int32),
@@ -228,7 +216,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         turn_of=np.asarray(turn_of, dtype=np.uint16),
         generated=np.asarray(generated, dtype=bool),
         positions=np.asarray(positions, dtype=np.int32),
-        mode=mode,
+        bases=tuple(bases),
     )
 
 
@@ -243,61 +231,26 @@ def _set_bits(row: np.ndarray, indices: np.ndarray) -> None:
 def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
     """Derive the visibility and loss masks from a stitched sequence.
 
-    Rows follow the rollout-time rule: a generated token sees its turn's
-    context tokens plus the earlier generated tokens of its own turn; injected
-    feedback tokens additionally see the whole generation that triggered them.
+    Row k is its turn's base ranges (recorded by stitch) plus the earlier
+    tokens of its own turn; the head is turn 0, whose base is empty. So a
+    generated token sees its turn's context plus the turn's generation so far,
+    and injected feedback also sees the whole generation that triggered it.
     """
-    if stitched.mode not in ("consolidate", "full_append"):
-        raise ValueError("stitched trajectory has no context mode; masks cannot be rebuilt")
+    if stitched.bases is None:
+        raise ValueError("stitched trajectory has no base ranges; masks cannot be rebuilt")
     n = stitched.n
     width = (n + 63) // 64
     rows = np.zeros((n, width), dtype=np.uint64)
-    segments = stitched.segments
-    turn_of = stitched.turn_of
-    generated = stitched.generated
-    indices = np.arange(n)
-
-    def bit_of(k: int) -> tuple[int, np.uint64]:
-        return k >> 6, np.uint64(1) << np.uint64(k & 63)
-
-    # Head tokens attend to their strict prefix.
-    head_mask = segments == _HEAD
-    head_indices = indices[head_mask]
-    running = np.zeros(width, dtype=np.uint64)
-    for k in head_indices:
-        rows[k] = running
-        w, b = bit_of(k)
-        running[w] |= b
-
-    max_turn = int(turn_of.max(initial=0))
-    for turn in range(1, max_turn + 1):
-        in_turn = turn_of == turn
-        gen_idx = indices[in_turn & generated]
-        info_idx = indices[in_turn & ~generated]
-        if stitched.mode == "full_append":
-            first = int(gen_idx[0]) if gen_idx.size else int(info_idx[0])
-            visible = indices[:first]
-        elif turn == 1:
-            visible = head_indices
-        else:
-            prev = turn_of == turn - 1
-            kept = prev & np.isin(segments, _RETAINED_CODES)
-            visible = np.concatenate([head_indices, indices[kept]])
-        base = np.zeros(width, dtype=np.uint64)
-        _set_bits(base, visible)
-        running = base.copy()
-        for k in gen_idx:
-            rows[k] = running
-            w, b = bit_of(k)
-            running = running.copy()
-            running[w] |= b
-        for k in info_idx:
-            rows[k] = running
-            w, b = bit_of(k)
-            running = running.copy()
-            running[w] |= b
-
-    return Mask2D(words=rows, n=n), Mask1D(loss=generated.copy())
+    # turn_of is non-decreasing, so turn t occupies [bounds[t], bounds[t + 1]).
+    bounds = np.searchsorted(stitched.turn_of, np.arange(len(stitched.bases) + 1))
+    for turn, base in enumerate(stitched.bases):
+        running = np.zeros(width, dtype=np.uint64)
+        for s, e in base:
+            _set_bits(running, np.arange(s, e))
+        for k in range(int(bounds[turn]), int(bounds[turn + 1])):
+            rows[k] = running  # copies the row
+            running[k >> 6] |= np.uint64(1) << np.uint64(k & 63)
+    return Mask2D(words=rows, n=n), Mask1D(loss=stitched.generated.copy())
 
 
 def visible_tokens(mask: Mask2D, k: int) -> np.ndarray:
@@ -471,6 +424,5 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         turn_of=turn_of,
         generated=loss.copy(),
         positions=positions,
-        mode=None,
     )
     return stitched, Mask2D(words=rows, n=n), Mask1D(loss=loss), header
