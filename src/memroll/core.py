@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 __all__ = [
     "ConfigError",
     "DataError",
@@ -182,6 +184,20 @@ def segment_text(text: str) -> list[str]:
     return _SCAN.findall(text)
 
 
+# The same rule as character classes: a token is a maximal whitespace run, a
+# maximal word run, or one other character. No character is both \s and \w.
+_SPACE, _WORD, _OTHER = 0, 1, 2
+
+
+def _char_class(ch: str) -> int:
+    if re.fullmatch(r"\s", ch):
+        return _SPACE
+    return _WORD if re.fullmatch(r"\w", ch) else _OTHER
+
+
+_ASCII_CLASS = np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
+
+
 @runtime_checkable
 class TokenCounter(Protocol):
     """Counts, encodes, and decodes text deterministically.
@@ -217,7 +233,23 @@ class WordTokenizer:
         self._tokens: list[str] = []
 
     def count(self, text: str) -> int:
-        return len(_SCAN.findall(text))
+        """len(encode(text)), without building the segments.
+
+        A token starts at every character that is "other" or whose class
+        differs from the previous character's. ASCII is classified by table,
+        the distinct non-ASCII code points by the same two regexes.
+        """
+        if not text:
+            return 0
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        classes = _ASCII_CLASS.take(codes, mode="clip")  # code points >= 128 fixed below
+        wide = np.flatnonzero(codes >= 128)
+        if wide.size:
+            distinct, where = np.unique(codes[wide], return_inverse=True)
+            table = np.array([_char_class(chr(c)) for c in distinct.tolist()], dtype=np.uint8)
+            classes[wide] = table[where]
+        cur, prev = classes[1:], classes[:-1]
+        return 1 + int(np.count_nonzero((cur == _OTHER) | (cur != prev)))
 
     def encode(self, text: str) -> list[int]:
         ids = self._ids
@@ -233,7 +265,7 @@ class WordTokenizer:
 
     def decode(self, ids: Sequence[int]) -> str:
         try:
-            return "".join(self._tokens[i] for i in ids)
+            return "".join(map(self._tokens.__getitem__, ids))
         except IndexError:
             raise ValueError("unknown token id passed to decode") from None
 

@@ -34,6 +34,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,15 +118,23 @@ class Mask1D:
     loss: np.ndarray  # bool
 
 
-def _token_spans(text: str, counter: TokenCounter) -> tuple[list[int], list[tuple[int, int]]]:
-    """Encode text and recover each token's character range."""
+def _token_spans(
+    text: str, counter: TokenCounter, sizes: dict[int, int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Encode text and recover each token's character range.
+
+    sizes caches each id's decoded length, so a caller decodes every distinct
+    id once however many texts it encodes.
+    """
     ids = counter.encode(text)
     spans = []
     pos = 0
     for token_id in ids:
-        piece = counter.decode([token_id])
-        spans.append((pos, pos + len(piece)))
-        pos += len(piece)
+        size = sizes.get(token_id)
+        if size is None:
+            size = sizes[token_id] = len(counter.decode([token_id]))
+        spans.append((pos, pos + size))
+        pos += size
     if pos != len(text):
         raise IntegrityError("token counter does not losslessly segment the text")
     return ids, spans
@@ -160,7 +169,8 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         generated.extend([gen] * len(ids))
         positions.extend(range(pos0, pos0 + len(ids)))
 
-    head_ids, _ = _token_spans(turns[0].context_snapshot, counter)
+    sizes: dict[int, int] = {}
+    head_ids, _ = _token_spans(turns[0].context_snapshot, counter, sizes)
     emit(head_ids, [_HEAD] * len(head_ids), 0, False, 0)
     head = (0, len(head_ids))
     bases: list[tuple[tuple[int, int], ...]] = [()]  # the head is turn 0
@@ -169,7 +179,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
 
     for i, turn in enumerate(turns):
         visible = [(0, len(tokens))] if mode == "full_append" else [head, *kept]
-        context_ids = [t for s, e in visible for t in tokens[s:e]]
+        context_ids = list(chain.from_iterable(tokens[s:e] for s, e in visible))
         if counter.decode(context_ids) != turn.context_snapshot:
             raise IntegrityError(
                 f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
@@ -178,7 +188,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             raise IntegrityError(f"turn {i}: context token count mismatch")
         bases.append(tuple(visible))
 
-        gen_ids, char_spans = _token_spans(turn.generation.text, counter)
+        gen_ids, char_spans = _token_spans(turn.generation.text, counter, sizes)
         label_ranges = []
         for name, code in (("is", _IS), ("query", _QUERY), ("answer", _ANSWER)):
             span = turn.parsed.spans.get(name)
@@ -199,7 +209,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
 
         if turn.info is not None:
             block = preset.info_open + turn.info + preset.info_close
-            info_ids, info_spans = _token_spans(block, counter)
+            info_ids, info_spans = _token_spans(block, counter, sizes)
             hint_start = hint_end = -1
             match = _HINT_RE.match(turn.info)
             if match:
@@ -244,12 +254,18 @@ def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
     # turn_of is non-decreasing, so turn t occupies [bounds[t], bounds[t + 1]).
     bounds = np.searchsorted(stitched.turn_of, np.arange(len(stitched.bases) + 1))
     for turn, base in enumerate(stitched.bases):
-        running = np.zeros(width, dtype=np.uint64)
+        a, b = int(bounds[turn]), int(bounds[turn + 1])
+        bits = np.zeros(64 * width, dtype=bool)
         for s, e in base:
-            _set_bits(running, np.arange(s, e))
-        for k in range(int(bounds[turn]), int(bounds[turn + 1])):
-            rows[k] = running  # copies the row
-            running[k >> 6] |= np.uint64(1) << np.uint64(k & 63)
+            bits[s:e] = True
+        rows[a:b] = np.packbits(bits, bitorder="little").view("<u8")
+        # Row a + i also sees [a, a + i): one bit per row, OR-accumulated
+        # down the turn's rows, over the words the turn spans.
+        w0, w1 = a >> 6, (b + 63) >> 6
+        steps = np.zeros((b - a, w1 - w0), dtype=np.uint64)
+        prev = np.arange(a, b - 1)
+        steps[np.arange(1, b - a), (prev >> 6) - w0] = np.uint64(1) << (prev & 63).astype(np.uint64)
+        rows[a:b, w0:w1] |= np.bitwise_or.accumulate(steps, axis=0, out=steps)
     return Mask2D(words=rows, n=n), Mask1D(loss=stitched.generated.copy())
 
 
@@ -273,34 +289,29 @@ def verify_masks(
     The first generated token of each turn must see exactly the recorded
     context snapshot; each following one must see the same plus the turn's
     generation so far. Raises IntegrityError naming the first offending token.
+    Reads only the dense rows, never the bases they were built from.
     """
-    pieces = [counter.decode([int(t)]) for t in stitched.tokens]
-    indices = np.arange(stitched.n)
     for i, turn in enumerate(trajectory.turns):
         turn_no = i + 1
-        gen_idx = indices[(stitched.turn_of == turn_no) & stitched.generated]
+        gen_idx = np.flatnonzero((stitched.turn_of == turn_no) & stitched.generated)
         if gen_idx.size == 0:
             continue
         first = int(gen_idx[0])
         vis = visible_tokens(mask, first)
-        decoded = "".join(pieces[j] for j in vis)
-        if decoded != turn.context_snapshot:
+        if counter.decode(stitched.tokens[vis].tolist()) != turn.context_snapshot:
             raise IntegrityError(
                 f"token {first} (turn {turn_no}): visible tokens decode to a different context"
             )
-        prev_row = mask.words[first]
-        prev_k = first
-        for k in gen_idx[1:]:
-            k = int(k)
-            expected = prev_row.copy()
-            w, b = prev_k >> 6, np.uint64(1) << np.uint64(prev_k & 63)
-            expected[w] |= b
-            if not np.array_equal(mask.words[k], expected):
-                raise IntegrityError(
-                    f"token {k} (turn {turn_no}): row is not the previous row plus one token"
-                )
-            prev_row = mask.words[k]
-            prev_k = k
+        # Each later row must be the previous generated row plus that row's own token.
+        prev = gen_idx[:-1]
+        expected = mask.words[prev]
+        expected[np.arange(prev.size), prev >> 6] |= np.uint64(1) << (prev & 63).astype(np.uint64)
+        bad = np.flatnonzero((mask.words[gen_idx[1:]] != expected).any(axis=1))
+        if bad.size:
+            k = int(gen_idx[1 + bad[0]])
+            raise IntegrityError(
+                f"token {k} (turn {turn_no}): row is not the previous row plus one token"
+            )
 
 
 def _pack_rows(mask: Mask2D, fmt: str) -> bytes | np.ndarray:
@@ -360,7 +371,8 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     """Parse the binary container, verifying magic, version, header and hash.
 
     Every malformed input, truncated or altered anywhere, raises
-    IntegrityError.
+    IntegrityError. dense_bitpack rows are a view over data, not a copy, so
+    they are read-only when data is bytes.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -407,7 +419,7 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     turn_of = np.frombuffer(take(2 * n), dtype="<u2").astype(np.uint16)
     width = (n + 63) // 64
     if fmt == "dense_bitpack":
-        rows = np.frombuffer(take(8 * n * width), dtype="<u8").reshape(n, width).astype(np.uint64)
+        rows = np.frombuffer(take(8 * n * width), dtype="<u8").reshape(n, width)
     elif fmt == "index_list":
         rows = np.zeros((n, width), dtype=np.uint64)
         for k in range(n):

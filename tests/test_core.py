@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memroll import (
@@ -127,6 +127,18 @@ class TestRenameTags:
         assert rename_tags(there, PROMPT_STYLE, PAPER_BODY) == text
 
 
+# Characters a table-driven count can misclassify: every ASCII control
+# (\x1c-\x1f are whitespace to \s), Unicode spaces, combining marks and
+# non-Latin digits, next to plain word, space and punctuation characters.
+TRICKY_CHARS = (
+    [chr(c) for c in range(32)]
+    + ["\x7f", "\x85", "\xa0", "\u2028", "\u3000"]
+    + [chr(c) for c in range(0x2000, 0x200B)]
+    + ["\u0300", "\u0301", "\u20dd", "\u0663", "\u0967", "\uff11"]
+    + ["a", "Z", "9", "_", " ", ".", "<", "\u2014", "\u65e5", "\U0001f600"]
+)
+
+
 class TestWordTokenizer:
     def test_implements_counter_protocol(self):
         assert isinstance(WordTokenizer(), TokenCounter)
@@ -164,6 +176,13 @@ class TestWordTokenizer:
         ids = tok.encode(text)
         assert tok.decode(ids) == text
         assert tok.count(text) == len(ids)
+
+    @settings(max_examples=500)
+    @example("")
+    @example("\x1c\x1d \x1e\x1f")
+    @given(st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=60))
+    def test_count_is_the_segment_count(self, text):
+        assert WordTokenizer().count(text) == len(segment_text(text))
 
 
 class TestTurnBudget:

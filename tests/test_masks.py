@@ -315,6 +315,28 @@ class TestBuildMasks:
         for k in range(st.n):
             assert np.array_equal(visible_tokens(mask2d, k), np.arange(k))
 
+    def test_rows_match_a_per_token_reference(self):
+        # The rule spelled out token by token: row k holds its turn's base
+        # ranges plus the earlier tokens of its own turn.
+        modes, offset_turns = set(), 0
+        for seed in range(16):
+            record = random_episode(random.Random(seed))
+            modes.add(record.config.mode)
+            st, _, mask2d, _ = full_build(record)
+            turns, starts, sizes = np.unique(st.turn_of, return_index=True, return_counts=True)
+            start_of = dict(zip(turns.tolist(), starts.tolist()))
+            offset_turns += int(np.count_nonzero((sizes > 64) & (starts % 64 != 0)))
+            expected = np.zeros((st.n, 64 * mask2d.words.shape[1]), dtype=bool)
+            for k in range(st.n):
+                turn = int(st.turn_of[k])
+                for s, e in st.bases[turn]:
+                    expected[k, s:e] = True
+                expected[k, start_of[turn] : k] = True
+            got = np.unpackbits(mask2d.words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            assert np.array_equal(got.astype(bool), expected)
+        assert modes == {"consolidate", "full_append"}
+        assert offset_turns > 0  # turns over 64 tokens that start mid-word
+
     def test_imported_sequences_cannot_rebuild_masks(self):
         rng = random.Random(30)
         st, _, _, _ = full_build(scripted_episode(rng, turns=2))
@@ -382,6 +404,22 @@ class TestVerifyMasks:
         with pytest.raises(IntegrityError, match="previous row plus one"):
             verify_masks(record, st, mask2d, counter)
 
+    def test_names_the_first_offending_token(self):
+        rng = random.Random(53)
+        record = scripted_episode(rng, turns=3, ending="turn_limit")
+        st, counter, mask2d, _ = full_build(record)
+        gen = turn_indices(st, 2, generated=True)
+        assert gen.size >= 5
+        last_word = mask2d.words.shape[1] - 1
+        bit = np.uint64(1) << np.uint64(63)
+        # Two bad rows in turn 2, the later one corrupted first, and a bad
+        # first row in turn 3: the error names turn 2's earlier row.
+        for k in (gen[4], gen[2], turn_indices(st, 3, generated=True)[0]):
+            mask2d.words[int(k), last_word] ^= bit
+        message = f"token {int(gen[2])} (turn 2): row is not the previous row plus one token"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            verify_masks(record, st, mask2d, counter)
+
 
 def container_parts(blob: bytes) -> tuple[dict, bytes]:
     (header_len,) = struct.unpack_from("<I", blob, 10)
@@ -434,6 +472,14 @@ class TestExportImport:
         assert st2.bases is None
         with pytest.raises(ValueError):
             build_masks(st2)
+
+    def test_imported_dense_rows_are_read_only(self):
+        rng = random.Random(63)
+        _, mask2d, _, _, blob = self.exported(rng, "dense_bitpack")
+        _, mask2, _, _ = import_masks(blob)
+        assert np.array_equal(mask2.words, mask2d.words)
+        with pytest.raises(ValueError):
+            mask2.words[0, 0] = 1
 
     def test_cross_format_equality(self):
         rng = random.Random(62)
