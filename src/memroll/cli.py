@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from statistics import fmean
 
@@ -34,7 +35,7 @@ from .core import (
 )
 from .envs import Corpus, HttpSearchEnv, RetrievalEnv, ScriptedEnv, ShopEnv, load_catalog
 from .masks import build_masks, export_masks, import_masks, stitch, verify_masks
-from .metrics import aggregate, score_trajectory
+from .metrics import MetricReport, aggregate, score_trajectory
 from .rollout import HttpPolicy, RolloutError, ScriptedPolicy, TrajectoryRecord, run_batch
 
 __all__ = ["main", "build_parser", "read_archive"]
@@ -193,32 +194,22 @@ def _iter_archive(path: str | Path):
         raise DataError(f"{root} is not a trajectory archive (no manifest.json)")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{manifest_path}: {exc}") from None
-    for entry in manifest.get("trajectories", []):
-        file_path = root / entry["file"]
+    entries = manifest.get("trajectories", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: expected an object with a 'trajectories' list")
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or not isinstance(entry.get("file"), str):
+            raise DataError(f"{manifest_path}: trajectory entry {entry!r} needs an id and a file")
         try:
-            data = json.loads(file_path.read_text(encoding="utf-8"))
+            data = json.loads((root / entry["file"]).read_text(encoding="utf-8"))
             yield entry, TrajectoryRecord.from_dict(data)
-        except FileNotFoundError as exc:
-            yield entry, exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             yield entry, exc
 
 
-_CSV_FIELDS = (
-    "trajectory_id",
-    "objective_count",
-    "em",
-    "f1",
-    "peak_tokens",
-    "dependency",
-    "wall_time_s",
-    "valid_action_ratio",
-    "terminated",
-    "reward",
-)
-
+_CSV_FIELDS = tuple(f.name for f in fields(MetricReport))
 _PLOT_FIELDS = ("em", "f1", "peak_tokens", "dependency", "wall_time_s")
 
 
@@ -372,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,6 +37,7 @@ __all__ = [
     "render_questions",
     "load_dataset",
     "compose",
+    "composite_from_dict",
     "composite_from_tasks",
     "gold_of",
     "write_composites",
@@ -110,12 +111,7 @@ def _family(objective_count: int, env_kind: str) -> str:
 
 def bind_template(family: str, preset: TagPreset) -> str:
     """Fill a template's tag slots with the preset vocabulary."""
-    return _TEMPLATES[family].format(
-        is_open=preset.is_open, is_close=preset.is_close,
-        query_open=preset.query_open, query_close=preset.query_close,
-        answer_open=preset.answer_open, answer_close=preset.answer_close,
-        info_open=preset.info_open, info_close=preset.info_close,
-    )
+    return _TEMPLATES[family].format_map(asdict(preset))
 
 
 def prompt_prefix(objective_count: int, env_kind: str, preset: TagPreset) -> str:

@@ -18,6 +18,7 @@ from .core import TagPreset, TokenCounter
 from .tagparse import Answer, ParsedTurn, Query
 
 __all__ = [
+    "HINT_TEMPLATE",
     "Retained",
     "ContextState",
     "initial_state",

@@ -12,7 +12,8 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from types import NoneType
+from typing import Protocol, Sequence, get_args, get_type_hints, runtime_checkable
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "DEFAULT_COUNTER",
     "segment_text",
     "RolloutConfig",
+    "config_from_mapping",
     "load_config",
     "default_max_turns",
     "iter_jsonl",
@@ -133,12 +135,8 @@ class TagPreset:
             raise ValidationError(f"preset {self.name!r}: tags must be 8 distinct non-empty strings")
 
     def all_tags(self) -> tuple[str, ...]:
-        return (
-            self.is_open, self.is_close,
-            self.query_open, self.query_close,
-            self.answer_open, self.answer_close,
-            self.info_open, self.info_close,
-        )
+        # Every field after name is a tag, in open/close pairs.
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
 
 PAPER_BODY = TagPreset(
@@ -284,21 +282,25 @@ def default_max_turns(objective_count: int) -> int:
 def iter_jsonl(path: str | Path):
     """Yield (line_number, object) pairs from a JSONL file.
 
-    Blank lines are skipped; a bad line raises DataError naming it.
+    Blank lines are skipped; a bad line raises DataError naming it, as does
+    text that is not UTF-8.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path} line {lineno}: expected a JSON object")
-            yield lineno, obj
+    try:
+        with path.open(encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path} line {lineno}: invalid JSON ({exc})") from None
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path} line {lineno}: expected a JSON object")
+                yield lineno, obj
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -365,23 +367,15 @@ class RolloutConfig:
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
+# Each config key's type comes from its RolloutConfig annotation: a key is
+# nullable when None is one of the hint's arguments, and is coerced with the
+# hint's other type.
+_FIELD_HINTS = get_type_hints(RolloutConfig)
+_NULLABLE_KEYS = {key for key, hint in _FIELD_HINTS.items() if NoneType in get_args(hint)}
 _CONFIG_COERCERS = {
-    "max_turns": int,
-    "tag_preset": str,
-    "retrieval_k": int,
-    "mode": str,
-    "hint_enabled": "bool",
-    "max_tokens_per_generation": int,
-    "seed": int,
-    "temperature": float,
-    "policy_url": str,
-    "policy_api_style": str,
-    "policy_model": str,
-    "api_key_env": str,
+    key: next((arg for arg in get_args(hint) if arg is not NoneType), hint)
+    for key, hint in _FIELD_HINTS.items()
 }
-
-
-_NULLABLE_KEYS = ("policy_url", "policy_model")
 
 
 def _coerce(key: str, value) -> object:
@@ -390,7 +384,7 @@ def _coerce(key: str, value) -> object:
             return None
         raise ConfigError(f"config key {key!r}: null is not a valid value")
     kind = _CONFIG_COERCERS[key]
-    if kind == "bool":
+    if kind is bool:
         if isinstance(value, bool):
             return value
         word = str(value).strip().lower()

@@ -14,7 +14,7 @@ import math
 import re
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -466,6 +466,11 @@ class ShopSim:
         self.goal = goal
         self.page_size = page_size
         self.action_budget = action_budget
+        # Each product's searchable terms, built once: _rank runs on every
+        # results page, "next >" and product click.
+        self._terms = [
+            tuple(set(terms(f"{p.title} {' '.join(p.attributes)}"))) for p in self.catalog
+        ]
 
     def initial_state(self) -> ShopState:
         return ShopState(page="search", budget=self.action_budget)
@@ -483,9 +488,8 @@ class ShopSim:
     def _rank(self, query: str) -> list[Product]:
         q = set(terms(query))
         scored = []
-        for p in self.catalog:
-            hay = set(terms(f"{p.title} {' '.join(p.attributes)}"))
-            overlap = len(q & hay)
+        for p, hay in zip(self.catalog, self._terms):
+            overlap = len(q.intersection(hay))
             if overlap:
                 scored.append((overlap, p))
         scored.sort(key=lambda pair: (-pair[0], pair[1].id))
@@ -542,11 +546,7 @@ class ShopSim:
         if new is None:
             return state, Observation("invalid action")
         if not new.done and new.budget == 0:
-            new = ShopState(
-                page=new.page, query=new.query, page_no=new.page_no,
-                product_id=new.product_id, panel=new.panel,
-                budget=0, done=True, reward=0.0,
-            )
+            new = replace(new, done=True, reward=0.0)
             return new, Observation("Action budget exhausted.", reward=0.0, done=True)
         if new.done:
             return new, Observation(
@@ -570,29 +570,17 @@ class ShopSim:
                 ranked = self._rank(state.query)
                 if state.page_no * self.page_size >= len(ranked):
                     return None
-                return ShopState(
-                    page="results", query=state.query, page_no=state.page_no + 1, budget=budget
-                )
+                return replace(state, page_no=state.page_no + 1, budget=budget)
             target = self._match_product(state, lowered)
             if target is None:
                 return None
-            return ShopState(
-                page="product", query=state.query, page_no=state.page_no,
-                product_id=target.id, budget=budget,
-            )
+            return replace(state, page="product", product_id=target.id, budget=budget)
         if state.page == "product":
             if lowered == "buy now":
                 product = self.by_id[state.product_id]
-                return ShopState(
-                    page="product", query=state.query, page_no=state.page_no,
-                    product_id=state.product_id, panel=state.panel,
-                    budget=budget, done=True, reward=self.reward(product),
-                )
+                return replace(state, budget=budget, done=True, reward=self.reward(product))
             if lowered in _PANELS:
-                return ShopState(
-                    page="product", query=state.query, page_no=state.page_no,
-                    product_id=state.product_id, panel=lowered, budget=budget,
-                )
+                return replace(state, panel=lowered, budget=budget)
             return None
         return None
 

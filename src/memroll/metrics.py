@@ -14,7 +14,7 @@ import re
 import string
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import fmean, pstdev
 
 from .compose import gold_of
@@ -187,18 +187,7 @@ class MetricReport:
     reward: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trajectory_id": self.trajectory_id,
-            "objective_count": self.objective_count,
-            "em": self.em,
-            "f1": self.f1,
-            "peak_tokens": self.peak_tokens,
-            "dependency": self.dependency,
-            "wall_time_s": self.wall_time_s,
-            "valid_action_ratio": self.valid_action_ratio,
-            "terminated": self.terminated,
-            "reward": self.reward,
-        }
+        return asdict(self)
 
 
 def score_trajectory(

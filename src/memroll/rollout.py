@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -62,12 +62,7 @@ class Generation:
     latency_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "finish": self.finish,
-            "stop_marker": self.stop_marker,
-            "latency_s": self.latency_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Generation":

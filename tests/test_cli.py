@@ -122,6 +122,29 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "case", ["entry_without_file", "manifest_is_a_list", "input_not_utf8", "input_is_a_directory"]
+    )
+    def test_bad_input_is_data_error(self, tmp_path, capsys, case):
+        archive = tmp_path / "archive"
+        archive.mkdir()
+        score = ["score", "--archive", str(archive), "--out", str(tmp_path / "r")]
+        compose = ["compose", "--n", "1", "--out", str(tmp_path / "o"), "--in"]
+        if case == "entry_without_file":
+            write_json(archive / "manifest.json", {"trajectories": [{"id": "q0"}]})
+            argv = score
+        elif case == "manifest_is_a_list":
+            write_json(archive / "manifest.json", [{"id": "q0", "file": "q0.json"}])
+            argv = score
+        elif case == "input_not_utf8":
+            bad = tmp_path / "qa.jsonl"
+            bad.write_bytes(b'{"id": "q\xff", "question": "?", "golden_answers": ["a"]}\n')
+            argv = [*compose, str(bad)]
+        else:
+            argv = [*compose, str(archive)]
+        assert main(argv) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
 
 class TestStartup:
     def test_cli_import_leaves_requests_unloaded(self):
@@ -316,7 +339,10 @@ class TestScore:
         assert report["aggregate"]["count"] == 3
         assert len(report["per_trajectory"]) == 3
         csv_lines = Path(str(prefix) + ".csv").read_text().strip().splitlines()
-        assert csv_lines[0].startswith("trajectory_id,")
+        assert csv_lines[0] == (
+            "trajectory_id,objective_count,em,f1,peak_tokens,dependency,"
+            "wall_time_s,valid_action_ratio,terminated,reward"
+        )
         assert len(csv_lines) == 4
         assert "scored 3 trajectories" in capsys.readouterr().out
 

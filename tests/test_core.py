@@ -229,9 +229,28 @@ class TestRolloutConfig:
         config = RolloutConfig(tag_preset="prompt_style")
         assert config.stop_markers == ("</search>", "</answer>")
 
-    def test_mapping_round_trip(self):
-        config = RolloutConfig(max_turns=9, seed=17, policy_url="http://x/v1")
+    def test_mapping_round_trip(self, tmp_path):
+        # Every field away from its default, so each key's coercion is used.
+        config = RolloutConfig(
+            max_turns=9,
+            tag_preset="prompt_style",
+            retrieval_k=5,
+            mode="full_append",
+            hint_enabled=False,
+            max_tokens_per_generation=77,
+            seed=17,
+            temperature=0.7,
+            policy_url="http://x/v1",
+            policy_api_style="chat",
+            policy_model="model-1",
+            api_key_env="OTHER_KEY",
+        )
+        defaults = RolloutConfig().to_dict()
+        assert all(value != defaults[key] for key, value in config.to_dict().items())
         assert config_from_mapping(config.to_dict()) == config
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key}={value}\n" for key, value in config.to_dict().items()))
+        assert load_config(path) == config
 
     def test_with_overrides_skips_none(self):
         config = RolloutConfig(max_turns=9)
