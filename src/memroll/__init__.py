@@ -44,7 +44,6 @@ from .tagparse import (
 from .context import (
     ContextState,
     HINT_TEMPLATE,
-    Retained,
     advance,
     context_token_len,
     initial_state,

@@ -21,7 +21,9 @@ from dataclasses import fields
 from pathlib import Path
 from statistics import fmean
 
-from .compose import CompositeTask, compose, load_composites, load_dataset, write_composites
+import numpy as np
+
+from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
     DEFAULT_COUNTER,
     ConfigError,
@@ -97,58 +99,42 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _resolve_config(args: argparse.Namespace) -> RolloutConfig:
     config = load_config(args.config) if args.config else RolloutConfig()
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode.replace("-", "_")
-    if args.preset is not None:
-        overrides["tag_preset"] = args.preset
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.k is not None:
-        overrides["retrieval_k"] = args.k
-    if args.max_tokens is not None:
-        overrides["max_tokens_per_generation"] = args.max_tokens
-    if args.no_hint:
-        overrides["hint_enabled"] = False
+    # Each rollout flag's dest is the config field it sets; unset flags are None.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RolloutConfig)}
     if args.turns is not None and args.turns != "auto":
         try:
             overrides["max_turns"] = int(args.turns)
         except ValueError:
             raise ConfigError(f"--turns must be an integer or 'auto', got {args.turns!r}") from None
-    return config.with_overrides(**overrides) if overrides else config
+    return config.with_overrides(**overrides)
 
 
 def _cmd_rollout(args: argparse.Namespace) -> int:
+    if args.concurrency < 1:
+        raise ConfigError("--concurrency must be >= 1")
     config = _resolve_config(args)
     tasks = load_composites(args.input)
     policy = _make_policy(args.policy, config)
     env = _make_env(args.env, config)
 
-    if args.turns == "auto":
-        # Budget follows objective count, so batch per distinct budget and
-        # reassemble in input order.
-        by_budget: dict[int, list[tuple[int, CompositeTask]]] = {}
-        for idx, task in enumerate(tasks):
-            by_budget.setdefault(default_max_turns(task.objective_count), []).append((idx, task))
-        results: list[TrajectoryRecord | RolloutError | None] = [None] * len(tasks)
-        for budget, group in sorted(by_budget.items()):
-            batch = run_batch(
-                [t for _, t in group],
-                policy,
-                env,
-                config.with_overrides(max_turns=budget),
-                concurrency=args.concurrency,
-            )
-            for (idx, _), result in zip(group, batch):
-                results[idx] = result
-    else:
-        results = list(run_batch(tasks, policy, env, config, concurrency=args.concurrency))
+    # With --turns auto the budget follows objective count: batch per distinct
+    # budget, then take the results back in input order.
+    budgets = [
+        default_max_turns(task.objective_count) if args.turns == "auto" else config.max_turns
+        for task in tasks
+    ]
+    results: dict[int, TrajectoryRecord | RolloutError] = {}
+    for budget in sorted(set(budgets)):
+        group = [idx for idx, task_budget in enumerate(budgets) if task_budget == budget]
+        budget_config = config.with_overrides(max_turns=budget)
+        batch = run_batch([tasks[idx] for idx in group], policy, env, budget_config, args.concurrency)
+        results.update(zip(group, batch))
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     errors = []
-    for task, result in zip(tasks, results):
+    for task, (_, result) in zip(tasks, sorted(results.items())):
         if isinstance(result, TrajectoryRecord):
             name = f"{_safe_name(task.id)}.json"
             (out_dir / name).write_text(
@@ -281,12 +267,10 @@ def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool)
     blob = export_masks(stitched, mask2d, mask1d, DEFAULT_COUNTER.name, fmt=fmt)
     if verify:
         re_st, re_mask, re_loss, _ = import_masks(blob)
-        same = (
-            (re_st.tokens == stitched.tokens).all()
-            and (re_mask.words == mask2d.words).all()
-            and (re_loss.loss == mask1d.loss).all()
-        )
-        if not same:
+        columns = ("tokens", "positions", "segments", "turn_of")
+        pairs = [(getattr(re_st, c), getattr(stitched, c)) for c in columns]
+        pairs += [(re_mask.words, mask2d.words), (re_loss.loss, mask1d.loss)]
+        if not all(np.array_equal(a, b) for a, b in pairs):
             raise IntegrityError(f"trajectory {record.task.id!r}: export does not round-trip")
     name = f"{_safe_name(record.task.id)}.mem1mask"
     (out_dir / name).write_bytes(blob)
@@ -325,12 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_roll.add_argument("--out", dest="output", required=True, help="archive directory to write")
     p_roll.add_argument("--config", help="rollout config file (JSON or key=value lines)")
     p_roll.add_argument("--turns", help="turn budget, or 'auto' to follow objective count")
-    p_roll.add_argument("--mode", choices=("consolidate", "full-append", "full_append"))
-    p_roll.add_argument("--preset", choices=sorted(PRESETS))
+    p_roll.add_argument(
+        "--mode", type=lambda mode: mode.replace("-", "_"), choices=("consolidate", "full_append")
+    )
+    p_roll.add_argument("--preset", dest="tag_preset", choices=sorted(PRESETS))
     p_roll.add_argument("--seed", type=int)
-    p_roll.add_argument("--k", type=int, help="passages per retrieval")
-    p_roll.add_argument("--max-tokens", type=int, dest="max_tokens")
-    p_roll.add_argument("--no-hint", action="store_true", help="disable turns-left hints")
+    p_roll.add_argument("--k", dest="retrieval_k", type=int, metavar="K", help="passages per retrieval")
+    p_roll.add_argument("--max-tokens", dest="max_tokens_per_generation", type=int, metavar="MAX_TOKENS")
+    p_roll.add_argument(
+        "--no-hint", dest="hint_enabled", action="store_const", const=False,
+        help="disable turns-left hints",
+    )
     p_roll.add_argument("--concurrency", type=int, default=1)
     p_roll.set_defaults(func=_cmd_rollout)
 

@@ -1,13 +1,13 @@
 """Per-turn context construction: what the policy sees at each step.
 
 Two policies are supported. consolidate keeps the immutable head (prompt plus
-question block) and at most one retained tuple from the previous turn, so the
-rendered context stays bounded regardless of episode length. full_append is
-the baseline that appends every turn verbatim.
+question block) and only the previous query turn's internal-state, query and
+info blocks, so the rendered context stays bounded regardless of episode
+length. full_append is the baseline that appends every turn verbatim.
 
-The retained tuple stores the exact inner text of the previous turn's tag
-blocks (not trimmed or re-flowed), so re-rendering a context reproduces the
-string the policy actually saw, byte for byte.
+Both keep the text after the head as one tail of pieces, cut from the exact
+raw text the policy emitted (not trimmed or re-flowed), so re-rendering a
+context reproduces the string the policy actually saw, byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .tagparse import Answer, ParsedTurn, Query
 
 __all__ = [
     "HINT_TEMPLATE",
-    "Retained",
     "ContextState",
     "initial_state",
     "render_context",
@@ -32,18 +31,6 @@ HINT_TEMPLATE = "[HINT: YOU HAVE {turns_left} TURNS LEFT] "
 
 
 @dataclass(frozen=True)
-class Retained:
-    """The single tuple carried across turns in consolidate mode.
-
-    is_text is None when the turn carried no internal-state block.
-    """
-
-    is_text: str | None
-    query_text: str
-    info_text: str
-
-
-@dataclass(frozen=True)
 class ContextState:
     """Immutable snapshot of the context policy between turns."""
 
@@ -52,8 +39,7 @@ class ContextState:
     preset: TagPreset
     mode: str
     turn_index: int = 0
-    retained: Retained | None = None
-    history: tuple[str, ...] = ()
+    tail: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in ("consolidate", "full_append"):
@@ -65,22 +51,9 @@ def initial_state(head: str, head_template: str, preset: TagPreset, mode: str) -
     return ContextState(head=head, head_template=head_template, preset=preset, mode=mode)
 
 
-def _render_retained(retained: Retained, preset: TagPreset) -> str:
-    parts = []
-    if retained.is_text is not None:
-        parts.append(f"{preset.is_open}{retained.is_text}{preset.is_close}")
-    parts.append(f"{preset.query_open}{retained.query_text}{preset.query_close}")
-    parts.append(f"{preset.info_open}{retained.info_text}{preset.info_close}")
-    return "".join(parts)
-
-
 def render_context(state: ContextState) -> str:
     """The exact prompt string handed to the policy for the next turn."""
-    if state.mode == "consolidate":
-        if state.retained is None:
-            return state.head
-        return state.head + _render_retained(state.retained, state.preset)
-    return state.head + "".join(state.history)
+    return state.head + "".join(state.tail)
 
 
 def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> ContextState:
@@ -88,29 +61,28 @@ def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> Contex
 
     info is the (already hint-injected) environment feedback and must be given
     exactly for query turns. In consolidate mode a query turn replaces the
-    retained tuple; an answer turn leaves it untouched. In full_append mode the
-    turn text (and its tagged info block, for query turns) is appended.
+    tail with its is and query blocks, in that order, and its info block; an
+    answer turn leaves the tail untouched. In full_append mode the turn text
+    (and its info block, for query turns) is appended to the tail.
     """
     preset = state.preset
+    consolidate = state.mode == "consolidate"
     if isinstance(parsed.action, Query):
         if info is None:
             raise ValueError("query turns require environment feedback")
-        query_inner = parsed.inner("query")
-        if state.mode == "consolidate":
-            return replace(
-                state,
-                turn_index=state.turn_index + 1,
-                retained=Retained(parsed.is_segment, query_inner, info),
-            )
-        entry = parsed.raw + f"{preset.info_open}{info}{preset.info_close}"
-        return replace(state, turn_index=state.turn_index + 1, history=state.history + (entry,))
-    if not isinstance(parsed.action, Answer):
+        info_block = f"{preset.info_open}{info}{preset.info_close}"
+        if consolidate:
+            spans = [parsed.spans[name] for name in ("is", "query") if name in parsed.spans]
+            tail = tuple(parsed.raw[s.start : s.end] for s in spans) + (info_block,)
+        else:
+            tail = state.tail + (parsed.raw, info_block)
+    elif isinstance(parsed.action, Answer):
+        if info is not None:
+            raise ValueError("only query turns carry environment feedback")
+        tail = state.tail if consolidate else state.tail + (parsed.raw,)
+    else:
         raise ValueError("cannot advance over an invalid turn")
-    if info is not None:
-        raise ValueError("only query turns carry environment feedback")
-    if state.mode == "consolidate":
-        return replace(state, turn_index=state.turn_index + 1)
-    return replace(state, turn_index=state.turn_index + 1, history=state.history + (parsed.raw,))
+    return replace(state, turn_index=state.turn_index + 1, tail=tail)
 
 
 def inject_hint(info: str, turns_left: int, enabled: bool = True) -> str:

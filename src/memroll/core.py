@@ -414,7 +414,10 @@ def load_config(path: str | Path) -> RolloutConfig:
     lines ignored. A file whose first non-space character is '{' is read as a
     JSON object with the same keys. An empty file yields the defaults.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc})") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

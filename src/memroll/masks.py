@@ -34,7 +34,8 @@ import json
 import re
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -120,24 +121,20 @@ class Mask1D:
 
 def _token_spans(
     text: str, counter: TokenCounter, sizes: dict[int, int]
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Encode text and recover each token's character range.
+) -> tuple[list[int], list[int]]:
+    """Encode text and return its ids and cumulative character bounds: token j
+    covers text[bounds[j]:bounds[j + 1]], so bounds has one entry more than ids.
 
     sizes caches each id's decoded length, so a caller decodes every distinct
     id once however many texts it encodes.
     """
     ids = counter.encode(text)
-    spans = []
-    pos = 0
-    for token_id in ids:
-        size = sizes.get(token_id)
-        if size is None:
-            size = sizes[token_id] = len(counter.decode([token_id]))
-        spans.append((pos, pos + size))
-        pos += size
-    if pos != len(text):
+    for token_id in set(ids).difference(sizes):
+        sizes[token_id] = len(counter.decode([token_id]))
+    bounds = list(accumulate(map(sizes.__getitem__, ids), initial=0))
+    if bounds[-1] != len(text):
         raise IntegrityError("token counter does not losslessly segment the text")
-    return ids, spans
+    return ids, bounds
 
 
 def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTrajectory:
@@ -188,34 +185,42 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             raise IntegrityError(f"turn {i}: context token count mismatch")
         bases.append(tuple(visible))
 
-        gen_ids, char_spans = _token_spans(turn.generation.text, counter, sizes)
-        label_ranges = []
-        for name, code in (("is", _IS), ("query", _QUERY), ("answer", _ANSWER)):
+        gen_ids, bounds = _token_spans(turn.generation.text, counter, sizes)
+        gen_start = len(tokens)
+        gen_codes = [_GLUE] * len(gen_ids)
+        runs = []
+        # A token belongs to a block only if it lies wholly inside it. Labels
+        # go on in reverse, so a zero-length token on a boundary two blocks
+        # share keeps the first label in is/query/answer order.
+        for name, code in (("answer", _ANSWER), ("query", _QUERY), ("is", _IS)):
             span = turn.parsed.spans.get(name)
-            if span is not None:
-                label_ranges.append((span.start, span.end, code))
-        gen_codes = [
-            next((c for s, e, c in label_ranges if cs >= s and ce <= e), _GLUE)
-            for cs, ce in char_spans
-        ]
+            if span is None:
+                continue
+            lo, hi = bisect_left(bounds, span.start), bisect_right(bounds, span.end) - 1
+            if lo < hi:
+                gen_codes[lo:hi] = [code] * (hi - lo)
+                if code != _ANSWER:
+                    runs.append((gen_start + lo, gen_start + hi))
+        # The kept is/query runs, in token order, with touching runs joined.
         kept = []
-        for j, code in enumerate(gen_codes, len(tokens)):
-            if code in (_IS, _QUERY):
-                if kept and kept[-1][1] == j:
-                    kept[-1] = (kept[-1][0], j + 1)
-                else:
-                    kept.append((j, j + 1))
+        for lo, hi in sorted(runs):
+            if kept and lo <= kept[-1][1]:
+                kept[-1] = (kept[-1][0], max(kept[-1][1], hi))
+            else:
+                kept.append((lo, hi))
         emit(gen_ids, gen_codes, i + 1, True, len(context_ids))
 
         if turn.info is not None:
             block = preset.info_open + turn.info + preset.info_close
-            info_ids, info_spans = _token_spans(block, counter, sizes)
-            hint_start = hint_end = -1
+            info_ids, bounds = _token_spans(block, counter, sizes)
+            info_codes = [_INFO] * len(info_ids)
             match = _HINT_RE.match(turn.info)
             if match:
-                hint_start = len(preset.info_open)
-                hint_end = hint_start + match.end()
-            info_codes = [_HINT if hint_start <= cs < hint_end else _INFO for cs, _ in info_spans]
+                # A hint token is one that starts inside the hint.
+                hint_start, n_info = len(preset.info_open), len(info_ids)
+                lo = bisect_left(bounds, hint_start, 0, n_info)
+                hi = bisect_left(bounds, hint_start + match.end(), 0, n_info)
+                info_codes[lo:hi] = [_HINT] * (hi - lo)
             info_start = len(tokens)
             emit(info_ids, info_codes, i + 1, False, len(context_ids) + len(gen_ids))
             kept.append((info_start, len(tokens)))

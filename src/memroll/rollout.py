@@ -405,6 +405,8 @@ def run_rollout(
             generation.text, generation.finish, generation.stop_marker, latency
         )
         parsed = parse_turn(generation.text, preset)
+        info = reward = None
+        done = isinstance(parsed.action, Answer)
         if isinstance(parsed.action, Query):
             try:
                 obs: Observation = env.respond(parsed.action.text)
@@ -412,23 +414,17 @@ def run_rollout(
                 raise RolloutError(task.id, exc, tuple(turns)) from exc
             turns_left = config.max_turns - (t + 1)
             info = inject_hint(obs.text, turns_left, enabled=config.hint_enabled)
-            turns.append(
-                TurnRecord(t, snapshot, generation, parsed, info, True, latency, obs.reward)
-            )
-            state = advance(state, parsed, info)
-            if obs.done:
-                terminated = "answered"
-                final_answer = parsed.action.text
-                break
-        elif isinstance(parsed.action, Answer):
-            turns.append(TurnRecord(t, snapshot, generation, parsed, None, True, latency))
-            state = advance(state, parsed, None)
+            reward, done = obs.reward, obs.done
+        turns.append(
+            TurnRecord(t, snapshot, generation, parsed, info, parsed.valid, latency, reward)
+        )
+        if not parsed.valid:
+            terminated = "invalid"
+            break
+        state = advance(state, parsed, info)
+        if done:
             terminated = "answered"
             final_answer = parsed.action.text
-            break
-        else:
-            turns.append(TurnRecord(t, snapshot, generation, parsed, None, False, latency))
-            terminated = "invalid"
             break
     wall = time.perf_counter() - started
     return TrajectoryRecord(task, tuple(turns), final_answer, terminated, config, wall)
@@ -508,7 +504,6 @@ def replay_contexts(trajectory: TrajectoryRecord) -> list[str]:
     contexts = []
     for turn in trajectory.turns:
         contexts.append(render_context(state))
-        if isinstance(turn.parsed.action, (Query, Answer)):
-            info = turn.info if isinstance(turn.parsed.action, Query) else None
-            state = advance(state, turn.parsed, info)
+        if turn.parsed.valid:
+            state = advance(state, turn.parsed, turn.info)
     return contexts

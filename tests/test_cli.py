@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memroll
-from memroll import import_masks, load_composites
+import memroll.cli
+from memroll import RolloutConfig, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 
 from helpers import scrub_times
@@ -111,6 +114,26 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
         assert "missing.jsonl" in capsys.readouterr().err
+
+    def test_rollout_turns_not_a_number(self, smoke, capsys):
+        tmp_path, tasks, script, env = smoke
+        assert main(rollout_args(tasks, script, env, tmp_path / "a", "--turns", "abc")) == EXIT_USAGE
+        assert "--turns must be an integer or 'auto', got 'abc'" in capsys.readouterr().err
+
+    def test_rollout_zero_concurrency(self, smoke, capsys):
+        tmp_path, tasks, script, env = smoke
+        code = main(rollout_args(tasks, script, env, tmp_path / "a", "--concurrency", "0"))
+        assert code == EXIT_USAGE
+        assert "--concurrency must be >= 1" in capsys.readouterr().err
+
+    def test_rollout_config_not_utf8(self, smoke, capsys):
+        tmp_path, tasks, script, env = smoke
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"max_turns=\xff\n")
+        code = main(rollout_args(tasks, script, env, tmp_path / "a", "--config", str(config)))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "run.cfg" in err
 
     def test_score_missing_archive(self, tmp_path):
         code = main(["score", "--archive", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")])
@@ -274,6 +297,18 @@ class TestRollout:
         assert main(rollout_args(tasks, script, env, out, "--no-hint")) == EXIT_OK
         for record in read_archive(out):
             assert "[HINT" not in (record.turns[0].info or "")
+
+    def test_each_flag_reaches_the_config(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        out = tmp_path / "archive"
+        flags = ["--preset", "prompt_style", "--seed", "7", "--k", "2", "--max-tokens", "50",
+                 "--no-hint", "--mode", "full-append", "--turns", "3"]
+        assert main(rollout_args(tasks, script, env, out, *flags)) == EXIT_OK
+        for record in read_archive(out):
+            assert record.config == RolloutConfig(
+                max_turns=3, tag_preset="prompt_style", retrieval_k=2, mode="full_append",
+                hint_enabled=False, max_tokens_per_generation=50, seed=7,
+            )
 
     def test_config_file_with_flag_override(self, smoke):
         tmp_path, tasks, script, env = smoke
@@ -453,3 +488,25 @@ class TestExportMasks:
         (archive / manifest["trajectories"][0]["file"]).unlink()
         code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m3")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("column", ["positions", "segments", "turn_of"])
+    def test_verify_checks_every_column(self, smoke, monkeypatch, capsys, column):
+        # A container that round-trips tokens, rows and loss but alters one
+        # other column must not pass --verify.
+        tmp_path, archive, _, code = self.exported(smoke)
+        assert code == EXIT_OK
+
+        def tampered(stitched, *args, **kwargs):
+            altered = {
+                "positions": stitched.positions[::-1].copy(),
+                "segments": np.zeros_like(stitched.segments),
+                "turn_of": np.zeros_like(stitched.turn_of),
+            }[column]
+            return export_masks(dataclasses.replace(stitched, **{column: altered}), *args, **kwargs)
+
+        monkeypatch.setattr(memroll.cli, "export_masks", tampered)
+        code = main(
+            ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m4"), "--verify"]
+        )
+        assert code == EXIT_INTEGRITY
+        assert "does not round-trip" in capsys.readouterr().err

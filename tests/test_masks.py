@@ -17,12 +17,18 @@ from hypothesis import strategies as hst
 
 from memroll import (
     IntegrityError,
+    RolloutConfig,
     SEGMENT_CODES,
     SEGMENT_NAMES,
+    ScriptedEnv,
+    ScriptedPolicy,
+    Task,
     WordTokenizer,
     build_masks,
+    composite_from_tasks,
     export_masks,
     import_masks,
+    run_rollout,
     stitch,
     verify_masks,
     visible_tokens,
@@ -68,6 +74,25 @@ def turn_indices(st, turn: int, *, generated: bool | None = None) -> np.ndarray:
     return np.nonzero(picked)[0]
 
 
+class EmptyTokensAtTags:
+    """One token per character, plus a zero-length token before every '<' and
+    after every '>', so adjacent tag blocks share boundary tokens."""
+
+    name = "char-empty-at-tags"
+
+    def encode(self, text: str) -> list[int]:
+        ids = []
+        for ch in text:
+            ids += [0, ord(ch) + 1] if ch == "<" else [ord(ch) + 1, 0] if ch == ">" else [ord(ch) + 1]
+        return ids
+
+    def decode(self, ids) -> str:
+        return "".join(chr(i - 1) for i in ids if i)
+
+    def count(self, text: str) -> int:
+        return len(self.encode(text))
+
+
 class TestStitch:
     def test_segment_name_codes_align(self):
         assert SEGMENT_NAMES == ("head", "is", "query", "answer", "info", "hint", "glue")
@@ -94,6 +119,33 @@ class TestStitch:
         assert list(st.turn_of[n_head:]) == [1] * (st.n - n_head)
         assert not st.generated[:n_head].any()
         assert st.generated[n_head:].all()
+
+    def test_labels_follow_the_containment_rule(self):
+        # Per token: the first of is/query/answer that wholly contains it, else
+        # glue; in an info block, hint exactly when the token starts inside it.
+        rng = random.Random(17)
+        counter = EmptyTokensAtTags()
+        for _ in range(20):
+            record = random_episode(rng)
+            st = stitch(record, counter)
+            for i, turn in enumerate(record.turns, 1):
+                gen = turn_indices(st, i, generated=True)
+                bounds = np.cumsum([0] + [len(counter.decode([int(t)])) for t in st.tokens[gen]])
+                blocks = [turn.parsed.spans.get(name) for name in ("is", "query", "answer")]
+                expected = [
+                    next((c for c, sp in zip((IS, QUERY, ANSWER), blocks)
+                          if sp and sp.start <= s and e <= sp.end), GLUE)
+                    for s, e in zip(bounds[:-1], bounds[1:])
+                ]
+                assert st.segments[gen].tolist() == expected
+                fed = turn_indices(st, i, generated=False)
+                if turn.info is None:
+                    continue
+                match = HINT_RE.match(turn.info)
+                hint_end = len(record.config.preset.info_open) + (match.end() if match else 0)
+                starts = np.cumsum([0] + [len(counter.decode([int(t)])) for t in st.tokens[fed]])[:-1]
+                hinted = [len(record.config.preset.info_open) <= s < hint_end for s in starts]
+                assert st.segments[fed].tolist() == [HINT if h else INFO for h in hinted]
 
     def test_head_appears_once_at_front(self):
         rng = random.Random(4)
@@ -212,6 +264,18 @@ class TestStitch:
         bad = dataclasses.replace(record, turns=(bad_turn,) + record.turns[1:])
         with pytest.raises(IntegrityError):
             stitch(bad, WordTokenizer())
+
+    def test_token_boundary_not_in_snapshot_rejected(self):
+        # The head ends in a word and the first generation starts with one, so
+        # the stitched head/generation boundary splits what re-tokenizing the
+        # next turn's snapshot reads as one word.
+        task = composite_from_tasks([Task("q1", "Capital of France", ["Paris"])])
+        policy = ScriptedPolicy(["Sure<query>capital</query>", "<answer>Paris</answer>"])
+        config = RolloutConfig(mode="full_append")
+        record = run_rollout(task, policy, ScriptedEnv(["doc"]), config)
+        assert record.turns[0].context_snapshot.endswith("France")
+        with pytest.raises(IntegrityError, match="turn 1: context token count mismatch"):
+            stitch(record, WordTokenizer())
 
     def test_empty_trajectory_rejected(self):
         rng = random.Random(15)
@@ -605,6 +669,11 @@ class TestMalformedContainers:
         header[field] = value
         with pytest.raises(IntegrityError, match="header"):
             import_masks(forge(header, payload))
+
+    def test_short_payload_rejected(self):
+        header, payload = container_parts(valid_container("dense_bitpack"))
+        with pytest.raises(IntegrityError, match="mask payload truncated"):
+            import_masks(forge(header, payload[: 4 * header["n"] - 1]))
 
     def test_non_canonical_header_rejected(self):
         blob = valid_container("dense_bitpack")

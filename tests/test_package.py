@@ -16,7 +16,7 @@ EXPORTS = {
     "default_max_turns", "load_config", "rename_tags", "segment_text",
     "Action", "Answer", "Invalid", "ParsedTurn", "Query", "Span", "parse_turn",
     "render_turn", "split_answers",
-    "ContextState", "HINT_TEMPLATE", "Retained", "advance", "context_token_len",
+    "ContextState", "HINT_TEMPLATE", "advance", "context_token_len",
     "initial_state", "inject_hint", "render_context",
     "Corpus", "Doc", "Environment", "HttpSearchEnv", "Observation", "Product",
     "RetrievalEnv", "ScriptedEnv", "ShopEnv", "ShopGoal", "ShopSim", "ShopState",
@@ -48,7 +48,7 @@ def imported_from() -> dict[str, str]:
 
 class TestExports:
     def test_names_are_pinned(self):
-        assert len(memroll.__all__) == len(EXPORTS) == 92
+        assert len(memroll.__all__) == len(EXPORTS) == 91
         assert set(memroll.__all__) == EXPORTS
 
     def test_every_name_resolves(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from memroll import (
     Generation,
     HttpPolicy,
     Invalid,
+    Observation,
     PolicyBackend,
     Query,
     RetrievalEnv,
@@ -410,6 +412,43 @@ class TestRunBatch:
             # Wall-clock fields vary run to run; compare everything else.
             runs[concurrency] = [scrub_times(r.to_dict()) for r in records]
         assert runs[1] == runs[2]
+
+    def test_shared_non_concurrent_backends_take_turns(self):
+        # A third-party backend may declare concurrent=False and bind every
+        # task to one shared self; run_batch must still never overlap its calls.
+        class Shared:
+            concurrent = False
+
+            def __init__(self):
+                self.active = self.peak = 0
+                self.lock = threading.Lock()
+
+            def bind(self, task):
+                return self
+
+            def call(self, result):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                time.sleep(0.002)
+                with self.lock:
+                    self.active -= 1
+                return result
+
+        class SharedPolicy(Shared):
+            def generate(self, context, stop_markers, max_tokens, seed):
+                text = ANSWER_TURN if "Paris is the capital." in context else QUERY_TURN
+                return self.call(Generation(text, "eos"))
+
+        class SharedEnv(Shared):
+            def respond(self, query):
+                return self.call(Observation("Paris is the capital."))
+
+        tasks = self.make_tasks(8)
+        policy, env = SharedPolicy(), SharedEnv()
+        results = run_batch(tasks, policy, env, RolloutConfig(), concurrency=4)
+        assert [r.terminated for r in results] == ["answered"] * 8
+        assert (policy.peak, env.peak) == (1, 1)
 
     def test_failures_captured_in_place(self):
         tasks = self.make_tasks(3)
