@@ -71,8 +71,16 @@ assert not turn1 & set(seen.tolist())
 print()
 print("turn 1 tokens visible from the final turn: none")
 
-# The container round-trips bit-exactly and carries a payload hash.
-blob = export_masks(st, mask2d, mask1d, counter.name, fmt="dense_bitpack")
+# The container round-trips bit-exactly and carries a payload hash. The
+# default format stores each turn's base ranges and the sequence's own string
+# table, so it decodes with no tokenizer at hand; dense_bitpack stores one bit
+# per pair of tokens.
+blob = export_masks(st, mask2d, mask1d, counter.name)
 st2, mask2, loss2, header = import_masks(blob)
-print(f"exported {len(blob)} bytes, sha256 {header['sha256'][:12]}..., n={header['n']}")
+dense = export_masks(st, mask2d, mask1d, counter.name, fmt="dense_bitpack")
+print()
+print(f"{header['format']} container: {len(blob)} bytes ({len(blob) / st.n:.1f} B/token), "
+      f"sha256 {header['sha256'][:12]}..., n={header['n']}")
+print(f"dense_bitpack container: {len(dense)} bytes ({len(dense) / st.n:.1f} B/token)")
+assert "".join(st2.strings[t] for t in st2.tokens[seen]) == decoded
 assert np.array_equal(mask2.words, mask2d.words)

@@ -25,18 +25,18 @@ import numpy as np
 
 from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
-    DEFAULT_COUNTER,
     ConfigError,
     DataError,
     IntegrityError,
     PRESETS,
     RolloutConfig,
     ValidationError,
+    WordTokenizer,
     default_max_turns,
     load_config,
 )
 from .envs import Corpus, HttpSearchEnv, RetrievalEnv, ScriptedEnv, ShopEnv, load_catalog
-from .masks import build_masks, export_masks, import_masks, stitch, verify_masks
+from .masks import FORMATS, build_masks, export_masks, import_masks, stitch, verify_masks
 from .metrics import MetricReport, aggregate, score_trajectory
 from .rollout import HttpPolicy, RolloutError, ScriptedPolicy, TrajectoryRecord, run_batch
 
@@ -254,24 +254,34 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool) -> dict:
     """Write one trajectory's mask container and return its manifest entry.
 
-    A function of its own so that the mask, the container and the re-imported
-    rows are freed before the next trajectory is built.
+    Each trajectory is stitched with a fresh counter, so its token ids index
+    its own string table and its bytes depend on nothing exported before it.
+    With verify, the container is checked as written: re-imported, it must
+    pass the visible-context oracle and give back every column, the mask and,
+    for ranges, the counter's vocabulary as its string table. A function of its
+    own so that the mask, the container and the re-imported rows are freed
+    before the next trajectory is built.
     """
+    counter = WordTokenizer()
     try:
-        stitched = stitch(record, DEFAULT_COUNTER)
+        stitched = stitch(record, counter)
         mask2d, mask1d = build_masks(stitched)
+        blob = export_masks(stitched, mask2d, mask1d, counter.name, fmt=fmt)
         if verify:
-            verify_masks(record, stitched, mask2d, DEFAULT_COUNTER)
+            re_st, re_mask, re_loss, _ = import_masks(blob)
+            verify_masks(record, re_st, re_mask, counter)
+            columns = ("tokens", "positions", "segments", "turn_of")
+            pairs = [(getattr(re_st, c), getattr(stitched, c)) for c in columns]
+            pairs.append((re_loss.loss, mask1d.loss))
+            if fmt == "ranges":
+                vocabulary = tuple(counter.decode([i]) for i in range(counter.vocab_size()))
+                same = re_mask.bases == mask2d.bases and re_st.strings == vocabulary
+            else:
+                same = np.array_equal(re_mask.words, mask2d.words)
+            if not (same and all(np.array_equal(a, b) for a, b in pairs)):
+                raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:
         raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None
-    blob = export_masks(stitched, mask2d, mask1d, DEFAULT_COUNTER.name, fmt=fmt)
-    if verify:
-        re_st, re_mask, re_loss, _ = import_masks(blob)
-        columns = ("tokens", "positions", "segments", "turn_of")
-        pairs = [(getattr(re_st, c), getattr(stitched, c)) for c in columns]
-        pairs += [(re_mask.words, mask2d.words), (re_loss.loss, mask1d.loss)]
-        if not all(np.array_equal(a, b) for a, b in pairs):
-            raise IntegrityError(f"trajectory {record.task.id!r}: export does not round-trip")
     name = f"{_safe_name(record.task.id)}.mem1mask"
     (out_dir / name).write_bytes(blob)
     return {"id": record.task.id, "file": name, "n": stitched.n}
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_masks = sub.add_parser("export-masks", help="export stitched masked sequences")
     p_masks.add_argument("--archive", required=True, help="archive directory")
     p_masks.add_argument("--out", dest="output", required=True, help="directory for mask containers")
-    p_masks.add_argument("--format", choices=("dense_bitpack", "index_list"), default="dense_bitpack")
+    p_masks.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     p_masks.add_argument("--verify", action="store_true", help="check masks against the rollout records")
     p_masks.set_defaults(func=_cmd_export_masks)
 

@@ -14,7 +14,7 @@ import pytest
 
 import memroll
 import memroll.cli
-from memroll import RolloutConfig, export_masks, import_masks, load_composites
+from memroll import Mask2D, RolloutConfig, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 
 from helpers import scrub_times
@@ -444,7 +444,7 @@ class TestExportMasks:
         _, _, masks, code = self.exported(smoke, "--verify")
         assert code == EXIT_OK
         manifest = json.loads((masks / "masks_manifest.json").read_text())
-        assert manifest["format"] == "dense_bitpack"
+        assert manifest["format"] == "ranges"
         assert len(manifest["masks"]) == 3
         for entry in manifest["masks"]:
             st, _, _, header = import_masks((masks / entry["file"]).read_bytes())
@@ -459,13 +459,22 @@ class TestExportMasks:
             ["export-masks", "--archive", str(archive), "--out", str(sparse_dir),
              "--format", "index_list"]
         ) == EXIT_OK
+        ranges_dir = tmp_path / "masks_ranges"
+        assert main(
+            ["export-masks", "--archive", str(archive), "--out", str(ranges_dir),
+             "--format", "ranges"]
+        ) == EXIT_OK
         dense_manifest = json.loads((dense_dir / "masks_manifest.json").read_text())
         for entry in dense_manifest["masks"]:
             st_d, mask_d, loss_d, _ = import_masks((dense_dir / entry["file"]).read_bytes())
             st_s, mask_s, loss_s, _ = import_masks((sparse_dir / entry["file"]).read_bytes())
+            st_r, mask_r, loss_r, _ = import_masks((ranges_dir / entry["file"]).read_bytes())
             assert (st_d.tokens == st_s.tokens).all()
             assert (mask_d.words == mask_s.words).all()
             assert (loss_d.loss == loss_s.loss).all()
+            assert (st_d.tokens == st_r.tokens).all()
+            assert (mask_d.words == mask_r.words).all()
+            assert (loss_d.loss == loss_r.loss).all()
 
     def test_tampered_snapshot_aborts(self, smoke, capsys):
         tmp_path, archive, _, code = self.exported(smoke)
@@ -510,3 +519,122 @@ class TestExportMasks:
         )
         assert code == EXIT_INTEGRITY
         assert "does not round-trip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("shifted", "visible tokens decode to a different context"), ("reversed", "unsorted")],
+    )
+    def test_verify_reads_the_written_ranges(self, smoke, monkeypatch, capsys, damage, message):
+        # A ranges container whose ranges are shifted (sound, but the wrong
+        # tokens) or reversed (unsound) fails --verify with exit 3.
+        tmp_path, archive, _, code = self.exported(smoke)
+        assert code == EXIT_OK
+
+        def damaged(stitched, mask2d, *args, **kwargs):
+            if damage == "shifted":
+                bases = tuple(
+                    tuple((s - 1, e - 1) if s else (s, e) for s, e in base) for base in mask2d.bases
+                )
+            else:
+                bases = tuple(base[::-1] for base in mask2d.bases)
+            mask = Mask2D(mask2d.n, bases=bases, bounds=mask2d.bounds)
+            return export_masks(stitched, mask, *args, **kwargs)
+
+        monkeypatch.setattr(memroll.cli, "export_masks", damaged)
+        code = main(
+            ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m5"), "--verify"]
+        )
+        assert code == EXIT_INTEGRITY
+        assert message in capsys.readouterr().err
+
+    def test_default_export_builds_no_dense_rows(self, tmp_path, monkeypatch):
+        # A full_append archive of a few thousand tokens goes through the
+        # default export-masks --verify with the dense row builder disabled.
+        tasks = compose_file(tmp_path, 1, 1)
+        words = " ".join(f"w{i}" for i in range(60))
+        turns = [f"<IS>{words} {t}</IS><query>fact {t}</query>" for t in range(9)]
+        script = write_json(tmp_path / "script.json", turns + [ANSWER])
+        env = write_json(tmp_path / "env.json", [f"sheet {t}: {words}" for t in range(9)])
+        archive = tmp_path / "archive"
+        args = rollout_args(tasks, script, env, archive, "--mode", "full_append")
+        args[args.index("--turns") + 1] = "10"
+        assert main(args) == EXIT_OK
+
+        def no_dense_rows(mask):
+            raise AssertionError("dense rows built")
+
+        monkeypatch.setattr(memroll.masks, "_dense_rows", no_dense_rows)
+        masks = tmp_path / "masks"
+        assert main(["export-masks", "--archive", str(archive), "--out", str(masks), "--verify"]) == EXIT_OK
+        (entry,) = json.loads((masks / "masks_manifest.json").read_text())["masks"]
+        assert entry["n"] >= 2000
+        with pytest.raises(AssertionError, match="dense rows built"):
+            main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "d"),
+                  "--format", "dense_bitpack"])
+
+
+def _run_python(code: str, *args: str) -> str:
+    src = str(Path(memroll.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestContainerIds:
+    """A container's token ids index its own string table, so its bytes
+    depend on its trajectory alone, never on what the process did before."""
+
+    EXPORT_ALL = (
+        "import sys; from memroll.cli import main\n"
+        "for fmt in ('dense_bitpack', 'index_list', 'ranges'):\n"
+        "    code = main(['export-masks', '--archive', sys.argv[1], '--out', sys.argv[2] + '/' + fmt,"
+        " '--format', fmt, '--verify'])\n"
+        "    assert code == 0, code\n"
+    )
+
+    def test_bytes_do_not_depend_on_what_was_exported_before(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        both = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, both)) == EXIT_OK
+        manifest = json.loads((both / "manifest.json").read_text())
+        last = manifest["trajectories"][-1]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / last["file"]).write_bytes((both / last["file"]).read_bytes())
+        (alone / "manifest.json").write_text(json.dumps({**manifest, "trajectories": [last]}))
+        for archive in (both, alone):
+            _run_python(self.EXPORT_ALL, str(archive), str(tmp_path / f"masks-{archive.name}"))
+        for fmt in ("dense_bitpack", "index_list", "ranges"):
+            pair = [
+                (tmp_path / f"masks-{name}" / fmt / last["file"].replace(".json", ".mem1mask")).read_bytes()
+                for name in ("archive", "alone")
+            ]
+            assert pair[0] == pair[1], fmt
+
+    def test_fresh_interpreter_decodes_every_snapshot(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        code = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from memroll.cli import main\n"
+            "from memroll.masks import import_masks\n"
+            "archive, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
+            "assert main(['export-masks', '--archive', str(archive), '--out', str(out)]) == 0\n"
+            "checked = 0\n"
+            "for entry in json.loads((archive / 'manifest.json').read_text())['trajectories']:\n"
+            "    record = json.loads((archive / entry['file']).read_text())\n"
+            "    blob = (out / entry['file'].replace('.json', '.mem1mask')).read_bytes()\n"
+            "    st, _, _, header = import_masks(blob)\n"
+            "    assert header['format'] == 'ranges'\n"
+            "    for t, turn in enumerate(record['turns'], start=1):\n"
+            "        ids = [int(st.tokens[i]) for s, e in st.bases[t] for i in range(s, e)]\n"
+            "        assert ''.join(st.strings[i] for i in ids) == turn['context_snapshot'], t\n"
+            "        checked += 1\n"
+            "print(checked)\n"
+        )
+        assert _run_python(code, str(archive), str(tmp_path / "masks")).split()[-1] == "6"

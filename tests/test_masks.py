@@ -9,6 +9,7 @@ import json
 import random
 import re
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from hypothesis import strategies as hst
 
 from memroll import (
     IntegrityError,
+    Mask1D,
     RolloutConfig,
     SEGMENT_CODES,
     SEGMENT_NAMES,
     ScriptedEnv,
     ScriptedPolicy,
+    StitchedTrajectory,
     Task,
     WordTokenizer,
     build_masks,
@@ -33,7 +36,7 @@ from memroll import (
     verify_masks,
     visible_tokens,
 )
-from memroll.masks import FORMAT_VERSION, MAGIC
+from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D
 
 from helpers import random_episode, scripted_episode
 
@@ -511,7 +514,7 @@ class TestExportImport:
         blob = export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
         return st, mask2d, mask1d, counter, blob
 
-    @pytest.mark.parametrize("fmt", ["dense_bitpack", "index_list"])
+    @pytest.mark.parametrize("fmt", ["dense_bitpack", "index_list", "ranges"])
     def test_round_trip(self, fmt):
         rng = random.Random(60)
         st, mask2d, mask1d, counter, blob = self.exported(rng, fmt)
@@ -642,6 +645,31 @@ def valid_container(fmt: str) -> bytes:
 
 
 FORMATS = ("dense_bitpack", "index_list")
+ALL_FORMATS = FORMATS + ("ranges",)
+
+
+def ranges_parts(payload: bytes, n: int) -> tuple[bytes, list, list, bytes]:
+    """Split a ranges payload into its columns, each turn's (start, end)
+    pairs, the string table's byte lengths and its bytes."""
+    at = 12 * n
+
+    def u32s(count: int) -> list[int]:
+        nonlocal at
+        values = list(struct.unpack_from(f"<{count}I", payload, at))
+        at += 4 * count
+        return values
+
+    turns = [list(zip(*[iter(u32s(2 * u32s(1)[0]))] * 2)) for _ in range(u32s(1)[0])]
+    lengths = u32s(u32s(1)[0])
+    return payload[: 12 * n], turns, lengths, payload[at:]
+
+
+def ranges_payload(columns: bytes, turns: list, lengths: list, table: bytes) -> bytes:
+    words = [len(turns)]
+    for ranges in turns:
+        words += [len(ranges), *chain.from_iterable(ranges)]
+    words += [len(lengths), *lengths]
+    return columns + struct.pack(f"<{len(words)}I", *words) + table
 
 
 class TestMalformedContainers:
@@ -703,14 +731,14 @@ class TestMalformedContainers:
         with pytest.raises(IntegrityError, match="hash"):
             import_masks(as_v2)
 
-    @given(fmt=hst.sampled_from(FORMATS), data=hst.data())
+    @given(fmt=hst.sampled_from(ALL_FORMATS), data=hst.data())
     def test_any_truncation_rejected(self, fmt, data):
         blob = valid_container(fmt)
         cut = data.draw(hst.integers(0, len(blob) - 1))
         with pytest.raises(IntegrityError):
             import_masks(blob[:cut])
 
-    @given(fmt=hst.sampled_from(FORMATS), data=hst.data())
+    @given(fmt=hst.sampled_from(ALL_FORMATS), data=hst.data())
     def test_any_single_byte_flip_rejected(self, fmt, data):
         blob = valid_container(fmt)
         pos = data.draw(hst.integers(0, len(blob) - 1))
@@ -718,6 +746,223 @@ class TestMalformedContainers:
         bad = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1 :]
         with pytest.raises(IntegrityError):
             import_masks(bad)
+
+
+def forged_ranges(edit) -> bytes:
+    """The ranges test container with edit(header, columns, turns, lengths,
+    table) applied to its parts, re-signed."""
+    header, payload = container_parts(valid_container("ranges"))
+    columns, turns, lengths, table = ranges_parts(payload, header["n"])
+    columns, table = bytearray(columns), bytearray(table)
+    edit(header, columns, turns, lengths, table)
+    return forge(header, ranges_payload(bytes(columns), turns, lengths, bytes(table)), RANGES_VERSION)
+
+
+def _id_past_table(header, columns, turns, lengths, table):
+    struct.pack_into("<i", columns, 0, len(lengths))
+
+
+def _negative_id(header, columns, turns, lengths, table):
+    struct.pack_into("<i", columns, 0, -1)
+
+
+def _first_multi_range_turn(turns):
+    return next(t for t, ranges in enumerate(turns) if len(ranges) >= 2)
+
+
+def _swap_ranges(header, columns, turns, lengths, table):
+    t = _first_multi_range_turn(turns)
+    turns[t][0], turns[t][1] = turns[t][1], turns[t][0]
+
+
+def _overlap_ranges(header, columns, turns, lengths, table):
+    t = _first_multi_range_turn(turns)
+    (s0, e0), (s1, e1) = turns[t][:2]
+    turns[t][1] = (e0 - 1, e1)
+
+
+def _reach_into_turn(header, columns, turns, lengths, table):
+    # Turn 1 sees the head, which ends where turn 1 begins.
+    (s, e), = turns[1]
+    turns[1][0] = (s, e + 1)
+
+
+def _head_sees_itself(header, columns, turns, lengths, table):
+    turns[0].append((0, 1))
+
+
+def _decreasing_turn_of(header, columns, turns, lengths, table):
+    n = header["n"]
+    struct.pack_into("<H", columns, 10 * n + 2 * (n - 1), 0)
+
+
+def _turn_without_ranges(header, columns, turns, lengths, table):
+    turns.pop()
+
+
+def _table_overruns(header, columns, turns, lengths, table):
+    lengths[-1] += 1
+
+
+def _table_not_utf8(header, columns, turns, lengths, table):
+    table[0] = 0xFF
+
+
+class TestRangesContainer:
+    def test_version_follows_the_format(self):
+        versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
+        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 3}
+
+    def test_import_holds_ranges_and_string_table(self):
+        st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(73), turns=4))
+        st2, mask2, _, header = import_masks(export_masks(st, mask2d, mask1d, counter.name))
+        assert header["format"] == "ranges"
+        assert not mask2.dense
+        assert st2.bases == st.bases and mask2.bases == st.bases
+        assert st2.strings == tuple(counter.decode([i]) for i in range(counter.vocab_size()))
+        assert all(
+            np.array_equal(visible_tokens(mask2, k), visible_tokens(mask2d, k)) for k in range(st.n)
+        )
+        assert not mask2.dense and not mask2d.dense  # no row was built to answer that
+        assert np.array_equal(mask2.words, mask2d.words)
+
+    def test_size_formula(self):
+        st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(74), turns=5))
+        _, payload = container_parts(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
+        ranges = sum(len(base) for base in st.bases)
+        table = sum(len(text.encode("utf-8")) for text in st.strings)
+        expected = 12 * st.n + 4 + 4 * len(st.bases) + 8 * ranges + 4 + 4 * len(st.strings) + table
+        assert len(payload) == expected
+
+    def test_lone_surrogates_survive_the_string_table(self):
+        task = composite_from_tasks([Task("q1", "Which \ud800 glyph?", ["x"])])
+        policy = ScriptedPolicy(["<IS>odd \udfff</IS><query>glyph</query>", "<answer>x</answer>"])
+        record = run_rollout(task, policy, ScriptedEnv(["a \ud83d b"]), RolloutConfig())
+        st, counter, mask2d, mask1d = full_build(record)
+        st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
+        assert {"\ud800", "\udfff", "\ud83d"} <= set(st2.strings)
+        verify_masks(record, st2, mask2, counter)
+
+    def test_dense_import_cannot_be_written_as_ranges(self):
+        st2, mask2, loss2, _ = import_masks(valid_container("dense_bitpack"))
+        with pytest.raises(ValueError, match="ranges"):
+            export_masks(st2, mask2, loss2, "c", fmt="ranges")
+
+    def test_index_list_round_trips_arbitrary_rows(self):
+        # Rows held as words, with gaps, runs across word boundaries and
+        # empty rows, written from the words and read back bit for bit.
+        rng = np.random.default_rng(75)
+        for n in (1, 63, 64, 65, 300, 700):
+            bits = rng.random((n, n)) < rng.choice([0.02, 0.5, 0.97])
+            bits[rng.random(n) < 0.1] = False
+            words = np.packbits(
+                np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little"
+            ).view("<u8")
+            st = StitchedTrajectory(
+                tokens=np.zeros(n, np.int32), segments=np.zeros(n, np.uint8),
+                turn_of=np.zeros(n, np.uint16), generated=np.zeros(n, bool),
+                positions=np.zeros(n, np.int32),
+            )
+            mask = Mask2D(n, words=words.copy())
+            blob = export_masks(st, mask, Mask1D(loss=st.generated), "c", fmt="index_list")
+            _, payload = container_parts(blob)
+            assert len(payload) == 12 * n + 4 * n + 4 * int(bits.sum())
+            assert np.array_equal(import_masks(blob)[1].words, words)
+
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+    def test_ranges_only_in_version_3(self, version):
+        header, payload = container_parts(valid_container("ranges"))
+        with pytest.raises(IntegrityError, match="version"):
+            import_masks(forge(header, payload, version))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_dense_formats_not_in_version_3(self, fmt):
+        header, payload = container_parts(valid_container(fmt))
+        with pytest.raises(IntegrityError, match="version"):
+            import_masks(forge(header, payload, RANGES_VERSION))
+
+    def test_forged_but_sound_container_is_read(self):
+        blob = forged_ranges(lambda *parts: None)
+        assert blob == valid_container("ranges")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_swap_ranges, "unsorted"),
+            (_overlap_ranges, "overlap"),
+            (_reach_into_turn, "first token"),
+            (_head_sees_itself, "first token"),
+            (_decreasing_turn_of, "turn_of decreases"),
+            (_turn_without_ranges, "short of turns"),
+            (_id_past_table, "string table"),
+            (_negative_id, "string table"),
+            (_table_overruns, "truncated"),
+            (_table_not_utf8, "UTF-8"),
+        ],
+        ids=[
+            "unsorted", "overlapping", "past-first-token", "head-sees-itself", "decreasing-turn_of",
+            "turn-without-ranges", "id-past-table", "negative-id", "table-overruns", "table-not-utf8",
+        ],
+    )
+    def test_signed_but_unsound_container_rejected(self, edit, message):
+        with pytest.raises(IntegrityError, match=message):
+            import_masks(forged_ranges(edit))
+
+
+class TestAttentionReplay:
+    """What the mask is for: one attention layer over the stitched sequence,
+    masked with an imported ranges container, gives every generated token the
+    output it had over its own turn's rollout-time context."""
+
+    DIM = 8
+
+    def test_generated_outputs_match_rollout(self):
+        rng = np.random.default_rng(90)
+        wq, wk, wv = (rng.standard_normal((self.DIM, self.DIM)) for _ in range(3))
+        embedding: dict[str, np.ndarray] = {}
+
+        def embed(texts):
+            for text in texts:
+                if text not in embedding:
+                    embedding[text] = rng.standard_normal(self.DIM)
+            return np.array([embedding[text] for text in texts]).reshape(-1, self.DIM)
+
+        def attend(x, queries, allowed):
+            # Single head, float64, no position encoding.
+            scores = (x[queries] @ wq) @ (x @ wk).T / np.sqrt(self.DIM)
+            scores = np.where(allowed, scores, -np.inf)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            return (weights / weights.sum(axis=1, keepdims=True)) @ (x @ wv)
+
+        modes, compared = [], 0
+        for seed in range(24):
+            record = random_episode(random.Random(seed))
+            modes.append(record.config.mode)
+            st, counter, mask2d, mask1d = full_build(record)
+            st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
+            pieces = [st2.strings[t] for t in st2.tokens]
+            x = embed(pieces)
+            allowed = np.unpackbits(
+                mask2.words.view(np.uint8), axis=1, bitorder="little"
+            )[:, : st2.n].astype(bool) | np.eye(st2.n, dtype=bool)
+            for t, turn in enumerate(record.turns, start=1):
+                gen = np.flatnonzero((st2.turn_of == t) & st2.generated)
+                if gen.size == 0:
+                    continue
+                stitched_out = attend(x, gen, allowed[gen])
+                # Rollout: the turn's own context and generation, tokenized afresh.
+                fresh = WordTokenizer()
+                ids = fresh.encode(turn.context_snapshot) + fresh.encode(turn.generation.text)
+                texts = [fresh.decode([i]) for i in ids]
+                assert texts[-gen.size :] == [pieces[k] for k in gen]
+                m = len(texts)
+                queries = np.arange(m - gen.size, m)
+                causal = np.arange(m)[None, :] <= queries[:, None]
+                rollout_out = attend(embed(texts), queries, causal)
+                assert np.max(np.abs(stitched_out - rollout_out)) < 1e-9
+                compared += gen.size
+        assert len(modes) >= 20 and set(modes) == {"consolidate", "full_append"}
+        assert compared > 1000
 
 
 class TestOracleProperty:
