@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import re
@@ -20,8 +21,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 from statistics import fmean
-
-import numpy as np
 
 from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
@@ -35,10 +34,6 @@ from .core import (
     default_max_turns,
     load_config,
 )
-from .envs import Corpus, HttpSearchEnv, RetrievalEnv, ScriptedEnv, ShopEnv, load_catalog
-from .masks import FORMATS, build_masks, export_masks, import_masks, stitch, verify_masks
-from .metrics import MetricReport, aggregate, score_trajectory
-from .rollout import HttpPolicy, RolloutError, ScriptedPolicy, TrajectoryRecord, run_batch
 
 __all__ = ["main", "build_parser", "read_archive"]
 
@@ -46,6 +41,33 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTEGRITY = 3
+
+# What the commands call from the modules only some of them need, by module.
+# A command binds its modules' names here when it starts, leaving any name
+# already bound (a tracer's or a test's replacement) as it is, and calls them
+# through these globals; memroll.cli.<name> imports a name on first access.
+_DEFERRED = {
+    "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv", "ShopEnv", "load_catalog"),
+    "masks": ("FORMATS", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
+    "metrics": ("MetricReport", "aggregate", "score_trajectory"),
+    "rollout": ("HttpPolicy", "RolloutError", "ScriptedPolicy", "TrajectoryRecord", "run_batch"),
+}
+
+
+def _bind(*modules: str) -> None:
+    namespace = globals()
+    for module in modules:
+        source = importlib.import_module(f"{__package__}.{module}")
+        for name in _DEFERRED[module]:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,8 +77,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _safe_name(task_id: str) -> str:
-    return re.sub(r"[^\w.+-]", "_", task_id)
+def _file_names(ids: list[str], suffix: str) -> list[str]:
+    """The file each id is written to; ids that would share a file are refused."""
+    names = [re.sub(r"[^\w.+-]", "_", task_id) + suffix for task_id in ids]
+    first: dict[str, int] = {}
+    for idx, name in enumerate(names):
+        prior = first.setdefault(name, idx)
+        if prior != idx:
+            raise DataError(f"task ids {ids[prior]!r} and {ids[idx]!r} would both be written to {name}")
+    return names
 
 
 def _make_policy(spec: str, config: RolloutConfig):
@@ -112,8 +141,10 @@ def _resolve_config(args: argparse.Namespace) -> RolloutConfig:
 def _cmd_rollout(args: argparse.Namespace) -> int:
     if args.concurrency < 1:
         raise ConfigError("--concurrency must be >= 1")
+    _bind("rollout", "envs")
     config = _resolve_config(args)
     tasks = load_composites(args.input)
+    names = _file_names([task.id for task in tasks], ".json")
     policy = _make_policy(args.policy, config)
     env = _make_env(args.env, config)
 
@@ -134,9 +165,8 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     errors = []
-    for task, (_, result) in zip(tasks, sorted(results.items())):
+    for task, name, (_, result) in zip(tasks, names, sorted(results.items())):
         if isinstance(result, TrajectoryRecord):
-            name = f"{_safe_name(task.id)}.json"
             (out_dir / name).write_text(
                 json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
@@ -174,6 +204,7 @@ def read_archive(path: str | Path) -> list[TrajectoryRecord]:
 
 
 def _iter_archive(path: str | Path):
+    _bind("rollout")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -195,11 +226,11 @@ def _iter_archive(path: str | Path):
             yield entry, exc
 
 
-_CSV_FIELDS = tuple(f.name for f in fields(MetricReport))
 _PLOT_FIELDS = ("em", "f1", "peak_tokens", "dependency", "wall_time_s")
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    _bind("metrics")
     reports = []
     skipped = 0
     for entry, loaded in _iter_archive(args.archive):
@@ -223,12 +254,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     out_csv = Path(args.output + ".csv")
+    csv_fields = [f.name for f in fields(MetricReport)]
     with out_csv.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=csv_fields)
         writer.writeheader()
         for report in reports:
             row = report.to_dict()
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in _CSV_FIELDS})
+            writer.writerow({k: ("" if row[k] is None else row[k]) for k in csv_fields})
     if args.plot_data:
         groups: dict[int, list] = {}
         for report in reports:
@@ -251,8 +283,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool) -> dict:
-    """Write one trajectory's mask container and return its manifest entry.
+def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) -> dict:
+    """Write one trajectory's mask container to path and return its manifest entry.
 
     Each trajectory is stitched with a fresh counter, so its token ids index
     its own string table and its bytes depend on nothing exported before it.
@@ -262,6 +294,8 @@ def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool)
     own so that the mask, the container and the re-imported rows are freed
     before the next trajectory is built.
     """
+    import numpy as np
+
     counter = WordTokenizer()
     try:
         stitched = stitch(record, counter)
@@ -282,22 +316,37 @@ def _export_one(record: TrajectoryRecord, out_dir: Path, fmt: str, verify: bool)
                 raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:
         raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None
-    name = f"{_safe_name(record.task.id)}.mem1mask"
-    (out_dir / name).write_bytes(blob)
-    return {"id": record.task.id, "file": name, "n": stitched.n}
+    path.write_bytes(blob)
+    return {"id": record.task.id, "file": path.name, "n": stitched.n}
 
 
 def _cmd_export_masks(args: argparse.Namespace) -> int:
+    _bind("masks")
+    fmt = args.format or FORMATS[0]
     records = read_archive(args.archive)
+    names = _file_names([record.task.id for record in records], ".mem1mask")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = [_export_one(record, out_dir, args.format, args.verify) for record in records]
+    entries = [
+        _export_one(record, out_dir / name, fmt, args.verify) for record, name in zip(records, names)
+    ]
     (out_dir / "masks_manifest.json").write_text(
-        json.dumps({"format": args.format, "masks": entries}, indent=2, sort_keys=True) + "\n",
+        json.dumps({"format": fmt, "masks": entries}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"exported {len(entries)} mask containers ({args.format}) to {out_dir}")
+    print(f"exported {len(entries)} mask containers ({fmt}) to {out_dir}")
     return EXIT_OK
+
+
+class _Formats:
+    # masks.FORMATS as argparse choices, read only when a format is checked or
+    # listed, so that building the parser imports masks for no command.
+    def __iter__(self):
+        _bind("masks")
+        return iter(FORMATS)
+
+    def __contains__(self, fmt: object) -> bool:
+        return fmt in tuple(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_masks = sub.add_parser("export-masks", help="export stitched masked sequences")
     p_masks.add_argument("--archive", required=True, help="archive directory")
     p_masks.add_argument("--out", dest="output", required=True, help="directory for mask containers")
-    p_masks.add_argument("--format", choices=FORMATS, default=FORMATS[0])
+    p_masks.add_argument(
+        "--format", choices=_Formats(), metavar="FORMAT", help="%(choices)s; the first is the default"
+    )
     p_masks.add_argument("--verify", action="store_true", help="check masks against the rollout records")
     p_masks.set_defaults(func=_cmd_export_masks)
 

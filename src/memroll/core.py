@@ -8,14 +8,13 @@ machines and runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import NoneType
 from typing import Protocol, Sequence, get_args, get_type_hints, runtime_checkable
-
-import numpy as np
 
 __all__ = [
     "ConfigError",
@@ -193,7 +192,11 @@ def _char_class(ch: str) -> int:
     return _WORD if re.fullmatch(r"\w", ch) else _OTHER
 
 
-_ASCII_CLASS = np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
+@functools.cache
+def _ascii_classes():
+    import numpy as np
+
+    return np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
 
 
 @runtime_checkable
@@ -239,8 +242,10 @@ class WordTokenizer:
         """
         if not text:
             return 0
+        import numpy as np  # here, so that commands which never count never load it
+
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        classes = _ASCII_CLASS.take(codes, mode="clip")  # code points >= 128 fixed below
+        classes = _ascii_classes().take(codes, mode="clip")  # code points >= 128 fixed below
         wide = np.flatnonzero(codes >= 128)
         if wide.size:
             distinct, where = np.unique(codes[wide], return_inverse=True)

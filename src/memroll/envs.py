@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from .core import DataError, ValidationError, iter_jsonl
 
 if TYPE_CHECKING:
@@ -112,6 +110,8 @@ class Corpus:
     """
 
     def __init__(self, docs: Sequence[Doc]) -> None:
+        import numpy as np  # here, so that the other environments never load it
+
         # An empty corpus is legal: searches simply return nothing.
         seen = set()
         for doc in docs:
@@ -167,6 +167,8 @@ class Corpus:
         """Top-k (doc, cosine) pairs; all docs when the corpus is smaller than k."""
         if k < 1:
             raise ValidationError("k must be >= 1")
+        import numpy as np
+
         q_tf = Counter(self._vocab[t] for t in terms(query) if t in self._vocab)
         q_weights = {t: math.log(1 + c) * self._idf[t] for t, c in q_tf.items()}
         q_norm = math.sqrt(math.fsum(w * w for w in q_weights.values()))

@@ -31,11 +31,12 @@ from .context import (
     render_context,
 )
 from .core import DataError, RolloutConfig, WordTokenizer, config_from_mapping
-from .envs import Environment, Observation
 from .tagparse import Answer, ParsedTurn, Query, parse_turn
 
 if TYPE_CHECKING:
     import requests
+
+    from .envs import Environment, Observation
 
 __all__ = [
     "Generation",

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +183,49 @@ class TestStartup:
         )
         assert out.stdout.strip() == "False"
 
+    LIST_MODULES = (
+        "import json, sys\n"
+        "import memroll\n"
+        "if len(sys.argv) > 1:\n"
+        "    from memroll.cli import main\n"
+        "    assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, unloaded",
+        [
+            ("import", ("numpy", "requests", "memroll.*")),
+            ("compose", ("numpy", "requests", "memroll.masks")),
+            ("rollout", ("numpy", "requests", "memroll.masks")),
+            ("score", ("requests", "memroll.envs")),
+            ("export-masks", ("requests", "memroll.envs")),
+        ],
+    )
+    def test_loads_only_what_it_runs(self, smoke, command, unloaded):
+        # Each command, run in a fresh interpreter, imports only the modules
+        # it uses; `import memroll` alone imports none of its submodules.
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        argv = {
+            "import": [],
+            "compose": ["compose", "--in", str(tmp_path / "qa3.jsonl"), "--n", "1",
+                        "--out", str(tmp_path / "again.jsonl")],
+            "rollout": rollout_args(tasks, script, env, tmp_path / "again"),
+            "score": ["score", "--archive", str(archive), "--out", str(tmp_path / "report")],
+            "export-masks": ["export-masks", "--archive", str(archive), "--out",
+                             str(tmp_path / "masks"), "--verify"],
+        }[command]
+        out = _run_python(self.LIST_MODULES, *([json.dumps(argv)] if argv else []))
+        loaded = json.loads(out.splitlines()[-1])
+        assert "memroll" in loaded
+        found = [
+            name for name in loaded for pattern in unloaded
+            if fnmatch.fnmatchcase(name, pattern) or name.startswith(pattern + ".")
+        ]
+        assert found == []
+
 
 class TestCompose:
     def test_floor_division_arity(self, tmp_path, capsys):
@@ -356,6 +401,38 @@ class TestRollout:
         assert manifest["count"] == 0
         assert len(manifest["errors"]) == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestFileNameCollisions:
+    """Distinct ids that map to one file name are refused before anything is written."""
+
+    def test_rollout_refuses_colliding_ids(self, smoke, capsys):
+        tmp_path, tasks, script, env = smoke
+        lines = tasks.read_text(encoding="utf-8").splitlines()[:2]
+        records = [dict(json.loads(line), id=task_id) for line, task_id in zip(lines, ["job/1", "job_1"])]
+        tasks.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, out)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'job/1'" in err and "'job_1'" in err and "job_1.json" in err
+        assert not out.exists()
+
+    def test_export_refuses_colliding_ids(self, smoke, capsys):
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        manifest = json.loads((archive / "manifest.json").read_text())
+        for entry, task_id in zip(manifest["trajectories"], ["job/1", "job_1"]):
+            entry["id"] = task_id
+            record = json.loads((archive / entry["file"]).read_text())
+            record["task"]["id"] = task_id
+            write_json(archive / entry["file"], record)
+        write_json(archive / "manifest.json", manifest)
+        masks = tmp_path / "masks"
+        assert main(["export-masks", "--archive", str(archive), "--out", str(masks)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'job/1'" in err and "'job_1'" in err and "job_1.mem1mask" in err
+        assert not masks.exists()
 
 
 class TestScore:
@@ -638,3 +715,51 @@ class TestContainerIds:
             "print(checked)\n"
         )
         assert _run_python(code, str(archive), str(tmp_path / "masks")).split()[-1] == "6"
+
+
+class TestTracerContract:
+    """perfbench/tracer.py replaces functions at the names the CLI calls them
+    by; a traced pass must record every span the benchmark's per-layer
+    metrics index."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def indexed_spans(self) -> set[str]:
+        source = (self.ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+        body = source[source.index("def layer_metrics"):]
+        body = re.split(r"\n(?=\S|    def )", body, maxsplit=1)[0]
+        return set(re.findall(r'(?:totals|calls|self_s|ends)\["([\w.]+)"\]', body))
+
+    def test_traced_pass_records_every_indexed_span(self, tmp_path):
+        indexed = self.indexed_spans()
+        assert {
+            "compose.compose", "envs.corpus_build", "envs.search", "rollout.episode",
+            "rollout.run_batch", "cli.archive_entry", "metrics.peak_tokens",
+            "metrics.dependency", "masks.stitch", "masks.build_masks", "masks.verify_masks",
+            "masks.export_masks", "masks.import_masks",
+        } <= indexed
+        dataset = write_dataset(tmp_path / "qa.jsonl", 2)
+        docs = [{"doc_id": f"d{i}", "title": f"fact {i}", "body": f"answer {i} is fact number {i}"}
+                for i in range(5)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        script = write_json(tmp_path / "script.json", [QUERY, ANSWER])
+        tasks, archive = tmp_path / "tasks.jsonl", tmp_path / "archive"
+        commands = {
+            "compose": ["compose", "--in", str(dataset), "--n", "1", "--out", str(tasks)],
+            "rollout": ["rollout", "--in", str(tasks), "--policy", f"scripted:{script}",
+                        "--env", f"corpus:{corpus}", "--out", str(archive), "--turns", "4"],
+            "score": ["score", "--archive", str(archive), "--out", str(tmp_path / "report")],
+            "export": ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "masks"),
+                       "--verify"],
+        }
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        recorded = set()
+        for step, argv in commands.items():
+            spans = tmp_path / f"spans-{step}.json"
+            subprocess.run(
+                [sys.executable, str(self.ROOT / "perfbench" / "tracer.py"), str(spans), "--", *argv],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            recorded |= {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+        assert indexed - recorded == set()

@@ -1,11 +1,16 @@
-"""The package's export list: derived from its imports, pinned here."""
+"""The package's export list: read from its lazy name table, pinned here."""
 
 from __future__ import annotations
 
-import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import memroll
 
@@ -36,14 +41,8 @@ EXPORTS = {
 
 
 def imported_from() -> dict[str, str]:
-    """Each name the package imports, mapped to the submodule it comes from."""
-    tree = ast.parse(inspect.getsource(memroll))
-    return {
-        alias.name: node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    """Each name the package exports, mapped to the submodule it comes from."""
+    return dict(memroll._SOURCE)
 
 
 class TestExports:
@@ -65,3 +64,20 @@ class TestExports:
         assert set(sources) == EXPORTS - {"__version__"}
         for name, module in sources.items():
             assert name in importlib.import_module(f"memroll.{module}").__all__, (module, name)
+
+
+class TestNameClash:
+    """memroll.compose is the function, whichever import loads the submodule
+    of that name first; importing a submodule binds it on the package."""
+
+    @pytest.mark.parametrize(
+        "first", ["import memroll.cli", "from memroll.compose import composite_from_tasks"]
+    )
+    def test_compose_stays_the_function(self, first):
+        src = str(Path(memroll.__file__).resolve().parents[1])
+        code = f"{first}\nimport inspect, memroll\nprint(inspect.isfunction(memroll.compose))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "True"
