@@ -216,9 +216,17 @@ def _iter_archive(path: str | Path):
     entries = manifest.get("trajectories", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: expected an object with a 'trajectories' list")
+    # Every entry is checked before any is read, so a bad manifest yields nothing.
+    first: dict[str, dict] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or not isinstance(entry.get("file"), str):
             raise DataError(f"{manifest_path}: trajectory entry {entry!r} needs an id and a file")
+        prior = first.setdefault(os.path.normpath(entry["file"]), entry)
+        if prior is not entry:
+            raise DataError(
+                f"{manifest_path}: entries {prior['id']!r} and {entry['id']!r} both name {entry['file']}"
+            )
+    for entry in entries:
         try:
             data = json.loads((root / entry["file"]).read_text(encoding="utf-8"))
             yield entry, TrajectoryRecord.from_dict(data)

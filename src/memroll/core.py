@@ -9,6 +9,7 @@ machines and runs.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import re
 from dataclasses import dataclass, fields, replace
@@ -284,15 +285,21 @@ def default_max_turns(objective_count: int) -> int:
     return 6 if objective_count <= 4 else 20
 
 
-def iter_jsonl(path: str | Path):
+def iter_jsonl(path: str | Path, data: bytes | None = None):
     """Yield (line_number, object) pairs from a JSONL file.
 
     Blank lines are skipped; a bad line raises DataError naming it, as does
-    text that is not UTF-8.
+    text that is not UTF-8. data, when given, is the file's content already
+    read: it is parsed exactly as the file would be, and path only names it
+    in errors.
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as handle:
+        if data is None:
+            handle = path.open(encoding="utf-8")
+        else:
+            handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:

@@ -11,16 +11,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
+import struct
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from .core import DataError, ValidationError, iter_jsonl
 
 if TYPE_CHECKING:
+    import numpy as np
     import requests
 
 __all__ = [
@@ -110,8 +114,10 @@ class Corpus:
     """
 
     def __init__(self, docs: Sequence[Doc]) -> None:
-        import numpy as np  # here, so that the other environments never load it
+        self._set_docs(docs)
+        self._use(_build_index(self._ordered))
 
+    def _set_docs(self, docs: Sequence[Doc]) -> None:
         # An empty corpus is legal: searches simply return nothing.
         seen = set()
         for doc in docs:
@@ -120,48 +126,56 @@ class Corpus:
             seen.add(doc.doc_id)
         self.docs = list(docs)
         self._ordered = sorted(self.docs, key=lambda d: d.doc_id)
-        n = len(self._ordered)
-        vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-        term_ids, counts, lengths = array("i"), array("i"), array("i")
-        for doc in self._ordered:
-            tf = Counter(terms(f"{doc.title} {doc.body}"))
-            term_ids.extend(map(vocab.__getitem__, tf))
-            counts.extend(tf.values())
-            lengths.append(len(tf))
-        self._vocab = dict(vocab)
-        term_arr = np.frombuffer(term_ids, dtype=np.intc)
-        tf_arr = np.frombuffer(counts, dtype=np.intc)
-        df = np.bincount(term_arr, minlength=len(self._vocab))
-        self._idf = [math.log(n / c) for c in df.tolist()]
-        max_tf = int(tf_arr.max()) if tf_arr.size else 0
-        log_tf = np.array([math.log(1 + c) for c in range(max_tf + 1)])[tf_arr]
-        # Document-major here, so each document's weights are one slice.
-        weights = log_tf * np.array(self._idf)[term_arr]
-        ends = np.cumsum(lengths).tolist()
-        self._norms = np.array(
-            [
-                math.sqrt(math.fsum(map(pow, weights[start:end].tolist(), _SQUARE)))
-                for start, end in zip([0, *ends[:-1]], ends)
-            ],
-            dtype=np.float64,
-        )
-        by_term = np.argsort(term_arr, kind="stable")
-        self._post_docs = np.repeat(np.arange(n, dtype=np.int32), lengths)[by_term]
-        self._post_w = log_tf[by_term]
-        self._starts = np.concatenate(([0], np.cumsum(df))).tolist()
+
+    def _use(self, index: _Index) -> None:
+        """Install an index. idf and the ln(1+tf) weights are derived here, the
+        one way for a built index and a loaded one, so both come out equal."""
+        import numpy as np
+
+        self._vocab = index.vocab
+        self._starts = index.starts.tolist()
+        self._idf = _idf(np.diff(index.starts), len(self._ordered))
+        self._post_docs = index.post_docs
+        self._post_w = _log1p(index.post_tf)
+        self._norms = index.norms
 
     def __len__(self) -> int:
         return len(self.docs)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Corpus":
+        """Load a corpus from JSONL, one {"doc_id", "title", "body"} object a line.
+
+        The index is built once and kept beside the file, in FILE.memroll-index
+        (a sidecar; see _read_index for its layout). Each load still parses the
+        JSONL, then reads the sidecar if its key matches: the hash of the very
+        bytes parsed, the index format version, the Unicode database version,
+        the Python implementation and the C library. Otherwise it builds the
+        index, as Corpus(docs) does, and writes the sidecar atomically. A
+        loaded index equals a built one bit for bit. A sidecar that is
+        missing, stale, corrupt or unreadable, or a directory that cannot be
+        written, only costs the build: the sidecar never raises, and deleting
+        it is always safe.
+        """
+        path = Path(path)
+        data = path.read_bytes()
         docs = []
-        for lineno, obj in iter_jsonl(path):
+        for lineno, obj in iter_jsonl(path, data):
             try:
                 docs.append(Doc(str(obj["doc_id"]), str(obj["title"]), str(obj["body"])))
             except KeyError as exc:
                 raise DataError(f"{path} line {lineno}: missing corpus field {exc}") from None
-        return cls(docs)
+        corpus = cls.__new__(cls)
+        corpus._set_docs(docs)
+        key = _index_key(data)
+        del data
+        sidecar = path.with_name(path.name + INDEX_SUFFIX)
+        index = _read_index(sidecar, key, corpus._ordered)
+        if index is None:
+            index = _build_index(corpus._ordered)
+            _write_index(sidecar, key, index)
+        corpus._use(index)
+        return corpus
 
     def search(self, query: str, k: int) -> list[tuple[Doc, float]]:
         """Top-k (doc, cosine) pairs; all docs when the corpus is smaller than k."""
@@ -213,6 +227,208 @@ class Corpus:
             if i not in taken:
                 results.append((self._ordered[i], 0.0))
         return results
+
+
+# ------------------------------------------------------------- the corpus index
+
+INDEX_SUFFIX = ".memroll-index"
+_INDEX_MAGIC = b"MEM1INDX"
+_INDEX_VERSION = 1
+_INDEX_PREFIX = struct.Struct("<8sI8s")  # magic, header length, checksum
+
+
+class _Index(NamedTuple):
+    """What the sidecar stores: everything search reads except idf and the
+    ln(1+tf) weights, which Corpus._use derives from these."""
+
+    vocab: dict[str, int]  # term -> id, in id order
+    starts: np.ndarray  # int64, CSR offsets: term t owns postings starts[t]:starts[t + 1]
+    post_docs: np.ndarray  # int32 document numbers, ascending within a term
+    post_tf: np.ndarray  # int32 term frequency of each posting
+    norms: np.ndarray  # float64 document norms
+
+
+def _idf(df, n: int) -> list[float]:
+    return [math.log(n / c) for c in df.tolist()]
+
+
+def _log1p(tf):
+    """ln(1 + tf) for each term frequency, each distinct value computed once."""
+    import numpy as np
+
+    top = int(tf.max()) if tf.size else 0
+    return np.array([math.log(1 + c) for c in range(top + 1)])[tf]
+
+
+def _build_index(ordered: Sequence[Doc]) -> _Index:
+    import numpy as np  # here, so that the other environments never load it
+
+    n = len(ordered)
+    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    term_ids, counts, lengths = array("i"), array("i"), array("i")
+    for doc in ordered:
+        tf = Counter(terms(f"{doc.title} {doc.body}"))
+        term_ids.extend(map(vocab.__getitem__, tf))
+        counts.extend(tf.values())
+        lengths.append(len(tf))
+    term_arr = np.frombuffer(term_ids, dtype=np.intc)
+    tf_arr = np.frombuffer(counts, dtype=np.intc)
+    df = np.bincount(term_arr, minlength=len(vocab))
+    # Document-major here, so each document's weights are one slice.
+    weights = _log1p(tf_arr) * np.array(_idf(df, n))[term_arr]
+    ends = np.cumsum(lengths).tolist()
+    norms = np.array(
+        [
+            math.sqrt(math.fsum(map(pow, weights[start:end].tolist(), _SQUARE)))
+            for start, end in zip([0, *ends[:-1]], ends)
+        ],
+        dtype=np.float64,
+    )
+    by_term = np.argsort(term_arr, kind="stable")
+    return _Index(
+        vocab=dict(vocab),
+        starts=np.concatenate(([0], np.cumsum(df))),
+        post_docs=np.repeat(np.arange(n, dtype=np.int32), lengths)[by_term],
+        post_tf=tf_arr[by_term],
+        norms=norms,
+    )
+
+
+def _index_key(data: bytes) -> dict:
+    """Everything an index built from data depends on, besides this module:
+    the bytes themselves; the Python implementation, whose regular expressions
+    split the words; the Unicode database, which decides what \\w and
+    str.lower mean; and the C library, whose log and pow give the weights."""
+    import unicodedata
+    from importlib.util import source_hash  # SipHash; hashlib would load OpenSSL
+
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    return {
+        "corpus": source_hash(data).hex(),
+        "format": _INDEX_VERSION,
+        "libc": libc or sys.platform,
+        "python": sys.implementation.cache_tag,
+        "unicode": unicodedata.unidata_version,
+    }
+
+
+def _write_index(path: Path, key: dict, index: _Index) -> None:
+    """Store index at path, through a temporary file and os.replace, so a
+    reader sees the old file or the new one whole. An OSError (a read-only
+    directory, a full disk) leaves no file behind and is not raised."""
+    import numpy as np
+    from importlib.util import source_hash
+
+    vocab = "".join(term + "\n" for term in index.vocab).encode("utf-8", "surrogatepass")
+    header = json.dumps(
+        {
+            "docs": len(index.norms),
+            "key": key,
+            "postings": len(index.post_docs),
+            "terms": len(index.vocab),
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    header += b" " * (-(_INDEX_PREFIX.size + len(header)) % 8)  # 8-byte aligned arrays
+    body = b"".join(
+        [
+            header,
+            np.ascontiguousarray(index.starts, dtype="<i8"),
+            np.ascontiguousarray(index.norms, dtype="<f8"),
+            np.ascontiguousarray(index.post_docs, dtype="<i4"),
+            np.ascontiguousarray(index.post_tf, dtype="<i4"),
+            vocab,
+        ]
+    )
+    prefix = _INDEX_PREFIX.pack(_INDEX_MAGIC, len(header), source_hash(body))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(prefix)
+            handle.write(body)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+
+
+def _read_index(path: Path, key: dict, ordered: Sequence[Doc]) -> _Index | None:
+    """The index stored at path for key, or None.
+
+    Layout: the magic MEM1INDX, a u32 header length and an 8-byte checksum
+    (importlib.util.source_hash of every byte after it); then a JSON header
+    {docs, key, postings, terms}, space-padded to a multiple of 8 bytes; then
+    starts (i8), norms (f8), post_docs (i4) and post_tf (i4), all
+    little-endian, and to the end the vocabulary in id order as UTF-8, each
+    term followed by a newline (a \\w+ term holds none). The arrays are read
+    in place.
+
+    The checksum catches damage, not deliberate edits (anyone can recompute
+    it). None unless the key matches, the checksum holds, the file holds the
+    sizes its header gives and the content fits ordered: CSR offsets that
+    start at 0 and give every term at least one posting, document numbers in
+    range and ascending within a term, frequencies from 1 to the length of
+    the longest document, and exactly `terms` distinct terms. So the load
+    cannot raise, and search cannot index past an array.
+    """
+    import numpy as np
+    from importlib.util import source_hash
+
+    n = len(ordered)
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    try:
+        magic, header_len, checksum = _INDEX_PREFIX.unpack_from(data)
+        body = memoryview(data)[_INDEX_PREFIX.size :]
+        if magic != _INDEX_MAGIC or source_hash(body) != checksum:
+            return None
+        header = json.loads(bytes(body[:header_len]))
+        if not isinstance(header, dict) or header.get("key") != key or header.get("docs") != n:
+            return None
+        terms_n, postings = header.get("terms"), header.get("postings")
+        if not all(type(size) is int and size >= 0 for size in (terms_n, postings)):
+            return None
+        at = _INDEX_PREFIX.size + header_len
+        if len(data) < at + 8 * (terms_n + 1 + n) + 8 * postings:
+            return None
+
+        def take(dtype: str, count: int):
+            nonlocal at
+            arr = np.frombuffer(data, dtype=dtype, count=count, offset=at)
+            at += arr.nbytes
+            return arr
+
+        starts, norms = take("<i8", terms_n + 1), take("<f8", n)
+        post_docs, post_tf = take("<i4", postings), take("<i4", postings)
+        words = data[at:].decode("utf-8", "surrogatepass").split("\n")
+        df = np.diff(starts)
+        if starts[0] != 0 or starts[-1] != postings or words.pop() or len(words) != terms_n:
+            return None
+        if terms_n and df.min() < 1:
+            return None
+        if postings:
+            longest = max(len(d.title) + len(d.body) + 1 for d in ordered)
+            ascending = np.diff(post_docs) > 0
+            ascending[starts[1:-1] - 1] = True  # where one term's postings end
+            if not (
+                0 <= post_docs.min() and post_docs.max() < n
+                and 1 <= post_tf.min() and post_tf.max() <= longest
+                and ascending.all()
+            ):
+                return None
+        vocab = dict(zip(words, range(terms_n)))
+        if len(vocab) != terms_n:
+            return None
+    except (ValueError, struct.error, RecursionError):
+        return None
+    return _Index(vocab, starts, post_docs, post_tf, norms)
 
 
 def render_passages(docs: Sequence[Doc]) -> list[str]:

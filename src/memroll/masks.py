@@ -47,6 +47,7 @@ import struct
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -181,25 +182,36 @@ def _token_spans(
     covers text[bounds[j]:bounds[j + 1]], so bounds has one entry more than ids.
 
     strings caches each id's decoded text, so a caller decodes every distinct
-    id once however many texts it encodes.
+    id once however many texts it encodes. The ids' texts must join to text
+    exactly, so a run of tokens is a slice of the text.
     """
     ids = counter.encode(text)
     for token_id in set(ids).difference(strings):
         strings[token_id] = counter.decode([token_id])
-    bounds = list(accumulate(map(len, map(strings.__getitem__, ids)), initial=0))
-    if bounds[-1] != len(text):
+    pieces = list(map(strings.__getitem__, ids))
+    if "".join(pieces) != text:
         raise IntegrityError("token counter does not losslessly segment the text")
-    return ids, bounds
+    return ids, list(accumulate(map(len, pieces), initial=0))
+
+
+def _text_of(
+    text: str, offsets: Mapping[int, int] | Sequence[int], ranges: Iterable[tuple[int, int]]
+) -> str:
+    """The text of the token ranges [(start, end), ...] of a sequence whose
+    token k starts at text[offsets[k]]."""
+    return "".join(text[offsets[s] : offsets[e]] for s, e in ranges)
 
 
 def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTrajectory:
     """Concatenate head, generations, and injected feedback into one sequence.
 
     This is the one place that decides which tokens a turn sees. For every turn
-    the base ranges that should reconstruct its context snapshot are decoded
-    and compared byte-for-byte against the recorded snapshot; any disagreement
+    the text of the base ranges that should reconstruct its context snapshot
+    is compared byte-for-byte against the recorded snapshot; any disagreement
     (tampered records, reordered tag blocks, a lossy counter) raises
-    IntegrityError rather than producing wrong masks. The checked ranges are
+    IntegrityError rather than producing wrong masks. Every token's decoded
+    text is its exact slice of the sequence's text, which is joined once, so
+    a turn's text is slices of it, not a fresh decode. The checked ranges are
     kept as the result's bases, and the decoded text of each id as its string
     table.
 
@@ -222,6 +234,19 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     generated: list[bool] = []
     positions: list[int] = []
 
+    pieces: list[str] = []  # the sequence's text, one emitted block at a time
+    # Where token k starts in that text, for every k that ends a block or
+    # bounds a kept run: every end of a base range.
+    char_at = {0: 0}
+    texts: dict[int, str] = {}
+
+    def encode(text: str) -> tuple[list[int], list[int]]:
+        """Token ids and bounds of text, the next block to be emitted."""
+        ids, bounds = _token_spans(text, counter, texts)
+        pieces.append(text)
+        char_at[len(tokens) + len(ids)] = char_at[len(tokens)] + len(text)
+        return ids, bounds
+
     def emit(ids: list[int], codes: list[int], turn: int, gen: bool, pos0: int) -> None:
         tokens.extend(ids)
         segments.extend(codes)
@@ -229,8 +254,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         generated.extend([gen] * len(ids))
         positions.extend(range(pos0, pos0 + len(ids)))
 
-    texts: dict[int, str] = {}
-    head_ids, _ = _token_spans(turns[0].context_snapshot, counter, texts)
+    head_ids, _ = encode(turns[0].context_snapshot)
     emit(head_ids, [_HEAD] * len(head_ids), 0, False, 0)
     head = (0, len(head_ids))
     bases: list[tuple[tuple[int, int], ...]] = [()]  # the head is turn 0
@@ -238,17 +262,11 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     kept: list[tuple[int, int]] = []
 
     for i, turn in enumerate(turns):
-        visible = [(0, len(tokens))] if mode == "full_append" else [head, *kept]
-        context_ids = list(chain.from_iterable(tokens[s:e] for s, e in visible))
-        if counter.decode(context_ids) != turn.context_snapshot:
-            raise IntegrityError(
-                f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
-            )
-        if len(context_ids) != counter.count(turn.context_snapshot):
-            raise IntegrityError(f"turn {i}: context token count mismatch")
-        bases.append(tuple(visible))
+        visible = ((0, len(tokens)),) if mode == "full_append" else (head, *kept)
+        bases.append(visible)
+        n_context = sum(e - s for s, e in visible)
 
-        gen_ids, bounds = _token_spans(turn.generation.text, counter, texts)
+        gen_ids, bounds = encode(turn.generation.text)
         gen_start = len(tokens)
         gen_codes = [_GLUE] * len(gen_ids)
         runs = []
@@ -264,6 +282,8 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
                 gen_codes[lo:hi] = [code] * (hi - lo)
                 if code != _ANSWER:
                     runs.append((gen_start + lo, gen_start + hi))
+                    char_at[gen_start + lo] = char_at[gen_start] + bounds[lo]
+                    char_at[gen_start + hi] = char_at[gen_start] + bounds[hi]
         # The kept is/query runs, in token order, with touching runs joined.
         kept = []
         for lo, hi in sorted(runs):
@@ -271,11 +291,11 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
                 kept[-1] = (kept[-1][0], max(kept[-1][1], hi))
             else:
                 kept.append((lo, hi))
-        emit(gen_ids, gen_codes, i + 1, True, len(context_ids))
+        emit(gen_ids, gen_codes, i + 1, True, n_context)
 
         if turn.info is not None:
             block = preset.info_open + turn.info + preset.info_close
-            info_ids, bounds = _token_spans(block, counter, texts)
+            info_ids, bounds = encode(block)
             info_codes = [_INFO] * len(info_ids)
             match = _HINT_RE.match(turn.info)
             if match:
@@ -285,8 +305,17 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
                 hi = bisect_left(bounds, hint_start + match.end(), 0, n_info)
                 info_codes[lo:hi] = [_HINT] * (hi - lo)
             info_start = len(tokens)
-            emit(info_ids, info_codes, i + 1, False, len(context_ids) + len(gen_ids))
+            emit(info_ids, info_codes, i + 1, False, n_context + len(gen_ids))
             kept.append((info_start, len(tokens)))
+
+    text = "".join(pieces)
+    for i, (turn, visible) in enumerate(zip(turns, bases[1:])):
+        if _text_of(text, char_at, visible) != turn.context_snapshot:
+            raise IntegrityError(
+                f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
+            )
+        if sum(e - s for s, e in visible) != counter.count(turn.context_snapshot):
+            raise IntegrityError(f"turn {i}: context token count mismatch")
 
     return StitchedTrajectory(
         tokens=np.asarray(tokens, dtype=np.int32),
@@ -362,8 +391,18 @@ def verify_masks(
     context snapshot; each following one must see the same plus the turn's
     generation so far. Raises IntegrityError naming the first offending token.
     Reads only the mask, never the sequence's bases, and builds no dense row
-    for a mask held as ranges: its first rows are decoded from the ranges.
+    for a mask held as ranges: its first rows are read from the ranges.
+
+    The counter decodes the whole sequence once, which must give its tokens'
+    own texts joined; a row's visible text is then slices of that text.
     """
+    ids, where = np.unique(stitched.tokens, return_inverse=True)
+    own = [counter.decode([i]) for i in ids.tolist()]
+    pieces = [own[j] for j in where.tolist()]
+    text = "".join(pieces)
+    if counter.decode(stitched.tokens.tolist()) != text:
+        raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
+    offsets = list(accumulate(map(len, pieces), initial=0))
     for i, turn in enumerate(trajectory.turns):
         turn_no = i + 1
         gen_idx = np.flatnonzero((stitched.turn_of == turn_no) & stitched.generated)
@@ -371,7 +410,7 @@ def verify_masks(
             continue
         first = int(gen_idx[0])
         vis = visible_tokens(mask, first)
-        if counter.decode(stitched.tokens[vis].tolist()) != turn.context_snapshot:
+        if _text_of(text, offsets, _runs(vis)) != turn.context_snapshot:
             raise IntegrityError(
                 f"token {first} (turn {turn_no}): visible tokens decode to a different context"
             )
@@ -390,6 +429,16 @@ def verify_masks(
             raise IntegrityError(
                 f"token {k} (turn {turn_no}): row is not the previous row plus one token"
             )
+
+
+def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
+    """Ascending indices as (start, end) runs of consecutive ones."""
+    if indices.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(indices) != 1) + 1
+    starts = indices[np.concatenate(([0], cuts))]
+    ends = indices[np.concatenate((cuts - 1, [indices.size - 1]))] + 1
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def _index_rows(mask: Mask2D):

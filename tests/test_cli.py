@@ -226,6 +226,23 @@ class TestStartup:
         ]
         assert found == []
 
+    def test_corpus_rollout_leaves_hashlib_unloaded(self, smoke):
+        # The corpus index file is keyed with importlib.util.source_hash:
+        # importing hashlib maps OpenSSL, 3.5 MB of a rollout child's peak RSS.
+        tmp_path, tasks, script, _ = smoke
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"doc_id": "d1", "title": "Facts", "body": "lookup the fact here"}) + "\n",
+            encoding="utf-8",
+        )
+        for attempt in ("builds the index", "loads it"):
+            argv = ["rollout", "--in", str(tasks), "--policy", f"scripted:{script}",
+                    "--env", f"corpus:{corpus}", "--out", str(tmp_path / attempt), "--turns", "4"]
+            loaded = json.loads(_run_python(self.LIST_MODULES, json.dumps(argv)).splitlines()[-1])
+            assert "memroll.envs" in loaded
+            assert not {"hashlib", "_hashlib"} & set(loaded)
+            assert (tmp_path / "corpus.jsonl.memroll-index").is_file()
+
 
 class TestCompose:
     def test_floor_division_arity(self, tmp_path, capsys):
@@ -433,6 +450,23 @@ class TestFileNameCollisions:
         err = capsys.readouterr().err
         assert "'job/1'" in err and "'job_1'" in err and "job_1.mem1mask" in err
         assert not masks.exists()
+
+
+    @pytest.mark.parametrize("command", ["score", "export-masks"])
+    def test_refuses_a_manifest_naming_one_file_twice(self, smoke, capsys, command):
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        manifest = json.loads((archive / "manifest.json").read_text())
+        first = manifest["trajectories"][0]
+        twin = dict(first, id="copy", file=f"./{first['file']}")
+        manifest["trajectories"].append(twin)
+        write_json(archive / "manifest.json", manifest)
+        out = tmp_path / "out"
+        assert main([command, "--archive", str(archive), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"entries {first['id']!r} and 'copy' both name ./{first['file']}" in err
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestScore:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+import unicodedata
 from collections import Counter
+from importlib.util import source_hash
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +33,9 @@ from memroll import (
     render_passages,
     retrieve,
 )
+from memroll import envs
 from memroll.core import segment_text
-from memroll.envs import terms
+from memroll.envs import INDEX_SUFFIX, terms
 
 
 class TestTerms:
@@ -226,6 +231,243 @@ class TestCorpusEdgeCases:
         queries = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 7))) for _ in range(12)]
         queries += [" ".join(rng.choices(vocab, k=3)) for _ in range(4)]
         assert_matches_oracle(docs, queries, [1, 3, 10, 50])
+
+
+# Words with case mappings that change length, letters outside the BMP,
+# digits of other scripts, and underscores: all of them \w.
+_WORDS = "river city bread wine Straße ΣΊΣΥΦΟΣ İstanbul ﬁre 𝔘nicode ٣٤ snake_case Ǆemal naïve".split()
+
+
+def random_docs(rng: random.Random, n: int) -> list[Doc]:
+    """n documents with shuffled ids; some hold no term at all."""
+    ids = rng.sample(range(10 * n + 1), n)
+    docs = []
+    for i in ids:
+        if rng.random() < 0.15:
+            docs.append(Doc(f"d{i}", "", rng.choice(["", "!!! ...", " \t—"])))
+        else:
+            words = rng.choices(_WORDS, k=rng.randint(1, 12))
+            docs.append(Doc(f"d{i}", rng.choice(_WORDS), ", ".join(words)))
+    return docs
+
+
+def write_corpus(path, docs: list[Doc], ensure_ascii: bool = True):
+    lines = [json.dumps({"doc_id": d.doc_id, "title": d.title, "body": d.body}, ensure_ascii=ensure_ascii)
+             for d in docs]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def index_of(corpus: Corpus) -> dict:
+    """Every array search reads, bit for bit."""
+    arrays = {name: getattr(corpus, name) for name in ("_post_docs", "_post_w", "_norms")}
+    return {
+        "vocab": list(corpus._vocab.items()),
+        "starts": corpus._starts,
+        "idf": [x.hex() for x in corpus._idf],
+        **{name: (a.dtype.str, a.tobytes()) for name, a in arrays.items()},
+    }
+
+
+def results_of(corpus: Corpus, queries: list[str]) -> list:
+    return [[(d.doc_id, s.hex()) for d, s in corpus.search(q, k)] for q in queries for k in (1, 3, 50)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the index builds from here on."""
+    count = []
+    build = envs._build_index
+    monkeypatch.setattr(envs, "_build_index", lambda ordered: count.append(1) or build(ordered))
+    return count
+
+
+QUERIES = [*_WORDS, "river wine river", "strasse STRASSE", "σίσυφος", "nothing here", "", "ﬁre FIRE"]
+
+
+class TestCorpusIndexFile:
+    """Corpus.from_jsonl keeps its index in FILE.memroll-index: loaded when
+    its key matches, built and rewritten otherwise, never a source of errors."""
+
+    @pytest.mark.parametrize("case", ["empty", "one_doc", "no_terms", *[f"random{i}" for i in range(6)]])
+    def test_loaded_index_equals_a_fresh_build(self, tmp_path, builds, case):
+        rng = random.Random(case)
+        docs = {
+            "empty": [],
+            "one_doc": [Doc("only", "Straße", "İstanbul river")],
+            "no_terms": [Doc("a", "", "!!!"), Doc("b", "...", "")],
+        }.get(case) or random_docs(rng, rng.randint(2, 60))
+        path = write_corpus(tmp_path / "corpus.jsonl", docs, ensure_ascii=rng.random() < 0.5)
+        cold = Corpus.from_jsonl(path)
+        assert builds == [1] and (tmp_path / f"corpus.jsonl{INDEX_SUFFIX}").is_file()
+        warm = Corpus.from_jsonl(path)
+        assert builds == [1]
+        fresh = Corpus(docs)
+        assert index_of(cold) == index_of(warm) == index_of(fresh)
+        assert results_of(cold, QUERIES) == results_of(warm, QUERIES) == results_of(fresh, QUERIES)
+        assert warm.docs == docs
+
+    def test_changed_byte_rebuilds(self, tmp_path, builds):
+        docs = [Doc("a", "wine", "river bread"), Doc("b", "city", "river wine")]
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        Corpus.from_jsonl(path)
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        stale = sidecar.read_bytes()
+        before = path.stat()
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"bread", b"brEad"))  # same size
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        changed = Corpus.from_jsonl(path)
+        assert builds == [1, 1]
+        fresh = Corpus([Doc("a", "wine", "river brEad"), Doc("b", "city", "river wine")])
+        assert index_of(changed) == index_of(fresh)
+        assert sidecar.read_bytes() != stale
+
+    def test_corpus_errors_still_raise_with_an_index_present(self, tmp_path):
+        path = write_corpus(tmp_path / "corpus.jsonl", [Doc("a", "wine", "river")])
+        Corpus.from_jsonl(path)
+        path.write_text(path.read_text() + '{"doc_id": "a", "title": "T", "body": "B"}\n')
+        with pytest.raises(DataError, match="duplicate doc_id 'a'"):
+            Corpus.from_jsonl(path)
+        path.write_text('{"doc_id": "a", "title": "T"}\n')
+        with pytest.raises(DataError, match="missing corpus field"):
+            Corpus.from_jsonl(path)
+
+    @staticmethod
+    def damaged(good: bytes, case: str) -> list[bytes]:
+        if case == "truncated":
+            return [good[:cut] for cut in range(len(good))]
+        if case == "bit_flipped":
+            return [good[:i] + bytes([good[i] ^ 1 << i % 8]) + good[i + 1 :] for i in range(len(good))]
+        return [good + b"\0", good + b" "]  # trailing bytes
+
+    @pytest.mark.parametrize("case", ["truncated", "bit_flipped", "trailing_bytes"])
+    def test_damaged_index_is_rebuilt_and_rewritten(self, tmp_path, builds, case):
+        docs = random_docs(random.Random(case), 12)
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        expected = index_of(Corpus.from_jsonl(path))
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        good = sidecar.read_bytes()
+        variants = self.damaged(good, case)
+        for bad in variants:
+            sidecar.write_bytes(bad)
+            assert index_of(Corpus.from_jsonl(path)) == expected
+            assert sidecar.read_bytes() == good
+        assert len(builds) == 1 + len(variants)
+
+    @staticmethod
+    def resigned(good: bytes, case: str) -> bytes:
+        """good with one array or the vocabulary made inconsistent, and its
+        checksum recomputed, as only a deliberate edit would do."""
+        prefix = envs._INDEX_PREFIX
+        magic, header_len, _ = prefix.unpack_from(good)
+        header = good[prefix.size : prefix.size + header_len]
+        sizes = json.loads(header)
+        at = prefix.size + header_len
+        arrays = {}
+        for name, dtype, count in [
+            ("starts", "<i8", sizes["terms"] + 1), ("norms", "<f8", sizes["docs"]),
+            ("post_docs", "<i4", sizes["postings"]), ("post_tf", "<i4", sizes["postings"]),
+        ]:
+            arrays[name] = np.frombuffer(good, dtype, count, at).copy()
+            at += arrays[name].nbytes
+        vocab = good[at:]
+        starts, docs, tf = arrays["starts"], arrays["post_docs"], arrays["post_tf"]
+        if case == "doc_out_of_range":
+            docs[-1] = sizes["docs"]
+        elif case == "negative_doc":
+            docs[0] = -1
+        elif case == "unsorted_postings":
+            docs[1], docs[2] = docs[2], docs[1]  # term 1's two documents
+        elif case == "zero_tf":
+            tf[0] = 0
+        elif case == "huge_tf":
+            tf[0] = 2**31 - 1
+        elif case == "term_without_postings":
+            starts[1] = 0  # term 1's postings stay ascending
+        elif case == "duplicate_term":
+            vocab = vocab.replace(b"cd\n", b"ab\n")
+        else:  # one term more than the header says
+            vocab = vocab.replace(b"cd\n", b"c\n\n")
+        body = header + b"".join(a.tobytes() for a in arrays.values()) + vocab
+        return prefix.pack(magic, header_len, source_hash(body)) + body
+
+    @pytest.mark.parametrize(
+        "case",
+        ["doc_out_of_range", "negative_doc", "unsorted_postings", "zero_tf", "huge_tf",
+         "term_without_postings", "duplicate_term", "extra_term"],
+    )
+    def test_inconsistent_index_is_rebuilt_and_rewritten(self, tmp_path, builds, case):
+        docs = [Doc("a", "", "ab"), Doc("b", "", "cd cd"), Doc("c", "", "cd ef")]
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        expected = index_of(Corpus.from_jsonl(path))
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(self.resigned(good, case))
+        corpus = Corpus.from_jsonl(path)
+        assert builds == [1, 1]
+        assert index_of(corpus) == expected
+        assert sidecar.read_bytes() == good
+        queries = ["ab", "cd ef", "ab cd ef"]
+        assert results_of(corpus, queries) == results_of(Corpus(docs), queries)
+
+    @pytest.mark.parametrize("case", ["format_version", "unicode_version", "libc"])
+    def test_index_for_another_key_is_rebuilt_and_rewritten(self, tmp_path, builds, monkeypatch, case):
+        docs = random_docs(random.Random(case), 12)
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        expected = index_of(Corpus(docs))
+        with monkeypatch.context() as patch:
+            if case == "format_version":
+                patch.setattr(envs, "_INDEX_VERSION", envs._INDEX_VERSION + 1)
+            elif case == "unicode_version":
+                patch.setattr(unicodedata, "unidata_version", "1.1.0")
+            else:
+                patch.setattr(os, "confstr", lambda name: "another libc 0.1")
+            Corpus.from_jsonl(path)
+        other = sidecar.read_bytes()
+        assert index_of(Corpus.from_jsonl(path)) == expected
+        assert builds == [1, 1, 1]
+        assert sidecar.read_bytes() != other
+        Corpus.from_jsonl(path)
+        assert builds == [1, 1, 1]
+
+    def test_read_only_directory(self, tmp_path, builds, monkeypatch):
+        docs = random_docs(random.Random(3), 20)
+        folder = tmp_path / "ro"
+        folder.mkdir()
+        path = write_corpus(folder / "corpus.jsonl", docs)
+        # Root may write to a read-only directory, so the rename is refused too.
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        folder.chmod(0o555)
+        try:
+            loaded = [Corpus.from_jsonl(path) for _ in range(2)]
+            assert sorted(p.name for p in folder.iterdir()) == ["corpus.jsonl"]
+        finally:
+            folder.chmod(0o755)
+        assert builds == [1, 1]
+        fresh = Corpus(docs)
+        for corpus in loaded:
+            assert index_of(corpus) == index_of(fresh)
+            assert results_of(corpus, QUERIES) == results_of(fresh, QUERIES)
+
+    def test_index_bytes_depend_only_on_the_corpus(self, tmp_path):
+        docs = random_docs(random.Random(11), 30)
+        sidecars = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            path = write_corpus(tmp_path / name / f"{name}.jsonl", docs)
+            Corpus.from_jsonl(path)
+            sidecars.append(tmp_path / name / f"{name}.jsonl{INDEX_SUFFIX}")
+        first = sidecars[0].read_bytes()
+        assert sidecars[1].read_bytes() == first
+        sidecars[0].unlink()
+        Corpus.from_jsonl(tmp_path / "one" / "one.jsonl")
+        assert sidecars[0].read_bytes() == first
 
 
 class TestRetrieve:

@@ -280,6 +280,19 @@ class TestStitch:
         with pytest.raises(IntegrityError, match="turn 1: context token count mismatch"):
             stitch(record, WordTokenizer())
 
+    def test_token_texts_must_join_to_the_text(self):
+        # Each id alone decodes to its text uppercased: every length still adds
+        # up, and a decode of several ids is right, but the string table would
+        # hold the wrong characters.
+        class UpperIds(WordTokenizer):
+            def decode(self, ids):
+                text = super().decode(ids)
+                return text.upper() if len(ids) == 1 else text
+
+        record = scripted_episode(random.Random(16), turns=2)
+        with pytest.raises(IntegrityError, match="losslessly segment"):
+            stitch(record, UpperIds())
+
     def test_empty_trajectory_rejected(self):
         rng = random.Random(15)
         record = scripted_episode(rng, turns=1)
@@ -450,6 +463,20 @@ class TestVerifyMasks:
             record = scripted_episode(rng, mode=mode, turns=3)
             st, counter, mask2d, _ = full_build(record)
             verify_masks(record, st, mask2d, counter)
+
+    def test_counter_must_decode_the_sequence_as_its_tokens_joined(self):
+        class SpacedDecode(WordTokenizer):
+            def decode(self, ids):
+                return " ".join(map(super().decode, ([i] for i in ids)))
+
+        # stitch reads each id's own text only; verify_masks also decodes the
+        # whole sequence, which must agree.
+        record = scripted_episode(random.Random(54), turns=2)
+        spaced = SpacedDecode()
+        st = stitch(record, spaced)
+        mask2d, _ = build_masks(st)
+        with pytest.raises(IntegrityError, match="does not decode the sequence"):
+            verify_masks(record, st, mask2d, spaced)
 
     def test_detects_dropped_visibility(self):
         rng = random.Random(51)
