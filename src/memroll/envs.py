@@ -149,13 +149,17 @@ class Corpus:
         The index is built once and kept beside the file, in FILE.memroll-index
         (a sidecar; see _read_index for its layout). Each load still parses the
         JSONL, then reads the sidecar if its key matches: the hash of the very
-        bytes parsed, the index format version, the Unicode database version,
-        the Python implementation and the C library. Otherwise it builds the
-        index, as Corpus(docs) does, and writes the sidecar atomically. A
-        loaded index equals a built one bit for bit. A sidecar that is
-        missing, stale, corrupt or unreadable, or a directory that cannot be
-        written, only costs the build: the sidecar never raises, and deleting
-        it is always safe.
+        bytes parsed, the hash of the source that parses them and builds the
+        index, the Unicode database version, the Python implementation and the
+        C library. Otherwise it builds the index, as Corpus(docs) does, and
+        writes the sidecar atomically. A loaded index equals a built one bit
+        for bit. A sidecar that is missing, stale, corrupt or unreadable, or a
+        directory that cannot be written, only costs the build: the sidecar
+        never raises, and deleting it is always safe. Where that source cannot
+        be read, no sidecar is read or written.
+
+        The sidecar pays off only when the same corpus file is loaded again: a
+        first load builds the index, as before, and also writes the file.
         """
         path = Path(path)
         data = path.read_bytes()
@@ -170,10 +174,11 @@ class Corpus:
         key = _index_key(data)
         del data
         sidecar = path.with_name(path.name + INDEX_SUFFIX)
-        index = _read_index(sidecar, key, corpus._ordered)
+        index = _read_index(sidecar, key, corpus._ordered) if key else None
         if index is None:
             index = _build_index(corpus._ordered)
-            _write_index(sidecar, key, index)
+            if key:
+                _write_index(sidecar, key, index)
         corpus._use(index)
         return corpus
 
@@ -233,7 +238,9 @@ class Corpus:
 
 INDEX_SUFFIX = ".memroll-index"
 _INDEX_MAGIC = b"MEM1INDX"
-_INDEX_VERSION = 1
+# The modules whose code decides a stored index: this one (tokens, weights,
+# norms and the file layout) and the one whose iter_jsonl parses the corpus.
+_INDEX_SOURCES = (Path(__file__), Path(iter_jsonl.__code__.co_filename))
 _INDEX_PREFIX = struct.Struct("<8sI8s")  # magic, header length, checksum
 
 
@@ -294,21 +301,27 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
     )
 
 
-def _index_key(data: bytes) -> dict:
-    """Everything an index built from data depends on, besides this module:
-    the bytes themselves; the Python implementation, whose regular expressions
-    split the words; the Unicode database, which decides what \\w and
-    str.lower mean; and the C library, whose log and pow give the weights."""
+def _index_key(data: bytes) -> dict | None:
+    """Everything an index built from data depends on: the bytes themselves;
+    the source of _INDEX_SOURCES, so that any edit to how the index is built
+    or stored makes every older file stale; the Python implementation, whose
+    regular expressions split the words; the Unicode database, which decides
+    what \\w and str.lower mean; and the C library, whose log and pow give the
+    weights. None if the source cannot be read."""
     import unicodedata
     from importlib.util import source_hash  # SipHash; hashlib would load OpenSSL
 
+    try:
+        code = b"".join(source.read_bytes() for source in _INDEX_SOURCES)
+    except OSError:
+        return None
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError, OSError):
         libc = None
     return {
+        "code": source_hash(code).hex(),
         "corpus": source_hash(data).hex(),
-        "format": _INDEX_VERSION,
         "libc": libc or sys.platform,
         "python": sys.implementation.cache_tag,
         "unicode": unicodedata.unidata_version,

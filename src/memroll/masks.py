@@ -194,11 +194,16 @@ def _token_spans(
     return ids, list(accumulate(map(len, pieces), initial=0))
 
 
-def _text_of(
-    text: str, offsets: Mapping[int, int] | Sequence[int], ranges: Iterable[tuple[int, int]]
-) -> str:
-    """The text of the token ranges [(start, end), ...] of a sequence whose
-    token k starts at text[offsets[k]]."""
+def _char_offsets(tokens: Sequence[int], strings: Mapping[int, str]) -> np.ndarray:
+    """Where each token's text starts in the sequence's text, the join of its
+    tokens' texts: token k covers text[offsets[k]:offsets[k + 1]]."""
+    lengths = np.fromiter(map(len, map(strings.__getitem__, tokens)), np.int64, len(tokens))
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _text_of(text: str, offsets: np.ndarray, ranges: Iterable[tuple[int, int]]) -> str:
+    """The text of the token ranges [(start, end), ...], offsets being the
+    sequence's _char_offsets."""
     return "".join(text[offsets[s] : offsets[e]] for s, e in ranges)
 
 
@@ -234,19 +239,6 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     generated: list[bool] = []
     positions: list[int] = []
 
-    pieces: list[str] = []  # the sequence's text, one emitted block at a time
-    # Where token k starts in that text, for every k that ends a block or
-    # bounds a kept run: every end of a base range.
-    char_at = {0: 0}
-    texts: dict[int, str] = {}
-
-    def encode(text: str) -> tuple[list[int], list[int]]:
-        """Token ids and bounds of text, the next block to be emitted."""
-        ids, bounds = _token_spans(text, counter, texts)
-        pieces.append(text)
-        char_at[len(tokens) + len(ids)] = char_at[len(tokens)] + len(text)
-        return ids, bounds
-
     def emit(ids: list[int], codes: list[int], turn: int, gen: bool, pos0: int) -> None:
         tokens.extend(ids)
         segments.extend(codes)
@@ -254,7 +246,8 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         generated.extend([gen] * len(ids))
         positions.extend(range(pos0, pos0 + len(ids)))
 
-    head_ids, _ = encode(turns[0].context_snapshot)
+    texts: dict[int, str] = {}
+    head_ids, _ = _token_spans(turns[0].context_snapshot, counter, texts)
     emit(head_ids, [_HEAD] * len(head_ids), 0, False, 0)
     head = (0, len(head_ids))
     bases: list[tuple[tuple[int, int], ...]] = [()]  # the head is turn 0
@@ -266,7 +259,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         bases.append(visible)
         n_context = sum(e - s for s, e in visible)
 
-        gen_ids, bounds = encode(turn.generation.text)
+        gen_ids, bounds = _token_spans(turn.generation.text, counter, texts)
         gen_start = len(tokens)
         gen_codes = [_GLUE] * len(gen_ids)
         runs = []
@@ -282,8 +275,6 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
                 gen_codes[lo:hi] = [code] * (hi - lo)
                 if code != _ANSWER:
                     runs.append((gen_start + lo, gen_start + hi))
-                    char_at[gen_start + lo] = char_at[gen_start] + bounds[lo]
-                    char_at[gen_start + hi] = char_at[gen_start] + bounds[hi]
         # The kept is/query runs, in token order, with touching runs joined.
         kept = []
         for lo, hi in sorted(runs):
@@ -295,7 +286,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
 
         if turn.info is not None:
             block = preset.info_open + turn.info + preset.info_close
-            info_ids, bounds = encode(block)
+            info_ids, bounds = _token_spans(block, counter, texts)
             info_codes = [_INFO] * len(info_ids)
             match = _HINT_RE.match(turn.info)
             if match:
@@ -308,9 +299,10 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             emit(info_ids, info_codes, i + 1, False, n_context + len(gen_ids))
             kept.append((info_start, len(tokens)))
 
-    text = "".join(pieces)
+    text = "".join(map(texts.__getitem__, tokens))
+    offsets = _char_offsets(tokens, texts)
     for i, (turn, visible) in enumerate(zip(turns, bases[1:])):
-        if _text_of(text, char_at, visible) != turn.context_snapshot:
+        if _text_of(text, offsets, visible) != turn.context_snapshot:
             raise IntegrityError(
                 f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
             )
@@ -396,13 +388,12 @@ def verify_masks(
     The counter decodes the whole sequence once, which must give its tokens'
     own texts joined; a row's visible text is then slices of that text.
     """
-    ids, where = np.unique(stitched.tokens, return_inverse=True)
-    own = [counter.decode([i]) for i in ids.tolist()]
-    pieces = [own[j] for j in where.tolist()]
-    text = "".join(pieces)
-    if counter.decode(stitched.tokens.tolist()) != text:
+    tokens = stitched.tokens.tolist()
+    own = {i: counter.decode([i]) for i in set(tokens)}
+    text = "".join(map(own.__getitem__, tokens))
+    if counter.decode(tokens) != text:
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
-    offsets = list(accumulate(map(len, pieces), initial=0))
+    offsets = _char_offsets(tokens, own)
     for i, turn in enumerate(trajectory.turns):
         turn_no = i + 1
         gen_idx = np.flatnonzero((stitched.turn_of == turn_no) & stitched.generated)

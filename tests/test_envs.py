@@ -412,15 +412,24 @@ class TestCorpusIndexFile:
         queries = ["ab", "cd ef", "ab cd ef"]
         assert results_of(corpus, queries) == results_of(Corpus(docs), queries)
 
-    @pytest.mark.parametrize("case", ["format_version", "unicode_version", "libc"])
+    @staticmethod
+    def edited_sources(tmp_path, which: int) -> tuple:
+        """_INDEX_SOURCES with source number which edited by one comment line."""
+        sources = list(envs._INDEX_SOURCES)
+        edited = tmp_path / f"edited{which}.py"
+        edited.write_bytes(sources[which].read_bytes() + b"# an edit\n")
+        sources[which] = edited
+        return tuple(sources)
+
+    @pytest.mark.parametrize("case", ["build_code", "parse_code", "unicode_version", "libc"])
     def test_index_for_another_key_is_rebuilt_and_rewritten(self, tmp_path, builds, monkeypatch, case):
         docs = random_docs(random.Random(case), 12)
         path = write_corpus(tmp_path / "corpus.jsonl", docs)
         sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
         expected = index_of(Corpus(docs))
         with monkeypatch.context() as patch:
-            if case == "format_version":
-                patch.setattr(envs, "_INDEX_VERSION", envs._INDEX_VERSION + 1)
+            if case in ("build_code", "parse_code"):
+                patch.setattr(envs, "_INDEX_SOURCES", self.edited_sources(tmp_path, case == "parse_code"))
             elif case == "unicode_version":
                 patch.setattr(unicodedata, "unidata_version", "1.1.0")
             else:
@@ -432,6 +441,24 @@ class TestCorpusIndexFile:
         assert sidecar.read_bytes() != other
         Corpus.from_jsonl(path)
         assert builds == [1, 1, 1]
+
+    def test_unreadable_source_reads_and_writes_no_index(self, tmp_path, builds, monkeypatch):
+        docs = random_docs(random.Random(5), 20)
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        Corpus.from_jsonl(path)
+        stored = sidecar.read_bytes()
+        monkeypatch.setattr(envs, "_INDEX_SOURCES", (tmp_path / "gone.py",))
+        loaded = [Corpus.from_jsonl(path) for _ in range(2)]
+        assert builds == [1, 1, 1]
+        assert sidecar.read_bytes() == stored
+        sidecar.unlink()
+        Corpus.from_jsonl(path)
+        assert not sidecar.exists()
+        fresh = Corpus(docs)
+        for corpus in loaded:
+            assert index_of(corpus) == index_of(fresh)
+            assert results_of(corpus, QUERIES) == results_of(fresh, QUERIES)
 
     def test_read_only_directory(self, tmp_path, builds, monkeypatch):
         docs = random_docs(random.Random(3), 20)
