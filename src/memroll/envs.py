@@ -78,8 +78,12 @@ def terms(text: str) -> list[str]:
 
     Each token is lowercased on its own: lowercasing the whole text first
     could change where words split, since Unicode case mapping can change
-    lengths.
+    lengths. ASCII case mapping changes neither lengths nor which characters
+    are word characters, so ASCII text is lowercased whole, in one call
+    instead of one per token.
     """
+    if text.isascii():
+        return _WORD.findall(text.lower())
     return list(map(str.lower, _WORD.findall(text)))
 
 

@@ -56,6 +56,10 @@ class TestTerms:
         old = [tok.lower() for tok in segment_text(text) if re.fullmatch(r"\w+", tok)]
         assert terms(text) == old
 
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_ascii_text_matches_per_token_lowercasing(self, text):
+        assert terms(text) == [tok.lower() for tok in re.findall(r"\w+", text)]
+
 
 CORPUS = Corpus(
     [
