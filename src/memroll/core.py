@@ -8,7 +8,6 @@ machines and runs.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import re
@@ -182,24 +181,6 @@ def segment_text(text: str) -> list[str]:
     return _SCAN.findall(text)
 
 
-# The same rule as character classes: a token is a maximal whitespace run, a
-# maximal word run, or one other character. No character is both \s and \w.
-_SPACE, _WORD, _OTHER = 0, 1, 2
-
-
-def _char_class(ch: str) -> int:
-    if re.fullmatch(r"\s", ch):
-        return _SPACE
-    return _WORD if re.fullmatch(r"\w", ch) else _OTHER
-
-
-@functools.cache
-def _ascii_classes():
-    import numpy as np
-
-    return np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
-
-
 @runtime_checkable
 class TokenCounter(Protocol):
     """Counts, encodes, and decodes text deterministically.
@@ -207,6 +188,9 @@ class TokenCounter(Protocol):
     encode/decode must round-trip byte-identically and count(text) must equal
     len(encode(text)). Implementations are free to be stateful (interning
     vocabularies) but must stay deterministic for a fixed call sequence.
+    WordTokenizer.count keeps the last text it counted, as one tuple replaced
+    whole, so concurrent calls stay exact and a shared counter holds one
+    string; a text that extends that one costs only what it adds.
     """
 
     name: str
@@ -224,8 +208,8 @@ class WordTokenizer:
     Word runs are single tokens, punctuation marks are single-char tokens, and
     whitespace runs are kept as tokens so decoding restores the exact input.
     Ids are interned in first-seen order, which makes a fresh instance fully
-    deterministic for a fixed sequence of texts. Instances are not thread-safe;
-    use one per worker.
+    deterministic for a fixed sequence of texts. count is safe to call from
+    several threads; encode is not, so encode with one instance per worker.
     """
 
     name = "wordpunct-intern-1"
@@ -233,27 +217,26 @@ class WordTokenizer:
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self._tokens: list[str] = []
+        self._last: tuple[str, int] = ("", 0)
 
     def count(self, text: str) -> int:
-        """len(encode(text)), without building the segments.
+        """len(encode(text)), counting only what text adds to the last text counted.
 
-        A token starts at every character that is "other" or whose class
-        differs from the previous character's. ASCII is classified by table,
-        the distinct non-ASCII code points by the same two regexes.
+        The counter keeps the last (text, count) as one tuple, replaced whole,
+        so concurrent calls stay exact and a shared counter holds one string.
+        A text that extends the last one is counted from the join: its tail
+        adds its own tokens, less one when the two characters at the join
+        fall in one run (whitespace or word). Any other text is counted whole.
         """
-        if not text:
-            return 0
-        import numpy as np  # here, so that commands which never count never load it
-
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        classes = _ascii_classes().take(codes, mode="clip")  # code points >= 128 fixed below
-        wide = np.flatnonzero(codes >= 128)
-        if wide.size:
-            distinct, where = np.unique(codes[wide], return_inverse=True)
-            table = np.array([_char_class(chr(c)) for c in distinct.tolist()], dtype=np.uint8)
-            classes[wide] = table[where]
-        cur, prev = classes[1:], classes[:-1]
-        return 1 + int(np.count_nonzero((cur == _OTHER) | (cur != prev)))
+        last, n = self._last
+        if last and text.startswith(last):
+            rest = text[len(last):]
+            if rest:
+                n += len(_SCAN.findall(rest)) - bool(_SCAN.fullmatch(last[-1] + rest[0]))
+        else:
+            n = len(_SCAN.findall(text))
+        self._last = (text, n)
+        return n
 
     def encode(self, text: str) -> list[int]:
         ids = self._ids

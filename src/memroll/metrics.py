@@ -106,13 +106,12 @@ def _turn_sizes(
 ) -> list[tuple[int, int]]:
     if isinstance(trajectory_or_turns, TrajectoryRecord):
         prefix = trajectory_or_turns.task.prompt_prefix
-        return [
-            (
-                counter.count(t.context_snapshot.removeprefix(prefix)),
-                counter.count(t.generation.text),
-            )
-            for t in trajectory_or_turns.turns
-        ]
+        turns = trajectory_or_turns.turns
+        # All snapshots first, then all generations: a counter that counts
+        # only what a text adds to the last one sees each snapshot extend the
+        # one before it, instead of a generation in between.
+        contexts = [counter.count(t.context_snapshot.removeprefix(prefix)) for t in turns]
+        return list(zip(contexts, [counter.count(t.generation.text) for t in turns]))
     turns = trajectory_or_turns
     if len(turns) == 2 and all(isinstance(v, (int, float)) for v in turns):
         return [tuple(turns)]

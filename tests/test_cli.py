@@ -198,7 +198,7 @@ class TestStartup:
             ("import", ("numpy", "requests", "memroll.*")),
             ("compose", ("numpy", "requests", "memroll.masks")),
             ("rollout", ("numpy", "requests", "memroll.masks")),
-            ("score", ("requests", "memroll.envs")),
+            ("score", ("numpy", "requests", "memroll.envs")),
             ("export-masks", ("requests", "memroll.envs")),
         ],
     )

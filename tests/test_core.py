@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -183,6 +186,75 @@ class TestWordTokenizer:
     @given(st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=60))
     def test_count_is_the_segment_count(self, text):
         assert WordTokenizer().count(text) == len(segment_text(text))
+
+
+# Characters for the joins of a counting chain: ASCII and non-ASCII word and
+# whitespace characters, other characters, and lone surrogates.
+JOIN_CHARS = ["a", "9", "_", " ", "\n", ".", "<", "\u2014", "\u65e5", "\u3000", "\x85", "\ud800", "\udc00"]
+join_text = st.text(alphabet=st.sampled_from(JOIN_CHARS), max_size=8)
+# (kind, cut, piece): "extend" appends piece (an empty piece is an empty
+# extension), "same" repeats the text, "branch" drops the last cut characters
+# before appending piece, and "fresh" starts an unrelated text.
+chain_step = st.tuples(
+    st.sampled_from(["extend", "extend", "same", "branch", "fresh"]), st.integers(1, 8), join_text
+)
+
+
+class TestCountChain:
+    """count remembers the last text it counted and counts only what a text
+    adds to it; every count must still be the full token count."""
+
+    @settings(max_examples=300)
+    @given(st.lists(chain_step, max_size=40))
+    def test_every_count_is_exact(self, steps):
+        tok, text = WordTokenizer(), ""
+        for kind, cut, piece in steps:
+            if kind == "extend":
+                text += piece
+            elif kind == "branch":
+                text = text[:-cut] + piece
+            elif kind == "fresh":
+                text = piece
+            assert tok.count(text) == len(tok.encode(text)), (kind, text)
+
+    @pytest.mark.parametrize(
+        "last, rest",
+        [("ab", "cd"), ("a ", " b"), ("a", " "), ("a.", "b"), (".", "."), ("\u65e5", "a"),
+         ("a\u3000", "\x85b"), ("\ud800", "\udc00"), ("a", "\u2014"), ("x", "")],
+    )
+    def test_join_cases(self, last, rest):
+        tok = WordTokenizer()
+        tok.count(last)
+        assert tok.count(last + rest) == len(segment_text(last + rest))
+
+    def test_threads_sharing_one_counter(self):
+        # Interleaved chains on one counter: each thread extends its own text,
+        # and all texts share a stem, so a call may extend another thread's text.
+        tok = WordTokenizer()
+        stem = "Question: where? " * 20
+        chains = [
+            [stem + f"w{k} " * i + "\u65e5" * (i % 3) for i in range(300)] for k in range(4)
+        ]
+        start = threading.Barrier(len(chains))
+        wrong: list[str] = []
+
+        def run(texts):
+            start.wait()
+            for text in texts:
+                if tok.count(text) != len(segment_text(text)):
+                    wrong.append(text)
+
+        threads = [threading.Thread(target=run, args=(texts,)) for texts in chains]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 class TestTurnBudget:

@@ -943,7 +943,10 @@ class TestAttentionReplay:
 
     DIM = 8
 
-    def test_generated_outputs_match_rollout(self):
+    def replay(self, rotary):
+        """Per turn with generated tokens: (mode, whether the stitched
+        positions of the tokens the turn sees differ from their rollout-time
+        indices, stitched outputs, rollout outputs)."""
         rng = np.random.default_rng(90)
         wq, wk, wv = (rng.standard_normal((self.DIM, self.DIM)) for _ in range(3))
         embedding: dict[str, np.ndarray] = {}
@@ -954,17 +957,26 @@ class TestAttentionReplay:
                     embedding[text] = rng.standard_normal(self.DIM)
             return np.array([embedding[text] for text in texts]).reshape(-1, self.DIM)
 
-        def attend(x, queries, allowed):
-            # Single head, float64, no position encoding.
-            scores = (x[queries] @ wq) @ (x @ wk).T / np.sqrt(self.DIM)
-            scores = np.where(allowed, scores, -np.inf)
+        def rotate(v, positions):
+            # RoPE: each pair of dimensions turns by position * 10000^(-2i/DIM).
+            angle = positions[:, None] * 10000.0 ** (-np.arange(0, self.DIM, 2) / self.DIM)
+            cos, sin = np.cos(angle), np.sin(angle)
+            out = np.empty_like(v)
+            out[:, 0::2] = v[:, 0::2] * cos - v[:, 1::2] * sin
+            out[:, 1::2] = v[:, 0::2] * sin + v[:, 1::2] * cos
+            return out
+
+        def attend(x, queries, allowed, positions):
+            # Single head, float64; rotary positions when asked for, else none.
+            q, k = x[queries] @ wq, x @ wk
+            if rotary:
+                q, k = rotate(q, positions[queries]), rotate(k, positions)
+            scores = np.where(allowed, q @ k.T / np.sqrt(self.DIM), -np.inf)
             weights = np.exp(scores - scores.max(axis=1, keepdims=True))
             return (weights / weights.sum(axis=1, keepdims=True)) @ (x @ wv)
 
-        modes, compared = [], 0
         for seed in range(24):
             record = random_episode(random.Random(seed))
-            modes.append(record.config.mode)
             st, counter, mask2d, mask1d = full_build(record)
             st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
             pieces = [st2.strings[t] for t in st2.tokens]
@@ -972,11 +984,12 @@ class TestAttentionReplay:
             allowed = np.unpackbits(
                 mask2.words.view(np.uint8), axis=1, bitorder="little"
             )[:, : st2.n].astype(bool) | np.eye(st2.n, dtype=bool)
+            positions = st2.positions.astype(np.float64)
             for t, turn in enumerate(record.turns, start=1):
                 gen = np.flatnonzero((st2.turn_of == t) & st2.generated)
                 if gen.size == 0:
                     continue
-                stitched_out = attend(x, gen, allowed[gen])
+                stitched_out = attend(x, gen, allowed[gen], positions)
                 # Rollout: the turn's own context and generation, tokenized afresh.
                 fresh = WordTokenizer()
                 ids = fresh.encode(turn.context_snapshot) + fresh.encode(turn.generation.text)
@@ -985,11 +998,36 @@ class TestAttentionReplay:
                 m = len(texts)
                 queries = np.arange(m - gen.size, m)
                 causal = np.arange(m)[None, :] <= queries[:, None]
-                rollout_out = attend(embed(texts), queries, causal)
-                assert np.max(np.abs(stitched_out - rollout_out)) < 1e-9
-                compared += gen.size
+                rollout_out = attend(embed(texts), queries, causal, np.arange(m, dtype=np.float64))
+                # The last generated token sees the whole turn, in rollout order.
+                seen = np.flatnonzero(allowed[gen[-1]])
+                drift = not np.array_equal(st2.positions[seen], np.arange(m))
+                yield record.config.mode, drift, stitched_out, rollout_out
+
+    def test_generated_outputs_match_rollout(self):
+        modes, compared = [], 0
+        for mode, _, stitched_out, rollout_out in self.replay(rotary=False):
+            assert np.max(np.abs(stitched_out - rollout_out)) < 1e-9
+            modes.append(mode)
+            compared += len(stitched_out)
         assert len(modes) >= 20 and set(modes) == {"consolidate", "full_append"}
         assert compared > 1000
+
+    def test_rotary_positions_pin_the_drift(self):
+        # Each token keeps the position it had in the turn that emitted it.
+        # full_append replays rollout exactly; consolidate moves retained runs
+        # and info blocks, so a turn that sees them at new indices attends
+        # differently under rotary positions. This pins that known drift.
+        turns = {"consolidate": [0, 0], "full_append": [0, 0]}
+        for mode, drift, stitched_out, rollout_out in self.replay(rotary=True):
+            gap = np.max(np.abs(stitched_out - rollout_out))
+            if drift:
+                assert gap > 1e-6
+            else:
+                assert gap < 1e-9
+            turns[mode][drift] += 1
+        assert turns["full_append"][1] == 0 and turns["full_append"][0] > 0
+        assert turns["consolidate"][1] > 0 and turns["consolidate"][0] > 0
 
 
 class TestOracleProperty:

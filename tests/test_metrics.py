@@ -13,6 +13,7 @@ from memroll import (
     ScriptedEnv,
     ScriptedPolicy,
     Task,
+    WordTokenizer,
     aggregate,
     composite_from_tasks,
     dependency,
@@ -27,7 +28,7 @@ from memroll import (
     valid_action_ratio,
 )
 
-from helpers import scripted_episode
+from helpers import random_episode, scripted_episode
 
 
 class TestNormalizeAnswer:
@@ -182,6 +183,41 @@ class TestPeakTokens:
             last.context_snapshot.removeprefix(prefix) + last.generation.text
         )
         assert peak_tokens(record) == expected
+
+
+def fresh_metrics(record):
+    """peak_tokens and dependency with every text counted by a new counter."""
+    prefix = record.task.prompt_prefix
+    sizes = [
+        (WordTokenizer().count(t.context_snapshot.removeprefix(prefix)),
+         WordTokenizer().count(t.generation.text))
+        for t in record.turns
+    ]
+    peak = max(
+        (WordTokenizer().count(t.context_snapshot.removeprefix(prefix) + t.generation.text)
+         for t in record.turns),
+        default=0,
+    )
+    return peak, dependency(sizes)
+
+
+class TestSharedCounter:
+    """The shared DEFAULT_COUNTER remembers the last text it counted; scores
+    must not depend on what it counted before."""
+
+    def test_shared_counter_scores_like_fresh_counters(self):
+        rng = random.Random(21)
+        records = [random_episode(rng) for _ in range(16)]
+        assert {r.config.mode for r in records} == {"consolidate", "full_append"}
+        expected = [fresh_metrics(r) for r in records]
+        # Each record scored twice, then all of them in alternating order.
+        order = [i for i in range(len(records)) for _ in range(2)]
+        order += [i for pair in zip(range(0, 16, 2), range(15, 0, -2)) for i in pair]
+        for i in order:
+            record = records[i]
+            assert (peak_tokens(record), dependency(record)) == expected[i]
+            report = score_trajectory(record)
+            assert (report.peak_tokens, report.dependency) == expected[i]
 
 
 class TestEmReward:
