@@ -172,7 +172,8 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
             )
             entries.append({"id": task.id, "file": name, "terminated": result.terminated})
         else:
-            errors.append({"id": task.id, "error": str(result)})
+            turns = [turn.to_dict() for turn in result.partial]
+            errors.append({"id": task.id, "error": str(result), "turns": turns})
             print(f"error: {result}", file=sys.stderr)
     manifest = {
         "version": 1,

@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import NoneType
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from .compose import CompositeTask, composite_from_dict
@@ -30,8 +31,8 @@ from .context import (
     inject_hint,
     render_context,
 )
-from .core import DataError, RolloutConfig, WordTokenizer, config_from_mapping
-from .tagparse import Answer, ParsedTurn, Query, parse_turn
+from .core import DataError, RolloutConfig, TagPreset, WordTokenizer, config_from_mapping
+from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
 
 if TYPE_CHECKING:
     import requests
@@ -52,6 +53,21 @@ __all__ = [
 ]
 
 
+_NUMBER = (int, float)
+# How an episode may end, by the action of its last turn.
+_ENDINGS = {Query: ("answered", "turn_limit"), Answer: ("answered",), Invalid: ("invalid",)}
+
+
+def _typed(data: dict, kinds: dict) -> None:
+    """Refuse data with DataError unless it is an object whose keys named in
+    kinds hold one of the types given for them."""
+    if not isinstance(data, dict):
+        raise DataError(f"expected a JSON object, got {type(data).__name__}")
+    for key, kind in kinds.items():
+        if key in data and not isinstance(data[key], kind):
+            raise DataError(f"{key} holds {type(data[key]).__name__}")
+
+
 @dataclass(frozen=True)
 class Generation:
     """One policy emission. finish is 'stop' (a stop marker was hit, named in
@@ -67,6 +83,7 @@ class Generation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Generation":
+        _typed(data, {"text": str, "finish": str, "stop_marker": (str, NoneType), "latency_s": _NUMBER})
         return cls(data["text"], data["finish"], data.get("stop_marker"), data.get("latency_s", 0.0))
 
 
@@ -268,41 +285,38 @@ class HttpPolicy:
 class TurnRecord:
     """Everything observed during one turn. context_snapshot is the exact
     string the policy saw; info is the hint-injected environment feedback
-    (present exactly for query turns)."""
+    (present exactly for query turns).
+
+    Only context_snapshot, generation, info and env_reward are stored: index
+    (the turn's position) and parsed (generation.text read with the
+    trajectory's tag preset) are derived on reading, and valid is parsed.valid.
+    """
 
     index: int
     context_snapshot: str
     generation: Generation
     parsed: ParsedTurn
     info: str | None
-    valid: bool
-    latency_s: float
     env_reward: float | None = None
 
+    @property
+    def valid(self) -> bool:
+        return self.parsed.valid
+
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "context_snapshot": self.context_snapshot,
-            "generation": self.generation.to_dict(),
-            "parsed": self.parsed.to_dict(),
-            "info": self.info,
-            "valid": self.valid,
-            "latency_s": self.latency_s,
-            "env_reward": self.env_reward,
-        }
+        return {"context_snapshot": self.context_snapshot, "generation": self.generation.to_dict(),
+                "info": self.info, "env_reward": self.env_reward}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TurnRecord":
-        return cls(
-            data["index"],
-            data["context_snapshot"],
-            Generation.from_dict(data["generation"]),
-            ParsedTurn.from_dict(data["parsed"]),
-            data["info"],
-            data["valid"],
-            data.get("latency_s", 0.0),
-            data.get("env_reward"),
-        )
+    def from_dict(cls, data: dict, index: int, preset: TagPreset) -> "TurnRecord":
+        """Read turn index of a trajectory tagged with preset; any other key
+        (older archives store index, parsed, valid and latency_s) is ignored."""
+        _typed(data, {"context_snapshot": str, "generation": dict, "info": (str, NoneType),
+                      "env_reward": (*_NUMBER, NoneType)})
+        generation = Generation.from_dict(data["generation"])
+        parsed = parse_turn(generation.text, preset)
+        return cls(index, data["context_snapshot"], generation, parsed, data["info"],
+                   data.get("env_reward"))
 
 
 @dataclass(frozen=True)
@@ -329,14 +343,29 @@ class TrajectoryRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectoryRecord":
-        return cls(
-            composite_from_dict(data["task"]),
-            tuple(TurnRecord.from_dict(t) for t in data["turns"]),
-            data["final_answer"],
-            data["terminated"],
-            config_from_mapping(data["config"]),
-            data.get("wall_time_s", 0.0),
-        )
+        """Read a stored trajectory. DataError refuses one that run_rollout could
+        not have written: a value of the wrong JSON type, no turns, or turns
+        whose parses disagree with how the episode went. Every turn but the last
+        is a query, info comes exactly with a query, and the last turn's action
+        decides terminated and, when answered, the final answer."""
+        _typed(data, {"task": dict, "turns": list, "final_answer": (str, NoneType), "terminated": str,
+                      "config": dict, "wall_time_s": _NUMBER})
+        config = config_from_mapping(data["config"])
+        turns = tuple(TurnRecord.from_dict(t, i, config.preset) for i, t in enumerate(data["turns"]))
+        if not turns:
+            raise DataError("a trajectory needs at least one turn")
+        for turn in turns:
+            query = isinstance(turn.parsed.action, Query)
+            if query != (turn.info is not None) or (not query and turn is not turns[-1]):
+                raise DataError(f"turn {turn.index} reads as {turn.parsed.action}, info {turn.info!r:.40}")
+        action = turns[-1].parsed.action
+        terminated, final_answer = data["terminated"], data["final_answer"]
+        if terminated not in _ENDINGS[type(action)]:
+            raise DataError(f"terminated {terminated!r} cannot follow a last turn read as {action}")
+        if final_answer != (action.text if terminated == "answered" else None):
+            raise DataError(f"final_answer {final_answer!r} does not follow a last turn read as {action}")
+        task = composite_from_dict(data["task"])
+        return cls(task, turns, final_answer, terminated, config, data.get("wall_time_s", 0.0))
 
 
 class RolloutError(RuntimeError):
@@ -416,9 +445,7 @@ def run_rollout(
             turns_left = config.max_turns - (t + 1)
             info = inject_hint(obs.text, turns_left, enabled=config.hint_enabled)
             reward, done = obs.reward, obs.done
-        turns.append(
-            TurnRecord(t, snapshot, generation, parsed, info, parsed.valid, latency, reward)
-        )
+        turns.append(TurnRecord(t, snapshot, generation, parsed, info, reward))
         if not parsed.valid:
             terminated = "invalid"
             break

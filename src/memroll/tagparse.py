@@ -78,35 +78,6 @@ class ParsedTurn:
         span = self.spans[name]
         return self.raw[span.inner_start:span.inner_end]
 
-    def to_dict(self) -> dict:
-        if isinstance(self.action, Query):
-            action = {"kind": "query", "text": self.action.text}
-        elif isinstance(self.action, Answer):
-            action = {"kind": "answer", "text": self.action.text}
-        else:
-            action = {"kind": "invalid", "reason": self.action.reason}
-        return {
-            "is_segment": self.is_segment,
-            "action": action,
-            "raw": self.raw,
-            "spans": {
-                name: [s.start, s.end, s.inner_start, s.inner_end]
-                for name, s in self.spans.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParsedTurn":
-        kind = data["action"]["kind"]
-        if kind == "query":
-            action: Action = Query(data["action"]["text"])
-        elif kind == "answer":
-            action = Answer(data["action"]["text"])
-        else:
-            action = Invalid(data["action"]["reason"])
-        spans = {name: Span(*vals) for name, vals in data["spans"].items()}
-        return cls(data["is_segment"], action, data["raw"], spans)
-
 
 def _marker_positions(raw: str, marker: str) -> list[int]:
     """Non-overlapping left-to-right occurrences of marker in raw."""

@@ -18,6 +18,7 @@ import memroll
 import memroll.cli
 from memroll import Mask2D, RolloutConfig, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
+from memroll.rollout import RolloutError, TurnRecord
 
 from helpers import scrub_times
 
@@ -419,6 +420,25 @@ class TestRollout:
         assert len(manifest["errors"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_failed_episode_keeps_its_partial_turns(self, smoke, monkeypatch):
+        tmp_path, tasks, script, env = smoke
+        assert main(rollout_args(tasks, script, env, tmp_path / "done")) == EXIT_OK
+        record = read_archive(tmp_path / "done")[0]
+        assert len(record.turns) == 2
+
+        def failing(tasks, policy, env, config, concurrency):
+            return [RolloutError(task.id, RuntimeError("backend down"), record.turns) for task in tasks]
+
+        monkeypatch.setattr(memroll.cli, "run_batch", failing)
+        out = tmp_path / "failed"
+        assert main(rollout_args(tasks, script, env, out)) == EXIT_DATA
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+        assert len(errors) == 3 and "backend down" in errors[0]["error"]
+        preset = record.config.preset
+        for error in errors:
+            turns = [TurnRecord.from_dict(t, i, preset) for i, t in enumerate(error["turns"])]
+            assert tuple(turns) == record.turns
+
 
 class TestFileNameCollisions:
     """Distinct ids that map to one file name are refused before anything is written."""
@@ -540,6 +560,97 @@ class TestScore:
         assert "peak_tokens_mean" in lines[0]
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
         assert [line.split(",")[1] for line in lines[1:]] == ["2", "2"]
+
+
+# Each sets one key of trajectory 0 of the smoke archive (a query turn, then
+# an answer turn), or of one of its turns, to a value no rollout writes:
+# case -> (turn index or None for the trajectory, key, value).
+MALFORMED = {
+    "generation_text_int": (0, "generation", {"text": 7, "finish": "stop"}),
+    "snapshot_int": (1, "context_snapshot", 7),
+    "info_int": (0, "info", 7),
+    "turns_an_object": (None, "turns", {}),
+    "turns_empty": (None, "turns", []),
+    "config_a_list": (None, "config", []),
+    "final_answer_int": (None, "final_answer", 7),
+    "wall_time_a_string": (None, "wall_time_s", "slow"),
+    "terminated_bogus": (None, "terminated", "bogus"),
+    "early_turn_not_a_query": (0, "generation", {"text": "<IS>no action</IS>", "finish": "eos"}),
+    "last_turn_invalid_but_answered": (1, "generation", {"text": "no tags", "finish": "eos"}),
+    "final_answer_not_the_last_action": (None, "final_answer", "answer 1"),
+}
+
+
+class TestMalformedTrajectory:
+    """A trajectory file no rollout could have written is a data error: score
+    skips it with a warning, export-masks exits 2, neither with a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_as_data(self, smoke, capsys, case):
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
+        data = json.loads(victim.read_text())
+        turn, key, value = MALFORMED[case]
+        (data if turn is None else data["turns"][turn])[key] = value
+        write_json(victim, data)
+        capsys.readouterr()
+
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(archive), "--out", str(prefix)]) == EXIT_OK
+        assert "skipping corrupt trajectory 'q0'" in capsys.readouterr().err
+        report = json.loads(Path(str(prefix) + ".json").read_text())
+        assert (report["aggregate"]["count"], report["aggregate"]["skipped"]) == (2, 1)
+        code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m"), "--verify"])
+        assert code == EXIT_DATA
+        assert "data error: archive entry 'q0'" in capsys.readouterr().err
+
+
+class TestOlderArchive:
+    """An archive written when turns still stored index, parsed, valid and
+    latency_s: a consolidate paper_body episode that answers and a
+    full_append prompt_style episode that ends invalid. Both trajectory files
+    come from memroll rollout as it wrote them; the manifest lists the two."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+    ARCHIVE = DATA / "archive_with_derived_fields"
+
+    @staticmethod
+    def stored_form(parsed) -> dict:
+        kind = type(parsed.action).__name__.lower()
+        detail = {"reason": parsed.action.reason} if kind == "invalid" else {"text": parsed.action.text}
+        action = {"kind": kind, **detail}
+        spans = {name: [s.start, s.end, s.inner_start, s.inner_end] for name, s in parsed.spans.items()}
+        return {"is_segment": parsed.is_segment, "action": action, "spans": spans}
+
+    def test_derived_fields_match_the_stored_ones(self):
+        records = read_archive(self.ARCHIVE)
+        assert [(r.config.mode, r.config.tag_preset, r.terminated) for r in records] == [
+            ("consolidate", "paper_body", "answered"),
+            ("full_append", "prompt_style", "invalid"),
+        ]
+        manifest = json.loads((self.ARCHIVE / "manifest.json").read_text())
+        for record, entry in zip(records, manifest["trajectories"]):
+            stored = json.loads((self.ARCHIVE / entry["file"]).read_text())["turns"]
+            assert len(record.turns) == len(stored)
+            for turn, old in zip(record.turns, stored):
+                assert turn.index == old["index"]
+                assert turn.valid == old["valid"]
+                assert turn.parsed.raw == old["parsed"]["raw"]
+                stored_form = {k: old["parsed"][k] for k in ("is_segment", "action", "spans")}
+                assert self.stored_form(turn.parsed) == stored_form
+                assert turn.generation.latency_s == old["latency_s"]
+
+    def test_score_and_verified_export(self, tmp_path):
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(self.ARCHIVE), "--out", str(prefix)]) == EXIT_OK
+        expected = json.loads((self.DATA / "archive_with_derived_fields.score.json").read_text())
+        assert json.loads(Path(str(prefix) + ".json").read_text()) == expected
+        masks = tmp_path / "masks"
+        argv = ["export-masks", "--archive", str(self.ARCHIVE), "--out", str(masks), "--verify"]
+        assert main(argv) == EXIT_OK
+        assert len(list(masks.glob("*.mem1mask"))) == 2
 
 
 class TestExportMasks:

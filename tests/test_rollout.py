@@ -377,7 +377,12 @@ class TestRecordRoundTrips:
             RolloutConfig(),
         )
         for turn in record.turns:
-            assert TurnRecord.from_dict(turn.to_dict()) == turn
+            assert TurnRecord.from_dict(turn.to_dict(), turn.index, record.config.preset) == turn
+
+    def test_turn_stores_only_what_was_observed(self):
+        record = scripted_episode(random.Random(7), mode="full_append", turns=3, ending="invalid")
+        for turn in record.to_dict()["turns"]:
+            assert sorted(turn) == ["context_snapshot", "env_reward", "generation", "info"]
 
 
 class TestRunBatch:

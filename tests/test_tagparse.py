@@ -164,18 +164,3 @@ class TestSplitAnswers:
     def test_part_count_is_separator_count_plus_one(self, parts):
         joined = ";".join(parts)
         assert len(split_answers(joined)) == len(parts)
-
-
-class TestDictRoundTrip:
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            "<IS>x</IS><query>y</query>",
-            "<answer>Paris; 1969</answer>",
-            "<answer>broken",
-            "plain text",
-        ],
-    )
-    def test_round_trip(self, raw):
-        parsed = parse_turn(raw, PAPER_BODY)
-        assert ParsedTurn.from_dict(parsed.to_dict()) == parsed
