@@ -50,7 +50,8 @@ _DEFERRED = {
     "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv", "ShopEnv", "load_catalog"),
     "masks": ("FORMATS", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
     "metrics": ("MetricReport", "aggregate", "score_trajectory"),
-    "rollout": ("HttpPolicy", "RolloutError", "ScriptedPolicy", "TrajectoryRecord", "run_batch"),
+    "rollout": ("ARCHIVE_VERSION", "HttpPolicy", "RolloutError", "ScriptedPolicy", "TrajectoryRecord",
+                "check_version", "dump_turns", "run_batch"),
 }
 
 
@@ -172,11 +173,10 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
             )
             entries.append({"id": task.id, "file": name, "terminated": result.terminated})
         else:
-            turns = [turn.to_dict() for turn in result.partial]
-            errors.append({"id": task.id, "error": str(result), "turns": turns})
+            errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial)})
             print(f"error: {result}", file=sys.stderr)
     manifest = {
-        "version": 1,
+        "version": ARCHIVE_VERSION,
         "config": config.to_dict(),
         "count": len(entries),
         "trajectories": entries,
@@ -217,6 +217,10 @@ def _iter_archive(path: str | Path):
     entries = manifest.get("trajectories", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: expected an object with a 'trajectories' list")
+    try:
+        check_version(manifest)
+    except DataError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     # Every entry is checked before any is read, so a bad manifest yields nothing.
     first: dict[str, dict] = {}
     for entry in entries:

@@ -54,6 +54,10 @@ __all__ = [
 
 
 _NUMBER = (int, float)
+# The format of trajectory files and manifests. Version 2 stores each turn's
+# snapshot against the previous one (TurnRecord.to_dict); version 1, which
+# wrote no version key, stored it whole.
+ARCHIVE_VERSION = 2
 # How an episode may end, by the action of its last turn.
 _ENDINGS = {Query: ("answered", "turn_limit"), Answer: ("answered",), Invalid: ("invalid",)}
 
@@ -287,9 +291,12 @@ class TurnRecord:
     string the policy saw; info is the hint-injected environment feedback
     (present exactly for query turns).
 
-    Only context_snapshot, generation, info and env_reward are stored: index
-    (the turn's position) and parsed (generation.text read with the
-    trajectory's tag preset) are derived on reading, and valid is parsed.valid.
+    Only the snapshot, generation, info and env_reward are stored: index (the
+    turn's position) and parsed (generation.text read with the trajectory's
+    tag preset) are derived on reading, and valid is parsed.valid. The
+    snapshot is stored against the previous turn's: context_kept counts the
+    leading characters the two share (absent when none, as on turn 0), and
+    context_snapshot holds the text after them.
     """
 
     index: int
@@ -303,20 +310,75 @@ class TurnRecord:
     def valid(self) -> bool:
         return self.parsed.valid
 
-    def to_dict(self) -> dict:
-        return {"context_snapshot": self.context_snapshot, "generation": self.generation.to_dict(),
+    def to_dict(self, previous: str = "") -> dict:
+        """The stored form, given the snapshot of the turn before ("" for the first)."""
+        kept = shared_prefix(previous, self.context_snapshot)
+        data = {"context_snapshot": self.context_snapshot[kept:], "generation": self.generation.to_dict(),
                 "info": self.info, "env_reward": self.env_reward}
+        if kept:
+            data["context_kept"] = kept
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict, index: int, preset: TagPreset) -> "TurnRecord":
-        """Read turn index of a trajectory tagged with preset; any other key
-        (older archives store index, parsed, valid and latency_s) is ignored."""
+    def from_dict(cls, data: dict, index: int, preset: TagPreset, previous: str = "") -> "TurnRecord":
+        """Read turn index of a trajectory tagged with preset, whose turn before
+        saw previous; any other key (older archives store index, parsed, valid
+        and latency_s) is ignored."""
         _typed(data, {"context_snapshot": str, "generation": dict, "info": (str, NoneType),
                       "env_reward": (*_NUMBER, NoneType)})
+        kept = data.get("context_kept", 0)
+        # type(), not isinstance(): a JSON true reads as True, an int subclass.
+        if type(kept) is not int or not 0 <= kept <= len(previous):
+            raise DataError(f"turn {index}: context_kept {kept!r} is not a count of the "
+                            f"{len(previous)} characters the turn before saw")
         generation = Generation.from_dict(data["generation"])
         parsed = parse_turn(generation.text, preset)
-        return cls(index, data["context_snapshot"], generation, parsed, data["info"],
+        return cls(index, previous[:kept] + data["context_snapshot"], generation, parsed, data["info"],
                    data.get("env_reward"))
+
+
+def shared_prefix(a: str, b: str) -> int:
+    """The number of leading characters a and b share. A bisection over
+    str.startswith, so the characters are compared in C."""
+    if b.startswith(a):
+        return len(a)
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if b.startswith(a[:mid]):
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def dump_turns(turns: Sequence[TurnRecord]) -> list[dict]:
+    """The stored form of an episode's turns, each snapshot against the one before."""
+    previous = ""
+    stored = []
+    for turn in turns:
+        stored.append(turn.to_dict(previous))
+        previous = turn.context_snapshot
+    return stored
+
+
+def load_turns(data: list, preset: TagPreset) -> tuple[TurnRecord, ...]:
+    """Read turns stored by dump_turns (or whole, as older archives store them)."""
+    previous = ""
+    turns = []
+    for index, item in enumerate(data):
+        turn = TurnRecord.from_dict(item, index, preset, previous)
+        turns.append(turn)
+        previous = turn.context_snapshot
+    return tuple(turns)
+
+
+def check_version(data: dict) -> None:
+    """Refuse with DataError a stored object of an archive version this code
+    does not know; one without a version key is version 1."""
+    version = data.get("version", 1)
+    if type(version) is not int or not 1 <= version <= ARCHIVE_VERSION:
+        raise DataError(f"unknown archive version {version!r}")
 
 
 @dataclass(frozen=True)
@@ -333,8 +395,9 @@ class TrajectoryRecord:
 
     def to_dict(self) -> dict:
         return {
+            "version": ARCHIVE_VERSION,
             "task": self.task.to_dict(),
-            "turns": [t.to_dict() for t in self.turns],
+            "turns": dump_turns(self.turns),
             "final_answer": self.final_answer,
             "terminated": self.terminated,
             "config": self.config.to_dict(),
@@ -344,14 +407,16 @@ class TrajectoryRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectoryRecord":
         """Read a stored trajectory. DataError refuses one that run_rollout could
-        not have written: a value of the wrong JSON type, no turns, or turns
-        whose parses disagree with how the episode went. Every turn but the last
+        not have written: an unknown version, a value of the wrong JSON type, a
+        context_kept longer than the snapshot before, no turns, or turns whose
+        parses disagree with how the episode went. Every turn but the last
         is a query, info comes exactly with a query, and the last turn's action
         decides terminated and, when answered, the final answer."""
         _typed(data, {"task": dict, "turns": list, "final_answer": (str, NoneType), "terminated": str,
                       "config": dict, "wall_time_s": _NUMBER})
+        check_version(data)
         config = config_from_mapping(data["config"])
-        turns = tuple(TurnRecord.from_dict(t, i, config.preset) for i, t in enumerate(data["turns"]))
+        turns = load_turns(data["turns"], config.preset)
         if not turns:
             raise DataError("a trajectory needs at least one turn")
         for turn in turns:

@@ -18,7 +18,7 @@ import memroll
 import memroll.cli
 from memroll import Mask2D, RolloutConfig, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
-from memroll.rollout import RolloutError, TurnRecord
+from memroll.rollout import RolloutError, load_turns, replay_contexts
 
 from helpers import scrub_times
 
@@ -434,10 +434,8 @@ class TestRollout:
         assert main(rollout_args(tasks, script, env, out)) == EXIT_DATA
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         assert len(errors) == 3 and "backend down" in errors[0]["error"]
-        preset = record.config.preset
         for error in errors:
-            turns = [TurnRecord.from_dict(t, i, preset) for i, t in enumerate(error["turns"])]
-            assert tuple(turns) == record.turns
+            assert load_turns(error["turns"], record.config.preset) == record.turns
 
 
 class TestFileNameCollisions:
@@ -578,6 +576,14 @@ MALFORMED = {
     "early_turn_not_a_query": (0, "generation", {"text": "<IS>no action</IS>", "finish": "eos"}),
     "last_turn_invalid_but_answered": (1, "generation", {"text": "no tags", "finish": "eos"}),
     "final_answer_not_the_last_action": (None, "final_answer", "answer 1"),
+    "context_kept_on_turn_0": (0, "context_kept", 1),
+    "context_kept_past_the_turn_before": (1, "context_kept", 10**6),
+    "context_kept_negative": (1, "context_kept", -1),
+    "context_kept_true": (1, "context_kept", True),
+    "context_kept_a_float": (1, "context_kept", 3.0),
+    "context_kept_a_string": (1, "context_kept", "3"),
+    "version_unknown": (None, "version", 3),
+    "version_a_string": (None, "version", "2"),
 }
 
 
@@ -605,6 +611,20 @@ class TestMalformedTrajectory:
         code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m"), "--verify"])
         assert code == EXIT_DATA
         assert "data error: archive entry 'q0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [3, 0, True, "2"])
+def test_unknown_manifest_version_refused(smoke, capsys, version):
+    tmp_path, tasks, script, env = smoke
+    archive = tmp_path / "archive"
+    assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+    manifest = json.loads((archive / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    write_json(archive / "manifest.json", {**manifest, "version": version})
+    capsys.readouterr()
+    assert main(["score", "--archive", str(archive), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    assert main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    assert capsys.readouterr().err.count("unknown archive version") == 2
 
 
 class TestOlderArchive:
@@ -651,6 +671,55 @@ class TestOlderArchive:
         argv = ["export-masks", "--archive", str(self.ARCHIVE), "--out", str(masks), "--verify"]
         assert main(argv) == EXIT_OK
         assert len(list(masks.glob("*.mem1mask"))) == 2
+
+
+class TestWholeSnapshotArchive:
+    """An archive written when every turn stored its whole context snapshot
+    and files had no version key: a consolidate paper_body episode that
+    answers after 3 turns and a full_append one that answers after 5, with
+    non-ASCII text. Both files come from memroll rollout as it wrote them;
+    the manifest lists the two, and the score report is the one it gave."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+    ARCHIVE = DATA / "archive_with_whole_snapshots"
+
+    def test_snapshots_replay(self):
+        records = read_archive(self.ARCHIVE)
+        assert [(r.config.mode, len(r.turns)) for r in records] == [("consolidate", 3), ("full_append", 5)]
+        for record in records:
+            assert [t.context_snapshot for t in record.turns] == replay_contexts(record)
+
+    def test_score_and_verified_export(self, tmp_path):
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(self.ARCHIVE), "--out", str(prefix)]) == EXIT_OK
+        expected = json.loads((self.DATA / "archive_with_whole_snapshots.score.json").read_text())
+        assert json.loads(Path(str(prefix) + ".json").read_text()) == expected
+        argv = ["export-masks", "--archive", str(self.ARCHIVE), "--out", str(tmp_path / "masks"), "--verify"]
+        assert main(argv) == EXIT_OK
+        assert len(list((tmp_path / "masks").glob("*.mem1mask"))) == 2
+
+    def test_written_again_reads_the_same(self, tmp_path):
+        records = read_archive(self.ARCHIVE)
+        manifest = json.loads((self.ARCHIVE / "manifest.json").read_text())
+        again = tmp_path / "again"
+        again.mkdir()
+        for record, entry in zip(records, manifest["trajectories"], strict=True):
+            write_json(again / entry["file"], record.to_dict())
+        write_json(again / "manifest.json", {**manifest, "version": 2})
+        assert read_archive(again) == records
+        for entry in manifest["trajectories"]:
+            whole = json.loads((self.ARCHIVE / entry["file"]).read_text())
+            assert "version" not in whole and not any("context_kept" in t for t in whole["turns"])
+            turns = json.loads((again / entry["file"]).read_text())["turns"]
+            assert "context_kept" not in turns[0] and all("context_kept" in t for t in turns[1:])
+            old_size = (self.ARCHIVE / entry["file"]).stat().st_size
+            assert (again / entry["file"]).stat().st_size < old_size
+        masks = {}
+        for archive in (self.ARCHIVE, again):
+            out = tmp_path / f"masks-{archive.name}"
+            assert main(["export-masks", "--archive", str(archive), "--out", str(out)]) == EXIT_OK
+            masks[archive] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert masks[again] == masks[self.ARCHIVE]
 
 
 class TestExportMasks:
@@ -843,19 +912,19 @@ class TestContainerIds:
         code = (
             "import json, sys\n"
             "from pathlib import Path\n"
-            "from memroll.cli import main\n"
+            "from memroll.cli import main, read_archive\n"
             "from memroll.masks import import_masks\n"
             "archive, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
             "assert main(['export-masks', '--archive', str(archive), '--out', str(out)]) == 0\n"
             "checked = 0\n"
-            "for entry in json.loads((archive / 'manifest.json').read_text())['trajectories']:\n"
-            "    record = json.loads((archive / entry['file']).read_text())\n"
+            "entries = json.loads((archive / 'manifest.json').read_text())['trajectories']\n"
+            "for entry, record in zip(entries, read_archive(archive), strict=True):\n"
             "    blob = (out / entry['file'].replace('.json', '.mem1mask')).read_bytes()\n"
             "    st, _, _, header = import_masks(blob)\n"
             "    assert header['format'] == 'ranges'\n"
-            "    for t, turn in enumerate(record['turns'], start=1):\n"
+            "    for t, turn in enumerate(record.turns, start=1):\n"
             "        ids = [int(st.tokens[i]) for s, e in st.bases[t] for i in range(s, e)]\n"
-            "        assert ''.join(st.strings[i] for i in ids) == turn['context_snapshot'], t\n"
+            "        assert ''.join(st.strings[i] for i in ids) == turn.context_snapshot, t\n"
             "        checked += 1\n"
             "print(checked)\n"
         )

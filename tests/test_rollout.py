@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memroll import (
     Answer,
@@ -28,8 +31,9 @@ from memroll import (
     run_rollout,
 )
 from memroll.envs import Corpus, Doc
+from memroll.rollout import load_turns, shared_prefix
 
-from helpers import make_composite, scripted_episode, scrub_times
+from helpers import make_composite, random_episode, scripted_episode, scrub_times
 import random
 
 
@@ -381,8 +385,51 @@ class TestRecordRoundTrips:
 
     def test_turn_stores_only_what_was_observed(self):
         record = scripted_episode(random.Random(7), mode="full_append", turns=3, ending="invalid")
-        for turn in record.to_dict()["turns"]:
-            assert sorted(turn) == ["context_snapshot", "env_reward", "generation", "info"]
+        for index, turn in enumerate(record.to_dict()["turns"]):
+            kept = ["context_kept"] if index else []
+            assert sorted(turn) == [*kept, "context_snapshot", "env_reward", "generation", "info"]
+
+
+# Short strings, mostly over a few characters so that prefixes are often
+# shared: ASCII, Latin-1, CJK, one outside the BMP and lone surrogates.
+_SHORT = st.text(
+    st.sampled_from("ab\u00e9\u4e2d\U0001f600\ud800\udc00") | st.characters(exclude_categories=()),
+    max_size=6,
+)
+
+
+class TestSnapshotDeltas:
+    """Each written turn stores only what its snapshot adds to the one before."""
+
+    def test_writer_stores_only_new_characters(self):
+        rng = random.Random(12)
+        records = [random_episode(rng) for _ in range(30)]
+        assert {r.config.mode for r in records} == {"consolidate", "full_append"}
+        stored = new = 0
+        for record in records:
+            data = json.loads(json.dumps(record.to_dict()))
+            assert data["version"] == 2
+            assert TrajectoryRecord.from_dict(data) == record
+            stored += sum(len(turn["context_snapshot"]) for turn in data["turns"])
+            previous = ""
+            for turn in record.turns:
+                new += len(turn.context_snapshot) - len(os.path.commonprefix([previous, turn.context_snapshot]))
+                previous = turn.context_snapshot
+        assert stored == new
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SHORT, _SHORT, _SHORT)
+    def test_shared_prefix_matches_commonprefix(self, head, a, b):
+        for x, y in ((head + a, head + b), (head + a, head), (head, head + b), (a, b)):
+            assert shared_prefix(x, y) == len(os.path.commonprefix([x, y]))
+
+    def test_a_kept_count_rebuilds_from_the_turn_before(self):
+        record = scripted_episode(random.Random(3), mode="full_append", turns=3)
+        turns = json.loads(json.dumps(record.to_dict()))["turns"]
+        assert turns[1]["context_kept"] == len(record.turns[0].context_snapshot)
+        turns[1]["context_kept"] -= 1
+        turns[1]["context_snapshot"] = record.turns[0].context_snapshot[-1] + turns[1]["context_snapshot"]
+        assert load_turns(turns, record.config.preset) == record.turns
 
 
 class TestRunBatch:
