@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data,
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import os
@@ -20,7 +19,6 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
-from statistics import fmean
 
 from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
@@ -48,7 +46,7 @@ EXIT_INTEGRITY = 3
 # through these globals; memroll.cli.<name> imports a name on first access.
 _DEFERRED = {
     "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv", "ShopEnv", "load_catalog"),
-    "masks": ("FORMATS", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
+    "masks": ("FORMATS", "_packed", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
     "metrics": ("MetricReport", "aggregate", "score_trajectory"),
     "rollout": ("ARCHIVE_VERSION", "HttpPolicy", "RolloutError", "ScriptedPolicy", "TrajectoryRecord",
                 "check_version", "dump_turns", "run_batch"),
@@ -243,6 +241,9 @@ _PLOT_FIELDS = ("em", "f1", "peak_tokens", "dependency", "wall_time_s")
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    import csv
+    from statistics import fmean
+
     _bind("metrics")
     reports = []
     skipped = 0
@@ -307,8 +308,6 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     own so that the mask, the container and the re-imported rows are freed
     before the next trajectory is built.
     """
-    import numpy as np
-
     counter = WordTokenizer()
     try:
         stitched = stitch(record, counter)
@@ -317,15 +316,16 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
         if verify:
             re_st, re_mask, re_loss, _ = import_masks(blob)
             verify_masks(record, re_st, re_mask, counter)
-            columns = ("tokens", "positions", "segments", "turn_of")
-            pairs = [(getattr(re_st, c), getattr(stitched, c)) for c in columns]
-            pairs.append((re_loss.loss, mask1d.loss))
+            pairs = [(re_st, stitched, c) for c in ("tokens", "positions", "segments", "turn_of")]
+            pairs.append((re_loss, mask1d, "loss"))
             if fmt == "ranges":
                 vocabulary = tuple(counter.decode([i]) for i in range(counter.vocab_size()))
                 same = re_mask.bases == mask2d.bases and re_st.strings == vocabulary
             else:
+                import numpy as np
+
                 same = np.array_equal(re_mask.words, mask2d.words)
-            if not (same and all(np.array_equal(a, b) for a, b in pairs)):
+            if not (same and all(_packed(a, c) == _packed(b, c) for a, b, c in pairs)):
                 raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:
         raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None

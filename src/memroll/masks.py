@@ -16,6 +16,14 @@ Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
 stitched sequence.
 
+The per-token columns (and Mask1D.loss) are held packed, as memoryviews in the
+container's own column layout, so the default path (stitch, build_masks,
+export_masks and import_masks with ranges, verify_masks on a mask held as
+ranges) runs on the standard library alone. Reading a column as an attribute
+gives an np.ndarray of its documented dtype, a view of the packed column built
+on first access and kept; that, dense rows, visible_tokens and the two dense
+formats are what import numpy.
+
 The export container is binary: magic MEM1MASK, a little-endian u16 version,
 a u32 header length, a JSON header {n, counter_id, format, sha256}, then the
 payload. The header is the canonical (sort_keys) JSON of exactly those four
@@ -44,16 +52,19 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import IntegrityError, TokenCounter
 from .context import HINT_TEMPLATE
 from .rollout import TrajectoryRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SEGMENT_CODES",
@@ -104,6 +115,61 @@ _ROW_BLOCK = 256  # rows packed or unpacked at a time, bounding index_list scrat
 _PREFIX = struct.Struct("<HI")  # version, header length
 _HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
 
+# The container is little-endian; packed columns are held in native order, so
+# a big-endian host byteswaps them on the way in and out.
+_SWAP = sys.byteorder == "big"
+
+
+class _Column:
+    """A per-token column of a dataclass, held packed and read through numpy.
+
+    The packed column is a memoryview of native items of format fmt, which
+    is the container's layout: an array.array, or a slice of an imported
+    container. Reading the attribute gives np.frombuffer(packed, dtype), built
+    on first access and kept, so it shares memory with the packed column.
+    Assigning takes a memoryview or array.array of format fmt as it is, and
+    anything else (an np.ndarray, a list) converted to dtype by numpy.
+    """
+
+    def __init__(self, fmt: str, dtype: str) -> None:
+        self.fmt, self.dtype = fmt, dtype
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.packed = name, "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # No value on the class, so dataclass makes the field a required argument.
+            raise AttributeError(self.name)
+        view = obj.__dict__.get(self.name)
+        if view is None:
+            import numpy as np
+
+            view = obj.__dict__[self.name] = np.frombuffer(obj.__dict__[self.packed], self.dtype)
+        return view
+
+    def __set__(self, obj, value) -> None:
+        try:
+            packed = memoryview(value)
+        except TypeError:
+            packed = None
+        if packed is None or packed.format != self.fmt or packed.ndim != 1 or not packed.c_contiguous:
+            import numpy as np
+
+            packed = memoryview(np.ascontiguousarray(value, self.dtype)).cast("B").cast(self.fmt)
+        obj.__dict__[self.packed] = packed
+        obj.__dict__.pop(self.name, None)
+
+
+def _packed(obj, name: str) -> memoryview:
+    """The packed column behind a _Column field, read without numpy."""
+    return obj.__dict__["_" + name]
+
+
+def _reduce(obj):
+    # Pickle and deepcopy by the field values: a memoryview cannot be pickled.
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
 
 @dataclass
 class StitchedTrajectory:
@@ -115,19 +181,27 @@ class StitchedTrajectory:
     table: strings[i] is the text of token id i ("" for ids the sequence does
     not use). Both are None for sequences imported from dense_bitpack or
     index_list containers, which carry neither.
+
+    The five columns are held packed in the container's layout and read as
+    np.ndarray views of the dtypes below, built on first access (which
+    imports numpy) and kept. The views of an imported sequence are views of
+    the container, read-only when it is bytes. The constructor and
+    dataclasses.replace take numpy arrays.
     """
 
-    tokens: np.ndarray  # int32
-    segments: np.ndarray  # uint8
-    turn_of: np.ndarray  # uint16
-    generated: np.ndarray  # bool
-    positions: np.ndarray  # int32
+    tokens: np.ndarray = _Column("i", "int32")
+    segments: np.ndarray = _Column("B", "uint8")
+    turn_of: np.ndarray = _Column("H", "uint16")
+    generated: np.ndarray = _Column("B", "bool")
+    positions: np.ndarray = _Column("i", "int32")
     bases: tuple[tuple[tuple[int, int], ...], ...] | None = None
     strings: tuple[str, ...] | None = None
 
+    __reduce__ = _reduce
+
     @property
     def n(self) -> int:
-        return int(self.tokens.shape[0])
+        return len(_packed(self, "tokens"))
 
 
 class Mask2D:
@@ -148,7 +222,7 @@ class Mask2D:
         n: int,
         words: np.ndarray | None = None,
         bases: tuple[tuple[tuple[int, int], ...], ...] | None = None,
-        bounds: np.ndarray | None = None,
+        bounds: Sequence[int] | None = None,
     ) -> None:
         self.n = n
         self.bases = bases
@@ -170,9 +244,15 @@ class Mask2D:
 
 @dataclass
 class Mask1D:
-    """Loss mask: True exactly on policy-generated tokens."""
+    """Loss mask: True exactly on policy-generated tokens.
 
-    loss: np.ndarray  # bool
+    loss is held packed like a StitchedTrajectory column: a bool np.ndarray
+    view, built on first access.
+    """
+
+    loss: np.ndarray = _Column("B", "bool")
+
+    __reduce__ = _reduce
 
 
 def _token_spans(
@@ -194,14 +274,13 @@ def _token_spans(
     return ids, list(accumulate(map(len, pieces), initial=0))
 
 
-def _char_offsets(tokens: Sequence[int], strings: Mapping[int, str]) -> np.ndarray:
+def _char_offsets(tokens: Iterable[int], strings: Mapping[int, str]) -> list[int]:
     """Where each token's text starts in the sequence's text, the join of its
     tokens' texts: token k covers text[offsets[k]:offsets[k + 1]]."""
-    lengths = np.fromiter(map(len, map(strings.__getitem__, tokens)), np.int64, len(tokens))
-    return np.concatenate(([0], np.cumsum(lengths)))
+    return list(accumulate(map(len, map(strings.__getitem__, tokens)), initial=0))
 
 
-def _text_of(text: str, offsets: np.ndarray, ranges: Iterable[tuple[int, int]]) -> str:
+def _text_of(text: str, offsets: Sequence[int], ranges: Iterable[tuple[int, int]]) -> str:
     """The text of the token ranges [(start, end), ...], offsets being the
     sequence's _char_offsets."""
     return "".join(text[offsets[s] : offsets[e]] for s, e in ranges)
@@ -235,15 +314,16 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
 
     tokens: list[int] = []
     segments: list[int] = []
-    turn_of: list[int] = []
-    generated: list[bool] = []
     positions: list[int] = []
+    # Packed as they grow, one run per emit.
+    turn_of = array("H")
+    generated = array("B")
 
     def emit(ids: list[int], codes: list[int], turn: int, gen: bool, pos0: int) -> None:
         tokens.extend(ids)
         segments.extend(codes)
-        turn_of.extend([turn] * len(ids))
-        generated.extend([gen] * len(ids))
+        turn_of.extend(array("H", (turn,)) * len(ids))
+        generated.extend(array("B", (gen,)) * len(ids))
         positions.extend(range(pos0, pos0 + len(ids)))
 
     texts: dict[int, str] = {}
@@ -310,11 +390,11 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             raise IntegrityError(f"turn {i}: context token count mismatch")
 
     return StitchedTrajectory(
-        tokens=np.asarray(tokens, dtype=np.int32),
-        segments=np.asarray(segments, dtype=np.uint8),
-        turn_of=np.asarray(turn_of, dtype=np.uint16),
-        generated=np.asarray(generated, dtype=bool),
-        positions=np.asarray(positions, dtype=np.int32),
+        tokens=array("i", tokens),
+        segments=array("B", segments),
+        turn_of=turn_of,
+        generated=generated,
+        positions=array("i", positions),
         bases=tuple(bases),
         strings=tuple(texts.get(i, "") for i in range(max(texts, default=-1) + 1)),
     )
@@ -331,14 +411,21 @@ def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
     """
     if stitched.bases is None:
         raise ValueError("stitched trajectory has no base ranges; masks cannot be rebuilt")
-    # turn_of is non-decreasing, so turn t occupies [bounds[t], bounds[t + 1]).
-    bounds = np.searchsorted(stitched.turn_of, np.arange(len(stitched.bases) + 1))
+    bounds = _bounds(_packed(stitched, "turn_of"), len(stitched.bases))
     mask2d = Mask2D(stitched.n, bases=stitched.bases, bounds=bounds)
-    return mask2d, Mask1D(loss=stitched.generated.copy())
+    return mask2d, Mask1D(loss=bytearray(_packed(stitched, "generated")))
+
+
+def _bounds(turn_of: Sequence[int], turns: int) -> list[int]:
+    """Where each turn starts, then the end: turn_of is non-decreasing, so
+    turn t occupies [bounds[t], bounds[t + 1])."""
+    return [bisect_left(turn_of, t) for t in range(turns + 1)]
 
 
 def _dense_rows(mask: Mask2D) -> np.ndarray:
     """Bitpack the rows of a mask held as ranges."""
+    import numpy as np
+
     n = mask.n
     width = (n + 63) // 64
     rows = np.zeros((n, width), dtype=np.uint64)
@@ -360,10 +447,12 @@ def _dense_rows(mask: Mask2D) -> np.ndarray:
 
 def visible_tokens(mask: Mask2D, k: int) -> np.ndarray:
     """Ascending indices of the tokens row k attends to."""
+    import numpy as np
+
     if not 0 <= k < mask.n:
         raise IndexError(f"token index {k} out of range for {mask.n} tokens")
     if not mask.dense:
-        turn = int(np.searchsorted(mask.bounds, k, side="right")) - 1
+        turn = bisect_right(mask.bounds, k) - 1
         runs = [np.arange(s, e) for s, e in mask.bases[turn]]
         return np.concatenate(runs + [np.arange(mask.bounds[turn], k)])
     row = mask.words[k]
@@ -382,39 +471,69 @@ def verify_masks(
     The first generated token of each turn must see exactly the recorded
     context snapshot; each following one must see the same plus the turn's
     generation so far. Raises IntegrityError naming the first offending token.
-    Reads only the mask, never the sequence's bases, and builds no dense row
-    for a mask held as ranges: its first rows are read from the ranges.
+    Reads only the mask, never the sequence's bases. A mask held as ranges is
+    checked on the standard library alone, with no dense row built: each
+    turn's first generated row is its base ranges plus the turn's tokens
+    before it, and the turn's generated tokens must be consecutive. A mask
+    held as words is checked row by row, with numpy.
 
     The counter decodes the whole sequence once, which must give its tokens'
     own texts joined; a row's visible text is then slices of that text.
     """
-    tokens = stitched.tokens.tolist()
+    tokens = _packed(stitched, "tokens").tolist()
     own = {i: counter.decode([i]) for i in set(tokens)}
     text = "".join(map(own.__getitem__, tokens))
     if counter.decode(tokens) != text:
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
     offsets = _char_offsets(tokens, own)
-    for i, turn in enumerate(trajectory.turns):
-        turn_no = i + 1
+    if mask.dense:
+        _verify_rows(trajectory, stitched, mask, text, offsets)
+        return
+    generated = _packed(stitched, "generated")
+    bounds = mask.bounds
+    for turn_no, (turn, a, b) in enumerate(zip(trajectory.turns, bounds[1:], bounds[2:]), 1):
+        flags = generated[a:b].tobytes()  # the turn's tokens, 1 where generated
+        first = flags.find(1)
+        if first < 0:
+            continue
+        if _text_of(text, offsets, (*mask.bases[turn_no], (a, a + first))) != turn.context_snapshot:
+            raise IntegrityError(
+                f"token {a + first} (turn {turn_no}): visible tokens decode to a different context"
+            )
+        # Row k of a turn held as ranges is row k - 1 plus token k - 1, so the
+        # rule holds exactly where the generated tokens are consecutive.
+        gap = flags.find(0, first)
+        later = flags.find(1, gap) if gap >= 0 else -1
+        if later >= 0:
+            raise IntegrityError(
+                f"token {a + later} (turn {turn_no}): row is not the previous row plus one token"
+            )
+
+
+def _verify_rows(
+    trajectory: TrajectoryRecord,
+    stitched: StitchedTrajectory,
+    mask: Mask2D,
+    text: str,
+    offsets: Sequence[int],
+) -> None:
+    """verify_masks for a mask held as words."""
+    import numpy as np
+
+    for turn_no, turn in enumerate(trajectory.turns, 1):
         gen_idx = np.flatnonzero((stitched.turn_of == turn_no) & stitched.generated)
         if gen_idx.size == 0:
             continue
         first = int(gen_idx[0])
-        vis = visible_tokens(mask, first)
-        if _text_of(text, offsets, _runs(vis)) != turn.context_snapshot:
+        if _text_of(text, offsets, _runs(visible_tokens(mask, first))) != turn.context_snapshot:
             raise IntegrityError(
                 f"token {first} (turn {turn_no}): visible tokens decode to a different context"
             )
-        if mask.dense:
-            # Each later row must be the previous generated row plus that row's own token.
-            prev = gen_idx[:-1]
-            expected = mask.words[prev]
-            expected[np.arange(prev.size), prev >> 6] |= np.uint64(1) << (prev & 63).astype(np.uint64)
-            bad = np.flatnonzero((mask.words[gen_idx[1:]] != expected).any(axis=1))
-        else:
-            # Row k of a turn held as ranges is row k - 1 plus token k - 1, so
-            # the rule holds exactly where the generated tokens are consecutive.
-            bad = np.flatnonzero(np.diff(gen_idx) != 1)
+        # Each later row must be the previous generated row plus that row's own token.
+        prev = gen_idx[:-1]
+        expected = mask.words[prev]
+        expected[np.arange(prev.size), prev >> 6] |= np.uint64(1) << (prev & 63).astype(np.uint64)
+        bad = np.flatnonzero((mask.words[gen_idx[1:]] != expected).any(axis=1))
         if bad.size:
             k = int(gen_idx[1 + bad[0]])
             raise IntegrityError(
@@ -424,6 +543,8 @@ def verify_masks(
 
 def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
     """Ascending indices as (start, end) runs of consecutive ones."""
+    import numpy as np
+
     if indices.size == 0:
         return []
     cuts = np.flatnonzero(np.diff(indices) != 1) + 1
@@ -435,6 +556,8 @@ def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
 def _index_rows(mask: Mask2D):
     """Yield the index_list rows a block of whole rows at a time: each row's
     count, then the indices it sees in order."""
+    import numpy as np
+
     n = mask.n
     for k0 in range(0, n, _ROW_BLOCK):
         block = np.ascontiguousarray(mask.words[k0 : k0 + _ROW_BLOCK], dtype="<u8")
@@ -448,13 +571,27 @@ def _index_rows(mask: Mask2D):
         yield table[keep]
 
 
+def _little_endian(items: memoryview | array) -> memoryview | array:
+    """Packed native items as the container stores them: as they are on a
+    little-endian host, a byteswapped copy on a big-endian one."""
+    if not _SWAP:
+        return items
+    swapped = array(memoryview(items).format, items)
+    swapped.byteswap()
+    return swapped
+
+
 def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: str):
-    yield stitched.tokens.astype("<i4")
-    yield stitched.positions.astype("<i4")
-    yield mask1d.loss.astype(np.uint8)
-    yield stitched.segments.astype(np.uint8)
-    yield stitched.turn_of.astype("<u2")
+    # The packed columns are the container's columns: on a little-endian
+    # host they are written as they are.
+    yield _little_endian(_packed(stitched, "tokens"))
+    yield _little_endian(_packed(stitched, "positions"))
+    yield _packed(mask1d, "loss")
+    yield _packed(stitched, "segments")
+    yield _little_endian(_packed(stitched, "turn_of"))
     if fmt == "dense_bitpack":
+        import numpy as np
+
         # On a little-endian host the rows are written straight from the mask.
         yield np.ascontiguousarray(mask2d.words, dtype="<u8")
     elif fmt == "index_list":
@@ -465,13 +602,13 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
                 "the ranges format needs a mask held as ranges and a string table; "
                 "export a mask imported as dense rows as dense_bitpack or index_list"
             )
-        ranges = [len(mask2d.bases)]
+        ranges = array("I", [len(mask2d.bases)])
         for base in mask2d.bases:
             ranges.append(len(base))
             ranges.extend(chain.from_iterable(base))
-        yield np.array(ranges, dtype="<u4")
+        yield _little_endian(ranges)
         encoded = [text.encode("utf-8", "surrogatepass") for text in stitched.strings]
-        yield np.array([len(encoded), *map(len, encoded)], dtype="<u4")
+        yield _little_endian(array("I", [len(encoded), *map(len, encoded)]))
         yield b"".join(encoded)
 
 
@@ -522,9 +659,24 @@ def _digest(version: int, header: dict, payload: memoryview) -> str:
     return h.hexdigest()
 
 
+def _items(chunk: memoryview, fmt: str) -> memoryview:
+    """A little-endian payload slice as packed native items of format fmt:
+    the slice itself on a little-endian host, a byteswapped copy on a
+    big-endian one."""
+    if len(chunk) % struct.calcsize(fmt):
+        raise IntegrityError(f"mask payload truncated: {len(chunk)} bytes is not a whole number of {fmt!r} items")
+    if not _SWAP:
+        return chunk.cast(fmt)
+    items = array(fmt, chunk.tobytes())
+    items.byteswap()
+    return memoryview(items)
+
+
 def _rows_from_index_lists(stream: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Bitpack n index_list rows from the front of a u32 stream; returns the
     rows and the number of u32 read."""
+    import numpy as np
+
     heads = np.empty(n + 1, dtype=np.int64)  # where each row's count sits, then the end
     at = 0
     for k in range(n):
@@ -560,10 +712,12 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     IntegrityError. So does a ranges container that is signed but unsound,
     since anyone can re-sign one: ranges that are unsorted, overlap or reach
     past their turn's first token, a decreasing turn_of, a token id outside
-    the string table, or a string table that is not UTF-8. A ranges container
-    comes back as a mask held as ranges, with the sequence's bases and string
-    table filled in and no dense row built. dense_bitpack rows are a view over
-    data, not a copy, so they are read-only when data is bytes.
+    the string table, or a string table that is not UTF-8. So does a loss
+    byte other than 0 and 1, in any format. A ranges container comes back as
+    a mask held as ranges, with the sequence's bases and string table filled
+    in and no dense row built, and is read without numpy. The columns are
+    views of data, not copies, and so are dense_bitpack rows: read-only when
+    data is bytes. generated and loss are one column.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -607,54 +761,61 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         pos += count
         return chunk
 
-    def take_u32(count: int) -> np.ndarray:
-        return np.frombuffer(take(4 * count), dtype="<u4")
+    def take_u32(count: int) -> memoryview:
+        return _items(take(4 * count), "I")
 
-    tokens = np.frombuffer(take(4 * n), dtype="<i4").astype(np.int32)
-    positions = np.frombuffer(take(4 * n), dtype="<i4").astype(np.int32)
-    loss = np.frombuffer(take(n), dtype=np.uint8).astype(bool)
-    segments = np.frombuffer(take(n), dtype=np.uint8).copy()
-    turn_of = np.frombuffer(take(2 * n), dtype="<u2").astype(np.uint16)
+    tokens = _items(take(4 * n), "i")
+    positions = _items(take(4 * n), "i")
+    loss = take(n)
+    if loss.tobytes().translate(None, b"\x00\x01"):
+        raise IntegrityError("loss column holds a byte other than 0 and 1")
+    segments = take(n)
+    turn_of = _items(take(2 * n), "H")
     stitched = StitchedTrajectory(
         tokens=tokens,
         segments=segments,
         turn_of=turn_of,
-        generated=loss.copy(),
+        generated=loss,
         positions=positions,
     )
     if fmt == "dense_bitpack":
+        import numpy as np
+
         width = (n + 63) // 64
         mask = Mask2D(n, words=np.frombuffer(take(8 * n * width), dtype="<u8").reshape(n, width))
     elif fmt == "index_list":
+        import numpy as np
+
         stream = np.frombuffer(payload[pos : pos + (len(payload) - pos) // 4 * 4], dtype="<u4")
         rows, used = _rows_from_index_lists(stream, n)
         pos += 4 * used
         mask = Mask2D(n, words=rows)
     else:
-        if np.any(turn_of[1:] < turn_of[:-1]):
+        turn_list = turn_of.tolist()
+        if turn_list != sorted(turn_list):
             raise IntegrityError("turn_of decreases")
-        turns = int(take_u32(1)[0])
-        if turns > (len(payload) - pos) // 4 or (n and turn_of[-1] >= turns):
+        turns = take_u32(1)[0]
+        if turns > (len(payload) - pos) // 4 or (n and turn_list[-1] >= turns):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
-        bounds = np.searchsorted(turn_of, np.arange(turns + 1))
+        bounds = _bounds(turn_list, turns)
         bases = []
         for turn in range(turns):
-            edges = take_u32(2 * int(take_u32(1)[0]))
-            if np.any(edges[1:] < edges[:-1]) or (edges.size and edges[-1] > bounds[turn]):
+            edges = take_u32(2 * take_u32(1)[0]).tolist()
+            if edges != sorted(edges) or (edges and edges[-1] > bounds[turn]):
                 raise IntegrityError(
                     f"turn {turn}: base ranges are unsorted, overlap or reach past the turn's first token"
                 )
-            bases.append(tuple(zip(edges[0::2].tolist(), edges[1::2].tolist())))
-        lengths = take_u32(int(take_u32(1)[0])).astype(np.int64)
-        table = bytes(take(int(lengths.sum())))
-        ends = np.cumsum(lengths).tolist()
+            bases.append(tuple(zip(edges[0::2], edges[1::2])))
+        ends = list(accumulate(take_u32(take_u32(1)[0])))
+        table = bytes(take(ends[-1] if ends else 0))
         try:
             strings = tuple(
                 table[a:b].decode("utf-8", "surrogatepass") for a, b in zip([0] + ends, ends)
             )
         except UnicodeDecodeError as exc:
             raise IntegrityError(f"string table is not UTF-8: {exc}") from None
-        if n and (tokens.min() < 0 or tokens.max() >= len(strings)):
+        ids = set(tokens)
+        if ids and (min(ids) < 0 or max(ids) >= len(strings)):
             raise IntegrityError("token id outside the string table")
         stitched.bases, stitched.strings = tuple(bases), strings
         mask = Mask2D(n, bases=stitched.bases, bounds=bounds)

@@ -17,7 +17,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import NoneType
@@ -581,7 +580,9 @@ def run_batch(
 
     if concurrency == 1:
         return [one(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    from concurrent import futures
+
+    with futures.ThreadPoolExecutor(max_workers=concurrency) as pool:
         return list(pool.map(one, tasks))
 
 

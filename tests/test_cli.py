@@ -193,19 +193,32 @@ class TestStartup:
         "print(json.dumps(sorted(sys.modules)))\n"
     )
 
+    # What each command must load, so that a row of unloaded modules that
+    # no longer names what the command runs cannot pass by accident.
+    REQUIRED = {
+        "compose": ("memroll.compose",),
+        "rollout": ("memroll.rollout",),
+        "score": ("memroll.metrics", "statistics"),
+        "export-masks": ("memroll.masks",),
+        "export-masks-dense": ("memroll.masks", "numpy"),
+    }
+
     @pytest.mark.parametrize(
         "command, unloaded",
         [
             ("import", ("numpy", "requests", "memroll.*")),
-            ("compose", ("numpy", "requests", "memroll.masks")),
-            ("rollout", ("numpy", "requests", "memroll.masks")),
-            ("score", ("numpy", "requests", "memroll.envs")),
-            ("export-masks", ("requests", "memroll.envs")),
+            ("compose", ("numpy", "requests", "statistics", "memroll.masks")),
+            ("rollout", ("numpy", "requests", "statistics", "memroll.masks")),
+            ("score", ("numpy", "requests", "concurrent.futures", "memroll.envs")),
+            ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs")),
+            ("export-masks-dense", ("requests", "memroll.envs")),
         ],
     )
     def test_loads_only_what_it_runs(self, smoke, command, unloaded):
         # Each command, run in a fresh interpreter, imports only the modules
-        # it uses; `import memroll` alone imports none of its submodules.
+        # it uses; `import memroll` alone imports none of its submodules. The
+        # default export-masks --verify runs on the standard library; a dense
+        # format is what loads numpy.
         tmp_path, tasks, script, env = smoke
         archive = tmp_path / "archive"
         assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
@@ -217,6 +230,8 @@ class TestStartup:
             "score": ["score", "--archive", str(archive), "--out", str(tmp_path / "report")],
             "export-masks": ["export-masks", "--archive", str(archive), "--out",
                              str(tmp_path / "masks"), "--verify"],
+            "export-masks-dense": ["export-masks", "--archive", str(archive), "--out",
+                                   str(tmp_path / "masks"), "--verify", "--format", "dense_bitpack"],
         }[command]
         out = _run_python(self.LIST_MODULES, *([json.dumps(argv)] if argv else []))
         loaded = json.loads(out.splitlines()[-1])
@@ -226,6 +241,7 @@ class TestStartup:
             if fnmatch.fnmatchcase(name, pattern) or name.startswith(pattern + ".")
         ]
         assert found == []
+        assert set(self.REQUIRED.get(command, ())) <= set(loaded)
 
     def test_corpus_rollout_leaves_hashlib_unloaded(self, smoke):
         # The corpus index file is keyed with importlib.util.source_hash:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
+import os
+import pickle
 import random
 import re
 import struct
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +42,8 @@ from memroll import (
     verify_masks,
     visible_tokens,
 )
-from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D
+import memroll.masks
+from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
 from helpers import random_episode, scripted_episode
 
@@ -514,6 +521,22 @@ class TestVerifyMasks:
         with pytest.raises(IntegrityError, match=re.escape(message)):
             verify_masks(record, st, mask2d, counter)
 
+    def test_ranges_mask_needs_each_turns_generation_unbroken(self):
+        # A mask held as ranges gives row k of a turn row k - 1 plus token
+        # k - 1, so a generated token after a non-generated one in the same
+        # turn cannot see what the rule says; it is named without building rows.
+        record = scripted_episode(random.Random(55), turns=3, ending="turn_limit")
+        st, counter, mask2d, _ = full_build(record)
+        gen = turn_indices(st, 2, generated=True)
+        assert gen.size >= 4
+        generated = st.generated.copy()
+        generated[gen[1:3]] = False
+        holey = dataclasses.replace(st, generated=generated)
+        message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            verify_masks(record, holey, mask2d, counter)
+        assert not mask2d.dense
+
 
 def container_parts(blob: bytes) -> tuple[dict, bytes]:
     (header_len,) = struct.unpack_from("<I", blob, 10)
@@ -775,6 +798,27 @@ class TestMalformedContainers:
             import_masks(bad)
 
 
+    @given(fmt=hst.sampled_from(ALL_FORMATS), data=hst.data())
+    def test_loss_is_one_bit_per_byte(self, fmt, data):
+        # export writes 0 or 1 per loss byte; a re-signed container with any
+        # other byte is refused rather than read as True.
+        header, payload = container_parts(valid_container(fmt))
+        n = header["n"]
+        at = 8 * n + data.draw(hst.integers(0, n - 1))
+        bad = bytearray(payload)
+        bad[at] = data.draw(hst.integers(2, 255))
+        version = RANGES_VERSION if fmt == "ranges" else FORMAT_VERSION
+        with pytest.raises(IntegrityError, match="loss column"):
+            import_masks(forge(header, bytes(bad), version))
+
+    @pytest.mark.parametrize("fmt, size", [("i", 4), ("H", 2), ("I", 4)])
+    def test_partial_item_is_an_integrity_error(self, fmt, size):
+        for cut in range(1, size):
+            with pytest.raises(IntegrityError, match="whole number"):
+                _items(memoryview(bytes(2 * size + cut)), fmt)
+        assert _items(memoryview(bytes(2 * size)), fmt).tolist() == [0, 0]
+
+
 def forged_ranges(edit) -> bytes:
     """The ranges test container with edit(header, columns, turns, lengths,
     table) applied to its parts, re-signed."""
@@ -934,6 +978,124 @@ class TestRangesContainer:
     def test_signed_but_unsound_container_rejected(self, edit, message):
         with pytest.raises(IntegrityError, match=message):
             import_masks(forged_ranges(edit))
+
+
+COLUMNS = {
+    "tokens": np.int32, "segments": np.uint8, "turn_of": np.uint16,
+    "generated": np.bool_, "positions": np.int32,
+}
+
+# n and the loss count of random_episode(Random(seed)), as the numpy columns
+# gave them before the columns were held packed.
+PINNED = {95: ("consolidate", 1550, 384), 96: ("full_append", 1376, 314)}
+
+
+def column_sources(seed: int):
+    """(source, sequence, loss mask, container or None): the stitched
+    sequence, then the sequence imported from each format."""
+    st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
+    yield "stitch", st, mask1d, None
+    for fmt in ALL_FORMATS:
+        blob = export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
+        st2, _, loss2, _ = import_masks(blob)
+        yield fmt, st2, loss2, blob
+
+
+class TestPackedColumns:
+    """The columns are held packed in the container's layout; read as
+    attributes they are numpy arrays of the dtypes they always had."""
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_columns_are_cached_views_of_their_dtype(self, seed):
+        for source, st, mask1d, blob in column_sources(seed):
+            owners = [(st, name, dtype) for name, dtype in COLUMNS.items()] + [(mask1d, "loss", np.bool_)]
+            for owner, name, dtype in owners:
+                column = getattr(owner, name)
+                assert type(column) is np.ndarray and column.dtype == dtype, (source, name)
+                assert column.shape == (st.n,)
+                assert getattr(owner, name) is column
+                assert np.shares_memory(column, np.frombuffer(_packed(owner, name), np.uint8))
+                if blob is not None:  # imported columns are read in place
+                    assert np.shares_memory(column, np.frombuffer(blob, np.uint8))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_counts_keep_their_values(self, seed):
+        mode, n, generated = PINNED[seed]
+        assert random_episode(random.Random(seed)).config.mode == mode
+        for source, st, mask1d, blob in column_sources(seed):
+            assert st.n == n
+            assert int(mask1d.loss.sum()) == int(st.generated.sum()) == generated
+            if blob is not None:  # what the benchmark's output check reads
+                assert int(import_masks(blob)[2].loss.sum()) == generated
+
+    def test_fields_take_numpy_arrays(self):
+        names = [f.name for f in dataclasses.fields(StitchedTrajectory)]
+        assert names == ["tokens", "segments", "turn_of", "generated", "positions", "bases", "strings"]
+        required = [f.name for f in dataclasses.fields(StitchedTrajectory) if f.default is dataclasses.MISSING]
+        assert required == names[:5]
+        st, _ = stitched(random_episode(random.Random(95)))
+        # Another dtype or a strided view is converted to the column's dtype.
+        wide = np.arange(2 * st.n, dtype=np.int64)[::2]
+        other = dataclasses.replace(st, positions=wide, generated=st.generated.astype(np.uint8))
+        assert other.positions.dtype == np.int32 and np.array_equal(other.positions, wide)
+        assert other.generated.dtype == np.bool_ and np.array_equal(other.generated, st.generated)
+        assert other.bases == st.bases and np.array_equal(other.tokens, st.tokens)
+        assert np.shares_memory(other.tokens, st.tokens)  # a right-typed array is kept, not copied
+
+    def test_pickle_and_deepcopy(self):
+        for source, st, mask1d, _ in column_sources(96):
+            for copied in (pickle.loads(pickle.dumps(st)), copy.deepcopy(st)):
+                assert all(np.array_equal(getattr(copied, c), getattr(st, c)) for c in COLUMNS)
+                assert (copied.bases, copied.strings) == (st.bases, st.strings)
+            assert np.array_equal(pickle.loads(pickle.dumps(mask1d)).loss, mask1d.loss)
+
+    def test_big_endian_host_swaps_the_packed_columns(self, monkeypatch):
+        # Packed columns are native, so a big-endian host byteswaps them on
+        # the way out and in; a little-endian host made to swap plays one.
+        st, counter, mask2d, mask1d = full_build(random_episode(random.Random(95)))
+        blob = export_masks(st, mask2d, mask1d, counter.name)
+        monkeypatch.setattr(memroll.masks, "_SWAP", True)
+        swapped = export_masks(st, mask2d, mask1d, counter.name)
+        (_, payload), (_, big) = container_parts(blob), container_parts(swapped)
+        n = st.n
+        for at, width in ((0, 4 * n), (4 * n, 4 * n), (10 * n, 2 * n)):
+            item = 2 if at == 10 * n else 4
+            assert np.array_equal(
+                np.frombuffer(big[at : at + width], f">u{item}"),
+                np.frombuffer(payload[at : at + width], f"<u{item}"),
+            )
+        assert big[8 * n : 10 * n] == payload[8 * n : 10 * n]  # loss and segments are bytes
+        st2, mask2, loss2, _ = import_masks(swapped)
+        for name in COLUMNS:
+            assert _packed(st2, name) == _packed(st, name), name
+        assert _packed(loss2, "loss") == _packed(mask1d, "loss")
+        assert (mask2.bases, st2.strings) == (mask2d.bases, st.strings)
+
+    def test_default_path_leaves_numpy_unloaded(self):
+        # stitch, n, build_masks, a ranges export, import and verify run on
+        # the standard library; reading a column as an array loads numpy.
+        code = (
+            "import sys\n"
+            "from memroll import RolloutConfig, ScriptedEnv, ScriptedPolicy, Task, WordTokenizer\n"
+            "from memroll import build_masks, composite_from_tasks, export_masks, import_masks\n"
+            "from memroll import run_rollout, stitch, verify_masks\n"
+            "task = composite_from_tasks([Task('q1', 'Which glyph?', ['x'])])\n"
+            "policy = ScriptedPolicy(['<IS>odd</IS><query>glyph</query>', '<answer>x</answer>'])\n"
+            "record = run_rollout(task, policy, ScriptedEnv(['a b']), RolloutConfig())\n"
+            "counter = WordTokenizer()\n"
+            "st = stitch(record, counter)\n"
+            "mask2d, mask1d = build_masks(st)\n"
+            "st2, mask2, loss2, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name))\n"
+            "verify_masks(record, st2, mask2, counter)\n"
+            "print(st.n > 0, st2.n == st.n, 'numpy' in sys.modules)\n"
+            "print(int(loss2.loss.sum()) > 0, 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(memroll.masks.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert out.splitlines() == ["True True False", "True True"]
 
 
 class TestAttentionReplay:
