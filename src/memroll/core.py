@@ -268,13 +268,14 @@ def default_max_turns(objective_count: int) -> int:
     return 6 if objective_count <= 4 else 20
 
 
-def iter_jsonl(path: str | Path, data: bytes | None = None):
-    """Yield (line_number, object) pairs from a JSONL file.
+def jsonl_lines(path: str | Path, data: bytes | None = None):
+    """Yield (line_number, line) for each non-blank line of a JSONL file,
+    stripped of whitespace (str.strip).
 
-    Blank lines are skipped; a bad line raises DataError naming it, as does
-    text that is not UTF-8. data, when given, is the file's content already
-    read: it is parsed exactly as the file would be, and path only names it
-    in errors.
+    Lines end as in text mode: at \\n, \\r\\n or a lone \\r. Text that is
+    not UTF-8 raises DataError. data, when given, is the file's content
+    already read: it is split exactly as the file would be, and path only
+    names it in errors.
     """
     path = Path(path)
     try:
@@ -285,17 +286,26 @@ def iter_jsonl(path: str | Path, data: bytes | None = None):
         with handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path} line {lineno}: invalid JSON ({exc})") from None
-                if not isinstance(obj, dict):
-                    raise DataError(f"{path} line {lineno}: expected a JSON object")
-                yield lineno, obj
+                if line:
+                    yield lineno, line
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def iter_jsonl(path: str | Path):
+    """Yield (line_number, object) pairs from a JSONL file.
+
+    Blank lines are skipped; a bad line raises DataError naming it, as does
+    text that is not UTF-8.
+    """
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} line {lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path} line {lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
-from .core import DataError, ValidationError, iter_jsonl
+from .core import DataError, ValidationError, iter_jsonl, jsonl_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,74 +115,108 @@ class Corpus:
     alone for one matching term, the IEEE sum for two (which is already
     correctly rounded) and math.fsum for three or more. Query and document
     norms use math.fsum.
+
+    A corpus loaded warm by from_jsonl holds its file's bytes and each
+    document's byte span, and builds a Doc from its line only when search
+    returns it or docs is read. Every other corpus holds every Doc.
     """
 
     def __init__(self, docs: Sequence[Doc]) -> None:
         self._set_docs(docs)
         self._use(_build_index(self._ordered))
 
-    def _set_docs(self, docs: Sequence[Doc]) -> None:
+    def _set_docs(self, docs: Sequence[Doc]) -> list[int]:
+        """Hold docs, in file order and in doc_id order; return the file
+        position of each document in doc_id order."""
         # An empty corpus is legal: searches simply return nothing.
         seen = set()
         for doc in docs:
             if doc.doc_id in seen:
                 raise DataError(f"duplicate doc_id {doc.doc_id!r} in corpus")
             seen.add(doc.doc_id)
-        self.docs = list(docs)
-        self._ordered = sorted(self.docs, key=lambda d: d.doc_id)
+        self._docs = list(docs)
+        order = sorted(range(len(self._docs)), key=lambda i: self._docs[i].doc_id)
+        self._ordered: list[Doc | None] = [self._docs[i] for i in order]
+        return order
 
     def _use(self, index: _Index) -> None:
-        """Install an index. idf and the ln(1+tf) weights are derived here, the
-        one way for a built index and a loaded one, so both come out equal."""
-        import numpy as np
-
         self._vocab = index.vocab
         self._starts = index.starts.tolist()
-        self._idf = _idf(np.diff(index.starts), len(self._ordered))
+        self._idf = index.idf
         self._post_docs = index.post_docs
-        self._post_w = _log1p(index.post_tf)
+        self._post_w = index.post_w
         self._norms = index.norms
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self._ordered)
+
+    @property
+    def docs(self) -> list[Doc]:
+        """The documents in file order."""
+        if self._docs is None:
+            import numpy as np
+
+            by_line = np.argsort(self._spans[:, 0], kind="stable").tolist()
+            self._docs = [self._doc(i) for i in by_line]
+        return self._docs
+
+    def _doc(self, i: int) -> Doc:
+        """Document number i in doc_id order, built from its line the first
+        time it is asked for after a warm load."""
+        doc = self._ordered[i]
+        if doc is None:  # threads that race here build equal Docs
+            start, end = self._spans[i].tolist()
+            try:
+                doc = _parse_doc(self._data[start:end])
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                raise DataError(
+                    f"{self._sidecar}: document {i} does not parse ({exc!r}); "
+                    "the index file is a cache, and deleting it is safe"
+                ) from None
+            self._ordered[i] = doc
+        return doc
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Corpus":
         """Load a corpus from JSONL, one {"doc_id", "title", "body"} object a line.
 
         The index is built once and kept beside the file, in FILE.memroll-index
-        (a sidecar; see _read_index for its layout). Each load still parses the
-        JSONL, then reads the sidecar if its key matches: the hash of the very
-        bytes parsed, the hash of the source that parses them and builds the
-        index, the Unicode database version, the Python implementation and the
-        C library. Otherwise it builds the index, as Corpus(docs) does, and
-        writes the sidecar atomically. A loaded index equals a built one bit
-        for bit. A sidecar that is missing, stale, corrupt or unreadable, or a
-        directory that cannot be written, only costs the build: the sidecar
-        never raises, and deleting it is always safe. Where that source cannot
-        be read, no sidecar is read or written.
+        (a sidecar; see _read_index for its layout), with the byte span of
+        each document's line. Each load reads the file and looks for a sidecar
+        whose key matches: the hash of these bytes, the hash of the source
+        that parses them and builds the index, the Unicode database version,
+        the Python implementation and the C library. A match proves that these
+        very bytes were parsed and checked when the sidecar was written, so
+        the load parses no JSON: it keeps the bytes, and a Doc is built from
+        its span when search returns it or docs is read, by the same helper
+        a first load uses, so it equals the Doc a first load builds.
 
-        The sidecar pays off only when the same corpus file is loaded again: a
-        first load builds the index, as before, and also writes the file.
+        Otherwise the load parses every line, builds every Doc and the index,
+        as Corpus(docs) does, and writes the sidecar atomically; corpus errors
+        (bad JSON, text that is not UTF-8, a missing field, a duplicate
+        doc_id) come only from this parse. A loaded index equals a built one
+        bit for bit. A sidecar that is missing, stale, corrupt or unreadable,
+        or a directory that cannot be written, only costs the build: reading
+        the sidecar never raises, and deleting it is always safe. Where that
+        source cannot be read, no sidecar is read or written.
         """
         path = Path(path)
         data = path.read_bytes()
-        docs = []
-        for lineno, obj in iter_jsonl(path, data):
-            try:
-                docs.append(Doc(str(obj["doc_id"]), str(obj["title"]), str(obj["body"])))
-            except KeyError as exc:
-                raise DataError(f"{path} line {lineno}: missing corpus field {exc}") from None
-        corpus = cls.__new__(cls)
-        corpus._set_docs(docs)
         key = _index_key(data)
-        del data
         sidecar = path.with_name(path.name + INDEX_SUFFIX)
-        index = _read_index(sidecar, key, corpus._ordered) if key else None
-        if index is None:
+        loaded = _read_index(sidecar, key, data) if key else None
+        corpus = cls.__new__(cls)
+        if loaded is None:
+            docs, spans = _parse_corpus(path, data)
+            del data  # not kept, and the build that follows peaks the memory
+            order = corpus._set_docs(docs)
             index = _build_index(corpus._ordered)
             if key:
-                _write_index(sidecar, key, index)
+                _write_index(sidecar, key, index, spans[order])
+        else:
+            index, corpus._spans = loaded
+            corpus._data, corpus._sidecar = data, sidecar
+            corpus._docs, corpus._ordered = None, [None] * len(corpus._spans)
         corpus._use(index)
         return corpus
 
@@ -228,14 +262,48 @@ class Corpus:
             # score alone breaks ties by doc_id.
             order = np.argsort(-scores, kind="stable")[:k]
             top, top_scores = cand[order].tolist(), scores[order].tolist()
-        results = [(self._ordered[i], s) for i, s in zip(top, top_scores)]
+        results = [(self._doc(i), s) for i, s in zip(top, top_scores)]
         taken = set(top)
         for i in range(len(self._ordered)):
             if len(results) >= k:
                 break
             if i not in taken:
-                results.append((self._ordered[i], 0.0))
+                results.append((self._doc(i), 0.0))
         return results
+
+
+def _parse_doc(line: bytes) -> Doc:
+    """The one way a corpus line becomes a Doc, on a first load and after a
+    warm one alike."""
+    obj = json.loads(line.decode("utf-8"))
+    return Doc(str(obj["doc_id"]), str(obj["title"]), str(obj["body"]))
+
+
+def _parse_corpus(path: Path, data: bytes) -> tuple[list[Doc], np.ndarray]:
+    """The documents of a corpus file in file order, and the byte span
+    (start, end) of each one's line, stripped, as int64 rows: the parse that
+    raises corpus errors."""
+    import numpy as np
+
+    docs, spans, end = [], array("q"), 0
+    for lineno, line in jsonl_lines(path, data):
+        raw = line.encode("utf-8")
+        # Only whitespace lies between the last line's end and this line, and
+        # this line starts with a character that is not, so the first match
+        # of that character starts the line.
+        start = data.find(line[0].encode("utf-8"), end)
+        end = start + len(raw)
+        spans.append(start)
+        spans.append(end)
+        try:
+            docs.append(_parse_doc(raw))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} line {lineno}: invalid JSON ({exc})") from None
+        except TypeError:
+            raise DataError(f"{path} line {lineno}: expected a JSON object") from None
+        except KeyError as exc:
+            raise DataError(f"{path} line {lineno}: missing corpus field {exc}") from None
+    return docs, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2)
 
 
 # ------------------------------------------------------------- the corpus index
@@ -243,19 +311,24 @@ class Corpus:
 INDEX_SUFFIX = ".memroll-index"
 _INDEX_MAGIC = b"MEM1INDX"
 # The modules whose code decides a stored index: this one (tokens, weights,
-# norms and the file layout) and the one whose iter_jsonl parses the corpus.
-_INDEX_SOURCES = (Path(__file__), Path(iter_jsonl.__code__.co_filename))
+# norms, spans and the file layout) and the one whose jsonl_lines splits the
+# corpus into lines.
+_INDEX_SOURCES = (Path(__file__), Path(jsonl_lines.__code__.co_filename))
 _INDEX_PREFIX = struct.Struct("<8sI8s")  # magic, header length, checksum
 
 
 class _Index(NamedTuple):
-    """What the sidecar stores: everything search reads except idf and the
-    ln(1+tf) weights, which Corpus._use derives from these."""
+    """What search reads, plus the term frequencies the sidecar stores. A
+    build derives idf and the ln(1+tf) weights once, for the norms and for
+    search; a load derives them from the stored frequencies with the same
+    functions, so both come out equal."""
 
     vocab: dict[str, int]  # term -> id, in id order
     starts: np.ndarray  # int64, CSR offsets: term t owns postings starts[t]:starts[t + 1]
+    idf: list[float]  # ln(N/df) of each term
     post_docs: np.ndarray  # int32 document numbers, ascending within a term
     post_tf: np.ndarray  # int32 term frequency of each posting
+    post_w: np.ndarray  # float64 ln(1+tf) of each posting
     norms: np.ndarray  # float64 document norms
 
 
@@ -285,8 +358,9 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
     term_arr = np.frombuffer(term_ids, dtype=np.intc)
     tf_arr = np.frombuffer(counts, dtype=np.intc)
     df = np.bincount(term_arr, minlength=len(vocab))
+    idf = _idf(df, n)
     # Document-major here, so each document's weights are one slice.
-    weights = _log1p(tf_arr) * np.array(_idf(df, n))[term_arr]
+    weights = _log1p(tf_arr) * np.array(idf)[term_arr]
     ends = np.cumsum(lengths).tolist()
     norms = np.array(
         [
@@ -295,12 +369,16 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
         ],
         dtype=np.float64,
     )
+    del weights  # laying out the postings peaks the memory
     by_term = np.argsort(term_arr, kind="stable")
+    post_tf = tf_arr[by_term]
     return _Index(
         vocab=dict(vocab),
         starts=np.concatenate(([0], np.cumsum(df))),
+        idf=idf,
         post_docs=np.repeat(np.arange(n, dtype=np.int32), lengths)[by_term],
-        post_tf=tf_arr[by_term],
+        post_tf=post_tf,
+        post_w=_log1p(post_tf),
         norms=norms,
     )
 
@@ -332,10 +410,11 @@ def _index_key(data: bytes) -> dict | None:
     }
 
 
-def _write_index(path: Path, key: dict, index: _Index) -> None:
-    """Store index at path, through a temporary file and os.replace, so a
-    reader sees the old file or the new one whole. An OSError (a read-only
-    directory, a full disk) leaves no file behind and is not raised."""
+def _write_index(path: Path, key: dict, index: _Index, spans: np.ndarray) -> None:
+    """Store index and the documents' spans, in doc_id order, at path, through
+    a temporary file and os.replace, so a reader sees the old file or the new
+    one whole. An OSError (a read-only directory, a full disk) leaves no file
+    behind and is not raised."""
     import numpy as np
     from importlib.util import source_hash
 
@@ -355,6 +434,7 @@ def _write_index(path: Path, key: dict, index: _Index) -> None:
             header,
             np.ascontiguousarray(index.starts, dtype="<i8"),
             np.ascontiguousarray(index.norms, dtype="<f8"),
+            np.ascontiguousarray(spans, dtype="<i8"),
             np.ascontiguousarray(index.post_docs, dtype="<i4"),
             np.ascontiguousarray(index.post_tf, dtype="<i4"),
             vocab,
@@ -374,69 +454,73 @@ def _write_index(path: Path, key: dict, index: _Index) -> None:
             pass
 
 
-def _read_index(path: Path, key: dict, ordered: Sequence[Doc]) -> _Index | None:
-    """The index stored at path for key, or None.
+def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, np.ndarray] | None:
+    """The index stored at path for key, and the documents' spans in data,
+    or None.
 
     Layout: the magic MEM1INDX, a u32 header length and an 8-byte checksum
     (importlib.util.source_hash of every byte after it); then a JSON header
     {docs, key, postings, terms}, space-padded to a multiple of 8 bytes; then
-    starts (i8), norms (f8), post_docs (i4) and post_tf (i4), all
+    starts (i8), norms (f8), spans (i8, a start and an end offset per
+    document, in doc_id order), post_docs (i4) and post_tf (i4), all
     little-endian, and to the end the vocabulary in id order as UTF-8, each
     term followed by a newline (a \\w+ term holds none). The arrays are read
     in place.
 
     The checksum catches damage, not deliberate edits (anyone can recompute
     it). None unless the key matches, the checksum holds, the file holds the
-    sizes its header gives and the content fits ordered: CSR offsets that
-    start at 0 and give every term at least one posting, document numbers in
-    range and ascending within a term, frequencies from 1 to the length of
-    the longest document, and exactly `terms` distinct terms. So the load
-    cannot raise, and search cannot index past an array.
+    sizes its header gives and the content fits data: spans that are the
+    non-blank lines of data (_spans_fit), CSR offsets that start at 0 and
+    give every term at least one posting, document numbers in range and
+    ascending within a term, frequencies from 1 to the longest span (a
+    line's bytes are at least its characters), and exactly `terms` distinct
+    terms. So the load cannot raise, and search cannot index past an array.
     """
     import numpy as np
     from importlib.util import source_hash
 
-    n = len(ordered)
     try:
-        data = path.read_bytes()
+        blob = path.read_bytes()
     except OSError:
         return None
     try:
-        magic, header_len, checksum = _INDEX_PREFIX.unpack_from(data)
-        body = memoryview(data)[_INDEX_PREFIX.size :]
+        magic, header_len, checksum = _INDEX_PREFIX.unpack_from(blob)
+        body = memoryview(blob)[_INDEX_PREFIX.size :]
         if magic != _INDEX_MAGIC or source_hash(body) != checksum:
             return None
         header = json.loads(bytes(body[:header_len]))
-        if not isinstance(header, dict) or header.get("key") != key or header.get("docs") != n:
+        if not isinstance(header, dict) or header.get("key") != key:
             return None
-        terms_n, postings = header.get("terms"), header.get("postings")
-        if not all(type(size) is int and size >= 0 for size in (terms_n, postings)):
+        n, terms_n, postings = header.get("docs"), header.get("terms"), header.get("postings")
+        if not all(type(size) is int and size >= 0 for size in (n, terms_n, postings)):
             return None
         at = _INDEX_PREFIX.size + header_len
-        if len(data) < at + 8 * (terms_n + 1 + n) + 8 * postings:
+        if len(blob) < at + 8 * (terms_n + 1 + 3 * n) + 8 * postings:
             return None
 
         def take(dtype: str, count: int):
             nonlocal at
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=at)
+            arr = np.frombuffer(blob, dtype=dtype, count=count, offset=at)
             at += arr.nbytes
             return arr
 
-        starts, norms = take("<i8", terms_n + 1), take("<f8", n)
+        starts, norms, spans = take("<i8", terms_n + 1), take("<f8", n), take("<i8", 2 * n)
+        spans = spans.reshape(n, 2)
         post_docs, post_tf = take("<i4", postings), take("<i4", postings)
-        words = data[at:].decode("utf-8", "surrogatepass").split("\n")
+        words = blob[at:].decode("utf-8", "surrogatepass").split("\n")
         df = np.diff(starts)
         if starts[0] != 0 or starts[-1] != postings or words.pop() or len(words) != terms_n:
             return None
         if terms_n and df.min() < 1:
             return None
+        if not _spans_fit(spans, data):
+            return None
         if postings:
-            longest = max(len(d.title) + len(d.body) + 1 for d in ordered)
             ascending = np.diff(post_docs) > 0
             ascending[starts[1:-1] - 1] = True  # where one term's postings end
             if not (
                 0 <= post_docs.min() and post_docs.max() < n
-                and 1 <= post_tf.min() and post_tf.max() <= longest
+                and 1 <= post_tf.min() and post_tf.max() <= (spans[:, 1] - spans[:, 0]).max()
                 and ascending.all()
             ):
                 return None
@@ -445,7 +529,35 @@ def _read_index(path: Path, key: dict, ordered: Sequence[Doc]) -> _Index | None:
             return None
     except (ValueError, struct.error, RecursionError):
         return None
-    return _Index(vocab, starts, post_docs, post_tf, norms)
+    return _Index(vocab, starts, _idf(df, n), post_docs, post_tf, _log1p(post_tf), norms), spans
+
+
+def _spans_fit(spans, data: bytes) -> bool:
+    """Whether spans (start, end) are the non-blank lines of data, in any
+    order: in bounds, none empty or overlapping, whitespace alone around
+    them and a line break between any two. A span may still take in
+    whitespace at an end of its line: the Doc built from it is then the
+    same, or it fails to parse, which raises DataError."""
+    import numpy as np
+
+    if not len(spans):
+        return not data.decode("utf-8").strip()
+    by_line = spans[np.argsort(spans[:, 0], kind="stable")]
+    starts, ends = by_line[:, 0], by_line[:, 1]
+    if (ends <= starts).any() or (starts[1:] <= ends[:-1]).any():
+        return False
+    if starts[0] < 0 or ends[-1] > len(data):
+        return False
+    # A one-byte gap must be the line break itself; longer ones are decoded.
+    one = starts[1:] - ends[:-1] == 1
+    if not np.isin(np.frombuffer(data, np.uint8)[ends[:-1][one]], (10, 13)).all():
+        return False
+    for a, b in zip(ends[:-1][~one].tolist(), starts[1:][~one].tolist()):
+        gap = data[a:b]
+        if not (b"\n" in gap or b"\r" in gap) or not gap.decode("utf-8").isspace():
+            return False
+    head, tail = data[: starts[0]], data[ends[-1] :]
+    return not head.decode("utf-8").strip() and not tail.decode("utf-8").strip()
 
 
 def render_passages(docs: Sequence[Doc]) -> list[str]:

@@ -311,6 +311,77 @@ class TestCorpusIndexFile:
         assert results_of(cold, QUERIES) == results_of(warm, QUERIES) == results_of(fresh, QUERIES)
         assert warm.docs == docs
 
+    # Corpus files whose lines end, pad and spell their objects in every way
+    # the first load accepts; each maps to the documents it holds, in order.
+    LAYOUTS = {
+        "crlf_cr_and_blank_lines": (
+            b'\r\n{"doc_id": "c", "title": "wine", "body": "river"}\r\n\r\n'
+            b'{"doc_id": "a", "title": "city", "body": "bread"}\r'
+            b'{"doc_id": "b", "title": "wine", "body": "city"}\n\n\r\r\n',
+            [Doc("c", "wine", "river"), Doc("a", "city", "bread"), Doc("b", "wine", "city")],
+        ),
+        "unicode_whitespace_around_objects": (
+            '\x85{"doc_id": "b", "title": "wine", "body": "river"}\xa0\n'
+            '\u2028\x1c {"doc_id": "a", "title": "city", "body": "wine"}\x1c\x85\n'
+            '\xa0\t{"doc_id": "c", "title": "bread", "body": "river"}\u2028\n'.encode(),
+            [Doc("b", "wine", "river"), Doc("a", "city", "wine"), Doc("c", "bread", "river")],
+        ),
+        "escaped_and_raw_non_ascii": (
+            '{"doc_id": "\\u00e9t\\u00e9", "title": "Stra\\u00dfe \\ud800", "body": "\\ud83d\\ude00 river"}\n'
+            '{"doc_id": "été2", "title": "Straße İstanbul", "body": "𝔘nicode ٣٤ river"}\n'
+            '{"doc_id": "a\\u2028", "title": "\\u0085wine", "body": "\\u00a0"}\n'.encode(),
+            [Doc("été", "Straße \ud800", "😀 river"), Doc("été2", "Straße İstanbul", "𝔘nicode ٣٤ river"),
+             Doc("a\u2028", "\x85wine", "\xa0")],
+        ),
+        "odd_objects": (
+            b'{"doc_id": 7, "title": "wine", "body": "river", "extra": [1, 2]}\n'
+            b'{"body": "city", "doc_id": "10", "title": 1.5, "body": "bread"}\n'
+            b'{"title": "a", "doc_id": "x", "title": "b", "body": null, "doc_id": "y"}\n',
+            [Doc("7", "wine", "river"), Doc("10", "1.5", "bread"), Doc("y", "b", "None")],
+        ),
+        "no_final_newline": (
+            b'{"doc_id": "b", "title": "wine", "body": "river"}\n'
+            b'{"doc_id": "a", "title": "city", "body": "bread"}',
+            [Doc("b", "wine", "river"), Doc("a", "city", "bread")],
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_warm_docs_equal_cold_docs(self, tmp_path, builds, layout):
+        data, docs = self.LAYOUTS[layout]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        cold = Corpus.from_jsonl(path)
+        warm = Corpus.from_jsonl(path)
+        assert builds == [1]
+        assert cold.docs == docs
+        assert warm.docs == cold.docs
+        queries = [*QUERIES, "bread city", "river", "Straße"]
+        assert results_of(warm, queries) == results_of(cold, queries) == results_of(Corpus(docs), queries)
+
+    def test_warm_load_builds_documents_only_for_what_search_returns(self, tmp_path, monkeypatch):
+        docs = random_docs(random.Random(8), 40)
+        path = write_corpus(tmp_path / "corpus.jsonl", docs)
+        calls = Counter()
+        for name in ("iter_jsonl", "jsonl_lines", "_parse_doc"):
+            def counted(*args, _name=name, _fn=getattr(envs, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(envs, name, counted)
+        Corpus.from_jsonl(path)
+        assert calls == {"jsonl_lines": 1, "_parse_doc": len(docs)}
+        calls.clear()
+        warm = Corpus.from_jsonl(path)
+        assert len(warm) == len(docs)
+        assert calls == {}
+        returned = set()
+        for query in QUERIES:
+            returned.update(doc.doc_id for doc, _ in warm.search(query, 3))
+            assert calls == {"_parse_doc": len(returned)}
+        assert len(returned) < len(docs)
+        assert warm.docs == docs
+        assert calls == {"_parse_doc": len(docs)}
+
     def test_changed_byte_rebuilds(self, tmp_path, builds):
         docs = [Doc("a", "wine", "river bread"), Doc("b", "city", "river wine")]
         path = write_corpus(tmp_path / "corpus.jsonl", docs)
@@ -362,8 +433,8 @@ class TestCorpusIndexFile:
 
     @staticmethod
     def resigned(good: bytes, case: str) -> bytes:
-        """good with one array or the vocabulary made inconsistent, and its
-        checksum recomputed, as only a deliberate edit would do."""
+        """good with one array, the spans or the vocabulary made inconsistent,
+        and its checksum recomputed, as only a deliberate edit would do."""
         prefix = envs._INDEX_PREFIX
         magic, header_len, _ = prefix.unpack_from(good)
         header = good[prefix.size : prefix.size + header_len]
@@ -372,12 +443,14 @@ class TestCorpusIndexFile:
         arrays = {}
         for name, dtype, count in [
             ("starts", "<i8", sizes["terms"] + 1), ("norms", "<f8", sizes["docs"]),
+            ("spans", "<i8", 2 * sizes["docs"]),
             ("post_docs", "<i4", sizes["postings"]), ("post_tf", "<i4", sizes["postings"]),
         ]:
             arrays[name] = np.frombuffer(good, dtype, count, at).copy()
             at += arrays[name].nbytes
         vocab = good[at:]
         starts, docs, tf = arrays["starts"], arrays["post_docs"], arrays["post_tf"]
+        spans = arrays["spans"].reshape(-1, 2)
         if case == "doc_out_of_range":
             docs[-1] = sizes["docs"]
         elif case == "negative_doc":
@@ -392,6 +465,17 @@ class TestCorpusIndexFile:
             starts[1] = 0  # term 1's postings stay ascending
         elif case == "duplicate_term":
             vocab = vocab.replace(b"cd\n", b"ab\n")
+        elif case == "span_past_the_end":
+            spans[-1, 1] = 2**40
+        elif case == "empty_span":
+            spans[0, 1] = spans[0, 0]
+        elif case == "overlapping_spans":
+            spans[1] = spans[0]
+        elif case == "too_few_spans":  # the last document dropped whole
+            header = header.replace(b'"docs": %d' % sizes["docs"], b'"docs": %d' % (sizes["docs"] - 1))
+            arrays["norms"], arrays["spans"] = arrays["norms"][:-1], spans[:-1]
+        elif case == "span_with_a_leading_space":  # still the lines, but does not parse
+            spans[0, 0] -= len("\xa0".encode())
         else:  # one term more than the header says
             vocab = vocab.replace(b"cd\n", b"c\n\n")
         body = header + b"".join(a.tobytes() for a in arrays.values()) + vocab
@@ -400,10 +484,12 @@ class TestCorpusIndexFile:
     @pytest.mark.parametrize(
         "case",
         ["doc_out_of_range", "negative_doc", "unsorted_postings", "zero_tf", "huge_tf",
-         "term_without_postings", "duplicate_term", "extra_term"],
+         "term_without_postings", "duplicate_term", "extra_term",
+         "span_past_the_end", "empty_span", "overlapping_spans", "too_few_spans"],
     )
     def test_inconsistent_index_is_rebuilt_and_rewritten(self, tmp_path, builds, case):
-        docs = [Doc("a", "", "ab"), Doc("b", "", "cd cd"), Doc("c", "", "cd ef")]
+        # d holds no term, so no posting shows that it is missing.
+        docs = [Doc("a", "", "ab"), Doc("b", "", "cd cd"), Doc("c", "", "cd ef"), Doc("d", "", "!!!")]
         path = write_corpus(tmp_path / "corpus.jsonl", docs)
         expected = index_of(Corpus.from_jsonl(path))
         sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
@@ -413,8 +499,27 @@ class TestCorpusIndexFile:
         assert builds == [1, 1]
         assert index_of(corpus) == expected
         assert sidecar.read_bytes() == good
+        assert corpus.docs == docs
         queries = ["ab", "cd ef", "ab cd ef"]
         assert results_of(corpus, queries) == results_of(Corpus(docs), queries)
+
+    def test_span_that_does_not_parse_is_a_data_error(self, tmp_path, builds):
+        docs = [Doc("a", "wine", "river"), Doc("b", "city", "bread")]
+        path = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"doc_id": d.doc_id, "title": d.title, "body": d.body}) for d in docs]
+        path.write_text(f"{lines[1]}\n\xa0{lines[0]}\n", encoding="utf-8")
+        cold = Corpus.from_jsonl(path)
+        assert cold.docs == [docs[1], docs[0]]
+        sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
+        sidecar.write_bytes(self.resigned(sidecar.read_bytes(), "span_with_a_leading_space"))
+        warm = Corpus.from_jsonl(path)
+        assert builds == [1]
+        assert [doc for doc, _ in warm.search("bread", 1)] == [docs[1]]
+        message = rf"{re.escape(str(sidecar))}: .* deleting it is safe"
+        with pytest.raises(DataError, match=message):
+            warm.search("wine", 1)
+        with pytest.raises(DataError, match=message):
+            warm.docs
 
     @staticmethod
     def edited_sources(tmp_path, which: int) -> tuple:
