@@ -272,17 +272,18 @@ def jsonl_lines(path: str | Path, data: bytes | None = None):
     """Yield (line_number, line) for each non-blank line of a JSONL file,
     stripped of whitespace (str.strip).
 
-    Lines end as in text mode: at \\n, \\r\\n or a lone \\r. Text that is
-    not UTF-8 raises DataError. data, when given, is the file's content
-    already read: it is split exactly as the file would be, and path only
-    names it in errors.
+    Lines end as in text mode: at \\n, \\r\\n or a lone \\r. A UTF-8
+    byte-order mark at the start of the file is dropped; text that is not
+    UTF-8 raises DataError. data, when given, is the file's content already
+    read: it is split exactly as the file would be, and path only names it
+    in errors.
     """
     path = Path(path)
     try:
         if data is None:
-            handle = path.open(encoding="utf-8")
+            handle = path.open(encoding="utf-8-sig")
         else:
-            handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
         with handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()

@@ -8,6 +8,7 @@ themselves per task via bind(); stateless environments return self.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -18,13 +19,13 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from operator import ge, lt, mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from .core import DataError, ValidationError, iter_jsonl, jsonl_lines
 
 if TYPE_CHECKING:
-    import numpy as np
     import requests
 
 __all__ = [
@@ -102,19 +103,19 @@ class Corpus:
     a query never returns fewer than min(k, N) results. Query terms absent
     from the corpus carry no weight and do not enter the query norm.
 
-    The index is CSR postings over documents numbered in doc_id order: term
-    id t owns entries _starts[t]:_starts[t + 1] of _post_docs (int32 document
-    numbers, ascending) and _post_w (float64 ln(1+tf)). A query costs time
-    proportional to the lengths of its terms' postings plus k: only documents
-    in those postings are scored, the k-th best score is found with
-    np.partition, and a shortfall is filled with zero-score documents in
-    doc_id order.
+    The index is posting lists over documents numbered in doc_id order, held
+    in array.array columns: term id t owns entries _starts[t]:_starts[t + 1]
+    of _post_docs (document numbers, ascending) and _post_tf (the term's
+    frequency in each). A query costs time proportional to the lengths of its
+    terms' postings plus k: only documents in those postings are scored, the
+    best k are taken with heapq.nlargest, and a shortfall is filled with
+    zero-score documents in doc_id order.
 
     Scores do not depend on accumulation order. A matching term contributes
-    (q_w * ln(1+tf)) * idf; a document's dot product is that contribution
-    alone for one matching term, the IEEE sum for two (which is already
-    correctly rounded) and math.fsum for three or more. Query and document
-    norms use math.fsum.
+    (q_w * ln(1+tf)) * idf, looked up in a table per query term indexed by
+    tf; a document's dot product is that contribution alone for one matching
+    term, the IEEE sum for two (which is already correctly rounded) and
+    math.fsum for three or more. Query and document norms use math.fsum.
 
     A corpus loaded warm by from_jsonl holds its file's bytes and each
     document's byte span, and builds a Doc from its line only when search
@@ -141,10 +142,10 @@ class Corpus:
 
     def _use(self, index: _Index) -> None:
         self._vocab = index.vocab
-        self._starts = index.starts.tolist()
+        self._starts = index.starts
         self._idf = index.idf
         self._post_docs = index.post_docs
-        self._post_w = index.post_w
+        self._post_tf = index.post_tf
         self._norms = index.norms
 
     def __len__(self) -> int:
@@ -154,9 +155,7 @@ class Corpus:
     def docs(self) -> list[Doc]:
         """The documents in file order."""
         if self._docs is None:
-            import numpy as np
-
-            by_line = np.argsort(self._spans[:, 0], kind="stable").tolist()
+            by_line = sorted(range(len(self._ordered)), key=self._spans[::2].__getitem__)
             self._docs = [self._doc(i) for i in by_line]
         return self._docs
 
@@ -165,7 +164,7 @@ class Corpus:
         time it is asked for after a warm load."""
         doc = self._ordered[i]
         if doc is None:  # threads that race here build equal Docs
-            start, end = self._spans[i].tolist()
+            start, end = self._spans[2 * i : 2 * i + 2]
             try:
                 doc = _parse_doc(self._data[start:end])
             except (ValueError, TypeError, KeyError, RecursionError) as exc:
@@ -212,11 +211,12 @@ class Corpus:
             order = corpus._set_docs(docs)
             index = _build_index(corpus._ordered)
             if key:
-                _write_index(sidecar, key, index, spans[order])
+                by_id = itertools.chain.from_iterable(spans[2 * i : 2 * i + 2] for i in order)
+                _write_index(sidecar, key, index, array("q", by_id))
         else:
             index, corpus._spans = loaded
             corpus._data, corpus._sidecar = data, sidecar
-            corpus._docs, corpus._ordered = None, [None] * len(corpus._spans)
+            corpus._docs, corpus._ordered = None, [None] * (len(corpus._spans) // 2)
         corpus._use(index)
         return corpus
 
@@ -224,46 +224,35 @@ class Corpus:
         """Top-k (doc, cosine) pairs; all docs when the corpus is smaller than k."""
         if k < 1:
             raise ValidationError("k must be >= 1")
-        import numpy as np
-
         q_tf = Counter(self._vocab[t] for t in terms(query) if t in self._vocab)
         q_weights = {t: math.log(1 + c) * self._idf[t] for t, c in q_tf.items()}
         q_norm = math.sqrt(math.fsum(w * w for w in q_weights.values()))
-        top: list[int] = []
-        top_scores: list[float] = []
-        # A zero weight (a term in every document) adds nothing to any dot
-        # product, so its postings are skipped.
-        postings = [
-            (slice(self._starts[t], self._starts[t + 1]), w, self._idf[t])
-            for t, w in q_weights.items()
-            if w > 0
-        ]
-        if postings:
-            cand = np.concatenate([self._post_docs[span] for span, _, _ in postings])
-            contrib = np.concatenate([(w * self._post_w[span]) * idf for span, w, idf in postings])
-            if len(postings) > 1:
-                order = np.argsort(cand, kind="stable")
-                cand, contrib = cand[order], contrib[order]
-                first = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
-                ends = np.append(first[1:], cand.size)
-                cand, dots = cand[first], np.add.reduceat(contrib, first)
-                for i in np.flatnonzero(ends - first >= 3).tolist():
-                    dots[i] = math.fsum(contrib[first[i] : ends[i]].tolist())
-            else:
-                dots = contrib
-            # Every candidate shares a term of positive weight with the query,
-            # so its dot product and both norms are positive.
-            scores = dots / (q_norm * self._norms[cand])
-            if cand.size > k:
-                kth = np.partition(scores, cand.size - k)[cand.size - k]
-                at_least = scores >= kth
-                cand, scores = cand[at_least], scores[at_least]
-            # cand is ascending, i.e. in doc_id order, so a stable sort on the
-            # score alone breaks ties by doc_id.
-            order = np.argsort(-scores, kind="stable")[:k]
-            top, top_scores = cand[order].tolist(), scores[order].tolist()
-        results = [(self._doc(i), s) for i, s in zip(top, top_scores)]
-        taken = set(top)
+        dots: dict[int, float] = {}
+        parts: dict[int, list[float]] = {}  # every contribution to a document two terms reach
+        for t, w in q_weights.items():
+            # A zero weight (a term in every document) adds nothing to any
+            # dot product, so its postings are skipped.
+            if w <= 0:
+                continue
+            start, end = self._starts[t], self._starts[t + 1]
+            tfs, idf = self._post_tf[start:end], self._idf[t]
+            table = [(w * math.log(1 + c)) * idf for c in range(max(tfs) + 1)]
+            contrib = dict(zip(self._post_docs[start:end], map(table.__getitem__, tfs)))
+            for i in contrib.keys() & dots.keys():
+                parts.setdefault(i, [dots[i]]).append(contrib[i])
+            dots.update(contrib)
+        for i, p in parts.items():
+            dots[i] = p[0] + p[1] if len(p) == 2 else math.fsum(p)
+        # Every candidate shares a term of positive weight with the query, so
+        # its dot product and both norms are positive. Only scores at least
+        # the k-th best can rank; equal scores rank the lower document
+        # number, i.e. the lower doc_id, first.
+        norms = self._norms
+        scores = [dot / (q_norm * norms[i]) for i, dot in dots.items()]
+        kth = min(heapq.nlargest(k, scores), default=0.0)
+        best = heapq.nlargest(k, [(s, -i) for i, s in zip(dots, scores) if s >= kth])
+        results = [(self._doc(-neg), s) for s, neg in best]
+        taken = {-neg for _, neg in best}
         for i in range(len(self._ordered)):
             if len(results) >= k:
                 break
@@ -279,18 +268,17 @@ def _parse_doc(line: bytes) -> Doc:
     return Doc(str(obj["doc_id"]), str(obj["title"]), str(obj["body"]))
 
 
-def _parse_corpus(path: Path, data: bytes) -> tuple[list[Doc], np.ndarray]:
-    """The documents of a corpus file in file order, and the byte span
-    (start, end) of each one's line, stripped, as int64 rows: the parse that
-    raises corpus errors."""
-    import numpy as np
-
+def _parse_corpus(path: Path, data: bytes) -> tuple[list[Doc], array]:
+    """The documents of a corpus file in file order, and the byte span of
+    each one's line, stripped, as its start and end offsets in one flat
+    int64 array: the parse that raises corpus errors."""
     docs, spans, end = [], array("q"), 0
     for lineno, line in jsonl_lines(path, data):
         raw = line.encode("utf-8")
-        # Only whitespace lies between the last line's end and this line, and
-        # this line starts with a character that is not, so the first match
-        # of that character starts the line.
+        # Only whitespace (or, before the first line, a byte-order mark) lies
+        # between the last line's end and this line, and this line starts
+        # with a character that is neither, so the first match of that
+        # character starts the line.
         start = data.find(line[0].encode("utf-8"), end)
         end = start + len(raw)
         spans.append(start)
@@ -303,7 +291,7 @@ def _parse_corpus(path: Path, data: bytes) -> tuple[list[Doc], np.ndarray]:
             raise DataError(f"{path} line {lineno}: expected a JSON object") from None
         except KeyError as exc:
             raise DataError(f"{path} line {lineno}: missing corpus field {exc}") from None
-    return docs, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2)
+    return docs, spans
 
 
 # ------------------------------------------------------------- the corpus index
@@ -318,67 +306,60 @@ _INDEX_PREFIX = struct.Struct("<8sI8s")  # magic, header length, checksum
 
 
 class _Index(NamedTuple):
-    """What search reads, plus the term frequencies the sidecar stores. A
-    build derives idf and the ln(1+tf) weights once, for the norms and for
-    search; a load derives them from the stored frequencies with the same
-    functions, so both come out equal."""
+    """What search reads. A build derives idf once, for the norms and for
+    search; a load derives it from the stored offsets with the same function,
+    so both come out equal."""
 
     vocab: dict[str, int]  # term -> id, in id order
-    starts: np.ndarray  # int64, CSR offsets: term t owns postings starts[t]:starts[t + 1]
+    starts: array  # int64 offsets: term t owns postings starts[t]:starts[t + 1]
     idf: list[float]  # ln(N/df) of each term
-    post_docs: np.ndarray  # int32 document numbers, ascending within a term
-    post_tf: np.ndarray  # int32 term frequency of each posting
-    post_w: np.ndarray  # float64 ln(1+tf) of each posting
-    norms: np.ndarray  # float64 document norms
+    post_docs: array  # int32 document numbers, ascending within a term
+    post_tf: array  # int32 term frequency of each posting
+    norms: array  # float64 document norms
 
 
-def _idf(df, n: int) -> list[float]:
-    return [math.log(n / c) for c in df.tolist()]
-
-
-def _log1p(tf):
-    """ln(1 + tf) for each term frequency, each distinct value computed once."""
-    import numpy as np
-
-    top = int(tf.max()) if tf.size else 0
-    return np.array([math.log(1 + c) for c in range(top + 1)])[tf]
+def _idf(df: Sequence[int], n: int) -> list[float]:
+    return [math.log(n / c) for c in df]
 
 
 def _build_index(ordered: Sequence[Doc]) -> _Index:
-    import numpy as np  # here, so that the other environments never load it
-
     n = len(ordered)
-    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    term_ids, counts, lengths = array("i"), array("i"), array("i")
-    for doc in ordered:
+    docs_of: list[list[int]] = []  # per term id: the documents holding it, ascending
+    tfs_of: list[list[int]] = []  # and its frequency in each
+
+    def new_term() -> int:
+        docs_of.append([])
+        tfs_of.append([])
+        return len(docs_of) - 1
+
+    vocab: defaultdict[str, int] = defaultdict(new_term)
+    term_ids: list[int] = []
+    counts: list[int] = []
+    lengths: list[int] = []
+    for i, doc in enumerate(ordered):
         tf = Counter(terms(f"{doc.title} {doc.body}"))
-        term_ids.extend(map(vocab.__getitem__, tf))
+        ids = list(map(vocab.__getitem__, tf))
+        term_ids.extend(ids)
         counts.extend(tf.values())
-        lengths.append(len(tf))
-    term_arr = np.frombuffer(term_ids, dtype=np.intc)
-    tf_arr = np.frombuffer(counts, dtype=np.intc)
-    df = np.bincount(term_arr, minlength=len(vocab))
+        lengths.append(len(ids))
+        for t, c in zip(ids, tf.values()):
+            docs_of[t].append(i)
+            tfs_of[t].append(c)
+    df = list(map(len, docs_of))
     idf = _idf(df, n)
     # Document-major here, so each document's weights are one slice.
-    weights = _log1p(tf_arr) * np.array(idf)[term_arr]
-    ends = np.cumsum(lengths).tolist()
-    norms = np.array(
-        [
-            math.sqrt(math.fsum(map(pow, weights[start:end].tolist(), _SQUARE)))
-            for start, end in zip([0, *ends[:-1]], ends)
-        ],
-        dtype=np.float64,
-    )
-    del weights  # laying out the postings peaks the memory
-    by_term = np.argsort(term_arr, kind="stable")
-    post_tf = tf_arr[by_term]
+    log1p = [math.log(1 + c) for c in range(max(counts, default=0) + 1)]
+    weights = list(map(mul, map(log1p.__getitem__, counts), map(idf.__getitem__, term_ids)))
+    norms, at = array("d"), 0
+    for length in lengths:
+        norms.append(math.sqrt(math.fsum(map(pow, weights[at : at + length], _SQUARE))))
+        at += length
     return _Index(
         vocab=dict(vocab),
-        starts=np.concatenate(([0], np.cumsum(df))),
+        starts=array("q", itertools.accumulate(df, initial=0)),
         idf=idf,
-        post_docs=np.repeat(np.arange(n, dtype=np.int32), lengths)[by_term],
-        post_tf=post_tf,
-        post_w=_log1p(post_tf),
+        post_docs=array("i", itertools.chain.from_iterable(docs_of)),
+        post_tf=array("i", itertools.chain.from_iterable(tfs_of)),
         norms=norms,
     )
 
@@ -410,12 +391,20 @@ def _index_key(data: bytes) -> dict | None:
     }
 
 
-def _write_index(path: Path, key: dict, index: _Index, spans: np.ndarray) -> None:
+def _little_endian(arr: array) -> array:
+    """arr in the byte order of the index file: itself on a little-endian
+    host, a byte-swapped copy on a big-endian one."""
+    if sys.byteorder == "big":
+        arr = array(arr.typecode, arr)
+        arr.byteswap()
+    return arr
+
+
+def _write_index(path: Path, key: dict, index: _Index, spans: array) -> None:
     """Store index and the documents' spans, in doc_id order, at path, through
     a temporary file and os.replace, so a reader sees the old file or the new
     one whole. An OSError (a read-only directory, a full disk) leaves no file
     behind and is not raised."""
-    import numpy as np
     from importlib.util import source_hash
 
     vocab = "".join(term + "\n" for term in index.vocab).encode("utf-8", "surrogatepass")
@@ -429,17 +418,8 @@ def _write_index(path: Path, key: dict, index: _Index, spans: np.ndarray) -> Non
         sort_keys=True,
     ).encode("utf-8")
     header += b" " * (-(_INDEX_PREFIX.size + len(header)) % 8)  # 8-byte aligned arrays
-    body = b"".join(
-        [
-            header,
-            np.ascontiguousarray(index.starts, dtype="<i8"),
-            np.ascontiguousarray(index.norms, dtype="<f8"),
-            np.ascontiguousarray(spans, dtype="<i8"),
-            np.ascontiguousarray(index.post_docs, dtype="<i4"),
-            np.ascontiguousarray(index.post_tf, dtype="<i4"),
-            vocab,
-        ]
-    )
+    columns = (index.starts, index.norms, spans, index.post_docs, index.post_tf)
+    body = b"".join([header, *map(_little_endian, columns), vocab])
     prefix = _INDEX_PREFIX.pack(_INDEX_MAGIC, len(header), source_hash(body))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -454,7 +434,7 @@ def _write_index(path: Path, key: dict, index: _Index, spans: np.ndarray) -> Non
             pass
 
 
-def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, np.ndarray] | None:
+def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, array] | None:
     """The index stored at path for key, and the documents' spans in data,
     or None.
 
@@ -464,19 +444,19 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, np.ndarray]
     starts (i8), norms (f8), spans (i8, a start and an end offset per
     document, in doc_id order), post_docs (i4) and post_tf (i4), all
     little-endian, and to the end the vocabulary in id order as UTF-8, each
-    term followed by a newline (a \\w+ term holds none). The arrays are read
-    in place.
+    term followed by a newline (a \\w+ term holds none). Each array is copied
+    into an array.array.
 
     The checksum catches damage, not deliberate edits (anyone can recompute
     it). None unless the key matches, the checksum holds, the file holds the
     sizes its header gives and the content fits data: spans that are the
-    non-blank lines of data (_spans_fit), CSR offsets that start at 0 and
-    give every term at least one posting, document numbers in range and
-    ascending within a term, frequencies from 1 to the longest span (a
-    line's bytes are at least its characters), and exactly `terms` distinct
-    terms. So the load cannot raise, and search cannot index past an array.
+    non-blank lines of data (_spans_fit), offsets that start at 0 and give
+    every term at least one posting, document numbers ascending within a
+    term and in range (a term's first and last posting), frequencies from 1
+    to the longest span (a line's bytes are at least its characters), and
+    exactly `terms` distinct terms. So the load cannot raise, and search
+    cannot index past an array.
     """
-    import numpy as np
     from importlib.util import source_hash
 
     try:
@@ -494,34 +474,39 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, np.ndarray]
         n, terms_n, postings = header.get("docs"), header.get("terms"), header.get("postings")
         if not all(type(size) is int and size >= 0 for size in (n, terms_n, postings)):
             return None
-        at = _INDEX_PREFIX.size + header_len
-        if len(blob) < at + 8 * (terms_n + 1 + 3 * n) + 8 * postings:
+        at = header_len
+        if len(body) < at + 8 * (terms_n + 1 + 3 * n) + 8 * postings:
             return None
 
-        def take(dtype: str, count: int):
+        def take(typecode: str, count: int) -> array:
             nonlocal at
-            arr = np.frombuffer(blob, dtype=dtype, count=count, offset=at)
-            at += arr.nbytes
-            return arr
+            arr = array(typecode)
+            arr.frombytes(body[at : at + count * arr.itemsize])
+            at += count * arr.itemsize
+            return _little_endian(arr)
 
-        starts, norms, spans = take("<i8", terms_n + 1), take("<f8", n), take("<i8", 2 * n)
-        spans = spans.reshape(n, 2)
-        post_docs, post_tf = take("<i4", postings), take("<i4", postings)
-        words = blob[at:].decode("utf-8", "surrogatepass").split("\n")
-        df = np.diff(starts)
+        starts, norms, spans = take("q", terms_n + 1), take("d", n), take("q", 2 * n)
+        post_docs, post_tf = take("i", postings), take("i", postings)
+        words = str(body[at:], "utf-8", "surrogatepass").split("\n")
         if starts[0] != 0 or starts[-1] != postings or words.pop() or len(words) != terms_n:
             return None
-        if terms_n and df.min() < 1:
+        df = list(map(sub, starts[1:], starts[:-1]))
+        if terms_n and min(df) < 1:
             return None
         if not _spans_fit(spans, data):
             return None
         if postings:
-            ascending = np.diff(post_docs) > 0
-            ascending[starts[1:-1] - 1] = True  # where one term's postings end
+            # A document number may fail to rise only where a term's postings start.
+            falls = bytearray(map(ge, post_docs, post_docs[1:]))
+            for start in starts[1:-1]:
+                falls[start - 1] = 0
+            tf_values = set(post_tf)
             if not (
-                0 <= post_docs.min() and post_docs.max() < n
-                and 1 <= post_tf.min() and post_tf.max() <= (spans[:, 1] - spans[:, 0]).max()
-                and ascending.all()
+                1 not in falls
+                and min(map(post_docs.__getitem__, starts[:-1])) >= 0
+                and max(post_docs[end - 1] for end in starts[1:]) < n
+                and 1 <= min(tf_values)
+                and max(tf_values) <= max(map(sub, spans[1::2], spans[::2]))
             ):
                 return None
         vocab = dict(zip(words, range(terms_n)))
@@ -529,35 +514,33 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, np.ndarray]
             return None
     except (ValueError, struct.error, RecursionError):
         return None
-    return _Index(vocab, starts, _idf(df, n), post_docs, post_tf, _log1p(post_tf), norms), spans
+    return _Index(vocab, starts, _idf(df, n), post_docs, post_tf, norms), spans
 
 
-def _spans_fit(spans, data: bytes) -> bool:
-    """Whether spans (start, end) are the non-blank lines of data, in any
-    order: in bounds, none empty or overlapping, whitespace alone around
-    them and a line break between any two. A span may still take in
-    whitespace at an end of its line: the Doc built from it is then the
-    same, or it fails to parse, which raises DataError."""
-    import numpy as np
-
-    if not len(spans):
-        return not data.decode("utf-8").strip()
-    by_line = spans[np.argsort(spans[:, 0], kind="stable")]
-    starts, ends = by_line[:, 0], by_line[:, 1]
-    if (ends <= starts).any() or (starts[1:] <= ends[:-1]).any():
+def _spans_fit(spans: array, data: bytes) -> bool:
+    """Whether spans (start and end offsets, flat) are the non-blank lines of
+    data, in any order: in bounds, none empty or overlapping, whitespace
+    alone around them (and a byte-order mark before the first) and a line
+    break between any two. A span may still take in whitespace at an end of
+    its line: the Doc built from it is then the same, or it fails to parse,
+    which raises DataError."""
+    if not spans:
+        return not data.decode("utf-8-sig").strip()
+    # Every offset in line order: start, end, start, end, ...
+    bounds = list(itertools.chain.from_iterable(sorted(zip(spans[::2], spans[1::2]))))
+    if not all(map(lt, bounds, bounds[1:])) or bounds[0] < 0 or bounds[-1] > len(data):
         return False
-    if starts[0] < 0 or ends[-1] > len(data):
-        return False
-    # A one-byte gap must be the line break itself; longer ones are decoded.
-    one = starts[1:] - ends[:-1] == 1
-    if not np.isin(np.frombuffer(data, np.uint8)[ends[:-1][one]], (10, 13)).all():
-        return False
-    for a, b in zip(ends[:-1][~one].tolist(), starts[1:][~one].tolist()):
-        gap = data[a:b]
-        if not (b"\n" in gap or b"\r" in gap) or not gap.decode("utf-8").isspace():
-            return False
-    head, tail = data[: starts[0]], data[ends[-1] :]
-    return not head.decode("utf-8").strip() and not tail.decode("utf-8").strip()
+    for a, b in zip(bounds[1::2], bounds[2::2]):
+        # A one-byte gap must be the line break itself; longer ones are decoded.
+        if b - a == 1:
+            if data[a] not in b"\n\r":
+                return False
+        else:
+            gap = data[a:b]
+            if not (b"\n" in gap or b"\r" in gap) or not gap.decode("utf-8").isspace():
+                return False
+    head, tail = data[: bounds[0]], data[bounds[-1] :]
+    return not head.decode("utf-8-sig").strip() and not tail.decode("utf-8").strip()
 
 
 def render_passages(docs: Sequence[Doc]) -> list[str]:

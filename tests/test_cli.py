@@ -260,6 +260,34 @@ class TestStartup:
             assert not {"hashlib", "_hashlib"} & set(loaded)
             assert (tmp_path / "corpus.jsonl.memroll-index").is_file()
 
+    def test_corpus_rollout_and_search_leave_numpy_unloaded(self, smoke):
+        # The corpus index is built, stored, read and searched on the
+        # standard library: importing numpy would cost a corpus rollout child
+        # more time and memory than its warm load.
+        tmp_path, tasks, script, _ = smoke
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"doc_id": f"d{i}", "title": "Facts", "body": f"lookup the fact {i} here"}) + "\n"
+                for i in range(20)
+            ),
+            encoding="utf-8",
+        )
+        for attempt in ("builds the index", "loads it"):
+            argv = ["rollout", "--in", str(tasks), "--policy", f"scripted:{script}",
+                    "--env", f"corpus:{corpus}", "--out", str(tmp_path / attempt), "--turns", "4"]
+            loaded = json.loads(_run_python(self.LIST_MODULES, json.dumps(argv)).splitlines()[-1])
+            assert "memroll.envs" in loaded
+            assert "numpy" not in loaded
+        search = (
+            "import sys, memroll\n"
+            "corpus = memroll.Corpus.from_jsonl(sys.argv[1])\n"
+            "warm = corpus._docs is None\n"
+            "hits = corpus.search('lookup the fact 7', 3)\n"
+            "print(warm, hits[0][0].doc_id, len(corpus.docs), 'numpy' in sys.modules)\n"
+        )
+        assert _run_python(search, str(corpus)).split() == ["True", "d7", "20", "False"]
+
 
 class TestCompose:
     def test_floor_division_arity(self, tmp_path, capsys):

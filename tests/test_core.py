@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import sys
 import threading
 
@@ -418,3 +419,8 @@ class TestIterJsonl:
         path.write_text("[1, 2]\n")
         with pytest.raises(DataError):
             list(iter_jsonl(path))
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(codecs.BOM_UTF8 + b'{"a": 1}\n{"a": 2}\n')
+        assert list(iter_jsonl(path)) == [(1, {"a": 1}), (2, {"a": 2})]

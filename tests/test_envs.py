@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -163,43 +164,49 @@ class TestCorpus:
             assert got == expected[: min(k, len(docs))]
 
 
-def assert_matches_oracle(docs: list[Doc], queries: list[str], ks: list[int]) -> None:
-    """Ranked ids and scores equal the brute-force oracle exactly."""
-    corpus = Corpus(docs)
+def assert_matches_oracle(docs: list[Doc], queries: list[str], ks: list[int], folder) -> None:
+    """Ranked ids and scores equal the brute-force oracle exactly, for a
+    corpus built from docs and for one loaded from its index file in folder."""
+    path = write_corpus(folder / "oracle.jsonl", docs)
+    Corpus.from_jsonl(path)
+    warm = Corpus.from_jsonl(path)
+    assert warm._docs is None  # loaded from the index file
+    corpora = (Corpus(docs), warm)
     for query in queries:
         expected = brute_force_rank(docs, query)
         for k in ks:
-            got = [(d.doc_id, s) for d, s in corpus.search(query, k)]
-            assert got == expected[: min(k, len(docs))], (query, k)
+            for corpus in corpora:
+                got = [(d.doc_id, s) for d, s in corpus.search(query, k)]
+                assert got == expected[: min(k, len(docs))], (query, k)
 
 
 class TestCorpusEdgeCases:
     """The posting-list index against brute_force_rank, compared with ==."""
 
-    def test_term_in_every_doc(self):
+    def test_term_in_every_doc(self, tmp_path):
         # idf 0: "common" alone has q_norm 0, so every score is 0.0 and the
         # ranking is doc_id order.
         docs = [Doc(f"d{i}", "common", f"common {w}") for i, w in enumerate("x y x z".split())]
         docs.reverse()
-        assert_matches_oracle(docs, ["common", "common common", "common x", "z common"], [1, 2, 4])
+        assert_matches_oracle(docs, ["common", "common common", "common x", "z common"], [1, 2, 4], tmp_path)
         assert [d.doc_id for d, _ in Corpus(docs).search("common", 3)] == ["d0", "d1", "d2"]
 
-    def test_repeated_query_words(self):
+    def test_repeated_query_words(self, tmp_path):
         docs = [Doc(f"d{i}", "t", body) for i, body in enumerate(
             ["paris rome", "paris paris", "rome rome rome", "vienna", "paris vienna rome"]
         )]
-        assert_matches_oracle(docs, ["paris paris rome", "rome rome rome rome", "Paris PARIS"], [1, 3, 5])
+        assert_matches_oracle(docs, ["paris paris rome", "rome rome rome rome", "Paris PARIS"], [1, 3, 5], tmp_path)
 
-    def test_docs_matching_three_or_more_terms(self):
+    def test_docs_matching_three_or_more_terms(self, tmp_path):
         rng = random.Random(11)
         vocab = "a b c d e f g h".split()
         docs = [Doc(f"d{i:03d}", "", " ".join(rng.choices(vocab, k=12))) for i in range(60)]
         query = "a b c d e f"
         matching = [sum(t in terms(d.body) for t in query.split()) for d in docs]
         assert max(matching) >= 3
-        assert_matches_oracle(docs, [query, "a b c", "a a b c d"], [1, 5, 60])
+        assert_matches_oracle(docs, [query, "a b c", "a a b c d"], [1, 5, 60], tmp_path)
 
-    def test_ties_at_the_kth_score(self):
+    def test_ties_at_the_kth_score(self, tmp_path):
         twins = [Doc(f"t{i}", "alpha", "beta gamma") for i in (4, 2, 9, 7)]
         others = [Doc("a", "alpha", "delta"), Doc("z", "gamma", "omega")]
         docs = twins + others
@@ -208,22 +215,22 @@ class TestCorpusEdgeCases:
             scores = [s for _, s in corpus.search("alpha beta gamma", k)]
             assert len(scores) == k
         assert [d.doc_id for d, _ in corpus.search("alpha beta gamma", 3)] == ["t2", "t4", "t7"]
-        assert_matches_oracle(docs, ["alpha beta gamma", "beta"], [1, 2, 3, 4, 5, 6])
+        assert_matches_oracle(docs, ["alpha beta gamma", "beta"], [1, 2, 3, 4, 5, 6], tmp_path)
 
-    def test_k_above_corpus_size_and_empty_corpus(self):
+    def test_k_above_corpus_size_and_empty_corpus(self, tmp_path):
         docs = [Doc("b", "x", "one two"), Doc("a", "y", "two three")]
-        assert_matches_oracle(docs, ["two", "three", "four"], [3, 100])
+        assert_matches_oracle(docs, ["two", "three", "four"], [3, 100], tmp_path)
         assert Corpus([]).search("anything", 5) == []
 
-    def test_norms_square_with_pow(self):
+    def test_norms_square_with_pow(self, tmp_path):
         # The formula squares with **, i.e. libm's pow, which rounds
         # ln(3) * ln(28) differently from its product with itself (glibc):
         # d00's score then depends on which square its norm uses.
         docs = [Doc("d00", "", "t t u"), Doc("d01", "", "u")]
         docs += [Doc(f"d{i:02d}", "", f"filler{i}") for i in range(2, 28)]
-        assert_matches_oracle(docs, ["t", "t u", "u"], [1, 3])
+        assert_matches_oracle(docs, ["t", "t u", "u"], [1, 3], tmp_path)
 
-    def test_zipf_corpus_multi_term_queries(self):
+    def test_zipf_corpus_multi_term_queries(self, tmp_path):
         rng = random.Random(2024)
         vocab = [f"w{i}" for i in range(800)]
         weights = [1 / (rank + 1) ** 1.1 for rank in range(len(vocab))]
@@ -234,7 +241,7 @@ class TestCorpusEdgeCases:
         ]
         queries = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 7))) for _ in range(12)]
         queries += [" ".join(rng.choices(vocab, k=3)) for _ in range(4)]
-        assert_matches_oracle(docs, queries, [1, 3, 10, 50])
+        assert_matches_oracle(docs, queries, [1, 3, 10, 50], tmp_path)
 
 
 # Words with case mappings that change length, letters outside the BMP,
@@ -264,12 +271,11 @@ def write_corpus(path, docs: list[Doc], ensure_ascii: bool = True):
 
 def index_of(corpus: Corpus) -> dict:
     """Every array search reads, bit for bit."""
-    arrays = {name: getattr(corpus, name) for name in ("_post_docs", "_post_w", "_norms")}
+    arrays = {name: getattr(corpus, name) for name in ("_starts", "_post_docs", "_post_tf", "_norms")}
     return {
         "vocab": list(corpus._vocab.items()),
-        "starts": corpus._starts,
         "idf": [x.hex() for x in corpus._idf],
-        **{name: (a.dtype.str, a.tobytes()) for name, a in arrays.items()},
+        **{name: (a.typecode, a.tobytes()) for name, a in arrays.items()},
     }
 
 
@@ -358,6 +364,17 @@ class TestCorpusIndexFile:
         assert warm.docs == cold.docs
         queries = [*QUERIES, "bread city", "river", "Straße"]
         assert results_of(warm, queries) == results_of(cold, queries) == results_of(Corpus(docs), queries)
+
+    @pytest.mark.parametrize("lines", [1, 3])
+    def test_byte_order_mark(self, tmp_path, builds, lines):
+        docs = [Doc("b", "wine", "river"), Doc("a", "city", "bread"), Doc("c", "Straße", "river")][:lines]
+        path = write_corpus(tmp_path / "corpus.jsonl", docs, ensure_ascii=False)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        cold = Corpus.from_jsonl(path)
+        warm = Corpus.from_jsonl(path)
+        assert builds == [1]  # the mark does not stop the index file from fitting
+        assert cold.docs == warm.docs == docs
+        assert results_of(warm, QUERIES) == results_of(cold, QUERIES) == results_of(Corpus(docs), QUERIES)
 
     def test_warm_load_builds_documents_only_for_what_search_returns(self, tmp_path, monkeypatch):
         docs = random_docs(random.Random(8), 40)
@@ -474,6 +491,9 @@ class TestCorpusIndexFile:
         elif case == "too_few_spans":  # the last document dropped whole
             header = header.replace(b'"docs": %d' % sizes["docs"], b'"docs": %d' % (sizes["docs"] - 1))
             arrays["norms"], arrays["spans"] = arrays["norms"][:-1], spans[:-1]
+        elif case == "empty_span_after_the_last_line":  # c's span stretched over d's line
+            spans[2, 1] = spans[3, 1]
+            spans[3] = spans[3, 1] + len("\n")
         elif case == "span_with_a_leading_space":  # still the lines, but does not parse
             spans[0, 0] -= len("\xa0".encode())
         else:  # one term more than the header says
@@ -485,7 +505,8 @@ class TestCorpusIndexFile:
         "case",
         ["doc_out_of_range", "negative_doc", "unsorted_postings", "zero_tf", "huge_tf",
          "term_without_postings", "duplicate_term", "extra_term",
-         "span_past_the_end", "empty_span", "overlapping_spans", "too_few_spans"],
+         "span_past_the_end", "empty_span", "overlapping_spans", "too_few_spans",
+         "empty_span_after_the_last_line"],
     )
     def test_inconsistent_index_is_rebuilt_and_rewritten(self, tmp_path, builds, case):
         # d holds no term, so no posting shows that it is missing.
