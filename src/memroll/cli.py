@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .compose import compose, load_composites, load_dataset, write_composites
@@ -128,7 +127,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _resolve_config(args: argparse.Namespace) -> RolloutConfig:
     config = load_config(args.config) if args.config else RolloutConfig()
     # Each rollout flag's dest is the config field it sets; unset flags are None.
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RolloutConfig)}
+    overrides = {name: getattr(args, name, None) for name in RolloutConfig._fields}
     if args.turns is not None and args.turns != "auto":
         try:
             overrides["max_turns"] = int(args.turns)
@@ -268,7 +267,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     out_csv = Path(args.output + ".csv")
-    csv_fields = [f.name for f in fields(MetricReport)]
+    csv_fields = MetricReport._fields
     with out_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=csv_fields)
         writer.writeheader()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +24,7 @@ from .core import (
     ValidationError,
     _freeze_gold,
     iter_jsonl,
+    record,
 )
 
 __all__ = [
@@ -111,7 +111,7 @@ def _family(objective_count: int, env_kind: str) -> str:
 
 def bind_template(family: str, preset: TagPreset) -> str:
     """Fill a template's tag slots with the preset vocabulary."""
-    return _TEMPLATES[family].format_map(asdict(preset))
+    return _TEMPLATES[family].format_map({name: getattr(preset, name) for name in preset._fields})
 
 
 def prompt_prefix(objective_count: int, env_kind: str, preset: TagPreset) -> str:
@@ -135,7 +135,7 @@ def render_questions(questions: Sequence[str]) -> str:
     return "".join(f"\n{i}. {q}" for i, q in enumerate(questions, start=1))
 
 
-@dataclass(frozen=True)
+@record
 class CompositeTask:
     """n tasks bundled into one prompt.
 

@@ -12,9 +12,7 @@ context reproduces the string the policy actually saw, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .core import TagPreset, TokenCounter
+from .core import TagPreset, TokenCounter, record, replace
 from .tagparse import Answer, ParsedTurn, Query
 
 __all__ = [
@@ -30,7 +28,7 @@ __all__ = [
 HINT_TEMPLATE = "[HINT: YOU HAVE {turns_left} TURNS LEFT] "
 
 
-@dataclass(frozen=True)
+@record
 class ContextState:
     """Immutable snapshot of the context policy between turns."""
 

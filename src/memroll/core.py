@@ -11,12 +11,13 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import NoneType
 from typing import Protocol, Sequence, get_args, get_type_hints, runtime_checkable
 
 __all__ = [
+    "record",
+    "replace",
     "ConfigError",
     "DataError",
     "IntegrityError",
@@ -56,10 +57,75 @@ class IntegrityError(RuntimeError):
     """Recorded state and re-derived state disagree (refusing to proceed)."""
 
 
+def _frozen_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
+    """Make cls a frozen value type, as @dataclass(frozen=True) would, without
+    importing dataclasses (and with it inspect) in every process.
+
+    The fields are the annotations cls itself declares, in order, and a
+    field's class attribute is its default. cls gains _fields (the field
+    names); an __init__ taking the fields as arguments, which then calls
+    __post_init__ when cls has one; a __repr__ in the dataclass form; an
+    __eq__ that compares the field values of two instances of the same class
+    and returns NotImplemented for anything else; a __hash__ of the field
+    values; and __setattr__ and __delattr__ that raise AttributeError.
+    Instances pickle and copy, and replace builds a changed copy.
+
+    The methods are compiled from source generated per class, as dataclasses
+    does, so they cost an instance no more than hand-written ones would.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = ", ".join(f"{n}=_d_{n}" if n in cls.__dict__ else n for n in names)
+    own = "".join(f"self.{n}," for n in names)
+    other = "".join(f"other.{n}," for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = "\n".join([
+        f"def __init__(self, {params}):",
+        *(f"    _set(self, {n!r}, {n})" for n in names),
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({own}) == ({other})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({own}))",
+    ])
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls._fields = names
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record obj with the fields named in changes set to new
+    values. It is built through __init__, so __post_init__ checks it again;
+    a name that is not a field raises TypeError."""
+    for name in obj._fields:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)
+
+
 ENV_KINDS = ("retrieval_qa", "web_search_qa", "shop")
 
 
-@dataclass(frozen=True)
+@record
 class Task:
     """One atomic unit of work: a question plus acceptable gold answers.
 
@@ -109,7 +175,7 @@ def _freeze_gold(gold) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class TagPreset:
     """The four tag pairs a policy uses to structure a turn.
 
@@ -135,7 +201,7 @@ class TagPreset:
 
     def all_tags(self) -> tuple[str, ...]:
         # Every field after name is a tag, in open/close pairs.
-        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+        return tuple(getattr(self, name) for name in self._fields[1:])
 
 
 PAPER_BODY = TagPreset(
@@ -309,7 +375,7 @@ def iter_jsonl(path: str | Path):
         yield lineno, obj
 
 
-@dataclass(frozen=True)
+@record
 class RolloutConfig:
     """Knobs for one rollout run.
 
@@ -365,7 +431,7 @@ class RolloutConfig:
         return self.stop_markers
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
     def with_overrides(self, **kwargs) -> "RolloutConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

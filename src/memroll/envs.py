@@ -18,12 +18,11 @@ import struct
 import sys
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from operator import ge, lt, mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
-from .core import DataError, ValidationError, iter_jsonl, jsonl_lines
+from .core import DataError, ValidationError, iter_jsonl, jsonl_lines, record, replace
 
 if TYPE_CHECKING:
     import requests
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Observation:
     """Environment feedback for one query. reward is only set by
     reward-bearing environments; done marks a terminal transition."""
@@ -88,7 +87,7 @@ def terms(text: str) -> list[str]:
     return list(map(str.lower, _WORD.findall(text)))
 
 
-@dataclass(frozen=True)
+@record
 class Doc:
     doc_id: str
     title: str
@@ -690,7 +689,7 @@ class HttpSearchEnv:
         return self
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     id: str
     title: str
@@ -723,7 +722,7 @@ def load_catalog(path: str | Path) -> list[Product]:
 _PRICE_CAP = re.compile(r"(?:lower than|less than|under|below|cheaper than)\s*\$?\s*([0-9]+(?:\.[0-9]+)?)", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
+@record
 class ShopGoal:
     """What a purchase is scored against: required attribute strings plus an
     optional price cap that counts as one more requirement."""
@@ -751,7 +750,7 @@ class ShopGoal:
         return cls(text=text, attributes=required, price_cap=cap)
 
 
-@dataclass(frozen=True)
+@record
 class ShopState:
     """Immutable snapshot of the shop session."""
 

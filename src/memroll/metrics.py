@@ -14,11 +14,10 @@ import re
 import string
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from statistics import fmean, pstdev
 
 from .compose import gold_of
-from .core import DEFAULT_COUNTER, TokenCounter
+from .core import DEFAULT_COUNTER, TokenCounter, record
 from .rollout import TrajectoryRecord
 from .tagparse import split_answers
 
@@ -169,7 +168,7 @@ def valid_action_ratio(trajectory: TrajectoryRecord) -> float:
     return sum(1 for t in trajectory.turns if t.valid) / len(trajectory.turns)
 
 
-@dataclass(frozen=True)
+@record
 class MetricReport:
     """Per-trajectory scores. reward carries environment reward when one was
     observed (shop episodes) and stays None for plain QA."""
@@ -186,7 +185,7 @@ class MetricReport:
     reward: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def score_trajectory(

@@ -17,7 +17,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import NoneType
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
@@ -30,7 +29,7 @@ from .context import (
     inject_hint,
     render_context,
 )
-from .core import DataError, RolloutConfig, TagPreset, WordTokenizer, config_from_mapping
+from .core import DataError, RolloutConfig, TagPreset, WordTokenizer, config_from_mapping, record
 from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
 
 if TYPE_CHECKING:
@@ -71,7 +70,7 @@ def _typed(data: dict, kinds: dict) -> None:
             raise DataError(f"{key} holds {type(data[key]).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class Generation:
     """One policy emission. finish is 'stop' (a stop marker was hit, named in
     stop_marker), 'eos', or 'length' (token budget)."""
@@ -82,7 +81,8 @@ class Generation:
     latency_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"text": self.text, "finish": self.finish, "stop_marker": self.stop_marker,
+                "latency_s": self.latency_s}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Generation":
@@ -284,7 +284,7 @@ class HttpPolicy:
         return self
 
 
-@dataclass(frozen=True)
+@record
 class TurnRecord:
     """Everything observed during one turn. context_snapshot is the exact
     string the policy saw; info is the hint-injected environment feedback
@@ -380,7 +380,7 @@ def check_version(data: dict) -> None:
         raise DataError(f"unknown archive version {version!r}")
 
 
-@dataclass(frozen=True)
+@record
 class TrajectoryRecord:
     """One finished episode. terminated is 'answered', 'turn_limit', or
     'invalid'; final_answer is present exactly when answered."""

@@ -9,9 +9,7 @@ control flow but is preserved in raw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import TagPreset
+from .core import TagPreset, record
 
 __all__ = [
     "Span",
@@ -26,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     """Offsets of one tag block inside raw: [start, end) covers the whole block,
     [inner_start, inner_end) covers the content between the tags."""
@@ -37,17 +35,17 @@ class Span:
     inner_end: int
 
 
-@dataclass(frozen=True)
+@record
 class Query:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Answer:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Invalid:
     reason: str  # one of: no_action, mismatched_tags, multiple_actions
 
@@ -55,7 +53,7 @@ class Invalid:
 Action = Query | Answer | Invalid
 
 
-@dataclass(frozen=True)
+@record
 class ParsedTurn:
     """The structured reading of one generated turn.
 

@@ -206,10 +206,10 @@ class TestStartup:
     @pytest.mark.parametrize(
         "command, unloaded",
         [
-            ("import", ("numpy", "requests", "memroll.*")),
-            ("compose", ("numpy", "requests", "statistics", "memroll.masks")),
-            ("rollout", ("numpy", "requests", "statistics", "memroll.masks")),
-            ("score", ("numpy", "requests", "concurrent.futures", "memroll.envs")),
+            ("import", ("numpy", "requests", "dataclasses", "inspect", "memroll.*")),
+            ("compose", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
+            ("rollout", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
+            ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "memroll.envs")),
             ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs")),
             ("export-masks-dense", ("requests", "memroll.envs")),
         ],
@@ -218,7 +218,9 @@ class TestStartup:
         # Each command, run in a fresh interpreter, imports only the modules
         # it uses; `import memroll` alone imports none of its submodules. The
         # default export-masks --verify runs on the standard library; a dense
-        # format is what loads numpy.
+        # format is what loads numpy. memroll's value types are records, not
+        # dataclasses, so only export-masks (whose mask types are dataclasses)
+        # loads dataclasses and, through it, inspect.
         tmp_path, tasks, script, env = smoke
         archive = tmp_path / "archive"
         assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
@@ -263,7 +265,8 @@ class TestStartup:
     def test_corpus_rollout_and_search_leave_numpy_unloaded(self, smoke):
         # The corpus index is built, stored, read and searched on the
         # standard library: importing numpy would cost a corpus rollout child
-        # more time and memory than its warm load.
+        # more time and memory than its warm load. Doc and the other value
+        # types are records, so neither loads dataclasses or inspect.
         tmp_path, tasks, script, _ = smoke
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -278,15 +281,16 @@ class TestStartup:
                     "--env", f"corpus:{corpus}", "--out", str(tmp_path / attempt), "--turns", "4"]
             loaded = json.loads(_run_python(self.LIST_MODULES, json.dumps(argv)).splitlines()[-1])
             assert "memroll.envs" in loaded
-            assert "numpy" not in loaded
+            assert not {"numpy", "dataclasses", "inspect"} & set(loaded)
         search = (
             "import sys, memroll\n"
             "corpus = memroll.Corpus.from_jsonl(sys.argv[1])\n"
             "warm = corpus._docs is None\n"
             "hits = corpus.search('lookup the fact 7', 3)\n"
-            "print(warm, hits[0][0].doc_id, len(corpus.docs), 'numpy' in sys.modules)\n"
+            "print(warm, hits[0][0].doc_id, len(corpus.docs),\n"
+            "      *(name in sys.modules for name in ('numpy', 'dataclasses', 'inspect')))\n"
         )
-        assert _run_python(search, str(corpus)).split() == ["True", "d7", "20", "False"]
+        assert _run_python(search, str(corpus)).split() == ["True", "d7", "20", "False", "False", "False"]
 
 
 class TestCompose:

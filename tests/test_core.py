@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import codecs
+import copy
+import pickle
 import sys
 import threading
 
@@ -9,25 +11,42 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memroll import (
+    Answer,
+    CompositeTask,
     ConfigError,
+    ContextState,
     DataError,
+    Doc,
+    Generation,
     IntegrityError,
+    Invalid,
+    MetricReport,
+    Observation,
     PAPER_BODY,
+    ParsedTurn,
     PRESETS,
+    Product,
     PROMPT_STYLE,
+    Query,
     RolloutConfig,
+    ShopGoal,
+    ShopState,
+    Span,
     TagPreset,
     Task,
     TokenCounter,
+    TrajectoryRecord,
+    TurnRecord,
     ValidationError,
     WordTokenizer,
     config_from_mapping,
     default_max_turns,
     load_config,
+    parse_turn,
     rename_tags,
     segment_text,
 )
-from memroll.core import iter_jsonl
+from memroll.core import iter_jsonl, replace
 
 
 class TestErrors:
@@ -424,3 +443,172 @@ class TestIterJsonl:
         path = tmp_path / "rows.jsonl"
         path.write_bytes(codecs.BOM_UTF8 + b'{"a": 1}\n{"a": 2}\n')
         assert list(iter_jsonl(path)) == [(1, {"a": 1}), (2, {"a": 2})]
+
+
+# One instance of each frozen value type, built twice by its factory, with its
+# repr: the text the dataclass version printed, which DataError messages embed.
+TASK = Task("t1", "Capital of France?", "Paris")
+TASK_REPR = "Task(id='t1', question='Capital of France?', gold_answers=(('Paris',),), env_kind='retrieval_qa')"
+TINY = TagPreset("tiny", "<i>", "</i>", "<q>", "</q>", "<a>", "</a>", "<f>", "</f>")
+TINY_REPR = (
+    "TagPreset(name='tiny', is_open='<i>', is_close='</i>', query_open='<q>', query_close='</q>', "
+    "answer_open='<a>', answer_close='</a>', info_open='<f>', info_close='</f>')"
+)
+CONFIG_REPR = (
+    "RolloutConfig(max_turns={}, tag_preset='paper_body', retrieval_k=3, mode='consolidate', "
+    "hint_enabled=True, max_tokens_per_generation=1024, seed={}, temperature=0.01, policy_url=None, "
+    "policy_api_style='completions', policy_model=None, api_key_env='MEMROLL_API_KEY')"
+)
+COMPOSITE = CompositeTask("c1", (TASK,), "Q: Capital of France?", 1, "retrieval_qa", "Q: ")
+COMPOSITE_REPR = (
+    f"CompositeTask(id='c1', sub_tasks=({TASK_REPR},), rendered_prompt='Q: Capital of France?', "
+    "objective_count=1, env_kind='retrieval_qa', prompt_prefix='Q: ')"
+)
+SPAN_REPR = "Span(start=0, end=18, inner_start=8, inner_end=9)"
+PARSED = parse_turn("<answer>x</answer>", PAPER_BODY)
+PARSED_REPR = (
+    "ParsedTurn(is_segment=None, action=Answer(text='x'), raw='<answer>x</answer>', "
+    f"spans={{'answer': {SPAN_REPR}}})"
+)
+GENERATION = Generation("<answer>x</answer>", "stop", "</answer>", 0.5)
+GENERATION_REPR = "Generation(text='<answer>x</answer>', finish='stop', stop_marker='</answer>', latency_s=0.5)"
+TURN = TurnRecord(0, "Q: Capital of France?", GENERATION, PARSED, None)
+TURN_REPR = (
+    f"TurnRecord(index=0, context_snapshot='Q: Capital of France?', generation={GENERATION_REPR}, "
+    f"parsed={PARSED_REPR}, info=None, env_reward=None)"
+)
+
+RECORDS = {
+    "Task": (lambda: Task("t1", "Capital of France?", "Paris"), TASK_REPR),
+    "TagPreset": (lambda: TagPreset("tiny", "<i>", "</i>", "<q>", "</q>", "<a>", "</a>", "<f>", "</f>"),
+                  TINY_REPR),
+    "RolloutConfig": (lambda: RolloutConfig(max_turns=4, seed=7), CONFIG_REPR.format(4, 7)),
+    "CompositeTask": (lambda: CompositeTask("c1", (TASK,), "Q: Capital of France?", 1, "retrieval_qa", "Q: "),
+                      COMPOSITE_REPR),
+    "ContextState": (lambda: ContextState("H", "T", TINY, "consolidate", 1, ("a", "b")),
+                     f"ContextState(head='H', head_template='T', preset={TINY_REPR}, mode='consolidate', "
+                     "turn_index=1, tail=('a', 'b'))"),
+    "Span": (lambda: Span(0, 18, 8, 9), SPAN_REPR),
+    "Query": (lambda: Query("x"), "Query(text='x')"),
+    "Answer": (lambda: Answer("x"), "Answer(text='x')"),
+    "Invalid": (lambda: Invalid("no_action"), "Invalid(reason='no_action')"),
+    "ParsedTurn": (lambda: parse_turn("<answer>x</answer>", PAPER_BODY), PARSED_REPR),
+    "Generation": (lambda: Generation("<answer>x</answer>", "stop", "</answer>", 0.5), GENERATION_REPR),
+    "TurnRecord": (lambda: TurnRecord(0, "Q: Capital of France?", GENERATION, PARSED, None), TURN_REPR),
+    "TrajectoryRecord": (lambda: TrajectoryRecord(COMPOSITE, (TURN,), "x", "answered", RolloutConfig(), 0.25),
+                         f"TrajectoryRecord(task={COMPOSITE_REPR}, turns=({TURN_REPR},), final_answer='x', "
+                         f"terminated='answered', config={CONFIG_REPR.format(6, 0)}, wall_time_s=0.25)"),
+    "Observation": (lambda: Observation("found", 1.0, True), "Observation(text='found', reward=1.0, done=True)"),
+    "Doc": (lambda: Doc("d1", "Paris", "Capital of France."),
+            "Doc(doc_id='d1', title='Paris', body='Capital of France.')"),
+    "Product": (lambda: Product("p1", "Mouse", ("red", "wireless"), 9.5),
+                "Product(id='p1', title='Mouse', attributes=('red', 'wireless'), price=9.5)"),
+    "ShopGoal": (lambda: ShopGoal("a red mouse under $10", ("red",), 10.0),
+                 "ShopGoal(text='a red mouse under $10', attributes=('red',), price_cap=10.0)"),
+    "ShopState": (lambda: ShopState("search", budget=3),
+                  "ShopState(page='search', query='', page_no=1, product_id=None, panel=None, budget=3, "
+                  "done=False, reward=None)"),
+    "MetricReport": (lambda: MetricReport("c1", 1, 1.0, 1.0, 12, 3.5, 0.25, 1.0, "answered"),
+                     "MetricReport(trajectory_id='c1', objective_count=1, em=1.0, f1=1.0, peak_tokens=12, "
+                     "dependency=3.5, wall_time_s=0.25, valid_action_ratio=1.0, terminated='answered', "
+                     "reward=None)"),
+}
+# A ParsedTurn holds its spans in a dict, so it and the records holding one
+# do not hash, as with a frozen dataclass.
+UNHASHABLE = {"ParsedTurn", "TurnRecord", "TrajectoryRecord"}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_is_the_dataclass_text(self, name):
+        make, text = RECORDS[name]
+        assert type(make()).__name__ == name
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_equal_values_are_equal_and_hash_alike(self, name):
+        make, _ = RECORDS[name]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert a != tuple(getattr(a, field) for field in a._fields)
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_type_decides_equality(self):
+        assert Query("x") != Answer("x")
+        assert Query("x") != ("x",)
+        assert Query("x").__eq__(Answer("x")) is NotImplemented
+        assert Query("x") != Query("y")
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        obj = RECORDS[name][0]()
+        for field in obj._fields:
+            value = getattr(obj, field)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            assert getattr(obj, field) is value
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+
+    def test_fields_are_the_annotations_in_order(self):
+        for make, _ in RECORDS.values():
+            cls = type(make())
+            assert cls._fields == tuple(cls.__annotations__)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Query(),
+            lambda: Query("x", "y"),
+            lambda: Query(text="x", words="y"),
+            lambda: Query("x", text="y"),
+            lambda: Span(0, 1, 0),
+            lambda: replace(Query("x"), words="y"),
+        ],
+        ids=["missing", "extra", "unknown", "repeated", "missing_last", "replace_unknown"],
+    )
+    def test_arguments_are_checked(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_replace_builds_a_checked_copy(self):
+        config = RolloutConfig(max_turns=9)
+        assert replace(config, seed=3) == RolloutConfig(max_turns=9, seed=3)
+        assert config.seed == 0
+        with pytest.raises(ValidationError):
+            RolloutConfig().with_overrides(max_turns=0)
+        with pytest.raises(ValidationError):
+            replace(config, mode="windowed")
+        task = replace(TASK, gold_answers="Rome")
+        assert task.gold_answers == (("Rome",),)
+        assert (task.id, task.question) == (TASK.id, TASK.question)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_pickle_and_copy_round_trip(self, name):
+        obj = RECORDS[name][0]()
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)
+            with pytest.raises(AttributeError):
+                setattr(twin, obj._fields[0], None)
+
+    def test_config_keys_and_coercion_follow_the_annotations(self):
+        keys = ["max_turns", "tag_preset", "retrieval_k", "mode", "hint_enabled",
+                "max_tokens_per_generation", "seed", "temperature", "policy_url",
+                "policy_api_style", "policy_model", "api_key_env"]
+        assert list(RolloutConfig().to_dict()) == keys == list(RolloutConfig._fields)
+        config = config_from_mapping({"max_turns": "4", "hint_enabled": "no", "temperature": "0.5",
+                                      "seed": 7.0, "policy_url": None, "policy_model": 12})
+        values = config.to_dict()
+        assert [type(values[key]) for key in keys] == [
+            int, str, int, str, bool, int, int, float, type(None), str, str, str]
+        assert (config.max_turns, config.hint_enabled, config.temperature, config.policy_model) == (
+            4, False, 0.5, "12")
+        with pytest.raises(ConfigError):
+            config_from_mapping({"max_turns": None})

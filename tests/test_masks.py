@@ -43,6 +43,7 @@ from memroll import (
     visible_tokens,
 )
 import memroll.masks
+from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
 from helpers import random_episode, scripted_episode
@@ -248,11 +249,11 @@ class TestStitch:
     def test_tampered_snapshot_rejected(self):
         rng = random.Random(13)
         record = scripted_episode(rng, turns=3)
-        bad_turn = dataclasses.replace(
+        bad_turn = replace(
             record.turns[1],
             context_snapshot=record.turns[1].context_snapshot + "x",
         )
-        bad = dataclasses.replace(
+        bad = replace(
             record, turns=(record.turns[0], bad_turn, record.turns[2])
         )
         with pytest.raises(IntegrityError):
@@ -267,11 +268,11 @@ class TestStitch:
         text = record.turns[0].generation.text
         cut = text.index(close)
         tampered = text[: cut - 1] + "Q" + text[cut:]
-        bad_turn = dataclasses.replace(
+        bad_turn = replace(
             record.turns[0],
-            generation=dataclasses.replace(record.turns[0].generation, text=tampered),
+            generation=replace(record.turns[0].generation, text=tampered),
         )
-        bad = dataclasses.replace(record, turns=(bad_turn,) + record.turns[1:])
+        bad = replace(record, turns=(bad_turn,) + record.turns[1:])
         with pytest.raises(IntegrityError):
             stitch(bad, WordTokenizer())
 
@@ -304,7 +305,7 @@ class TestStitch:
         rng = random.Random(15)
         record = scripted_episode(rng, turns=1)
         with pytest.raises(ValueError):
-            stitch(dataclasses.replace(record, turns=()), WordTokenizer())
+            stitch(replace(record, turns=()), WordTokenizer())
 
 
 class TestBuildMasks:
