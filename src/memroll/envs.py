@@ -17,10 +17,11 @@ import re
 import struct
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from operator import ge, lt, mul, sub
+from operator import add, le, lt, mul, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from .core import DataError, ValidationError, iter_jsonl, jsonl_lines, record, replace
 
@@ -103,12 +104,23 @@ class Corpus:
     from the corpus carry no weight and do not enter the query norm.
 
     The index is posting lists over documents numbered in doc_id order, held
-    in array.array columns: term id t owns entries _starts[t]:_starts[t + 1]
-    of _post_docs (document numbers, ascending) and _post_tf (the term's
-    frequency in each). A query costs time proportional to the lengths of its
-    terms' postings plus k: only documents in those postings are scored, the
-    best k are taken with heapq.nlargest, and a shortfall is filled with
-    zero-score documents in doc_id order.
+    in array.array columns and cut into blocks of _BLOCK postings: term id t
+    owns postings _starts[t]:_starts[t + 1] of _post_docs and _post_tf (its
+    frequency in each document) and blocks _blocks[t]:_blocks[t + 1] of
+    _bounds. A block stores its first document whole (its skip entry) and
+    each later one as the gap from the one before less one, so documents rise
+    by construction; its bound is its largest ln(1+tf) * idf / norm.
+
+    search is an exact block-max top-k. Lists of one or two blocks are taken
+    whole; the blocks of longer lists are taken highest bound first until no
+    document outside the taken blocks could reach theta, the k-th best score
+    known. A document that lists still left could hold is then dropped if its
+    score so far plus the bounds of the blocks that could hold it is below
+    theta, and completed from those blocks otherwise. Bounds are scaled by
+    _SAFETY and only what falls strictly below theta is dropped, so rounding
+    never drops a document that ranks, nor one that ties the k-th score with
+    a lower doc_id. A shortfall is filled with zero-score documents in doc_id
+    order.
 
     Scores do not depend on accumulation order. A matching term contributes
     (q_w * ln(1+tf)) * idf, looked up in a table per query term indexed by
@@ -143,9 +155,12 @@ class Corpus:
         self._vocab = index.vocab
         self._starts = index.starts
         self._idf = index.idf
+        self._norms = index.norms
+        self._blocks = index.blocks
+        self._bounds = index.bounds
         self._post_docs = index.post_docs
         self._post_tf = index.post_tf
-        self._norms = index.norms
+        self._decoded: dict[int, array] = {}  # block -> its documents, see _numbers
 
     def __len__(self) -> int:
         return len(self._ordered)
@@ -219,36 +234,92 @@ class Corpus:
         corpus._use(index)
         return corpus
 
+    def _numbers(self, t: int, b: int) -> array:
+        """The documents of block b, one of term t's, decoded the first time
+        search asks for them and kept, for a later query that reads the same
+        long list."""
+        docs = self._decoded.get(b)
+        if docs is None:  # threads that race here decode equal arrays
+            lo = self._starts[t] + (b - self._blocks[t]) * _BLOCK
+            docs = self._decoded[b] = array("i", _decode(self._post_docs, lo, min(lo + _BLOCK, self._starts[t + 1])))
+        return docs
+
     def search(self, query: str, k: int) -> list[tuple[Doc, float]]:
         """Top-k (doc, cosine) pairs; all docs when the corpus is smaller than k."""
         if k < 1:
             raise ValidationError("k must be >= 1")
-        q_tf = Counter(self._vocab[t] for t in terms(query) if t in self._vocab)
+        q_tf: dict[int, int] = {}
+        for word in terms(query):
+            if word in self._vocab:
+                t = self._vocab[word]
+                q_tf[t] = q_tf.get(t, 0) + 1
         q_weights = {t: math.log(1 + c) * self._idf[t] for t, c in q_tf.items()}
-        q_norm = math.sqrt(math.fsum(w * w for w in q_weights.values()))
+        q_norm = math.sqrt(math.fsum([w * w for w in q_weights.values()]))
+        starts, blocks, bounds, norms = self._starts, self._blocks, self._bounds, self._norms
+        post_tf, idf = self._post_tf, self._idf
         dots: dict[int, float] = {}
         parts: dict[int, list[float]] = {}  # every contribution to a document two terms reach
-        for t, w in q_weights.items():
-            # A zero weight (a term in every document) adds nothing to any
-            # dot product, so its postings are skipped.
-            if w <= 0:
-                continue
-            start, end = self._starts[t], self._starts[t + 1]
-            tfs, idf = self._post_tf[start:end], self._idf[t]
-            table = [(w * math.log(1 + c)) * idf for c in range(max(tfs) + 1)]
-            contrib = dict(zip(self._post_docs[start:end], map(table.__getitem__, tfs)))
+        top: list[tuple[float, int]] = []  # min-heap: the k best (score so far, document)
+
+        # Lists of up to _WHOLE blocks are taken whole. The blocks of longer
+        # ones wait in pending as (bound * w / q_norm, block), ascending, and
+        # seen keeps what their taken blocks hold.
+        pending: dict[int, list[tuple[float, int]]] = {}
+        seen: dict[int, list[dict[int, float]]] = {}
+
+        def take(t: int, lo: int, hi: int, docs: Iterable[int]) -> dict[int, float]:
+            """Add in postings lo:hi of term t, whole blocks, whose documents
+            are docs; while blocks are pending, offer each document's
+            contribution alone, a lower bound of its score, to top."""
+            tfs, w = post_tf[lo:hi], q_weights[t]
+            table = [(w * math.log(1 + c)) * idf[t] for c in range(max(tfs) + 1)]
+            contrib = dict(zip(docs, map(table.__getitem__, tfs)))
             for i in contrib.keys() & dots.keys():
                 parts.setdefault(i, [dots[i]]).append(contrib[i])
             dots.update(contrib)
+            if pending:
+                lows = [c / (q_norm * norms[i]) for i, c in contrib.items()]
+                # Only the k best of these can enter top, and only above their least.
+                floor = sorted(lows)[-k] if len(lows) > k else 0.0
+                for pair in zip(lows, contrib):
+                    if pair[0] >= floor and (len(top) < k or pair > top[0]) and all(i != pair[1] for _, i in top):
+                        if len(top) == k:
+                            heapq.heapreplace(top, pair)
+                        else:
+                            heapq.heappush(top, pair)
+            return contrib
+
+        # A zero weight (a term in every document) adds nothing to any dot
+        # product, so its postings are skipped.
+        weighted = [t for t, w in q_weights.items() if w > 0]
+        for t in weighted:
+            if blocks[t + 1] - blocks[t] > _WHOLE:
+                scale = q_weights[t] / q_norm
+                pending[t] = sorted((bounds[b] * scale, b) for b in range(blocks[t], blocks[t + 1]))
+                seen[t] = []
+        for t in weighted:
+            if t not in pending:
+                take(t, starts[t], starts[t + 1], _decode(self._post_docs, starts[t], starts[t + 1]))
+        while pending:
+            theta = top[0][0] if len(top) == k else 0.0
+            if math.fsum([left[-1][0] for left in pending.values()]) * _SAFETY < theta:
+                break  # no document outside the taken blocks can reach theta
+            t = max(pending, key=lambda u: pending[u][-1])
+            b = pending[t].pop()[1]
+            if not pending[t]:
+                del pending[t]
+            lo = starts[t] + (b - blocks[t]) * _BLOCK
+            seen[t].append(take(t, lo, min(lo + _BLOCK, starts[t + 1]), self._numbers(t, b)))
         for i, p in parts.items():
-            dots[i] = p[0] + p[1] if len(p) == 2 else math.fsum(p)
+            dots[i] = _dot(p)
+        if pending:
+            self._complete(dots, parts, pending, seen, q_weights, q_norm, theta)
         # Every candidate shares a term of positive weight with the query, so
         # its dot product and both norms are positive. Only scores at least
         # the k-th best can rank; equal scores rank the lower document
         # number, i.e. the lower doc_id, first.
-        norms = self._norms
         scores = [dot / (q_norm * norms[i]) for i, dot in dots.items()]
-        kth = min(heapq.nlargest(k, scores), default=0.0)
+        kth = sorted(scores)[-k] if len(scores) > k else 0.0
         best = heapq.nlargest(k, [(s, -i) for i, s in zip(dots, scores) if s >= kth])
         results = [(self._doc(-neg), s) for s, neg in best]
         taken = {-neg for _, neg in best}
@@ -258,6 +329,50 @@ class Corpus:
             if i not in taken:
                 results.append((self._doc(i), 0.0))
         return results
+
+    def _complete(self, dots, parts, pending, seen, q_weights, q_norm, theta) -> None:
+        """Finish dots after search stopped at theta with blocks pending: a
+        document they could hold is dropped if it cannot reach theta, and
+        completed from them otherwise."""
+        starts, blocks, bounds, norms = self._starts, self._blocks, self._bounds, self._norms
+        unseen: defaultdict[int, list[int]] = defaultdict(list)  # document -> lists that may hold it
+        for t in pending:
+            for i in set(dots).difference(*seen[t]):
+                unseen[i].append(t)
+        skips = {t: self._post_docs[starts[t] : starts[t + 1] : _BLOCK] for t in pending}
+        left = {t: {b for _, b in pending[t]} for t in pending}
+        for i, ts in unseen.items():
+            # The block of each list that would hold i, where not taken.
+            holders = [(t, b) for t in ts if (b := blocks[t] + bisect_right(skips[t], i) - 1) in left[t]]
+            reach = math.fsum([bounds[b] * (q_weights[t] / q_norm) for t, b in holders])
+            if (dots[i] / (q_norm * norms[i]) + reach) * _SAFETY < theta:
+                del dots[i]
+                continue
+            p = parts.get(i) or [dots[i]]
+            had = len(p)
+            for t, b in holders:
+                docs = self._numbers(t, b)
+                at = bisect_left(docs, i)
+                if at < len(docs) and docs[at] == i:
+                    tf = self._post_tf[starts[t] + (b - blocks[t]) * _BLOCK + at]
+                    p.append((q_weights[t] * math.log(1 + tf)) * self._idf[t])
+            if len(p) > had:
+                dots[i] = _dot(p)
+
+
+def _dot(p: list[float]) -> float:
+    """A dot product from two or more contributions: the IEEE sum of two is
+    already correctly rounded, and math.fsum rounds the sum of more."""
+    return p[0] + p[1] if len(p) == 2 else math.fsum(p)
+
+
+def _decode(post_docs: array, lo: int, hi: int) -> Iterator[int]:
+    """The documents of postings lo:hi, which start a block and end one: a
+    block stores its first document, then each gap less one, so its j-th
+    document is the sum of its first j + 1 entries plus j."""
+    if hi - lo <= _BLOCK:
+        return map(add, itertools.accumulate(post_docs[lo:hi]), range(_BLOCK))
+    return itertools.chain.from_iterable(_decode(post_docs, at, min(at + _BLOCK, hi)) for at in range(lo, hi, _BLOCK))
 
 
 def _parse_doc(line: bytes) -> Doc:
@@ -302,23 +417,33 @@ _INDEX_MAGIC = b"MEM1INDX"
 # corpus into lines.
 _INDEX_SOURCES = (Path(__file__), Path(jsonl_lines.__code__.co_filename))
 _INDEX_PREFIX = struct.Struct("<8sI8s")  # magic, header length, checksum
+_BLOCK = 128  # postings a block
+_WHOLE = 2  # search takes a list of up to this many blocks whole
+# Bounds are scaled by this before they are compared with a score: rounding
+# moves a score or a bound by a few units in the last place (2**-52), so
+# that 2**-40 is far more than any rounding can take back.
+_SAFETY = 1 + 2**-40
 
 
 class _Index(NamedTuple):
-    """What search reads. A build derives idf once, for the norms and for
-    search; a load derives it from the stored offsets with the same function,
-    so both come out equal."""
+    """What search reads; a build and a load give equal columns, bit for bit."""
 
     vocab: dict[str, int]  # term -> id, in id order
     starts: array  # int64 offsets: term t owns postings starts[t]:starts[t + 1]
-    idf: list[float]  # ln(N/df) of each term
-    post_docs: array  # int32 document numbers, ascending within a term
-    post_tf: array  # int32 term frequency of each posting
+    idf: array  # float64 ln(N/df) of each term
     norms: array  # float64 document norms
+    blocks: array  # int64 offsets: term t owns blocks blocks[t]:blocks[t + 1]
+    bounds: array  # float64 per block: its largest ln(1+tf) * idf / norm
+    post_docs: array  # uint32 per block: its first document, then each gap less one
+    post_tf: array  # int32 term frequency of each posting
 
 
-def _idf(df: Sequence[int], n: int) -> list[float]:
-    return [math.log(n / c) for c in df]
+def _blocks(starts: array) -> tuple[array, list[int]]:
+    """Where each term's blocks start among the blocks, and where each block
+    starts among the postings: a term's postings are cut into blocks of
+    _BLOCK, the last one short."""
+    firsts = list(map(range, starts[:-1], starts[1:], itertools.repeat(_BLOCK)))
+    return array("q", itertools.accumulate(map(len, firsts), initial=0)), list(itertools.chain.from_iterable(firsts))
 
 
 def _build_index(ordered: Sequence[Doc]) -> _Index:
@@ -345,7 +470,7 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
             docs_of[t].append(i)
             tfs_of[t].append(c)
     df = list(map(len, docs_of))
-    idf = _idf(df, n)
+    idf = array("d", [math.log(n / c) for c in df])
     # Document-major here, so each document's weights are one slice.
     log1p = [math.log(1 + c) for c in range(max(counts, default=0) + 1)]
     weights = list(map(mul, map(log1p.__getitem__, counts), map(idf.__getitem__, term_ids)))
@@ -353,13 +478,25 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
     for length in lengths:
         norms.append(math.sqrt(math.fsum(map(pow, weights[at : at + length], _SQUARE))))
         at += length
+    # Term-major: gaps less one, with each block's first document whole.
+    starts = array("q", itertools.accumulate(df, initial=0))
+    post_docs, bounds = array("I"), array("d")
+    for docs, tfs, term_idf in zip(docs_of, tfs_of, idf):
+        entries = list(map(sub, docs, [0, *map((1).__add__, docs)]))
+        entries[_BLOCK::_BLOCK] = docs[_BLOCK::_BLOCK]
+        post_docs.extend(entries)
+        # A term in every document weighs 0, and so may every term of a document.
+        ratios = [log1p[c] * term_idf / norms[i] for i, c in zip(docs, tfs)] if term_idf else [0.0] * len(docs)
+        bounds.extend(max(ratios[j : j + _BLOCK]) for j in range(0, len(docs), _BLOCK))
     return _Index(
         vocab=dict(vocab),
-        starts=array("q", itertools.accumulate(df, initial=0)),
+        starts=starts,
         idf=idf,
-        post_docs=array("i", itertools.chain.from_iterable(docs_of)),
-        post_tf=array("i", itertools.chain.from_iterable(tfs_of)),
         norms=norms,
+        blocks=_blocks(starts)[0],
+        bounds=bounds,
+        post_docs=post_docs,
+        post_tf=array("i", itertools.chain.from_iterable(tfs_of)),
     )
 
 
@@ -368,8 +505,9 @@ def _index_key(data: bytes) -> dict | None:
     the source of _INDEX_SOURCES, so that any edit to how the index is built
     or stored makes every older file stale; the Python implementation, whose
     regular expressions split the words; the Unicode database, which decides
-    what \\w and str.lower mean; and the C library, whose log and pow give the
-    weights. None if the source cannot be read."""
+    what \\w and str.lower mean; the C library, whose log and pow give the
+    weights; and the block size, which lays out the postings. None if the
+    source cannot be read."""
     import unicodedata
     from importlib.util import source_hash  # SipHash; hashlib would load OpenSSL
 
@@ -382,6 +520,7 @@ def _index_key(data: bytes) -> dict | None:
     except (AttributeError, ValueError, OSError):
         libc = None
     return {
+        "block": _BLOCK,
         "code": source_hash(code).hex(),
         "corpus": source_hash(data).hex(),
         "libc": libc or sys.platform,
@@ -409,15 +548,17 @@ def _write_index(path: Path, key: dict, index: _Index, spans: array) -> None:
     vocab = "".join(term + "\n" for term in index.vocab).encode("utf-8", "surrogatepass")
     header = json.dumps(
         {
+            "blocks": len(index.bounds),
             "docs": len(index.norms),
             "key": key,
             "postings": len(index.post_docs),
             "terms": len(index.vocab),
+            "vocab": len(vocab),
         },
         sort_keys=True,
     ).encode("utf-8")
     header += b" " * (-(_INDEX_PREFIX.size + len(header)) % 8)  # 8-byte aligned arrays
-    columns = (index.starts, index.norms, spans, index.post_docs, index.post_tf)
+    columns = (index.starts, index.idf, index.norms, spans, index.bounds, index.post_docs, index.post_tf)
     body = b"".join([header, *map(_little_endian, columns), vocab])
     prefix = _INDEX_PREFIX.pack(_INDEX_MAGIC, len(header), source_hash(body))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -439,22 +580,26 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, array] | No
 
     Layout: the magic MEM1INDX, a u32 header length and an 8-byte checksum
     (importlib.util.source_hash of every byte after it); then a JSON header
-    {docs, key, postings, terms}, space-padded to a multiple of 8 bytes; then
-    starts (i8), norms (f8), spans (i8, a start and an end offset per
-    document, in doc_id order), post_docs (i4) and post_tf (i4), all
-    little-endian, and to the end the vocabulary in id order as UTF-8, each
-    term followed by a newline (a \\w+ term holds none). Each array is copied
-    into an array.array.
+    {blocks, docs, key, postings, terms, vocab}, space-padded to a multiple
+    of 8 bytes; then starts (i8), idf (f8), norms (f8), spans (i8, a start
+    and an end offset per document, in doc_id order), bounds (f8, one per
+    block), post_docs (u4) and post_tf (i4), all little-endian, and last the
+    vocabulary in id order as `vocab` bytes of UTF-8, each term followed by a
+    newline (a \\w+ term holds none). Each array is copied into an
+    array.array.
 
     The checksum catches damage, not deliberate edits (anyone can recompute
-    it). None unless the key matches, the checksum holds, the file holds the
-    sizes its header gives and the content fits data: spans that are the
-    non-blank lines of data (_spans_fit), offsets that start at 0 and give
-    every term at least one posting, document numbers ascending within a
-    term and in range (a term's first and last posting), frequencies from 1
-    to the longest span (a line's bytes are at least its characters), and
-    exactly `terms` distinct terms. So the load cannot raise, and search
-    cannot index past an array.
+    it). None unless the key matches, the checksum holds, the file is exactly
+    as long as its header says (so there is one idf value per term and one
+    bound per block) and the content fits data: spans that are the non-blank
+    lines of data (_spans_fit), offsets that start at 0 and give every term
+    at least one posting, `blocks` blocks in all, idf values and bounds that
+    are finite and not negative, each block's last document (its skip entry
+    plus its gaps plus one per gap) below the next block's skip entry, or
+    below `docs` for a term's last block, frequencies from 1 to the longest
+    span (a line's bytes are at least its characters), and exactly `terms`
+    distinct terms. So the load cannot raise, and search cannot index past
+    an array.
     """
     from importlib.util import source_hash
 
@@ -470,11 +615,12 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, array] | No
         header = json.loads(bytes(body[:header_len]))
         if not isinstance(header, dict) or header.get("key") != key:
             return None
-        n, terms_n, postings = header.get("docs"), header.get("terms"), header.get("postings")
-        if not all(type(size) is int and size >= 0 for size in (n, terms_n, postings)):
+        sizes = [header.get(name) for name in ("docs", "terms", "postings", "blocks", "vocab")]
+        if not all(type(size) is int and size >= 0 for size in sizes):
             return None
+        n, terms_n, postings, blocks_n, vocab_len = sizes
         at = header_len
-        if len(body) < at + 8 * (terms_n + 1 + 3 * n) + 8 * postings:
+        if len(body) != at + 8 * (2 * terms_n + 1 + 3 * n + blocks_n + postings) + vocab_len:
             return None
 
         def take(typecode: str, count: int) -> array:
@@ -484,36 +630,55 @@ def _read_index(path: Path, key: dict, data: bytes) -> tuple[_Index, array] | No
             at += count * arr.itemsize
             return _little_endian(arr)
 
-        starts, norms, spans = take("q", terms_n + 1), take("d", n), take("q", 2 * n)
-        post_docs, post_tf = take("i", postings), take("i", postings)
+        starts, idf, norms = take("q", terms_n + 1), take("d", terms_n), take("d", n)
+        spans, bounds = take("q", 2 * n), take("d", blocks_n)
+        post_docs = take("I", postings)
+        tf_bytes = bytes(body[at : at + 4 * postings])
+        post_tf = take("i", postings)
         words = str(body[at:], "utf-8", "surrogatepass").split("\n")
         if starts[0] != 0 or starts[-1] != postings or words.pop() or len(words) != terms_n:
             return None
-        df = list(map(sub, starts[1:], starts[:-1]))
-        if terms_n and min(df) < 1:
+        if terms_n and min(map(sub, starts[1:], starts[:-1])) < 1:
+            return None
+        blocks, firsts = _blocks(starts)
+        if blocks[-1] != blocks_n or not (_finite_not_negative(idf) and _finite_not_negative(bounds)):
             return None
         if not _spans_fit(spans, data):
             return None
         if postings:
-            # A document number may fail to rise only where a term's postings start.
-            falls = bytearray(map(ge, post_docs, post_docs[1:]))
-            for start in starts[1:-1]:
-                falls[start - 1] = 0
-            tf_values = set(post_tf)
-            if not (
-                1 not in falls
-                and min(map(post_docs.__getitem__, starts[:-1])) >= 0
-                and max(post_docs[end - 1] for end in starts[1:]) < n
-                and 1 <= min(tf_values)
-                and max(tf_values) <= max(map(sub, spans[1::2], spans[::2]))
-            ):
+            ends = firsts[1:] + [postings]
+            # A block's last document must stay below the next block's first,
+            # or below n after a term's last block.
+            limits = list(map(post_docs.__getitem__, firsts[1:])) + [n]
+            for b in blocks[1:]:
+                limits[b - 1] = n
+            # Its last document is the sum of its entries plus its length less one.
+            sums = map(sum, map(post_docs.__getitem__, map(slice, firsts, ends)))
+            if not all(map(le, map(add, sums, map(sub, ends, firsts)), limits)):
+                return None
+            if not _frequencies_fit(post_tf, tf_bytes, max(map(sub, spans[1::2], spans[::2]))):
                 return None
         vocab = dict(zip(words, range(terms_n)))
         if len(vocab) != terms_n:
             return None
     except (ValueError, struct.error, RecursionError):
         return None
-    return _Index(vocab, starts, _idf(df, n), post_docs, post_tf, norms), spans
+    return _Index(vocab, starts, idf, norms, blocks, bounds, post_docs, post_tf), spans
+
+
+def _frequencies_fit(post_tf: array, raw: bytes, longest: int) -> bool:
+    """Whether every frequency is from 1 to longest. raw holds them as
+    little-endian int32s, read with byte operations where each is from 1 to
+    255, as usual: then its low byte is not zero and its other three are."""
+    low = raw[::4]
+    if 0 in low or raw.count(0) != 3 * len(low):
+        return 1 <= min(post_tf) and max(post_tf) <= longest
+    return not low.translate(None, bytes(range(min(longest, 255) + 1)))
+
+
+def _finite_not_negative(values: array) -> bool:
+    """Whether every value is finite and not negative (NaN is neither)."""
+    return all(map(le, itertools.repeat(0.0), values)) and max(values, default=0.0) < math.inf
 
 
 def _spans_fit(spans: array, data: bytes) -> bool:
@@ -525,19 +690,29 @@ def _spans_fit(spans: array, data: bytes) -> bool:
     which raises DataError."""
     if not spans:
         return not data.decode("utf-8-sig").strip()
-    # Every offset in line order: start, end, start, end, ...
-    bounds = list(itertools.chain.from_iterable(sorted(zip(spans[::2], spans[1::2]))))
-    if not all(map(lt, bounds, bounds[1:])) or bounds[0] < 0 or bounds[-1] > len(data):
+    # Every offset in line order: start, end, start, end, ... Spans in doc_id
+    # order already are when the file is in doc_id order.
+    bounds = spans
+    if not all(map(lt, spans, spans[1:])):
+        bounds = array("q", itertools.chain.from_iterable(sorted(zip(spans[::2], spans[1::2]))))
+        if not all(map(lt, bounds, bounds[1:])):
+            return False
+    if bounds[0] < 0 or bounds[-1] > len(data):
         return False
-    for a, b in zip(bounds[1::2], bounds[2::2]):
-        # A one-byte gap must be the line break itself; longer ones are decoded.
-        if b - a == 1:
-            if data[a] not in b"\n\r":
-                return False
-        else:
-            gap = data[a:b]
-            if not (b"\n" in gap or b"\r" in gap) or not gap.decode("utf-8").isspace():
-                return False
+    ends, starts = bounds[1:-1:2], bounds[2::2]
+    # A one-byte gap must be the line break itself; longer ones are decoded.
+    if max(map(sub, starts, ends), default=1) == 1:
+        if bytes(map(data.__getitem__, ends)).translate(None, b"\n\r"):
+            return False
+    else:
+        for a, b in zip(ends, starts):
+            if b - a == 1:
+                if data[a] not in b"\n\r":
+                    return False
+            else:
+                gap = data[a:b]
+                if not (b"\n" in gap or b"\r" in gap) or not gap.decode("utf-8").isspace():
+                    return False
     head, tail = data[: bounds[0]], data[bounds[-1] :]
     return not head.decode("utf-8-sig").strip() and not tail.decode("utf-8").strip()
 

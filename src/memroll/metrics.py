@@ -11,7 +11,6 @@ template portion of the context (the questions themselves count).
 from __future__ import annotations
 
 import re
-import string
 from collections import Counter
 from collections.abc import Sequence
 from statistics import fmean, pstdev
@@ -36,7 +35,8 @@ __all__ = [
 ]
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# string.punctuation, spelled out: importing string costs a score child 2 ms.
+_PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
 
 def normalize_answer(text: str) -> str:

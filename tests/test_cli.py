@@ -209,7 +209,7 @@ class TestStartup:
             ("import", ("numpy", "requests", "dataclasses", "inspect", "memroll.*")),
             ("compose", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
             ("rollout", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
-            ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "memroll.envs")),
+            ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "string", "memroll.envs")),
             ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs")),
             ("export-masks-dense", ("requests", "memroll.envs")),
         ],

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import unicodedata
+from array import array
 from collections import Counter
 from importlib.util import source_hash
 
@@ -35,7 +36,7 @@ from memroll import (
     retrieve,
 )
 from memroll import envs
-from memroll.core import segment_text
+from memroll.core import replace, segment_text
 from memroll.envs import INDEX_SUFFIX, terms
 
 
@@ -244,6 +245,118 @@ class TestCorpusEdgeCases:
         assert_matches_oracle(docs, queries, [1, 3, 10, 50], tmp_path)
 
 
+def head_corpus(seed: int) -> tuple[list[Doc], list[str]]:
+    """About 1,250 documents in which each of five head words is in at least
+    90%, key word pairs found together in one document each, and exact
+    duplicates under other ids, some of key documents; with key-shaped
+    (two key words and a head word), exploratory and head-word queries."""
+    rng = random.Random(seed)
+    heads = [f"h{i}" for i in range(5)]
+    filler = [f"w{i}" for i in range(400)]
+    weights = [1 / (rank + 1) for rank in range(len(filler))]
+    docs = []
+    for i in range(1_200):
+        words = [h for h in heads if rng.random() < 0.95 for _ in range(rng.choice((1, 1, 2)))]
+        words += rng.choices(filler, weights, k=rng.randint(3, 20))
+        rng.shuffle(words)
+        docs.append(Doc(f"d{i:05d}", rng.choice(heads), " ".join(words)))
+    queries = []
+    for j, i in enumerate(rng.sample(range(len(docs)), 12)):
+        docs[i] = replace(docs[i], body=f"{docs[i].body} k{j}a k{j}b")
+        queries.append(f"k{j}a {rng.choice(heads)} k{j}b")
+        for copy in range(j % 3):  # key documents that tie with one or two copies
+            docs.append(replace(docs[i], doc_id=f"c{copy}{docs[i].doc_id}"))
+    docs += [replace(docs[i], doc_id=f"x{docs[i].doc_id}") for i in rng.sample(range(1_200), 40)]
+    rng.shuffle(docs)
+    tail = filler[200:]
+    queries += [f"{rng.choice(heads)} {rng.choice(tail)} {rng.choice(tail)}" for _ in range(6)]
+    queries += [*heads[:3], "h0 h1", "h2 h3 h4", f"{heads[4]} {filler[0]}"]
+    return docs, queries
+
+
+def loop_blocks(monkeypatch, corpus: Corpus, query: str, k: int) -> dict[str, tuple[int, int]]:
+    """How many blocks of each query term's list search takes before it
+    completes candidates (which may read more), against how many it has."""
+    read, completing = set(), []
+    decode, complete = envs._decode, Corpus._complete
+
+    def recording_decode(post_docs, lo, hi):
+        if not completing:
+            read.update(range(lo, hi, envs._BLOCK))
+        return decode(post_docs, lo, hi)
+
+    def recording_complete(self, *args):
+        completing.append(1)
+        return complete(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(envs, "_decode", recording_decode)
+        patch.setattr(Corpus, "_complete", recording_complete)
+        corpus.search(query, k)
+    taken = {}
+    for word in set(terms(query)):
+        t = corpus._vocab[word]
+        firsts = range(corpus._starts[t], corpus._starts[t + 1], envs._BLOCK)
+        taken[word] = (len(read.intersection(firsts)), len(firsts))
+    return taken
+
+
+class TestBlockMaxSearch:
+    """Pruned search against brute_force_rank, on lists of many blocks."""
+
+    @pytest.mark.parametrize("block", [128, 16])
+    def test_head_terms_keys_and_ties(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(envs, "_BLOCK", block)
+        docs, queries = head_corpus(block)
+        for head in ("h0", "h1", "h2", "h3", "h4"):
+            assert sum(head in terms(f"{d.title} {d.body}") for d in docs) >= 0.9 * len(docs) >= 1_000
+        assert_matches_oracle(docs, queries, list(range(1, 13)), tmp_path)
+
+    # Blocks of 4 postings. "head" is in each of the 80 d documents, once or
+    # twice among filler, so its bounds differ block to block; "keya keyb" is
+    # in one of them; "rare1" and "rare2" in three each; and twelve copies of
+    # one document hold "tie".
+    @staticmethod
+    def pruning_corpus() -> list[Doc]:
+        rng = random.Random(4)
+        docs = [
+            Doc(f"d{i:03d}", "", " ".join(["head"] * rng.randint(1, 2) + rng.choices("abcdefgh", k=rng.randint(1, 9))))
+            for i in range(80)
+        ]
+        docs[37] = replace(docs[37], body=f"{docs[37].body} keya keyb")
+        for i, word in ((5, "rare1"), (6, "rare1"), (50, "rare1"), (6, "rare2"), (51, "rare2"), (70, "rare2")):
+            docs[i] = replace(docs[i], body=f"{docs[i].body} {word}")
+        docs += [Doc(f"t{i:02d}", "", "tie tie z") for i in range(12)]
+        return docs
+
+    @pytest.mark.parametrize(
+        "query, k, word, skipped",
+        [("rare1 head rare2", 2, "head", "whole list"), ("keya keyb head", 3, "head", "some blocks"),
+         ("tie", 3, "tie", "nothing")],
+    )
+    def test_each_pruning_outcome(self, tmp_path, monkeypatch, query, k, word, skipped):
+        monkeypatch.setattr(envs, "_BLOCK", 4)
+        docs = self.pruning_corpus()
+        taken, blocks = loop_blocks(monkeypatch, Corpus(docs), query, k)[word]
+        assert blocks > 2
+        assert {"whole list": taken == 0, "some blocks": 0 < taken < blocks, "nothing": taken == blocks}[skipped]
+        assert_matches_oracle(docs, [query], list(range(1, 13)), tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["h", "h", "h", "a", "b", "c", "d"]), max_size=6), max_size=40),
+        st.lists(st.sampled_from(["h", "a", "b", "c", "d", "e"]), min_size=1, max_size=4),
+        st.integers(1, 12),
+    )
+    def test_blocks_of_two_match_the_oracle(self, bodies, query, k):
+        docs = [Doc(f"d{i:02d}", "", " ".join(body)) for i, body in enumerate(bodies)]
+        query = " ".join(query)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(envs, "_BLOCK", 2)
+            got = [(d.doc_id, s) for d, s in Corpus(docs).search(query, k)]
+        assert got == brute_force_rank(docs, query)[: min(k, len(docs))]
+
+
 # Words with case mappings that change length, letters outside the BMP,
 # digits of other scripts, and underscores: all of them \w.
 _WORDS = "river city bread wine Straße ΣΊΣΥΦΟΣ İstanbul ﬁre 𝔘nicode ٣٤ snake_case Ǆemal naïve".split()
@@ -271,10 +384,10 @@ def write_corpus(path, docs: list[Doc], ensure_ascii: bool = True):
 
 def index_of(corpus: Corpus) -> dict:
     """Every array search reads, bit for bit."""
-    arrays = {name: getattr(corpus, name) for name in ("_starts", "_post_docs", "_post_tf", "_norms")}
+    names = ("_starts", "_idf", "_norms", "_blocks", "_bounds", "_post_docs", "_post_tf")
+    arrays = {name: getattr(corpus, name) for name in names}
     return {
         "vocab": list(corpus._vocab.items()),
-        "idf": [x.hex() for x in corpus._idf],
         **{name: (a.typecode, a.tobytes()) for name, a in arrays.items()},
     }
 
@@ -299,13 +412,16 @@ class TestCorpusIndexFile:
     """Corpus.from_jsonl keeps its index in FILE.memroll-index: loaded when
     its key matches, built and rewritten otherwise, never a source of errors."""
 
-    @pytest.mark.parametrize("case", ["empty", "one_doc", "no_terms", *[f"random{i}" for i in range(6)]])
+    @pytest.mark.parametrize(
+        "case", ["empty", "one_doc", "no_terms", "frequent_word", *[f"random{i}" for i in range(6)]]
+    )
     def test_loaded_index_equals_a_fresh_build(self, tmp_path, builds, case):
         rng = random.Random(case)
         docs = {
             "empty": [],
             "one_doc": [Doc("only", "Straße", "İstanbul river")],
             "no_terms": [Doc("a", "", "!!!"), Doc("b", "...", "")],
+            "frequent_word": [Doc("a", "wine", "river " * 300), Doc("b", "city", "bread river")],
         }.get(case) or random_docs(rng, rng.randint(2, 60))
         path = write_corpus(tmp_path / "corpus.jsonl", docs, ensure_ascii=rng.random() < 0.5)
         cold = Corpus.from_jsonl(path)
@@ -451,7 +567,12 @@ class TestCorpusIndexFile:
     @staticmethod
     def resigned(good: bytes, case: str) -> bytes:
         """good with one array, the spans or the vocabulary made inconsistent,
-        and its checksum recomputed, as only a deliberate edit would do."""
+        and its checksum recomputed, as only a deliberate edit would do.
+
+        The cases edit the index of INCONSISTENT built with blocks of 2:
+        terms ab, cd and ef; post_docs [0 | 1, 0 | 3 | 2, 0] (ab's block,
+        cd's two blocks, ef's block: each block's first document, then gaps
+        less one)."""
         prefix = envs._INDEX_PREFIX
         magic, header_len, _ = prefix.unpack_from(good)
         header = good[prefix.size : prefix.size + header_len]
@@ -459,27 +580,34 @@ class TestCorpusIndexFile:
         at = prefix.size + header_len
         arrays = {}
         for name, dtype, count in [
-            ("starts", "<i8", sizes["terms"] + 1), ("norms", "<f8", sizes["docs"]),
-            ("spans", "<i8", 2 * sizes["docs"]),
-            ("post_docs", "<i4", sizes["postings"]), ("post_tf", "<i4", sizes["postings"]),
+            ("starts", "<i8", sizes["terms"] + 1), ("idf", "<f8", sizes["terms"]),
+            ("norms", "<f8", sizes["docs"]), ("spans", "<i8", 2 * sizes["docs"]),
+            ("bounds", "<f8", sizes["blocks"]),
+            ("post_docs", "<u4", sizes["postings"]), ("post_tf", "<i4", sizes["postings"]),
         ]:
             arrays[name] = np.frombuffer(good, dtype, count, at).copy()
             at += arrays[name].nbytes
         vocab = good[at:]
         starts, docs, tf = arrays["starts"], arrays["post_docs"], arrays["post_tf"]
-        spans = arrays["spans"].reshape(-1, 2)
+        spans, bounds = arrays["spans"].reshape(-1, 2), arrays["bounds"]
         if case == "doc_out_of_range":
-            docs[-1] = sizes["docs"]
-        elif case == "negative_doc":
-            docs[0] = -1
-        elif case == "unsorted_postings":
-            docs[1], docs[2] = docs[2], docs[1]  # term 1's two documents
+            docs[0] = sizes["docs"]  # ab's only document
+        elif case == "last_doc_out_of_range":  # ef's gap: its documents become 2 and docs
+            docs[-1] = sizes["docs"] - 3
+        elif case == "negative_doc":  # cd's gap: -1 as a u4
+            docs.view("<i4")[2] = -1
+        elif case == "negative_skip_entry":  # cd's second block
+            docs.view("<i4")[3] = -1
+        elif case == "unsorted_postings":  # cd's first block now ends at 3, its second's first
+            docs[2] = 1
         elif case == "zero_tf":
             tf[0] = 0
         elif case == "huge_tf":
             tf[0] = 2**31 - 1
+        elif case == "tf_longer_than_any_line":  # no line is 200 bytes long
+            tf[0] = 200
         elif case == "term_without_postings":
-            starts[1] = 0  # term 1's postings stay ascending
+            starts[1] = 0
         elif case == "duplicate_term":
             vocab = vocab.replace(b"cd\n", b"ab\n")
         elif case == "span_past_the_end":
@@ -492,27 +620,46 @@ class TestCorpusIndexFile:
             header = header.replace(b'"docs": %d' % sizes["docs"], b'"docs": %d' % (sizes["docs"] - 1))
             arrays["norms"], arrays["spans"] = arrays["norms"][:-1], spans[:-1]
         elif case == "empty_span_after_the_last_line":  # c's span stretched over d's line
-            spans[2, 1] = spans[3, 1]
-            spans[3] = spans[3, 1] + len("\n")
+            spans[-2, 1] = spans[-1, 1]
+            spans[-1] = spans[-1, 1] + len("\n")
+        elif case == "split_line":  # lines one byte apart, but by a's "}", not a line break
+            spans[0, 1] -= 1
+            spans[1, 0] -= 1
         elif case == "span_with_a_leading_space":  # still the lines, but does not parse
             spans[0, 0] -= len("\xa0".encode())
+        elif case == "block_count_mismatch":  # one bound more, and a header that counts it
+            header = header.replace(b'"blocks": %d' % sizes["blocks"], b'"blocks": %d' % (sizes["blocks"] + 1))
+            arrays["bounds"] = np.append(bounds, bounds[-1])
+        elif case == "nan_bound":
+            bounds[1] = np.nan
+        elif case == "negative_bound":
+            bounds[1] = -bounds[1]
+        elif case == "idf_count_mismatch":
+            arrays["idf"] = arrays["idf"][:-1]
         else:  # one term more than the header says
             vocab = vocab.replace(b"cd\n", b"c\n\n")
         body = header + b"".join(a.tobytes() for a in arrays.values()) + vocab
         return prefix.pack(magic, header_len, source_hash(body)) + body
 
+    # b2 and c hold ef, so ef's block has a gap; d holds no term, so no
+    # posting shows that it is missing.
+    INCONSISTENT = [Doc("a", "", "ab"), Doc("b", "", "cd cd"), Doc("b2", "", "cd ef"), Doc("c", "", "cd ef"),
+                    Doc("d", "", "!!!")]
+
     @pytest.mark.parametrize(
         "case",
-        ["doc_out_of_range", "negative_doc", "unsorted_postings", "zero_tf", "huge_tf",
+        ["doc_out_of_range", "negative_doc", "unsorted_postings", "zero_tf", "huge_tf", "tf_longer_than_any_line",
          "term_without_postings", "duplicate_term", "extra_term",
          "span_past_the_end", "empty_span", "overlapping_spans", "too_few_spans",
-         "empty_span_after_the_last_line"],
+         "empty_span_after_the_last_line", "split_line", "last_doc_out_of_range", "negative_skip_entry",
+         "block_count_mismatch", "nan_bound", "negative_bound", "idf_count_mismatch"],
     )
-    def test_inconsistent_index_is_rebuilt_and_rewritten(self, tmp_path, builds, case):
-        # d holds no term, so no posting shows that it is missing.
-        docs = [Doc("a", "", "ab"), Doc("b", "", "cd cd"), Doc("c", "", "cd ef"), Doc("d", "", "!!!")]
+    def test_inconsistent_index_is_rebuilt_and_rewritten(self, tmp_path, builds, monkeypatch, case):
+        monkeypatch.setattr(envs, "_BLOCK", 2)
+        docs = self.INCONSISTENT
         path = write_corpus(tmp_path / "corpus.jsonl", docs)
         expected = index_of(Corpus.from_jsonl(path))
+        assert expected["_post_docs"] == ("I", array("I", [0, 1, 0, 3, 2, 0]).tobytes())
         sidecar = tmp_path / f"corpus.jsonl{INDEX_SUFFIX}"
         good = sidecar.read_bytes()
         sidecar.write_bytes(self.resigned(good, case))
