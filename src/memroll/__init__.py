@@ -32,17 +32,18 @@ _EXPORTS = {
         "inject_hint", "render_context",
     ),
     "envs": (
-        "Corpus", "Doc", "Environment", "HttpSearchEnv", "Observation", "Product",
-        "RetrievalEnv", "ScriptedEnv", "ShopEnv", "ShopGoal", "ShopSim", "ShopState",
-        "load_catalog", "render_passages", "retrieve",
+        "Corpus", "Doc", "Environment", "HttpSearchEnv", "Observation", "RetrievalEnv",
+        "ScriptedEnv", "render_passages", "retrieve",
     ),
+    "shop": ("Product", "ShopEnv", "ShopGoal", "ShopSim", "ShopState", "load_catalog"),
     "compose": (
         "CompositeTask", "compose", "composite_from_dict", "composite_from_tasks", "gold_of",
         "load_composites", "load_dataset", "write_composites",
     ),
+    "archive": ("Generation", "TrajectoryRecord", "TurnRecord"),
     "rollout": (
-        "Generation", "HttpPolicy", "PolicyBackend", "RolloutError", "ScriptedPolicy",
-        "TrajectoryRecord", "TurnRecord", "replay_contexts", "run_batch", "run_rollout",
+        "HttpPolicy", "PolicyBackend", "RolloutError", "ScriptedPolicy", "replay_contexts",
+        "run_batch", "run_rollout",
     ),
     "metrics": (
         "MetricReport", "aggregate", "dependency", "em_reward", "exact_match", "f1",

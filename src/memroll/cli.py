@@ -5,8 +5,9 @@ prompts), rollout (run episodes against a policy and environment, writing a
 trajectory archive), score (accuracy and efficiency metrics over an archive),
 and export-masks (stitched token sequences with attention and loss masks).
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data,
-3 integrity failure (mask or container verification).
+Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data or
+a path that cannot be read or written, 3 integrity failure (mask or container
+verification).
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ EXIT_INTEGRITY = 3
 # already bound (a tracer's or a test's replacement) as it is, and calls them
 # through these globals; memroll.cli.<name> imports a name on first access.
 _DEFERRED = {
-    "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv", "ShopEnv", "load_catalog"),
+    "archive": ("ARCHIVE_VERSION", "TrajectoryRecord", "check_version", "dump_turns"),
+    "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv"),
     "masks": ("FORMATS", "_packed", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
     "metrics": ("MetricReport", "aggregate", "score_trajectory"),
-    "rollout": ("ARCHIVE_VERSION", "HttpPolicy", "RolloutError", "ScriptedPolicy", "TrajectoryRecord",
-                "check_version", "dump_turns", "run_batch"),
+    "rollout": ("HttpPolicy", "RolloutError", "ScriptedPolicy", "run_batch"),
+    "shop": ("ShopEnv", "load_catalog"),
 }
 
 
@@ -101,6 +103,7 @@ def _make_env(spec: str, config: RolloutConfig):
         corpus = Corpus.from_jsonl(spec[len("corpus:") :])
         return RetrievalEnv(corpus, k=config.retrieval_k)
     if spec.startswith("shop:"):
+        _bind("shop")
         return ShopEnv(load_catalog(spec[len("shop:") :]))
     if spec.startswith("scripted:"):
         return ScriptedEnv.from_file(spec[len("scripted:") :])
@@ -139,7 +142,7 @@ def _resolve_config(args: argparse.Namespace) -> RolloutConfig:
 def _cmd_rollout(args: argparse.Namespace) -> int:
     if args.concurrency < 1:
         raise ConfigError("--concurrency must be >= 1")
-    _bind("rollout", "envs")
+    _bind("rollout", "archive", "envs")
     config = _resolve_config(args)
     tasks = load_composites(args.input)
     names = _file_names([task.id for task in tasks], ".json")
@@ -202,7 +205,7 @@ def read_archive(path: str | Path) -> list[TrajectoryRecord]:
 
 
 def _iter_archive(path: str | Path):
-    _bind("rollout")
+    _bind("archive")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -425,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 from typing import Protocol, Sequence, get_args, get_type_hints, runtime_checkable
@@ -70,42 +71,54 @@ def record(cls: type) -> type:
     importing dataclasses (and with it inspect) in every process.
 
     The fields are the annotations cls itself declares, in order, and a
-    field's class attribute is its default. cls gains _fields (the field
-    names); an __init__ taking the fields as arguments, which then calls
+    field's class attribute is its default, unless it is a data descriptor
+    (one with __set__), which then stores the field. cls gains _fields (the
+    field names); an __init__ taking the fields as arguments, which then calls
     __post_init__ when cls has one; a __repr__ in the dataclass form; an
     __eq__ that compares the field values of two instances of the same class
-    and returns NotImplemented for anything else; a __hash__ of the field
-    values; and __setattr__ and __delattr__ that raise AttributeError.
+    and returns NotImplemented for anything else; a __hash__ of the tuple of
+    field values; and __setattr__ and __delattr__ that raise AttributeError.
     Instances pickle and copy, and replace builds a changed copy.
 
-    The methods are compiled from source generated per class, as dataclasses
-    does, so they cost an instance no more than hand-written ones would.
+    Only __init__ is compiled from source generated per class, as dataclasses
+    does, so that constructing costs no more than a hand-written __init__;
+    the other methods share one attrgetter of the fields.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
-    params = ", ".join(f"{n}=_d_{n}" if n in cls.__dict__ else n for n in names)
-    own = "".join(f"self.{n}," for n in names)
-    other = "".join(f"other.{n}," for n in names)
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    defaults = {
+        f"_d_{n}": cls.__dict__[n] for n in names
+        if n in cls.__dict__ and not hasattr(type(cls.__dict__[n]), "__set__")
+    }
+    params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
     source = "\n".join([
         f"def __init__(self, {params}):",
         *(f"    _set(self, {n!r}, {n})" for n in names),
         "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
-        "def __repr__(self):",
-        f"    return f'{{self.__class__.__qualname__}}({shown})'",
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return ({own}) == ({other})",
-        "    return NotImplemented",
-        "def __hash__(self):",
-        f"    return hash(({own}))",
     ])
     namespace = {"_set": object.__setattr__, **defaults}
     exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
-    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
-        method = namespace[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+
+    if len(names) > 1:
+        values = attrgetter(*names)
+    else:  # attrgetter gives a lone field's value bare, and needs a name
+
+        def values(obj) -> tuple:
+            return tuple(getattr(obj, n) for n in names)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    for method in (namespace["__init__"], __repr__, __eq__, __hash__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls._fields = names

@@ -55,13 +55,12 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .core import IntegrityError, TokenCounter
+from .archive import TrajectoryRecord
 from .context import HINT_TEMPLATE
-from .rollout import TrajectoryRecord
+from .core import IntegrityError, TokenCounter, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,7 +120,7 @@ _SWAP = sys.byteorder == "big"
 
 
 class _Column:
-    """A per-token column of a dataclass, held packed and read through numpy.
+    """A per-token column of a record, held packed and read through numpy.
 
     The packed column is a memoryview of native items of format fmt, which
     is the container's layout: an array.array, or a slice of an imported
@@ -139,8 +138,7 @@ class _Column:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            # No value on the class, so dataclass makes the field a required argument.
-            raise AttributeError(self.name)
+            return self
         view = obj.__dict__.get(self.name)
         if view is None:
             import numpy as np
@@ -168,10 +166,10 @@ def _packed(obj, name: str) -> memoryview:
 
 def _reduce(obj):
     # Pickle and deepcopy by the field values: a memoryview cannot be pickled.
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(getattr(obj, name) for name in obj._fields)
 
 
-@dataclass
+@record
 class StitchedTrajectory:
     """One episode as a flat token sequence with per-token annotations.
 
@@ -186,7 +184,8 @@ class StitchedTrajectory:
     np.ndarray views of the dtypes below, built on first access (which
     imports numpy) and kept. The views of an imported sequence are views of
     the container, read-only when it is bytes. The constructor and
-    dataclasses.replace take numpy arrays.
+    memroll.core.replace take numpy arrays. Like every record it is frozen,
+    and the columns are required arguments.
     """
 
     tokens: np.ndarray = _Column("i", "int32")
@@ -242,7 +241,7 @@ class Mask2D:
         return self._words is not None
 
 
-@dataclass
+@record
 class Mask1D:
     """Loss mask: True exactly on policy-generated tokens.
 
@@ -771,13 +770,7 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         raise IntegrityError("loss column holds a byte other than 0 and 1")
     segments = take(n)
     turn_of = _items(take(2 * n), "H")
-    stitched = StitchedTrajectory(
-        tokens=tokens,
-        segments=segments,
-        turn_of=turn_of,
-        generated=loss,
-        positions=positions,
-    )
+    bases = strings = None
     if fmt == "dense_bitpack":
         import numpy as np
 
@@ -817,8 +810,9 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         ids = set(tokens)
         if ids and (min(ids) < 0 or max(ids) >= len(strings)):
             raise IntegrityError("token id outside the string table")
-        stitched.bases, stitched.strings = tuple(bases), strings
-        mask = Mask2D(n, bases=stitched.bases, bounds=bounds)
+        bases = tuple(bases)
+        mask = Mask2D(n, bases=bases, bounds=bounds)
     if pos != len(payload):
         raise IntegrityError("mask payload has trailing bytes")
+    stitched = StitchedTrajectory(tokens, segments, turn_of, loss, positions, bases, strings)
     return stitched, mask, Mask1D(loss=loss), header

@@ -15,9 +15,9 @@ from collections import Counter
 from collections.abc import Sequence
 from statistics import fmean, pstdev
 
+from .archive import TrajectoryRecord
 from .compose import gold_of
 from .core import DEFAULT_COUNTER, TokenCounter, record
-from .rollout import TrajectoryRecord
 from .tagparse import split_answers
 
 __all__ = [

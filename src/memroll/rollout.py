@@ -18,19 +18,24 @@ import os
 import threading
 import time
 from pathlib import Path
-from types import NoneType
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
-from .compose import CompositeTask, composite_from_dict
-from .context import (
-    ContextState,
-    advance,
-    initial_state,
-    inject_hint,
-    render_context,
+# The records a rollout writes live in archive.py, which readers import alone;
+# every name is also reachable here.
+from .archive import (
+    ARCHIVE_VERSION,
+    Generation,
+    TrajectoryRecord,
+    TurnRecord,
+    check_version,
+    dump_turns,
+    load_turns,
+    shared_prefix,
 )
-from .core import DataError, RolloutConfig, TagPreset, WordTokenizer, config_from_mapping, record
-from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
+from .compose import CompositeTask
+from .context import advance, initial_state, inject_hint, render_context
+from .core import DataError, RolloutConfig, WordTokenizer
+from .tagparse import Answer, Query, parse_turn
 
 if TYPE_CHECKING:
     import requests
@@ -38,56 +43,14 @@ if TYPE_CHECKING:
     from .envs import Environment, Observation
 
 __all__ = [
-    "Generation",
     "PolicyBackend",
     "ScriptedPolicy",
     "HttpPolicy",
-    "TurnRecord",
-    "TrajectoryRecord",
     "RolloutError",
     "run_rollout",
     "run_batch",
     "replay_contexts",
 ]
-
-
-_NUMBER = (int, float)
-# The format of trajectory files and manifests. Version 2 stores each turn's
-# snapshot against the previous one (TurnRecord.to_dict); version 1, which
-# wrote no version key, stored it whole.
-ARCHIVE_VERSION = 2
-# How an episode may end, by the action of its last turn.
-_ENDINGS = {Query: ("answered", "turn_limit"), Answer: ("answered",), Invalid: ("invalid",)}
-
-
-def _typed(data: dict, kinds: dict) -> None:
-    """Refuse data with DataError unless it is an object whose keys named in
-    kinds hold one of the types given for them."""
-    if not isinstance(data, dict):
-        raise DataError(f"expected a JSON object, got {type(data).__name__}")
-    for key, kind in kinds.items():
-        if key in data and not isinstance(data[key], kind):
-            raise DataError(f"{key} holds {type(data[key]).__name__}")
-
-
-@record
-class Generation:
-    """One policy emission. finish is 'stop' (a stop marker was hit, named in
-    stop_marker), 'eos', or 'length' (token budget)."""
-
-    text: str
-    finish: str
-    stop_marker: str | None = None
-    latency_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"text": self.text, "finish": self.finish, "stop_marker": self.stop_marker,
-                "latency_s": self.latency_s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Generation":
-        _typed(data, {"text": str, "finish": str, "stop_marker": (str, NoneType), "latency_s": _NUMBER})
-        return cls(data["text"], data["finish"], data.get("stop_marker"), data.get("latency_s", 0.0))
 
 
 @runtime_checkable
@@ -282,154 +245,6 @@ class HttpPolicy:
 
     def bind(self, task) -> "HttpPolicy":
         return self
-
-
-@record
-class TurnRecord:
-    """Everything observed during one turn. context_snapshot is the exact
-    string the policy saw; info is the hint-injected environment feedback
-    (present exactly for query turns).
-
-    Only the snapshot, generation, info and env_reward are stored: index (the
-    turn's position) and parsed (generation.text read with the trajectory's
-    tag preset) are derived on reading, and valid is parsed.valid. The
-    snapshot is stored against the previous turn's: context_kept counts the
-    leading characters the two share (absent when none, as on turn 0), and
-    context_snapshot holds the text after them.
-    """
-
-    index: int
-    context_snapshot: str
-    generation: Generation
-    parsed: ParsedTurn
-    info: str | None
-    env_reward: float | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.parsed.valid
-
-    def to_dict(self, previous: str = "") -> dict:
-        """The stored form, given the snapshot of the turn before ("" for the first)."""
-        kept = shared_prefix(previous, self.context_snapshot)
-        data = {"context_snapshot": self.context_snapshot[kept:], "generation": self.generation.to_dict(),
-                "info": self.info, "env_reward": self.env_reward}
-        if kept:
-            data["context_kept"] = kept
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict, index: int, preset: TagPreset, previous: str = "") -> "TurnRecord":
-        """Read turn index of a trajectory tagged with preset, whose turn before
-        saw previous; any other key (older archives store index, parsed, valid
-        and latency_s) is ignored."""
-        _typed(data, {"context_snapshot": str, "generation": dict, "info": (str, NoneType),
-                      "env_reward": (*_NUMBER, NoneType)})
-        kept = data.get("context_kept", 0)
-        # type(), not isinstance(): a JSON true reads as True, an int subclass.
-        if type(kept) is not int or not 0 <= kept <= len(previous):
-            raise DataError(f"turn {index}: context_kept {kept!r} is not a count of the "
-                            f"{len(previous)} characters the turn before saw")
-        generation = Generation.from_dict(data["generation"])
-        parsed = parse_turn(generation.text, preset)
-        return cls(index, previous[:kept] + data["context_snapshot"], generation, parsed, data["info"],
-                   data.get("env_reward"))
-
-
-def shared_prefix(a: str, b: str) -> int:
-    """The number of leading characters a and b share. A bisection over
-    str.startswith, so the characters are compared in C."""
-    if b.startswith(a):
-        return len(a)
-    low, high = 0, min(len(a), len(b))
-    while low < high:
-        mid = (low + high + 1) // 2
-        if b.startswith(a[:mid]):
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
-def dump_turns(turns: Sequence[TurnRecord]) -> list[dict]:
-    """The stored form of an episode's turns, each snapshot against the one before."""
-    previous = ""
-    stored = []
-    for turn in turns:
-        stored.append(turn.to_dict(previous))
-        previous = turn.context_snapshot
-    return stored
-
-
-def load_turns(data: list, preset: TagPreset) -> tuple[TurnRecord, ...]:
-    """Read turns stored by dump_turns (or whole, as older archives store them)."""
-    previous = ""
-    turns = []
-    for index, item in enumerate(data):
-        turn = TurnRecord.from_dict(item, index, preset, previous)
-        turns.append(turn)
-        previous = turn.context_snapshot
-    return tuple(turns)
-
-
-def check_version(data: dict) -> None:
-    """Refuse with DataError a stored object of an archive version this code
-    does not know; one without a version key is version 1."""
-    version = data.get("version", 1)
-    if type(version) is not int or not 1 <= version <= ARCHIVE_VERSION:
-        raise DataError(f"unknown archive version {version!r}")
-
-
-@record
-class TrajectoryRecord:
-    """One finished episode. terminated is 'answered', 'turn_limit', or
-    'invalid'; final_answer is present exactly when answered."""
-
-    task: CompositeTask
-    turns: tuple[TurnRecord, ...]
-    final_answer: str | None
-    terminated: str
-    config: RolloutConfig
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "version": ARCHIVE_VERSION,
-            "task": self.task.to_dict(),
-            "turns": dump_turns(self.turns),
-            "final_answer": self.final_answer,
-            "terminated": self.terminated,
-            "config": self.config.to_dict(),
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrajectoryRecord":
-        """Read a stored trajectory. DataError refuses one that run_rollout could
-        not have written: an unknown version, a value of the wrong JSON type, a
-        context_kept longer than the snapshot before, no turns, or turns whose
-        parses disagree with how the episode went. Every turn but the last
-        is a query, info comes exactly with a query, and the last turn's action
-        decides terminated and, when answered, the final answer."""
-        _typed(data, {"task": dict, "turns": list, "final_answer": (str, NoneType), "terminated": str,
-                      "config": dict, "wall_time_s": _NUMBER})
-        check_version(data)
-        config = config_from_mapping(data["config"])
-        turns = load_turns(data["turns"], config.preset)
-        if not turns:
-            raise DataError("a trajectory needs at least one turn")
-        for turn in turns:
-            query = isinstance(turn.parsed.action, Query)
-            if query != (turn.info is not None) or (not query and turn is not turns[-1]):
-                raise DataError(f"turn {turn.index} reads as {turn.parsed.action}, info {turn.info!r:.40}")
-        action = turns[-1].parsed.action
-        terminated, final_answer = data["terminated"], data["final_answer"]
-        if terminated not in _ENDINGS[type(action)]:
-            raise DataError(f"terminated {terminated!r} cannot follow a last turn read as {action}")
-        if final_answer != (action.text if terminated == "answered" else None):
-            raise DataError(f"final_answer {final_answer!r} does not follow a last turn read as {action}")
-        task = composite_from_dict(data["task"])
-        return cls(task, turns, final_answer, terminated, config, data.get("wall_time_s", 0.0))
 
 
 class RolloutError(RuntimeError):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import json
 import os
@@ -18,6 +17,7 @@ import memroll
 import memroll.cli
 from memroll import Mask2D, RolloutConfig, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
+from memroll.core import replace
 from memroll.rollout import RolloutError, load_turns, replay_contexts
 
 from helpers import scrub_times
@@ -171,6 +171,34 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compose", "rollout", "export-masks", "score-plot-data", "score-out"])
+    def test_unwritable_output_path_is_data_error(self, smoke, command):
+        # An output path under a regular file fails in the operating system
+        # (NotADirectoryError, FileExistsError): exit 2 with a data error
+        # line, not a traceback, in a fresh interpreter as a user runs it.
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        under_file = tmp_path / "plain.txt"
+        under_file.write_text("not a directory\n", encoding="utf-8")
+        argv = {
+            "compose": ["compose", "--in", str(tmp_path / "qa3.jsonl"), "--n", "1",
+                        "--out", str(under_file / "x.jsonl")],
+            "rollout": rollout_args(tasks, script, env, under_file / "a"),
+            "export-masks": ["export-masks", "--archive", str(archive), "--out", str(under_file / "m")],
+            "score-plot-data": ["score", "--archive", str(archive), "--out", str(tmp_path / "rep"),
+                                "--plot-data", str(under_file / "p.csv")],
+            "score-out": ["score", "--archive", str(archive), "--out", str(under_file / "rep")],
+        }[command]
+        src = str(Path(memroll.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from memroll.cli import main; sys.exit(main())", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("data error: ") and "plain.txt" in result.stderr
+
 
 class TestStartup:
     def test_cli_import_leaves_requests_unloaded(self):
@@ -198,8 +226,8 @@ class TestStartup:
     REQUIRED = {
         "compose": ("memroll.compose",),
         "rollout": ("memroll.rollout",),
-        "score": ("memroll.metrics", "statistics"),
-        "export-masks": ("memroll.masks",),
+        "score": ("memroll.metrics", "memroll.archive", "statistics"),
+        "export-masks": ("memroll.masks", "memroll.archive"),
         "export-masks-dense": ("memroll.masks", "numpy"),
     }
 
@@ -208,9 +236,12 @@ class TestStartup:
         [
             ("import", ("numpy", "requests", "dataclasses", "inspect", "memroll.*")),
             ("compose", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
-            ("rollout", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks")),
-            ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "string", "memroll.envs")),
-            ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs")),
+            ("rollout", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks",
+                         "memroll.shop")),
+            ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "string", "memroll.envs",
+                       "memroll.rollout", "memroll.context")),
+            ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs",
+                              "memroll.rollout", "dataclasses", "inspect")),
             ("export-masks-dense", ("requests", "memroll.envs")),
         ],
     )
@@ -218,9 +249,11 @@ class TestStartup:
         # Each command, run in a fresh interpreter, imports only the modules
         # it uses; `import memroll` alone imports none of its submodules. The
         # default export-masks --verify runs on the standard library; a dense
-        # format is what loads numpy. memroll's value types are records, not
-        # dataclasses, so only export-masks (whose mask types are dataclasses)
-        # loads dataclasses and, through it, inspect.
+        # format is what loads numpy. memroll's value types, the mask types
+        # included, are records, not dataclasses, so no command loads
+        # dataclasses or, through it, inspect. score and export-masks read
+        # the archive through memroll.archive, without the policies and the
+        # turn loop; a scripted rollout loads no shop.
         tmp_path, tasks, script, env = smoke
         archive = tmp_path / "archive"
         assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
@@ -266,7 +299,8 @@ class TestStartup:
         # The corpus index is built, stored, read and searched on the
         # standard library: importing numpy would cost a corpus rollout child
         # more time and memory than its warm load. Doc and the other value
-        # types are records, so neither loads dataclasses or inspect.
+        # types are records, so neither loads dataclasses or inspect, and
+        # the shop lives in a module of its own that a corpus rollout skips.
         tmp_path, tasks, script, _ = smoke
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -281,7 +315,7 @@ class TestStartup:
                     "--env", f"corpus:{corpus}", "--out", str(tmp_path / attempt), "--turns", "4"]
             loaded = json.loads(_run_python(self.LIST_MODULES, json.dumps(argv)).splitlines()[-1])
             assert "memroll.envs" in loaded
-            assert not {"numpy", "dataclasses", "inspect"} & set(loaded)
+            assert not {"numpy", "dataclasses", "inspect", "memroll.shop"} & set(loaded)
         search = (
             "import sys, memroll\n"
             "corpus = memroll.Corpus.from_jsonl(sys.argv[1])\n"
@@ -850,7 +884,7 @@ class TestExportMasks:
                 "segments": np.zeros_like(stitched.segments),
                 "turn_of": np.zeros_like(stitched.turn_of),
             }[column]
-            return export_masks(dataclasses.replace(stitched, **{column: altered}), *args, **kwargs)
+            return export_masks(replace(stitched, **{column: altered}), *args, **kwargs)
 
         monkeypatch.setattr(memroll.cli, "export_masks", tampered)
         code = main(

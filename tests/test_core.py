@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import copy
+import importlib
 import pickle
 import sys
 import threading
@@ -543,6 +544,34 @@ class TestRecord:
         assert Query("x") != ("x",)
         assert Query("x").__eq__(Answer("x")) is NotImplemented
         assert Query("x") != Query("y")
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_hash_is_the_field_tuple_and_other_classes_never_equal(self, name):
+        # The values a frozen dataclass gives: hash of the field tuple, a
+        # one-field record included, and NotImplemented from any other class.
+        obj = RECORDS[name][0]()
+        values = tuple(getattr(obj, field) for field in obj._fields)
+        if name not in UNHASHABLE:
+            assert hash(obj) == hash(values)
+        for other, (make, _) in RECORDS.items():
+            if other != name:
+                assert obj.__eq__(make()) is NotImplemented and obj != make()
+        assert hash(Query("x")) == hash(("x",))
+
+    def test_every_record_class_is_covered(self):
+        # RECORDS above and the two mask types (tests/test_masks.py) are all
+        # the package's record classes.
+        from memroll import core
+
+        found = set()
+        for module in ("core", "tagparse", "context", "compose", "archive", "envs", "shop", "metrics", "masks"):
+            namespace = vars(importlib.import_module(f"memroll.{module}"))
+            found |= {
+                name for name, value in namespace.items()
+                if isinstance(value, type) and value.__module__ == f"memroll.{module}"
+                and value.__dict__.get("__setattr__") is core._frozen_setattr
+            }
+        assert found == set(RECORDS) | {"StitchedTrajectory", "Mask1D"}
 
     @pytest.mark.parametrize("name", RECORDS)
     def test_fields_cannot_be_set_or_deleted(self, name):

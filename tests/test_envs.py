@@ -496,7 +496,10 @@ class TestCorpusIndexFile:
         docs = random_docs(random.Random(8), 40)
         path = write_corpus(tmp_path / "corpus.jsonl", docs)
         calls = Counter()
-        for name in ("iter_jsonl", "jsonl_lines", "_parse_doc"):
+        # envs reads JSONL only through jsonl_lines: the per-object reader
+        # iter_jsonl went with load_catalog to shop.py.
+        assert "iter_jsonl" not in vars(envs)
+        for name in ("jsonl_lines", "_parse_doc"):
             def counted(*args, _name=name, _fn=getattr(envs, name)):
                 calls[_name] += 1
                 return _fn(*args)

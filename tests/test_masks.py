@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -14,6 +13,7 @@ import re
 import struct
 import subprocess
 import sys
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -428,7 +428,7 @@ class TestBuildMasks:
     def test_imported_sequences_cannot_rebuild_masks(self):
         rng = random.Random(30)
         st, _, _, _ = full_build(scripted_episode(rng, turns=2))
-        orphan = dataclasses.replace(st, bases=None)
+        orphan = replace(st, bases=None)
         with pytest.raises(ValueError):
             build_masks(orphan)
 
@@ -532,7 +532,7 @@ class TestVerifyMasks:
         assert gen.size >= 4
         generated = st.generated.copy()
         generated[gen[1:3]] = False
-        holey = dataclasses.replace(st, generated=generated)
+        holey = replace(st, generated=generated)
         message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
         with pytest.raises(IntegrityError, match=re.escape(message)):
             verify_masks(record, holey, mask2d, counter)
@@ -1030,14 +1030,17 @@ class TestPackedColumns:
                 assert int(import_masks(blob)[2].loss.sum()) == generated
 
     def test_fields_take_numpy_arrays(self):
-        names = [f.name for f in dataclasses.fields(StitchedTrajectory)]
+        names = list(StitchedTrajectory._fields)
         assert names == ["tokens", "segments", "turn_of", "generated", "positions", "bases", "strings"]
-        required = [f.name for f in dataclasses.fields(StitchedTrajectory) if f.default is dataclasses.MISSING]
-        assert required == names[:5]
+        # The five columns are required; bases and strings default to None.
+        columns = [array("i"), array("B"), array("H"), array("B"), array("i")]
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'positions'"):
+            StitchedTrajectory(*columns[:4])
+        assert (StitchedTrajectory(*columns).bases, StitchedTrajectory(*columns).strings) == (None, None)
         st, _ = stitched(random_episode(random.Random(95)))
         # Another dtype or a strided view is converted to the column's dtype.
         wide = np.arange(2 * st.n, dtype=np.int64)[::2]
-        other = dataclasses.replace(st, positions=wide, generated=st.generated.astype(np.uint8))
+        other = replace(st, positions=wide, generated=st.generated.astype(np.uint8))
         assert other.positions.dtype == np.int32 and np.array_equal(other.positions, wide)
         assert other.generated.dtype == np.bool_ and np.array_equal(other.generated, st.generated)
         assert other.bases == st.bases and np.array_equal(other.tokens, st.tokens)
@@ -1049,6 +1052,25 @@ class TestPackedColumns:
                 assert all(np.array_equal(getattr(copied, c), getattr(st, c)) for c in COLUMNS)
                 assert (copied.bases, copied.strings) == (st.bases, st.strings)
             assert np.array_equal(pickle.loads(pickle.dumps(mask1d)).loss, mask1d.loss)
+
+    def test_records_print_as_the_dataclasses_did(self):
+        # The text the mutable dataclass versions printed; they are frozen
+        # records now, unhashable by their array fields as before.
+        st = StitchedTrajectory(array("i", [3, 1]), array("B", [0, 2]), array("H", [0, 1]), array("B", [0, 1]),
+                                array("i", [0, 0]), ((), ((0, 1),)), ("a", "b", "", "d"))
+        loss = Mask1D(loss=bytearray(b"\x00\x01"))
+        assert repr(st) == (
+            "StitchedTrajectory(tokens=array([3, 1], dtype=int32), segments=array([0, 2], dtype=uint8), "
+            "turn_of=array([0, 1], dtype=uint16), generated=array([False,  True]), "
+            "positions=array([0, 0], dtype=int32), bases=((), ((0, 1),)), strings=('a', 'b', '', 'd'))"
+        )
+        assert repr(loss) == "Mask1D(loss=array([False,  True]))"
+        assert st.__eq__(loss) is NotImplemented and loss.__eq__(st) is NotImplemented
+        for obj in (st, loss):
+            with pytest.raises(TypeError):
+                hash(obj)
+            with pytest.raises(AttributeError):
+                obj.bases = None
 
     def test_big_endian_host_swaps_the_packed_columns(self, monkeypatch):
         # Packed columns are native, so a big-endian host byteswaps them on

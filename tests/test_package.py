@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import os
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,9 @@ from types import ModuleType
 import pytest
 
 import memroll
+from memroll import archive, envs, rollout, shop
+
+from helpers import random_episode
 
 EXPORTS = {
     "ConfigError", "DataError", "DEFAULT_COUNTER", "ENV_KINDS", "IntegrityError",
@@ -81,3 +86,30 @@ class TestNameClash:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "True"
+
+
+class TestMovedNames:
+    """The shop moved out of envs.py into shop.py, and the archive records out
+    of rollout.py into archive.py; the old import paths give the very same
+    objects, so imports and pickles made before the move still work."""
+
+    def test_old_paths_give_the_same_objects(self):
+        from memroll.envs import ShopEnv, ShopGoal, load_catalog
+
+        assert ShopEnv is shop.ShopEnv and ShopGoal is shop.ShopGoal and load_catalog is shop.load_catalog
+        assert all(getattr(envs, name) is getattr(shop, name) for name in shop.__all__)
+        assert all(getattr(rollout, name) is getattr(archive, name) for name in archive.__all__)
+        assert memroll.ShopSim is shop.ShopSim
+        assert memroll.rollout.TrajectoryRecord is archive.TrajectoryRecord
+        with pytest.raises(AttributeError):
+            envs.NoSuchName
+
+    def test_pickled_trajectory_round_trips(self):
+        record = random_episode(random.Random(7))
+        assert type(record) is archive.TrajectoryRecord
+        data = pickle.dumps(record)
+        assert pickle.loads(data) == record
+        # A pickle naming the classes at their old module loads as well.
+        assert b"memroll.archive" in data
+        old = data.replace(b"memroll.archive", b"memroll.rollout")
+        assert pickle.loads(old) == record
