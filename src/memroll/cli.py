@@ -155,6 +155,10 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
         default_max_turns(task.objective_count) if args.turns == "auto" else config.max_turns
         for task in tasks
     ]
+    # The output directory is made before any episode runs, so a path that
+    # cannot be one costs no rollout.
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[int, TrajectoryRecord | RolloutError] = {}
     for budget in sorted(set(budgets)):
         group = [idx for idx, task_budget in enumerate(budgets) if task_budget == budget]
@@ -162,8 +166,6 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
         batch = run_batch([tasks[idx] for idx in group], policy, env, budget_config, args.concurrency)
         results.update(zip(group, batch))
 
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     errors = []
     for task, name, (_, result) in zip(tasks, names, sorted(results.items())):
@@ -305,10 +307,11 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     Each trajectory is stitched with a fresh counter, so its token ids index
     its own string table and its bytes depend on nothing exported before it.
     With verify, the container is checked as written: re-imported, it must
-    pass the visible-context oracle and give back every column, the mask and,
-    for ranges, the counter's vocabulary as its string table. A function of its
-    own so that the mask, the container and the re-imported rows are freed
-    before the next trajectory is built.
+    pass the visible-context oracle and give back every column and the mask:
+    for ranges its exact ranges and the counter's vocabulary as its string
+    table, for the dense formats the same rows. A function of its own so that
+    the mask, the container and the re-imported mask are freed before the
+    next trajectory is built.
     """
     counter = WordTokenizer()
     try:
@@ -324,9 +327,7 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
                 vocabulary = tuple(counter.decode([i]) for i in range(counter.vocab_size()))
                 same = re_mask.bases == mask2d.bases and re_st.strings == vocabulary
             else:
-                import numpy as np
-
-                same = np.array_equal(re_mask.words, mask2d.words)
+                same = re_mask.same_rows(mask2d)
             if not (same and all(_packed(a, c) == _packed(b, c) for a, b, c in pairs)):
                 raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:

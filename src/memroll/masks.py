@@ -10,19 +10,19 @@ runs and info block (consolidate) or everything before it (full_append). It
 verifies byte-for-byte that those ranges decode to the recorded context
 snapshot, refuses to emit anything otherwise, and keeps them as the
 sequence's bases. Those ranges are the mask: build_masks() holds them as they
-are, and dense rows are built from them only when asked for.
+are, a container of any format is read back as ranges, and dense rows are
+built from them only when asked for.
 
 Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
 stitched sequence.
 
 The per-token columns (and Mask1D.loss) are held packed, as memoryviews in the
-container's own column layout, so the default path (stitch, build_masks,
-export_masks and import_masks with ranges, verify_masks on a mask held as
-ranges) runs on the standard library alone. Reading a column as an attribute
-gives an np.ndarray of its documented dtype, a view of the packed column built
-on first access and kept; that, dense rows, visible_tokens and the two dense
-formats are what import numpy.
+container's own column layout, so stitch, build_masks, verify_masks, and
+export_masks and import_masks with ranges or index_list run on the standard
+library alone. Reading a column as an attribute gives an np.ndarray of its
+documented dtype, a view of the packed column built on first access and kept;
+that, Mask2D.words, visible_tokens and dense_bitpack are what import numpy.
 
 The export container is binary: magic MEM1MASK, a little-endian u16 version,
 a u32 header length, a JSON header {n, counter_id, format, sha256}, then the
@@ -43,6 +43,9 @@ loss u8, segments u8, turn_of u16. The mask follows, in one of three formats:
   bit i of word w covering token 64*w+i.
 - index_list (version 2): per token a u32 count followed by that many
   ascending u32 indices.
+
+Both dense formats are read back as ranges: a turn's base is the runs of its
+first row, and each later row must be the previous row plus one token.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ _VERSIONS = {
     "index_list": (1, FORMAT_VERSION),
 }
 FORMATS = tuple(_VERSIONS)  # the default first
-_ROW_BLOCK = 256  # rows packed or unpacked at a time, bounding index_list scratch
 _PREFIX = struct.Struct("<HI")  # version, header length
 _HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
 
@@ -206,39 +208,57 @@ class StitchedTrajectory:
 class Mask2D:
     """Per-token visibility rows, strictly causal (token k never sees itself).
 
-    Row k is its turn's base ranges plus the earlier tokens of its own turn. A
-    mask from build_masks or a ranges container is held as exactly that:
-    bases[t] for each turn t, whose rows are [bounds[t], bounds[t + 1]).
-    words, the rows bitpacked (words[k, w] bit i covers token 64*w+i), are
-    built from the ranges on first access and kept: the dense_bitpack and
-    index_list writers read them, and once they exist so do visible_tokens
-    and verify_masks. A mask imported from a dense_bitpack or index_list
-    container holds words only.
+    Row k is its turn's base ranges plus the earlier tokens of its own turn,
+    and every mask is held as exactly that, whether from build_masks or
+    imported from any format: bases[t] for each turn t, whose rows are
+    [bounds[t], bounds[t + 1]). words, the rows bitpacked (words[k, w] bit i
+    covers token 64*w+i), are built from the ranges on first access and kept,
+    read-only: writing to them would change no row.
     """
 
     def __init__(
         self,
         n: int,
-        words: np.ndarray | None = None,
-        bases: tuple[tuple[tuple[int, int], ...], ...] | None = None,
-        bounds: Sequence[int] | None = None,
+        bases: tuple[tuple[tuple[int, int], ...], ...],
+        bounds: Sequence[int],
     ) -> None:
         self.n = n
         self.bases = bases
         self.bounds = bounds
-        self._words = words
+        self._words = None
 
     @property
     def words(self) -> np.ndarray:
-        """uint64, shape (n, ceil(n/64))."""
+        """uint64, shape (n, ceil(n/64)), read-only."""
         if self._words is None:
             self._words = _dense_rows(self)
+            self._words.flags.writeable = False
         return self._words
 
-    @property
-    def dense(self) -> bool:
-        """True once the rows are held as words."""
-        return self._words is not None
+    def same_rows(self, other: Mask2D) -> bool:
+        """Whether other gives the same rows. Dense rows cannot tell touching
+        ranges from joined ones, nor hold the base of a turn with no tokens,
+        so this compares joined ranges, on the turns that have tokens."""
+        return self.n == other.n and _row_key(self) == _row_key(other)
+
+
+def _row_key(mask: Mask2D) -> list:
+    bounds = mask.bounds
+    return [(a, b, _joined(base)) for base, a, b in zip(mask.bases, bounds, bounds[1:]) if a < b]
+
+
+def _joined(ranges: Iterable[tuple[int, int]]) -> list[int]:
+    """Sorted ranges as dense rows give them, as flat [start, end, ...]
+    edges: empty ones dropped, touching ones joined."""
+    edges: list[int] = []
+    for s, e in ranges:
+        if s == e:
+            continue
+        if edges and edges[-1] == s:
+            edges[-1] = e
+        else:
+            edges += (s, e)
+    return edges
 
 
 @record
@@ -422,26 +442,32 @@ def _bounds(turn_of: Sequence[int], turns: int) -> list[int]:
 
 
 def _dense_rows(mask: Mask2D) -> np.ndarray:
-    """Bitpack the rows of a mask held as ranges."""
+    """Bitpack the rows of a mask."""
     import numpy as np
 
-    n = mask.n
-    width = (n + 63) // 64
-    rows = np.zeros((n, width), dtype=np.uint64)
-    for turn, base in enumerate(mask.bases):
-        a, b = int(mask.bounds[turn]), int(mask.bounds[turn + 1])
-        bits = np.zeros(64 * width, dtype=bool)
-        for s, e in base:
-            bits[s:e] = True
-        rows[a:b] = np.packbits(bits, bitorder="little").view("<u8")
-        # Row a + i also sees [a, a + i): one bit per row, OR-accumulated
-        # down the turn's rows, over the words the turn spans.
-        w0, w1 = a >> 6, (b + 63) >> 6
-        steps = np.zeros((b - a, w1 - w0), dtype=np.uint64)
-        prev = np.arange(a, b - 1)
-        steps[np.arange(1, b - a), (prev >> 6) - w0] = np.uint64(1) << (prev & 63).astype(np.uint64)
-        rows[a:b, w0:w1] |= np.bitwise_or.accumulate(steps, axis=0, out=steps)
+    rows = np.zeros((mask.n, (mask.n + 63) // 64), dtype=np.uint64)
+    for base, a, b in zip(mask.bases, mask.bounds, mask.bounds[1:]):
+        _fill_rows(rows[a:b], base, a)
     return rows
+
+
+def _fill_rows(out: np.ndarray, base: Iterable[tuple[int, int]], a: int) -> None:
+    """Fill out, uint64 words, with rows a, a + 1, ... of one turn with the
+    given base, bitpacked."""
+    import numpy as np
+
+    bits = np.zeros(64 * out.shape[1], dtype=bool)
+    for s, e in base:
+        bits[s:e] = True
+    out[:] = np.packbits(bits, bitorder="little").view("<u8")
+    # Row a + i also sees [a, a + i): one bit per row, OR-accumulated down
+    # the turn's rows, over the words the turn spans.
+    b = a + len(out)
+    w0, w1 = a >> 6, (b + 63) >> 6
+    steps = np.zeros((b - a, w1 - w0), dtype=np.uint64)
+    prev = np.arange(a, b - 1)
+    steps[np.arange(1, b - a), (prev >> 6) - w0] = np.uint64(1) << (prev & 63).astype(np.uint64)
+    out[:, w0:w1] |= np.bitwise_or.accumulate(steps, axis=0, out=steps)
 
 
 def visible_tokens(mask: Mask2D, k: int) -> np.ndarray:
@@ -450,13 +476,9 @@ def visible_tokens(mask: Mask2D, k: int) -> np.ndarray:
 
     if not 0 <= k < mask.n:
         raise IndexError(f"token index {k} out of range for {mask.n} tokens")
-    if not mask.dense:
-        turn = bisect_right(mask.bounds, k) - 1
-        runs = [np.arange(s, e) for s, e in mask.bases[turn]]
-        return np.concatenate(runs + [np.arange(mask.bounds[turn], k)])
-    row = mask.words[k]
-    bits = np.unpackbits(row.astype("<u8").view(np.uint8), bitorder="little")[: mask.n]
-    return np.nonzero(bits)[0]
+    turn = bisect_right(mask.bounds, k) - 1
+    runs = [np.arange(s, e) for s, e in mask.bases[turn]]
+    return np.concatenate(runs + [np.arange(mask.bounds[turn], k)])
 
 
 def verify_masks(
@@ -470,11 +492,10 @@ def verify_masks(
     The first generated token of each turn must see exactly the recorded
     context snapshot; each following one must see the same plus the turn's
     generation so far. Raises IntegrityError naming the first offending token.
-    Reads only the mask, never the sequence's bases. A mask held as ranges is
-    checked on the standard library alone, with no dense row built: each
-    turn's first generated row is its base ranges plus the turn's tokens
-    before it, and the turn's generated tokens must be consecutive. A mask
-    held as words is checked row by row, with numpy.
+    Reads only the mask, never the sequence's bases, and runs on the standard
+    library with no dense row built: each turn's first generated row is its
+    base ranges plus the turn's tokens before it, and the turn's generated
+    tokens must be consecutive.
 
     The counter decodes the whole sequence once, which must give its tokens'
     own texts joined; a row's visible text is then slices of that text.
@@ -485,9 +506,6 @@ def verify_masks(
     if counter.decode(tokens) != text:
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
     offsets = _char_offsets(tokens, own)
-    if mask.dense:
-        _verify_rows(trajectory, stitched, mask, text, offsets)
-        return
     generated = _packed(stitched, "generated")
     bounds = mask.bounds
     for turn_no, (turn, a, b) in enumerate(zip(trajectory.turns, bounds[1:], bounds[2:]), 1):
@@ -499,75 +517,25 @@ def verify_masks(
             raise IntegrityError(
                 f"token {a + first} (turn {turn_no}): visible tokens decode to a different context"
             )
-        # Row k of a turn held as ranges is row k - 1 plus token k - 1, so the
-        # rule holds exactly where the generated tokens are consecutive.
+        # Row k of a turn is row k - 1 plus token k - 1, so the rule holds
+        # exactly where the generated tokens are consecutive.
         gap = flags.find(0, first)
         later = flags.find(1, gap) if gap >= 0 else -1
         if later >= 0:
-            raise IntegrityError(
-                f"token {a + later} (turn {turn_no}): row is not the previous row plus one token"
-            )
+            raise IntegrityError(_not_plus_one(a + later, turn_no))
 
 
-def _verify_rows(
-    trajectory: TrajectoryRecord,
-    stitched: StitchedTrajectory,
-    mask: Mask2D,
-    text: str,
-    offsets: Sequence[int],
-) -> None:
-    """verify_masks for a mask held as words."""
-    import numpy as np
-
-    for turn_no, turn in enumerate(trajectory.turns, 1):
-        gen_idx = np.flatnonzero((stitched.turn_of == turn_no) & stitched.generated)
-        if gen_idx.size == 0:
-            continue
-        first = int(gen_idx[0])
-        if _text_of(text, offsets, _runs(visible_tokens(mask, first))) != turn.context_snapshot:
-            raise IntegrityError(
-                f"token {first} (turn {turn_no}): visible tokens decode to a different context"
-            )
-        # Each later row must be the previous generated row plus that row's own token.
-        prev = gen_idx[:-1]
-        expected = mask.words[prev]
-        expected[np.arange(prev.size), prev >> 6] |= np.uint64(1) << (prev & 63).astype(np.uint64)
-        bad = np.flatnonzero((mask.words[gen_idx[1:]] != expected).any(axis=1))
-        if bad.size:
-            k = int(gen_idx[1 + bad[0]])
-            raise IntegrityError(
-                f"token {k} (turn {turn_no}): row is not the previous row plus one token"
-            )
+def _not_plus_one(k: int, turn: int) -> str:
+    return f"token {k} (turn {turn}): row is not the previous row plus one token"
 
 
-def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
-    """Ascending indices as (start, end) runs of consecutive ones."""
-    import numpy as np
-
-    if indices.size == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(indices) != 1) + 1
-    starts = indices[np.concatenate(([0], cuts))]
-    ends = indices[np.concatenate((cuts - 1, [indices.size - 1]))] + 1
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _index_rows(mask: Mask2D):
-    """Yield the index_list rows a block of whole rows at a time: each row's
-    count, then the indices it sees in order."""
-    import numpy as np
-
-    n = mask.n
-    for k0 in range(0, n, _ROW_BLOCK):
-        block = np.ascontiguousarray(mask.words[k0 : k0 + _ROW_BLOCK], dtype="<u8")
-        visible = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")[:, :n].view(bool)
-        table = np.empty((visible.shape[0], n + 1), dtype="<u4")
-        table[:, 0] = np.count_nonzero(visible, axis=1)
-        table[:, 1:] = np.arange(n)
-        keep = np.empty(table.shape, dtype=bool)
-        keep[:, 0] = True
-        keep[:, 1:] = visible
-        yield table[keep]
+def _turn_rows(base: Iterable[tuple[int, int]], a: int, b: int):
+    """Yield rows a..b-1 of one turn with the given base, each as the
+    ascending indices it sees: one array, grown by a token between rows."""
+    row = array("I", chain.from_iterable(range(s, e) for s, e in base))
+    for k in range(a, b):
+        yield row
+        row.append(k)
 
 
 def _little_endian(items: memoryview | array) -> memoryview | array:
@@ -594,12 +562,18 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
         # On a little-endian host the rows are written straight from the mask.
         yield np.ascontiguousarray(mask2d.words, dtype="<u8")
     elif fmt == "index_list":
-        yield from _index_rows(mask2d)
+        bounds = mask2d.bounds
+        for base, a, b in zip(mask2d.bases, bounds, bounds[1:]):
+            rows = array("I")
+            for row in _turn_rows(base, a, b):
+                rows.append(len(row))
+                rows += row
+            yield _little_endian(rows)
     else:
-        if mask2d.bases is None or stitched.strings is None:
+        if stitched.strings is None:
             raise ValueError(
-                "the ranges format needs a mask held as ranges and a string table; "
-                "export a mask imported as dense rows as dense_bitpack or index_list"
+                "the ranges format needs the sequence's string table; export a "
+                "sequence imported from dense rows as dense_bitpack or index_list"
             )
         ranges = array("I", [len(mask2d.bases)])
         for base in mask2d.bases:
@@ -621,8 +595,7 @@ def export_masks(
     """Serialize a stitched sequence and its masks to the binary container.
 
     ranges writes the mask's base ranges and the sequence's string table, so
-    it needs a mask held as ranges (from build_masks or a ranges container).
-    The string table is the whole vocabulary of the counter the sequence was
+    it needs a sequence from stitch or a ranges container. The string table is the whole vocabulary of the counter the sequence was
     stitched with; see stitch() for why that counter should be a fresh one.
     """
     if fmt not in _VERSIONS:
@@ -671,52 +644,23 @@ def _items(chunk: memoryview, fmt: str) -> memoryview:
     return memoryview(items)
 
 
-def _rows_from_index_lists(stream: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Bitpack n index_list rows from the front of a u32 stream; returns the
-    rows and the number of u32 read."""
-    import numpy as np
-
-    heads = np.empty(n + 1, dtype=np.int64)  # where each row's count sits, then the end
-    at = 0
-    for k in range(n):
-        if at >= stream.size:
-            raise IntegrityError("mask payload truncated")
-        heads[k] = at
-        at += 1 + int(stream[at])
-    if at > stream.size:
-        raise IntegrityError("mask payload truncated")
-    heads[n] = at
-    counts = np.diff(heads) - 1
-    width = (n + 63) // 64
-    rows = np.zeros((n, width), dtype=np.uint64)
-    for k0 in range(0, n, _ROW_BLOCK):
-        k1 = min(k0 + _ROW_BLOCK, n)
-        chunk = stream[heads[k0] : heads[k1]]
-        keep = np.ones(chunk.size, dtype=bool)
-        keep[heads[k0:k1] - heads[k0]] = False
-        cols = chunk[keep]
-        if cols.size and int(cols.max()) >= n:
-            raise IntegrityError("index_list row names a token past the end of the sequence")
-        bits = np.zeros((k1 - k0) * 64 * width, dtype=bool)  # the block's rows, end to end
-        row_starts = np.arange(0, bits.size, 64 * width)
-        bits[np.repeat(row_starts, counts[k0:k1]) + cols] = True
-        rows[k0:k1] = np.packbits(bits.reshape(k1 - k0, -1), axis=1, bitorder="little").view("<u8")
-    return rows, at
-
-
 def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]:
     """Parse the binary container, verifying magic, version, header and hash.
 
     Every malformed input, truncated or altered anywhere, raises
-    IntegrityError. So does a ranges container that is signed but unsound,
-    since anyone can re-sign one: ranges that are unsorted, overlap or reach
-    past their turn's first token, a decreasing turn_of, a token id outside
-    the string table, or a string table that is not UTF-8. So does a loss
-    byte other than 0 and 1, in any format. A ranges container comes back as
-    a mask held as ranges, with the sequence's bases and string table filled
-    in and no dense row built, and is read without numpy. The columns are
-    views of data, not copies, and so are dense_bitpack rows: read-only when
-    data is bytes. generated and loss are one column.
+    IntegrityError. So does a container that is signed but unsound, since
+    anyone can re-sign one: in any format a decreasing turn_of, base ranges
+    that are unsorted, overlap or reach past their turn's first token, or a
+    loss byte other than 0 and 1; in ranges a token id outside the string
+    table or a table that is not UTF-8; in the dense formats a row that is
+    not the previous row plus one token, named by its first token.
+
+    Every format comes back as a mask held as ranges, with no dense row
+    built; only dense_bitpack loads numpy. A dense container's turns are
+    counted from turn_of and its bases come back joined (see Mask2D.same_rows);
+    only a ranges container fills in the sequence's bases and string table.
+    The columns are views of data, not copies: read-only when data is bytes.
+    generated and loss are one column.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -770,35 +714,28 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         raise IntegrityError("loss column holds a byte other than 0 and 1")
     segments = take(n)
     turn_of = _items(take(2 * n), "H")
-    bases = strings = None
-    if fmt == "dense_bitpack":
-        import numpy as np
+    turn_list = turn_of.tolist()
+    if turn_list != sorted(turn_list):
+        raise IntegrityError("turn_of decreases")
+    bases: list[tuple[tuple[int, int], ...]] = []
 
-        width = (n + 63) // 64
-        mask = Mask2D(n, words=np.frombuffer(take(8 * n * width), dtype="<u8").reshape(n, width))
-    elif fmt == "index_list":
-        import numpy as np
+    def add_base(edges: list[int]) -> tuple[tuple[int, int], ...]:
+        turn = len(bases)
+        if edges != sorted(edges) or (edges and edges[-1] > bounds[turn]):
+            raise IntegrityError(
+                f"turn {turn}: base ranges are unsorted, overlap or reach past the turn's first token"
+            )
+        bases.append(tuple(zip(edges[0::2], edges[1::2])))
+        return bases[-1]
 
-        stream = np.frombuffer(payload[pos : pos + (len(payload) - pos) // 4 * 4], dtype="<u4")
-        rows, used = _rows_from_index_lists(stream, n)
-        pos += 4 * used
-        mask = Mask2D(n, words=rows)
-    else:
-        turn_list = turn_of.tolist()
-        if turn_list != sorted(turn_list):
-            raise IntegrityError("turn_of decreases")
+    strings = None
+    if fmt == "ranges":
         turns = take_u32(1)[0]
         if turns > (len(payload) - pos) // 4 or (n and turn_list[-1] >= turns):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds = _bounds(turn_list, turns)
-        bases = []
-        for turn in range(turns):
-            edges = take_u32(2 * take_u32(1)[0]).tolist()
-            if edges != sorted(edges) or (edges and edges[-1] > bounds[turn]):
-                raise IntegrityError(
-                    f"turn {turn}: base ranges are unsorted, overlap or reach past the turn's first token"
-                )
-            bases.append(tuple(zip(edges[0::2], edges[1::2])))
+        for _ in range(turns):
+            add_base(take_u32(2 * take_u32(1)[0]).tolist())
         ends = list(accumulate(take_u32(take_u32(1)[0])))
         table = bytes(take(ends[-1] if ends else 0))
         try:
@@ -810,9 +747,39 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         ids = set(tokens)
         if ids and (min(ids) < 0 or max(ids) >= len(strings)):
             raise IntegrityError("token id outside the string table")
-        bases = tuple(bases)
-        mask = Mask2D(n, bases=bases, bounds=bounds)
+    else:
+        # Each turn's base is the runs of its first row. The turn's rows are
+        # then written again from it, as export writes them, and must match.
+        bounds = _bounds(turn_list, turn_list[-1] + 1 if n else 0)
+        if fmt == "dense_bitpack":
+            import numpy as np
+
+            width = (n + 63) // 64
+            rows = np.frombuffer(take(8 * n * width), dtype="<u8").reshape(n, width)
+        for turn, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a == b:
+                add_base([])
+            elif fmt == "dense_bitpack":
+                got = rows[a:b]
+                bits = np.unpackbits(got[0].view(np.uint8), bitorder="little")
+                base = add_base(np.flatnonzero(np.diff(bits, prepend=0, append=0)).tolist())
+                want = np.empty_like(got)
+                _fill_rows(want, base, a)
+                bad = np.flatnonzero((want != got).any(axis=1))
+                if bad.size:
+                    raise IntegrityError(_not_plus_one(a + int(bad[0]), turn))
+            else:
+                first = pos
+                base = add_base(_joined((k, k + 1) for k in take_u32(take_u32(1)[0])))
+                pos = first  # the first row is compared too, with the rest
+                for k, row in enumerate(_turn_rows(base, a, b), a):
+                    # Compared as bytes, a memcmp, where comparing items is not.
+                    if take_u32(1)[0] != len(row) or take_u32(len(row)).tobytes() != row.tobytes():
+                        raise IntegrityError(_not_plus_one(k, turn))
     if pos != len(payload):
         raise IntegrityError("mask payload has trailing bytes")
-    stitched = StitchedTrajectory(tokens, segments, turn_of, loss, positions, bases, strings)
+    mask = Mask2D(n, tuple(bases), bounds)
+    stitched = StitchedTrajectory(
+        tokens, segments, turn_of, loss, positions, mask.bases if fmt == "ranges" else None, strings
+    )
     return stitched, mask, Mask1D(loss=loss), header

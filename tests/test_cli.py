@@ -200,6 +200,20 @@ class TestExitCodes:
         assert result.stderr.startswith("data error: ") and "plain.txt" in result.stderr
 
 
+    def test_unwritable_output_runs_no_episode(self, smoke, monkeypatch):
+        # The output directory is made before the batch runs, so a path that
+        # cannot be one fails with exit 2 before any episode's work is done.
+        tmp_path, tasks, script, env = smoke
+        under_file = tmp_path / "plain.txt"
+        under_file.write_text("not a directory\n", encoding="utf-8")
+
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(memroll.cli, "run_batch", no_episodes)
+        assert main(rollout_args(tasks, script, env, under_file / "a")) == EXIT_DATA
+
+
 class TestStartup:
     def test_cli_import_leaves_requests_unloaded(self):
         # Only the HTTP backends need requests; every command pays for
@@ -229,6 +243,7 @@ class TestStartup:
         "score": ("memroll.metrics", "memroll.archive", "statistics"),
         "export-masks": ("memroll.masks", "memroll.archive"),
         "export-masks-dense": ("memroll.masks", "numpy"),
+        "export-masks-index": ("memroll.masks",),
     }
 
     @pytest.mark.parametrize(
@@ -243,13 +258,14 @@ class TestStartup:
             ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs",
                               "memroll.rollout", "dataclasses", "inspect")),
             ("export-masks-dense", ("requests", "memroll.envs")),
+            ("export-masks-index", ("numpy", "requests", "memroll.envs", "memroll.rollout")),
         ],
     )
     def test_loads_only_what_it_runs(self, smoke, command, unloaded):
         # Each command, run in a fresh interpreter, imports only the modules
         # it uses; `import memroll` alone imports none of its submodules. The
-        # default export-masks --verify runs on the standard library; a dense
-        # format is what loads numpy. memroll's value types, the mask types
+        # default export-masks --verify runs on the standard library, and so
+        # does index_list; dense_bitpack is what loads numpy. memroll's value types, the mask types
         # included, are records, not dataclasses, so no command loads
         # dataclasses or, through it, inspect. score and export-masks read
         # the archive through memroll.archive, without the policies and the
@@ -267,6 +283,8 @@ class TestStartup:
                              str(tmp_path / "masks"), "--verify"],
             "export-masks-dense": ["export-masks", "--archive", str(archive), "--out",
                                    str(tmp_path / "masks"), "--verify", "--format", "dense_bitpack"],
+            "export-masks-index": ["export-masks", "--archive", str(archive), "--out",
+                                   str(tmp_path / "masks"), "--verify", "--format", "index_list"],
         }[command]
         out = _run_python(self.LIST_MODULES, *([json.dumps(argv)] if argv else []))
         loaded = json.loads(out.splitlines()[-1])
@@ -848,6 +866,26 @@ class TestExportMasks:
             assert (st_d.tokens == st_r.tokens).all()
             assert (mask_d.words == mask_r.words).all()
             assert (loss_d.loss == loss_r.loss).all()
+
+    @pytest.mark.parametrize("fmt", ["ranges", "dense_bitpack", "index_list"])
+    def test_zero_token_final_turn(self, tmp_path, fmt):
+        # An empty generation on the only turn leaves that turn with no
+        # tokens, so no dense row holds its base; every format still exports
+        # and verifies.
+        tasks = compose_file(tmp_path, 1, 1)
+        script = write_json(tmp_path / "script.json", [""])
+        env = write_json(tmp_path / "env.json", ["unused"])
+        archive = tmp_path / "archive"
+        args = rollout_args(tasks, script, env, archive)
+        args[args.index("--turns") + 1] = "1"
+        assert main(args) == EXIT_OK
+        masks = tmp_path / "masks"
+        argv = ["export-masks", "--archive", str(archive), "--out", str(masks), "--format", fmt, "--verify"]
+        assert main(argv) == EXIT_OK
+        (entry,) = json.loads((masks / "masks_manifest.json").read_text())["masks"]
+        _, mask, _, _ = import_masks((masks / entry["file"]).read_bytes())
+        turns = {"ranges": [0, entry["n"], entry["n"]]}.get(fmt, [0, entry["n"]])
+        assert mask.bounds == turns
 
     def test_tampered_snapshot_aborts(self, smoke, capsys):
         tmp_path, archive, _, code = self.exported(smoke)

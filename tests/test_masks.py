@@ -487,45 +487,72 @@ class TestVerifyMasks:
             verify_masks(record, st, mask2d, spaced)
 
     def test_detects_dropped_visibility(self):
-        rng = random.Random(51)
-        record = scripted_episode(rng, turns=2)
-        st, counter, mask2d, _ = full_build(record)
-        first = int(turn_indices(st, 1, generated=True)[0])
-        mask2d.words[first, 0] &= ~np.uint64(1)
-        with pytest.raises(IntegrityError, match="different context"):
-            verify_masks(record, st, mask2d, counter)
+        # A bit dropped from every row of a turn keeps each row the previous
+        # row plus one token, so the container imports; the turn's first
+        # generated token then sees a different context.
+        record = scripted_episode(random.Random(51), turns=2)
+        st, counter, mask2d, mask1d = full_build(record)
+        bits = dense_bits(mask2d)
+        bits[st.turn_of == 1, 0] = False
+        for fmt in ("dense_bitpack", "index_list"):
+            st2, mask2, _, _ = import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
+            with pytest.raises(IntegrityError, match="different context"):
+                verify_masks(record, st2, mask2, counter)
 
     def test_detects_extra_visibility(self):
-        rng = random.Random(52)
-        record = scripted_episode(rng, turns=2)
-        st, counter, mask2d, _ = full_build(record)
+        record = scripted_episode(random.Random(52), turns=2)
+        st, counter, mask2d, mask1d = full_build(record)
         gen = turn_indices(st, 2, generated=True)
         assert gen.size >= 2
         second = int(gen[1])
-        mask2d.words[second, mask2d.words.shape[1] - 1] |= np.uint64(1) << np.uint64(63)
-        with pytest.raises(IntegrityError, match="previous row plus one"):
-            verify_masks(record, st, mask2d, counter)
+        bits = dense_bits(mask2d)
+        bits[second, st.n - 1] = True
+        message = f"token {second} (turn 2): row is not the previous row plus one token"
+        for fmt in ("dense_bitpack", "index_list"):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
 
     def test_names_the_first_offending_token(self):
-        rng = random.Random(53)
-        record = scripted_episode(rng, turns=3, ending="turn_limit")
-        st, counter, mask2d, _ = full_build(record)
+        record = scripted_episode(random.Random(53), turns=3, ending="turn_limit")
+        st, counter, mask2d, mask1d = full_build(record)
         gen = turn_indices(st, 2, generated=True)
         assert gen.size >= 5
-        last_word = mask2d.words.shape[1] - 1
-        bit = np.uint64(1) << np.uint64(63)
-        # Two bad rows in turn 2, the later one corrupted first, and a bad
-        # first row in turn 3: the error names turn 2's earlier row.
+        # Two bad rows in turn 2 and a bad first row in turn 3: the error
+        # names turn 2's earlier row.
+        bits = dense_bits(mask2d)
         for k in (gen[4], gen[2], turn_indices(st, 3, generated=True)[0]):
-            mask2d.words[int(k), last_word] ^= bit
+            bits[int(k), st.n - 1] ^= True
         message = f"token {int(gen[2])} (turn 2): row is not the previous row plus one token"
-        with pytest.raises(IntegrityError, match=re.escape(message)):
-            verify_masks(record, st, mask2d, counter)
+        for fmt in ("dense_bitpack", "index_list"):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
 
-    def test_ranges_mask_needs_each_turns_generation_unbroken(self):
-        # A mask held as ranges gives row k of a turn row k - 1 plus token
-        # k - 1, so a generated token after a non-generated one in the same
-        # turn cannot see what the rule says; it is named without building rows.
+    @pytest.mark.parametrize("fmt", ["dense_bitpack", "index_list"])
+    def test_rows_that_see_their_own_turn_are_refused(self, fmt):
+        # Every row of turn 2 also sees the turn's first token: each row is
+        # still the previous row plus one token, but the base read from the
+        # first row reaches into the turn, as a ranges container may not.
+        record = scripted_episode(random.Random(56), turns=2)
+        st, counter, mask2d, mask1d = full_build(record)
+        bits = dense_bits(mask2d)
+        bits[st.turn_of == 2, mask2d.bounds[2]] = True
+        with pytest.raises(IntegrityError, match="turn 2: base ranges .* past the turn's first token"):
+            import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
+
+    def test_index_list_rows_must_ascend(self):
+        record = scripted_episode(random.Random(57), turns=2)
+        st, counter, mask2d, mask1d = full_build(record)
+        rows = [np.flatnonzero(row) for row in dense_bits(mask2d)]
+        rows[mask2d.bounds[1]] = rows[mask2d.bounds[1]][::-1]
+        stream = b"".join(np.r_[len(row), row].astype("<u4").tobytes() for row in rows)
+        header, payload = container_parts(export_masks(st, mask2d, mask1d, "c", fmt="index_list"))
+        with pytest.raises(IntegrityError, match="turn 1: base ranges are unsorted"):
+            import_masks(forge(header, payload[: 12 * st.n] + stream))
+
+    def test_ranges_mask_needs_each_turns_generation_unbroken(self, monkeypatch):
+        # Row k of a turn is row k - 1 plus token k - 1, so a generated token
+        # after a non-generated one in the same turn cannot see what the rule
+        # says; it is named without building rows.
         record = scripted_episode(random.Random(55), turns=3, ending="turn_limit")
         st, counter, mask2d, _ = full_build(record)
         gen = turn_indices(st, 2, generated=True)
@@ -533,10 +560,41 @@ class TestVerifyMasks:
         generated = st.generated.copy()
         generated[gen[1:3]] = False
         holey = replace(st, generated=generated)
+        monkeypatch.setattr(memroll.masks, "_dense_rows", no_dense_rows)
         message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
         with pytest.raises(IntegrityError, match=re.escape(message)):
             verify_masks(record, holey, mask2d, counter)
-        assert not mask2d.dense
+
+
+def join_touching(ranges) -> tuple:
+    joined = []
+    for s, e in ranges:
+        if joined and joined[-1][1] == s:
+            joined[-1] = (joined[-1][0], e)
+        else:
+            joined.append((s, e))
+    return tuple(joined)
+
+
+def no_dense_rows(mask):
+    raise AssertionError("dense rows built")
+
+
+def dense_bits(mask2d) -> np.ndarray:
+    """A mask's rows as an (n, n) bool matrix, a copy."""
+    bits = np.unpackbits(mask2d.words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, : mask2d.n].astype(bool)
+
+
+def forged_rows(st, mask2d, mask1d, bits, fmt) -> bytes:
+    """A re-signed fmt container of st whose rows are the bool matrix bits."""
+    n = st.n
+    if fmt == "dense_bitpack":
+        rows = np.packbits(np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little").tobytes()
+    else:
+        rows = b"".join(np.r_[row.sum(), np.flatnonzero(row)].astype("<u4").tobytes() for row in bits)
+    header, payload = container_parts(export_masks(st, mask2d, mask1d, "c", fmt=fmt))
+    return forge(header, payload[: 12 * n] + rows)
 
 
 def container_parts(blob: bytes) -> tuple[dict, bytes]:
@@ -592,12 +650,15 @@ class TestExportImport:
             build_masks(st2)
 
     def test_imported_dense_rows_are_read_only(self):
+        # words are built from the ranges and kept: writing to them would
+        # change no row, so it fails, on a built mask and an imported one.
         rng = random.Random(63)
         _, mask2d, _, _, blob = self.exported(rng, "dense_bitpack")
         _, mask2, _, _ = import_masks(blob)
         assert np.array_equal(mask2.words, mask2d.words)
-        with pytest.raises(ValueError):
-            mask2.words[0, 0] = 1
+        for mask in (mask2, mask2d):
+            with pytest.raises(ValueError):
+                mask.words[0, 0] = 1
 
     def test_cross_format_equality(self):
         rng = random.Random(62)
@@ -885,17 +946,17 @@ class TestRangesContainer:
         versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
         assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 3}
 
-    def test_import_holds_ranges_and_string_table(self):
+    def test_import_holds_ranges_and_string_table(self, monkeypatch):
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(73), turns=4))
-        st2, mask2, _, header = import_masks(export_masks(st, mask2d, mask1d, counter.name))
-        assert header["format"] == "ranges"
-        assert not mask2.dense
-        assert st2.bases == st.bases and mask2.bases == st.bases
-        assert st2.strings == tuple(counter.decode([i]) for i in range(counter.vocab_size()))
-        assert all(
-            np.array_equal(visible_tokens(mask2, k), visible_tokens(mask2d, k)) for k in range(st.n)
-        )
-        assert not mask2.dense and not mask2d.dense  # no row was built to answer that
+        with monkeypatch.context() as patched:
+            patched.setattr(memroll.masks, "_dense_rows", no_dense_rows)  # no row is built
+            st2, mask2, _, header = import_masks(export_masks(st, mask2d, mask1d, counter.name))
+            assert header["format"] == "ranges"
+            assert st2.bases == st.bases and mask2.bases == st.bases
+            assert st2.strings == tuple(counter.decode([i]) for i in range(counter.vocab_size()))
+            assert all(
+                np.array_equal(visible_tokens(mask2, k), visible_tokens(mask2d, k)) for k in range(st.n)
+            )
         assert np.array_equal(mask2.words, mask2d.words)
 
     def test_size_formula(self):
@@ -915,31 +976,62 @@ class TestRangesContainer:
         assert {"\ud800", "\udfff", "\ud83d"} <= set(st2.strings)
         verify_masks(record, st2, mask2, counter)
 
+    def test_dense_imports_hold_the_joined_bases(self):
+        # Dense rows cannot tell touching ranges from joined ones, so a dense
+        # import holds each turn's base joined: the same rows.
+        touching = 0
+        for seed in range(12):
+            st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
+            joined = tuple(join_touching(base) for base in mask2d.bases)
+            touching += sum(j != base for j, base in zip(joined, mask2d.bases))
+            for fmt in FORMATS:
+                st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, fmt))
+                assert (mask2.bases, mask2.bounds) == (joined, mask2d.bounds)
+                assert st2.bases is None and mask2.same_rows(mask2d)
+        assert touching > 0
+
     def test_dense_import_cannot_be_written_as_ranges(self):
         st2, mask2, loss2, _ = import_masks(valid_container("dense_bitpack"))
         with pytest.raises(ValueError, match="ranges"):
             export_masks(st2, mask2, loss2, "c", fmt="ranges")
 
     def test_index_list_round_trips_arbitrary_rows(self):
-        # Rows held as words, with gaps, runs across word boundaries and
-        # empty rows, written from the words and read back bit for bit.
+        # Well-formed masks, with runs across word boundaries and turns whose
+        # base is empty, are written and read back bit for bit; arbitrary
+        # rows, re-signed, are refused unless they happen to fit the rule.
         rng = np.random.default_rng(75)
         for n in (1, 63, 64, 65, 300, 700):
+            bounds = [0, *sorted(rng.choice(np.arange(1, n), min(n - 1, 6), replace=False).tolist()), n]
+            bases = []
+            for a in bounds[:-1]:
+                edges = sorted(set(rng.integers(0, a + 1, 2 * int(rng.integers(0, 4))).tolist()))
+                edges = edges[: len(edges) // 2 * 2]
+                bases.append(tuple(zip(edges[0::2], edges[1::2])))
+            turn_of = np.repeat(np.arange(len(bases)), np.diff(bounds)).astype(np.uint16)
+            st = StitchedTrajectory(
+                tokens=np.zeros(n, np.int32), segments=np.zeros(n, np.uint8), turn_of=turn_of,
+                generated=np.zeros(n, bool), positions=np.zeros(n, np.int32),
+            )
+            mask, loss = Mask2D(n, bases=tuple(bases), bounds=bounds), Mask1D(loss=st.generated)
+            for fmt in FORMATS:
+                blob = export_masks(st, mask, loss, "c", fmt=fmt)
+                _, mask2, loss2, _ = import_masks(blob)
+                assert (mask2.bases, mask2.bounds) == (mask.bases, bounds)
+                assert np.array_equal(mask2.words, mask.words)
+                assert export_masks(st, mask2, loss2, "c", fmt=fmt) == blob
+            _, payload = container_parts(blob)
+            assert len(payload) == 12 * n + 4 * n + 4 * int(dense_bits(mask).sum())
+
             bits = rng.random((n, n)) < rng.choice([0.02, 0.5, 0.97])
             bits[rng.random(n) < 0.1] = False
-            words = np.packbits(
-                np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little"
-            ).view("<u8")
-            st = StitchedTrajectory(
-                tokens=np.zeros(n, np.int32), segments=np.zeros(n, np.uint8),
-                turn_of=np.zeros(n, np.uint16), generated=np.zeros(n, bool),
-                positions=np.zeros(n, np.int32),
-            )
-            mask = Mask2D(n, words=words.copy())
-            blob = export_masks(st, mask, Mask1D(loss=st.generated), "c", fmt="index_list")
-            _, payload = container_parts(blob)
-            assert len(payload) == 12 * n + 4 * n + 4 * int(bits.sum())
-            assert np.array_equal(import_masks(blob)[1].words, words)
+            fits = np.array_equal(bits, dense_bits(mask))
+            for fmt in FORMATS:
+                forged = forged_rows(st, mask, loss, bits, fmt)
+                if fits:
+                    assert np.array_equal(import_masks(forged)[1].words, mask.words)
+                else:
+                    with pytest.raises(IntegrityError):
+                        import_masks(forged)
 
     @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
     def test_ranges_only_in_version_3(self, version):
@@ -1247,6 +1339,7 @@ class TestExportBytes:
     EXPECTED = {
         "dense_bitpack": "9f16160ca78df2bdb17cbb4084216fbbe2b9b4c46dcf06098f00dd85cf85361b",
         "index_list": "efa89d1a92b6d4303e16d192a04e72f2f19b53817bb75aae458bd360954350ea",
+        "ranges": "11320f440a08fbdcd9ff597d14227e9806bb7c30c386e2bb2815744194e4f6ea",
     }
 
     @pytest.mark.parametrize("fmt", sorted(EXPECTED))
