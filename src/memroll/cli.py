@@ -307,11 +307,11 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     Each trajectory is stitched with a fresh counter, so its token ids index
     its own string table and its bytes depend on nothing exported before it.
     With verify, the container is checked as written: re-imported, it must
-    pass the visible-context oracle and give back every column and the mask:
-    for ranges its exact ranges and the counter's vocabulary as its string
-    table, for the dense formats the same rows. A function of its own so that
-    the mask, the container and the re-imported mask are freed before the
-    next trajectory is built.
+    pass verify_masks against the record and give back every column and the
+    mask: for ranges its exact ranges and the counter's vocabulary as its
+    string table, for the dense formats the same rows. A function of its own
+    so that the mask, the container and the re-imported mask are freed
+    before the next trajectory is built.
     """
     counter = WordTokenizer()
     try:
@@ -319,16 +319,15 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
         mask2d, mask1d = build_masks(stitched)
         blob = export_masks(stitched, mask2d, mask1d, counter.name, fmt=fmt)
         if verify:
-            re_st, re_mask, re_loss, _ = import_masks(blob)
+            re_st, re_mask, _, _ = import_masks(blob)
             verify_masks(record, re_st, re_mask, counter)
-            pairs = [(re_st, stitched, c) for c in ("tokens", "positions", "segments", "turn_of")]
-            pairs.append((re_loss, mask1d, "loss"))
+            columns = ("tokens", "positions", "segments", "turn_of", "generated")  # generated is the loss
             if fmt == "ranges":
                 vocabulary = tuple(counter.decode([i]) for i in range(counter.vocab_size()))
                 same = re_mask.bases == mask2d.bases and re_st.strings == vocabulary
             else:
                 same = re_mask.same_rows(mask2d)
-            if not (same and all(_packed(a, c) == _packed(b, c) for a, b, c in pairs)):
+            if not (same and all(_packed(re_st, c) == _packed(stitched, c) for c in columns)):
                 raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:
         raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None

@@ -21,6 +21,7 @@ __all__ = [
     "initial_state",
     "render_context",
     "advance",
+    "info_block",
     "inject_hint",
     "context_token_len",
 ]
@@ -63,17 +64,16 @@ def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> Contex
     answer turn leaves the tail untouched. In full_append mode the turn text
     (and its info block, for query turns) is appended to the tail.
     """
-    preset = state.preset
     consolidate = state.mode == "consolidate"
     if isinstance(parsed.action, Query):
         if info is None:
             raise ValueError("query turns require environment feedback")
-        info_block = f"{preset.info_open}{info}{preset.info_close}"
+        block = info_block(info, state.preset)
         if consolidate:
             spans = [parsed.spans[name] for name in ("is", "query") if name in parsed.spans]
-            tail = tuple(parsed.raw[s.start : s.end] for s in spans) + (info_block,)
+            tail = tuple(parsed.raw[s.start : s.end] for s in spans) + (block,)
         else:
-            tail = state.tail + (parsed.raw, info_block)
+            tail = state.tail + (parsed.raw, block)
     elif isinstance(parsed.action, Answer):
         if info is not None:
             raise ValueError("only query turns carry environment feedback")
@@ -81,6 +81,11 @@ def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> Contex
     else:
         raise ValueError("cannot advance over an invalid turn")
     return replace(state, turn_index=state.turn_index + 1, tail=tail)
+
+
+def info_block(info: str | None, preset: TagPreset) -> str:
+    """Environment feedback as a context holds it, framed by the info tags ("" for none)."""
+    return "" if info is None else preset.info_open + info + preset.info_close
 
 
 def inject_hint(info: str, turns_left: int, enabled: bool = True) -> str:

@@ -6,12 +6,13 @@ was sampled. There is one visibility rule: row k is its turn's base plus the
 earlier tokens of its own turn, and the head is turn 0, with an empty base.
 stitch() alone decides each turn's base, as (start, end) index ranges: turn 1
 sees the head; a later turn sees the head plus the previous turn's is/query
-runs and info block (consolidate) or everything before it (full_append). It
-verifies byte-for-byte that those ranges decode to the recorded context
-snapshot, refuses to emit anything otherwise, and keeps them as the
-sequence's bases. Those ranges are the mask: build_masks() holds them as they
-are, a container of any format is read back as ranges, and dense rows are
-built from them only when asked for.
+runs and info block (consolidate) or everything before it (full_append). One
+check holds a sequence to its records: per turn, the base decodes to the
+context snapshot, the leading generated tokens to the generation and the rest
+to the info block, and positions count on from the base's length. stitch()
+emits nothing that fails it; verify_masks() runs it on a given sequence. The
+ranges are the mask: build_masks() holds them as they are, a container of any
+format is read back as ranges, and dense rows are built only when asked for.
 
 Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
@@ -59,10 +60,10 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .archive import TrajectoryRecord
-from .context import HINT_TEMPLATE
+from .context import HINT_TEMPLATE, info_block
 from .core import IntegrityError, TokenCounter, record
 
 if TYPE_CHECKING:
@@ -281,42 +282,23 @@ def _token_spans(
     covers text[bounds[j]:bounds[j + 1]], so bounds has one entry more than ids.
 
     strings caches each id's decoded text, so a caller decodes every distinct
-    id once however many texts it encodes. The ids' texts must join to text
-    exactly, so a run of tokens is a slice of the text.
+    id once however many texts it encodes. The bounds hold only if the ids'
+    texts join to text exactly, which stitch's records check makes sure of.
     """
     ids = counter.encode(text)
     for token_id in set(ids).difference(strings):
         strings[token_id] = counter.decode([token_id])
-    pieces = list(map(strings.__getitem__, ids))
-    if "".join(pieces) != text:
-        raise IntegrityError("token counter does not losslessly segment the text")
-    return ids, list(accumulate(map(len, pieces), initial=0))
-
-
-def _char_offsets(tokens: Iterable[int], strings: Mapping[int, str]) -> list[int]:
-    """Where each token's text starts in the sequence's text, the join of its
-    tokens' texts: token k covers text[offsets[k]:offsets[k + 1]]."""
-    return list(accumulate(map(len, map(strings.__getitem__, tokens)), initial=0))
-
-
-def _text_of(text: str, offsets: Sequence[int], ranges: Iterable[tuple[int, int]]) -> str:
-    """The text of the token ranges [(start, end), ...], offsets being the
-    sequence's _char_offsets."""
-    return "".join(text[offsets[s] : offsets[e]] for s, e in ranges)
+    return ids, list(accumulate(map(len, map(strings.__getitem__, ids)), initial=0))
 
 
 def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTrajectory:
     """Concatenate head, generations, and injected feedback into one sequence.
 
-    This is the one place that decides which tokens a turn sees. For every turn
-    the text of the base ranges that should reconstruct its context snapshot
-    is compared byte-for-byte against the recorded snapshot; any disagreement
-    (tampered records, reordered tag blocks, a lossy counter) raises
-    IntegrityError rather than producing wrong masks. Every token's decoded
-    text is its exact slice of the sequence's text, which is joined once, so
-    a turn's text is slices of it, not a fresh decode. The checked ranges are
-    kept as the result's bases, and the decoded text of each id as its string
-    table.
+    This is the one place that decides which tokens a turn sees. The result
+    must pass the records check, and each base hold as many tokens as the
+    counter counts in its snapshot; any disagreement (tampered records, a
+    lossy counter) raises IntegrityError rather than producing wrong masks.
+    The result keeps the ranges as its bases, each id's text as its strings.
 
     The string table covers every id the counter has interned, not only the
     ids this trajectory uses, so stitch each trajectory with a fresh
@@ -357,6 +339,8 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         visible = ((0, len(tokens)),) if mode == "full_append" else (head, *kept)
         bases.append(visible)
         n_context = sum(e - s for s, e in visible)
+        if n_context != counter.count(turn.context_snapshot):
+            raise IntegrityError(f"turn {i}: context token count mismatch")
 
         gen_ids, bounds = _token_spans(turn.generation.text, counter, texts)
         gen_start = len(tokens)
@@ -384,8 +368,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         emit(gen_ids, gen_codes, i + 1, True, n_context)
 
         if turn.info is not None:
-            block = preset.info_open + turn.info + preset.info_close
-            info_ids, bounds = _token_spans(block, counter, texts)
+            info_ids, bounds = _token_spans(info_block(turn.info, preset), counter, texts)
             info_codes = [_INFO] * len(info_ids)
             match = _HINT_RE.match(turn.info)
             if match:
@@ -398,17 +381,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             emit(info_ids, info_codes, i + 1, False, n_context + len(gen_ids))
             kept.append((info_start, len(tokens)))
 
-    text = "".join(map(texts.__getitem__, tokens))
-    offsets = _char_offsets(tokens, texts)
-    for i, (turn, visible) in enumerate(zip(turns, bases[1:])):
-        if _text_of(text, offsets, visible) != turn.context_snapshot:
-            raise IntegrityError(
-                f"turn {i}: stitched tokens do not reproduce the recorded context snapshot"
-            )
-        if sum(e - s for s, e in visible) != counter.count(turn.context_snapshot):
-            raise IntegrityError(f"turn {i}: context token count mismatch")
-
-    return StitchedTrajectory(
+    stitched = StitchedTrajectory(
         tokens=array("i", tokens),
         segments=array("B", segments),
         turn_of=turn_of,
@@ -417,14 +390,58 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         bases=tuple(bases),
         strings=tuple(texts.get(i, "") for i in range(max(texts, default=-1) + 1)),
     )
+    _check_records(trajectory, list(map(texts.__getitem__, tokens)), stitched, build_masks(stitched)[0])
+    return stitched
+
+
+def _check_records(
+    trajectory: TrajectoryRecord, pieces: list[str], stitched: StitchedTrajectory, mask: Mask2D
+) -> None:
+    """Hold a sequence, its tokens' texts being pieces, to its records by the
+    rule in the module docstring, the head being a turn with no generation. A
+    dense mask may stop before trailing turns with no tokens, which it cannot
+    hold. Raises IntegrityError as "token K (turn T): ...", K the first token
+    that disagrees."""
+    generated, positions = _packed(stitched, "generated"), _packed(stitched, "positions")
+    bounds = mask.bounds
+    text = "".join(pieces)
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    # Per turn: its snapshot, its generation, and its other tokens' text.
+    expected = [("", "", trajectory.turns[0].context_snapshot)]
+    for turn in trajectory.turns:
+        info = info_block(turn.info, trajectory.config.preset)
+        expected.append((turn.context_snapshot, turn.generation.text, info))
+    held = len(mask.bases)
+    if held > len(expected) or any(gen or rest for _, gen, rest in expected[held:]):
+        t = min(held, len(expected))
+        raise IntegrityError(
+            f"token {bounds[t]} (turn {t}): {held - 1} turns in the mask, {len(expected) - 1} in the record"
+        )
+    for t, ((snapshot, gen, rest), base, a, b) in enumerate(zip(expected, mask.bases, bounds, bounds[1:])):
+        if "".join(text[offsets[s] : offsets[e]] for s, e in base) != snapshot:
+            raise IntegrityError(f"token {a} (turn {t}): visible tokens decode to a different context")
+        flags = generated[a:b].tobytes()  # the turn's tokens, 1 where generated
+        g = len(flags) - len(flags.lstrip(b"\x01"))  # the leading generated tokens
+        # A row is the previous row plus one token: generated tokens lead.
+        if flags.count(1) != g:
+            raise IntegrityError(_not_plus_one(a + flags.find(1, g), t))
+        for lo, hi, want, what in ((a, a + g, gen, "generated"), (a + g, b, rest, "other")):
+            start = offsets[lo]
+            if text[start : offsets[hi]] != want:
+                bad = (k for k in range(lo, hi) if pieces[k] != want[offsets[k] - start : offsets[k + 1] - start])
+                k = next(bad, hi)  # hi when the tokens are a prefix of want
+                raise IntegrityError(f"token {k} (turn {t}): {what} tokens decode to other text than the record")
+        shift = sum(e - s for s, e in base) - a  # token k's position is k + shift
+        if positions[a:b].tolist() != list(range(a + shift, b + shift)):
+            k = next(k for k in range(a, b) if positions[k] != k + shift)
+            raise IntegrityError(f"token {k} (turn {t}): position {positions[k]}, not {k + shift}")
 
 
 def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
     """Derive the visibility and loss masks from a stitched sequence.
 
-    The visibility mask is the base ranges stitch recorded, held as they are:
-    row k is its turn's base plus the earlier tokens of its own turn, and the
-    head is turn 0, whose base is empty. So a generated token sees its turn's
+    The visibility mask is the base ranges stitch recorded, held as they are
+    (the rule is in the module docstring): a generated token sees its turn's
     context plus the turn's generation so far, and injected feedback also
     sees the whole generation that triggered it. No row is built here.
     """
@@ -487,42 +504,16 @@ def verify_masks(
     mask: Mask2D,
     counter: TokenCounter,
 ) -> None:
-    """Check the visible-context oracle for every generated token.
-
-    The first generated token of each turn must see exactly the recorded
-    context snapshot; each following one must see the same plus the turn's
-    generation so far. Raises IntegrityError naming the first offending token.
-    Reads only the mask, never the sequence's bases, and runs on the standard
-    library with no dense row built: each turn's first generated row is its
-    base ranges plus the turn's tokens before it, and the turn's generated
-    tokens must be consecutive.
-
-    The counter decodes the whole sequence once, which must give its tokens'
-    own texts joined; a row's visible text is then slices of that text.
-    """
+    """Check a sequence and its mask against the records they were stitched
+    from, by the check stitch makes on the sequence it builds, reading only
+    the mask, never the sequence's bases. The counter must decode the whole
+    sequence as its tokens' own texts joined."""
     tokens = _packed(stitched, "tokens").tolist()
     own = {i: counter.decode([i]) for i in set(tokens)}
-    text = "".join(map(own.__getitem__, tokens))
-    if counter.decode(tokens) != text:
+    pieces = list(map(own.__getitem__, tokens))
+    if counter.decode(tokens) != "".join(pieces):
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
-    offsets = _char_offsets(tokens, own)
-    generated = _packed(stitched, "generated")
-    bounds = mask.bounds
-    for turn_no, (turn, a, b) in enumerate(zip(trajectory.turns, bounds[1:], bounds[2:]), 1):
-        flags = generated[a:b].tobytes()  # the turn's tokens, 1 where generated
-        first = flags.find(1)
-        if first < 0:
-            continue
-        if _text_of(text, offsets, (*mask.bases[turn_no], (a, a + first))) != turn.context_snapshot:
-            raise IntegrityError(
-                f"token {a + first} (turn {turn_no}): visible tokens decode to a different context"
-            )
-        # Row k of a turn is row k - 1 plus token k - 1, so the rule holds
-        # exactly where the generated tokens are consecutive.
-        gap = flags.find(0, first)
-        later = flags.find(1, gap) if gap >= 0 else -1
-        if later >= 0:
-            raise IntegrityError(_not_plus_one(a + later, turn_no))
+    _check_records(trajectory, pieces, stitched, mask)
 
 
 def _not_plus_one(k: int, turn: int) -> str:

@@ -912,7 +912,8 @@ class TestExportMasks:
     @pytest.mark.parametrize("column", ["positions", "segments", "turn_of"])
     def test_verify_checks_every_column(self, smoke, monkeypatch, capsys, column):
         # A container that round-trips tokens, rows and loss but alters one
-        # other column must not pass --verify.
+        # other column must not pass --verify. Positions and turn_of are
+        # checked against the records; segments only by the round trip.
         tmp_path, archive, _, code = self.exported(smoke)
         assert code == EXIT_OK
 
@@ -929,7 +930,12 @@ class TestExportMasks:
             ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m4"), "--verify"]
         )
         assert code == EXIT_INTEGRITY
-        assert "does not round-trip" in capsys.readouterr().err
+        message = {
+            "positions": "token 0 (turn 0): position",
+            "segments": "does not round-trip",
+            "turn_of": "(turn 0): row is not the previous row plus one token",
+        }[column]
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage, message",

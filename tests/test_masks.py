@@ -43,6 +43,8 @@ from memroll import (
     visible_tokens,
 )
 import memroll.masks
+from memroll.archive import TrajectoryRecord
+from memroll.cli import read_archive
 from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
@@ -297,8 +299,10 @@ class TestStitch:
                 text = super().decode(ids)
                 return text.upper() if len(ids) == 1 else text
 
+        # stitch's records check finds the first token whose text differs.
         record = scripted_episode(random.Random(16), turns=2)
-        with pytest.raises(IntegrityError, match="losslessly segment"):
+        message = "token 0 (turn 0): other tokens decode to other text"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
             stitch(record, UpperIds())
 
     def test_empty_trajectory_rejected(self):
@@ -564,6 +568,95 @@ class TestVerifyMasks:
         message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
         with pytest.raises(IntegrityError, match=re.escape(message)):
             verify_masks(record, holey, mask2d, counter)
+
+
+FORMATS = ("ranges", "dense_bitpack", "index_list")
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def re_signed(blob: bytes, edit) -> bytes:
+    """blob re-signed after edit(payload, n) changed its payload in place."""
+    header, payload = container_parts(blob)
+    payload = bytearray(payload)
+    edit(payload, header["n"])
+    return forge(header, bytes(payload), RANGES_VERSION if header["format"] == "ranges" else FORMAT_VERSION)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+class TestRecordsCheck:
+    """verify_masks holds a container to the records it was stitched from. A
+    container that changes what a token is, re-signed so it imports, or one
+    with a turn too few or too many, is refused, naming the turn and the
+    first token that disagrees."""
+
+    @staticmethod
+    def exported(record, fmt):
+        st, counter, mask2d, mask1d = full_build(record)
+        return st, counter, export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
+
+    @staticmethod
+    def refused(record, blob, counter, message):
+        st, mask, _, _ = import_masks(blob)
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            verify_masks(record, st, mask, counter)
+
+    def record(self):
+        return scripted_episode(random.Random(58), turns=3, ending="answer")
+
+    def test_changed_answer_token(self, fmt):
+        # The answer is the last turn's, which no later context sees.
+        record = self.record()
+        st, counter, blob = self.exported(record, fmt)
+        k = int(np.flatnonzero(st.segments == ANSWER)[-1])
+        texts = {int(t): counter.decode([int(t)]) for t in st.tokens}
+        other = next(t for t, text in texts.items() if text[:1] != texts[int(st.tokens[k])][:1])
+        forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * k, other))
+        self.refused(record, forged, counter, f"token {k} (turn 3): generated tokens decode to other text")
+
+    def test_loss_on_an_info_token(self, fmt):
+        record = self.record()
+        st, counter, blob = self.exported(record, fmt)
+        k = int(turn_indices(st, 1, generated=False)[0])
+
+        def edit(payload, n):
+            payload[8 * n + k] = 1
+
+        message = f"token {k} (turn 1): generated tokens decode to other text"
+        self.refused(record, re_signed(blob, edit), counter, message)
+
+    def test_shifted_position(self, fmt):
+        record = self.record()
+        st, counter, blob = self.exported(record, fmt)
+        k = int(turn_indices(st, 2, generated=True)[1])
+        shifted = int(st.positions[k]) + 1
+        forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * (n + k), shifted))
+        self.refused(record, forged, counter, f"token {k} (turn 2): position {shifted}, not {shifted - 1}")
+
+    def test_record_minus_its_last_turn(self, fmt):
+        record = self.record()
+        st, counter, blob = self.exported(replace(record, turns=record.turns[:-1]), fmt)
+        self.refused(record, blob, counter, f"token {st.n} (turn 3): 2 turns in the mask, 3 in the record")
+
+    def test_one_turn_more_than_its_record(self, fmt):
+        record = self.record()
+        st, counter, blob = self.exported(record, fmt)
+        k = int(turn_indices(st, 3)[0])
+        short = replace(record, turns=record.turns[:-1])
+        self.refused(short, blob, counter, f"token {k} (turn 3): 3 turns in the mask, 2 in the record")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("archive", ["archive_with_derived_fields", "archive_with_whole_snapshots"])
+def test_committed_archives_export_and_verify(archive, fmt):
+    # Both committed archives are version 1; each is also written again as
+    # version 2 and read back.
+    records = read_archive(DATA / archive)
+    again = [TrajectoryRecord.from_dict(record.to_dict()) for record in records]
+    assert again == records
+    for record in records + again:
+        st, counter, mask2d, mask1d = full_build(record)
+        st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, fmt=fmt))
+        verify_masks(record, st2, mask2, counter)
 
 
 def join_touching(ranges) -> tuple:
