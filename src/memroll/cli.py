@@ -108,7 +108,7 @@ def _make_env(spec: str, config: RolloutConfig):
     if spec.startswith("scripted:"):
         return ScriptedEnv.from_file(spec[len("scripted:") :])
     if spec.startswith("search:"):
-        return HttpSearchEnv(spec[len("search:") :], api_key=os.environ.get(config.api_key_env))
+        return HttpSearchEnv(spec[len("search:") :], api_key=os.environ.get(config.api_key_env), top_n=config.retrieval_k)
     raise ConfigError(
         f"unknown env spec {spec!r}; use corpus:FILE, shop:FILE, scripted:FILE, or search:URL"
     )

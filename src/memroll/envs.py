@@ -757,7 +757,7 @@ class ScriptedEnv:
 
     Entries are strings or {"text", "reward", "done"} mappings. Past the end
     of the script the last observation repeats. by_task selects a dedicated
-    script per task id when the env is bound.
+    script per task id when the env is bound. Every script must be non-empty.
     """
 
     kind = None
@@ -768,10 +768,10 @@ class ScriptedEnv:
         script: Sequence[str | Mapping],
         by_task: Mapping[str, Sequence[str | Mapping]] | None = None,
     ) -> None:
-        if not script:
-            raise ValidationError("scripted env requires a non-empty script")
         self._script = [self._to_observation(entry) for entry in script]
-        self._by_task = dict(by_task or {})
+        self._by_task = {k: [self._to_observation(entry) for entry in v] for k, v in (by_task or {}).items()}
+        if not (self._script and all(self._by_task.values())):
+            raise ValidationError("scripted env requires non-empty scripts")
         self._cursor = 0
 
     @staticmethod
@@ -797,21 +797,36 @@ class ScriptedEnv:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedEnv":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if isinstance(data, list):
-            return cls(data)
+        default, by_task = read_script(path)
         try:
-            return cls(data["default"], by_task=data.get("by_task"))
-        except (KeyError, TypeError):
+            return cls(default, by_task=by_task)
+        except (KeyError, TypeError, ValidationError):
             raise DataError(f"{path}: expected a list or {{'default': [...], 'by_task': {{...}}}}") from None
 
 
-class HttpSearchEnv:
-    """Web search over an HTTP JSON API, rendered as titles, snippets, URLs.
+def read_script(path: str | Path) -> tuple[list, dict]:
+    """A scripted backend's file, a JSON list or {"default": [...], "by_task":
+    {id: [...]}}, as (default, by_task); anything else is a DataError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: {exc}") from None
+    if isinstance(data, list):
+        return data, {}
+    if isinstance(data, dict):
+        default, by_task = data.get("default", []), data.get("by_task") or {}
+        if isinstance(default, list) and isinstance(by_task, dict):
+            if all(isinstance(script, list) for script in by_task.values()):
+                return default, by_task
+    raise DataError(f"{path}: expected a list or {{'default': [...], 'by_task': {{...}}}}")
 
-    The default request/response mapping matches a Serper-style endpoint
-    (POST {"q": ..., "num": ...} returning {"organic": [{"title", "snippet",
-    "link"}]}); override the keys for other providers.
+
+class HttpSearchEnv:
+    """Web search over Serper's JSON API, rendered as titles, snippets, URLs.
+
+    Each query is POSTed as {"q": query, "num": top_n}, with api_key in the
+    X-API-KEY header, and the response must hold {"organic": [{"title",
+    "snippet", "link"}, ...]}; one without an "organic" list is a DataError.
     """
 
     kind = "web_search_qa"
@@ -822,24 +837,14 @@ class HttpSearchEnv:
         url: str,
         *,
         api_key: str | None = None,
-        auth_header: str = "X-API-KEY",
         top_n: int = 10,
         timeout: float = 10.0,
-        results_path: str = "organic",
-        title_key: str = "title",
-        snippet_key: str = "snippet",
-        url_key: str = "link",
         session: requests.Session | None = None,
     ) -> None:
         self.url = url
         self.api_key = api_key
-        self.auth_header = auth_header
         self.top_n = top_n
         self.timeout = timeout
-        self.results_path = results_path
-        self.title_key = title_key
-        self.snippet_key = snippet_key
-        self.url_key = url_key
         if session is None:
             import requests  # only HTTP backends pay for this import
 
@@ -847,22 +852,20 @@ class HttpSearchEnv:
         self._session = session
 
     def respond(self, query: str) -> Observation:
-        headers = {self.auth_header: self.api_key} if self.api_key else {}
+        headers = {"X-API-KEY": self.api_key} if self.api_key else {}
         resp = self._session.post(
             self.url, json={"q": query, "num": self.top_n}, headers=headers, timeout=self.timeout
         )
         resp.raise_for_status()
         data = resp.json()
-        results = data
-        for part in self.results_path.split("."):
-            if not isinstance(results, dict) or part not in results:
-                raise DataError(f"search response missing {self.results_path!r}")
-            results = results[part]
+        results = data.get("organic") if isinstance(data, dict) else None
+        if not isinstance(results, list):
+            raise DataError("search response has no 'organic' list")
         blocks = []
         for i, item in enumerate(results[: self.top_n], start=1):
-            title = item.get(self.title_key, "")
-            snippet = item.get(self.snippet_key, "")
-            link = item.get(self.url_key, "")
+            title = item.get("title", "")
+            snippet = item.get("snippet", "")
+            link = item.get("link", "")
             blocks.append(f"{i}. {title}\n{snippet}\n{link}")
         return Observation("\n\n".join(blocks))
 

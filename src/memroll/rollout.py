@@ -13,7 +13,6 @@ trajectory record.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -34,7 +33,7 @@ from .archive import (
 )
 from .compose import CompositeTask
 from .context import advance, initial_state, inject_hint, render_context
-from .core import DataError, RolloutConfig, WordTokenizer
+from .core import DataError, RolloutConfig, segment_text
 from .tagparse import Answer, Query, parse_turn
 
 if TYPE_CHECKING:
@@ -89,8 +88,9 @@ class ScriptedPolicy:
 
     Emissions honor the requested stop markers: text is truncated at the first
     marker (marker included), mirroring how a sampling server would halt.
-    Past the end of the script it emits empty text. by_task selects a script
-    per task id at bind time.
+    Text without a marker is cut to max_tokens segments (core.segment_text,
+    the built-in tokenizer's split). Past the end of the script it emits
+    empty text. by_task selects a script per task id at bind time.
     """
 
     concurrent = False
@@ -100,57 +100,46 @@ class ScriptedPolicy:
         script: Sequence[str],
         *,
         by_task: Mapping[str, Sequence[str]] | None = None,
-        latency: float = 0.0,
     ) -> None:
         self._script = list(script)
         self._by_task = {k: list(v) for k, v in (by_task or {}).items()}
-        self._latency = latency
         self._cursor = 0
-        self._counter = WordTokenizer()
 
     def generate(
         self, context: str, stop_markers: Sequence[str], max_tokens: int, seed: int
     ) -> Generation:
-        if self._latency:
-            time.sleep(self._latency)
         text = self._script[self._cursor] if self._cursor < len(self._script) else ""
         self._cursor += 1
         text, marker = _truncate_at_marker(text, stop_markers)
         if marker is not None:
             return Generation(text, "stop", marker)
-        ids = self._counter.encode(text)
-        if len(ids) > max_tokens:
-            return Generation(self._counter.decode(ids[:max_tokens]), "length")
+        segments = segment_text(text)
+        if len(segments) > max_tokens:
+            return Generation("".join(segments[:max_tokens]), "length")
         return Generation(text, "eos")
 
     def bind(self, task) -> "ScriptedPolicy":
         script = self._by_task.get(task.id, self._script)
-        return ScriptedPolicy(script, latency=self._latency)
+        return ScriptedPolicy(script)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedPolicy":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if isinstance(data, list):
-            return cls(data)
-        try:
-            return cls(
-                data.get("default", []),
-                by_task=data.get("by_task"),
-                latency=float(data.get("latency", 0.0)),
-            )
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{path}: expected a list or {{'default': [...], 'by_task': {{...}}}}"
-            ) from None
+        """Load a script file in envs.read_script's format; other keys are ignored."""
+        from .envs import read_script
+
+        default, by_task = read_script(path)
+        return cls(default, by_task=by_task)
 
 
 class HttpPolicy:
-    """Policy served over an OpenAI-completions-style HTTP endpoint.
+    """Policy served over an OpenAI-style completions or chat HTTP endpoint.
 
     Sends prompt, stop markers, max_tokens, temperature, and seed; asks the
-    server to keep the stop string in the output. If a server strips the stop
-    marker anyway, the marker whose open tag is left unclosed is re-appended
-    so downstream parsing sees what the policy meant to emit.
+    server to keep the stop string in the output. The text is choices[0].text
+    (completions) or choices[0].message.content (chat); any other response is
+    a DataError. If a server strips the stop marker anyway, the marker whose
+    open tag is left unclosed is re-appended so downstream parsing sees what
+    the policy meant to emit.
     """
 
     concurrent = True
@@ -212,16 +201,14 @@ class HttpPolicy:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         resp = self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
         resp.raise_for_status()
-        data = resp.json()
-        if "choices" in data:
-            choice = data["choices"][0]
-            text = choice.get("text")
-            if text is None:
-                text = choice.get("message", {}).get("content", "")
-            finish_reason = choice.get("finish_reason", "stop")
-        else:
-            text = data.get("text", "")
-            finish_reason = data.get("finish_reason", "stop")
+        try:
+            choice = resp.json()["choices"][0]
+            text = choice["message"]["content"] if self.api_style == "chat" else choice["text"]
+        except (KeyError, IndexError, TypeError):
+            text = None
+        if not isinstance(text, str):
+            raise DataError(f"{self.api_style} response has no text in its first choice")
+        finish_reason = choice.get("finish_reason", "stop")
         truncated, marker = _truncate_at_marker(text, stop_markers)
         if marker is not None:
             return Generation(truncated, "stop", marker)

@@ -171,6 +171,25 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--policy", "--env"])
+    @pytest.mark.parametrize(
+        "body",
+        [b'"x"', b"7", b"{bad", b'{"default": ["a"], "by_task": ["x"]}', b'["\xff"]'],
+        ids=["string", "number", "not_json", "by_task_a_list", "not_utf8"],
+    )
+    def test_malformed_script_file_is_data_error(self, smoke, capsys, flag, body):
+        tmp_path, tasks, script, env = smoke
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        if flag == "--policy":
+            script = bad
+        else:
+            env = bad
+        assert main(rollout_args(tasks, script, env, tmp_path / "a")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "bad.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["compose", "rollout", "export-masks", "score-plot-data", "score-out"])
     def test_unwritable_output_path_is_data_error(self, smoke, command):
         # An output path under a regular file fails in the operating system
@@ -506,6 +525,11 @@ class TestRollout:
         record = read_archive(out)[0]
         assert "Doc 1 (Title: Facts)" in record.turns[0].info
         assert "(Title: Other)" not in record.turns[0].info
+
+    def test_k_reaches_web_search(self):
+        memroll.cli._bind("envs")  # as _cmd_rollout binds them before building the env
+        env = memroll.cli._make_env("search:http://x", RolloutConfig(retrieval_k=2))
+        assert env.top_n == 2
 
     def test_all_failures_exit_data(self, smoke, capsys):
         tmp_path, tasks, _, env = smoke

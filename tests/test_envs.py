@@ -850,6 +850,15 @@ class TestScriptedEnv:
         with pytest.raises(DataError):
             ScriptedEnv.from_file(path)
 
+    @pytest.mark.parametrize("script", [[5], []], ids=["entry_not_text", "empty"])
+    def test_from_file_checks_every_task_script(self, tmp_path, script):
+        # A task's script is refused on load, not when a task with that id
+        # is bound in the middle of a batch.
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"default": ["one"], "by_task": {"t": script}}))
+        with pytest.raises(DataError):
+            ScriptedEnv.from_file(path)
+
 
 class _StubResponse:
     def __init__(self, payload):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from memroll import (
     Answer,
+    DataError,
     Generation,
     HttpPolicy,
     Invalid,
@@ -117,6 +118,18 @@ class _StubSession:
         return _StubResponse(self.payload)
 
 
+class _SequenceSession(_StubSession):
+    """Answers each post with the next of its payloads."""
+
+    def __init__(self, *payloads):
+        super().__init__(None)
+        self.payloads = payloads
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.payload = self.payloads[len(self.calls)]
+        return super().post(url, json, headers, timeout)
+
+
 def completions_payload(text, finish_reason="stop"):
     return {"choices": [{"text": text, "finish_reason": finish_reason}]}
 
@@ -171,6 +184,27 @@ class TestHttpPolicy:
         session = _StubSession(completions_payload("truncated tex", "length"))
         policy = HttpPolicy("http://srv", session=session)
         assert policy.generate("ctx", ["</query>"], 256, 0).finish == "length"
+
+    @pytest.mark.parametrize(
+        "api_style, payload",
+        [
+            ("completions", {"text": ANSWER_TURN}),
+            ("completions", {"choices": [{"message": {"content": ANSWER_TURN}}]}),
+            ("chat", completions_payload(ANSWER_TURN)),
+        ],
+    )
+    def test_one_response_shape_per_api_style(self, api_style, payload):
+        policy = HttpPolicy("http://srv", api_style=api_style, session=_StubSession(payload))
+        with pytest.raises(DataError, match=api_style):
+            policy.generate("ctx", ["</answer>"], 256, 0)
+
+    def test_wrong_shape_fails_the_episode_with_its_partial_turns(self):
+        session = _SequenceSession(completions_payload(QUERY_TURN), {"text": ANSWER_TURN})
+        env = ScriptedEnv(["Paris is the capital."])
+        [result] = run_batch([simple_task()], HttpPolicy("http://srv", session=session), env, RolloutConfig())
+        assert isinstance(result, RolloutError) and isinstance(result.cause, DataError)
+        assert [turn.generation.text for turn in result.partial] == [QUERY_TURN]
+        assert result.partial[0].info.endswith("Paris is the capital.")
 
     def test_from_config_requires_url(self):
         with pytest.raises(ValueError):
