@@ -16,34 +16,44 @@ format is read back as ranges, and dense rows are built only when asked for.
 
 Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
-stitched sequence.
+stitched sequence. So the per-token columns turn_of, generated and positions
+follow from each turn's token count, its count of leading generated tokens
+and its base: token k of turn t, which starts at bounds[t], has position
+|base_t| + k - bounds[t]. Every run of positions is a slice of one ramp,
+0, 1, 2, ..., that the module keeps.
 
-The per-token columns (and Mask1D.loss) are held packed, as memoryviews in the
-container's own column layout, so stitch, build_masks, verify_masks, and
-export_masks and import_masks with ranges or index_list run on the standard
-library alone. Reading a column as an attribute gives an np.ndarray of its
-documented dtype, a view of the packed column built on first access and kept;
-that, Mask2D.words, visible_tokens and dense_bitpack are what import numpy.
+The per-token columns (and Mask1D.loss) are held packed, as memoryviews in
+native order, so stitch, build_masks, verify_masks, and export_masks and
+import_masks with ranges or index_list run on the standard library alone.
+Reading a column as an attribute gives an np.ndarray of its documented dtype,
+a view of the packed column built on first access and kept; that,
+Mask2D.words, visible_tokens and dense_bitpack are what import numpy.
 
 The export container is binary: magic MEM1MASK, a little-endian u16 version,
 a u32 header length, a JSON header {n, counter_id, format, sha256}, then the
 payload. The header is the canonical (sort_keys) JSON of exactly those four
 fields. The sha256 covers the canonical JSON of the other three header fields
-followed by the payload, so no byte of a container can change unnoticed
-(version 1 containers, whose sha256 covers the payload alone, are still read).
-Every payload starts with the per-token columns: tokens i32, positions i32,
-loss u8, segments u8, turn_of u16. The mask follows, in one of three formats:
+followed by the payload (from version 4 the u16 version first), so no byte of
+a container can change unnoticed (version 1 containers, whose sha256 covers
+the payload alone, are still read). Every payload starts with the tokens
+column, i32. The rest comes in one of three formats:
 
-- ranges (version 3, the default): a u32 turn count, then for each turn, the
-  head being turn 0, a u32 range count and that many u32 (start, end) pairs,
-  its base ranges. A turn's own tokens are the run of turn_of equal to it.
-  Then the string table: a u32 count, that many u32 byte lengths, then the
-  UTF-8 bytes (lone surrogates pass through), where entry i is the text of
-  token id i. The container thus decodes without the counter that made it.
-- dense_bitpack (version 2): ceil(n/64) little-endian u64 words per token,
-  bit i of word w covering token 64*w+i.
-- index_list (version 2): per token a u32 count followed by that many
-  ascending u32 indices.
+- ranges (version 4, the default): segments u8 per token, then a u32 turn
+  count, then for each turn, the head being turn 0, its u32 token count, its
+  u32 count of leading generated tokens, a u32 range count and that many u32
+  (start, end) pairs, its base ranges. turn_of, generated (the loss) and
+  positions are derived at import, so export refuses a sequence whose columns
+  break the rule above. Then the string table: a u32 count, that many u32
+  byte lengths, then the UTF-8 bytes (lone surrogates pass through), where
+  entry i is the text of token id i. The container thus decodes without the
+  counter that made it. Version 3 ranges containers, still read, held every
+  column as the dense formats do, and each turn's range count and ranges
+  alone.
+- dense_bitpack (version 2): the columns positions i32, loss u8, segments
+  u8, turn_of u16, then ceil(n/64) little-endian u64 words per token, bit i
+  of word w covering token 64*w+i.
+- index_list (version 2): the same columns, then per token a u32 count
+  followed by that many ascending u32 indices.
 
 Both dense formats are read back as ranges: a turn's base is the runs of its
 first row, and each later row must be the previous row plus one token.
@@ -104,12 +114,12 @@ _HINT_RE = re.compile(
 
 MAGIC = b"MEM1MASK"
 FORMAT_VERSION = 2  # dense_bitpack and index_list containers
-RANGES_VERSION = 3  # ranges containers
+RANGES_VERSION = 4  # ranges containers
 # The container versions each mask format is read from; export writes the last.
 # Pairing them means a version byte flipped between 2 and 3, which the hash
-# cannot see, is still refused.
+# cannot see before version 4, is still refused.
 _VERSIONS = {
-    "ranges": (RANGES_VERSION,),
+    "ranges": (3, RANGES_VERSION),
     "dense_bitpack": (1, FORMAT_VERSION),
     "index_list": (1, FORMAT_VERSION),
 }
@@ -120,6 +130,41 @@ _HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
 # The container is little-endian; packed columns are held in native order, so
 # a big-endian host byteswaps them on the way in and out.
 _SWAP = sys.byteorder == "big"
+
+# The ramp 0, 1, 2, ...: every run of positions is a slice of it. It grows by
+# binding a longer array in its place, never by resizing the one bound, which
+# another thread may still be slicing (and an array with an exported
+# memoryview cannot be resized). Each caller slices the array it read or
+# built, so two threads growing it at once cost at most a rebuild.
+_RAMP = array("i")
+
+
+def _ramp(n: int) -> memoryview:
+    """The ramp, at least n long."""
+    global _RAMP
+    ramp = _RAMP
+    if len(ramp) < n:
+        ramp = _RAMP = array("i", range(max(n, 2 * len(ramp))))
+    return memoryview(ramp)
+
+
+def _derive(
+    bounds: Sequence[int], gens: Sequence[int], bases: Sequence[tuple[tuple[int, int], ...]]
+) -> tuple[memoryview, memoryview, memoryview]:
+    """The turn_of, generated and positions columns, packed and read-only, of
+    a sequence whose turn t holds tokens [bounds[t], bounds[t + 1]), the
+    first gens[t] of them generated, and sees bases[t]."""
+    turn_of, generated, positions = [], [], []
+    for t, (base, a, b, g) in enumerate(zip(bases, bounds, bounds[1:], gens)):
+        m = sum(e - s for s, e in base)  # token k's position is m + k - a
+        turn_of.append(array("H", (t,)) * (b - a))
+        generated += (b"\x01" * g, bytes(b - a - g))
+        positions.append(_ramp(m + b - a)[m : m + b - a])
+    return (
+        memoryview(b"".join(turn_of)).cast("H"),
+        memoryview(b"".join(generated)),
+        memoryview(b"".join(positions)).cast("i"),
+    )
 
 
 class _Column:
@@ -183,10 +228,11 @@ class StitchedTrajectory:
     not use). Both are None for sequences imported from dense_bitpack or
     index_list containers, which carry neither.
 
-    The five columns are held packed in the container's layout and read as
-    np.ndarray views of the dtypes below, built on first access (which
-    imports numpy) and kept. The views of an imported sequence are views of
-    the container, read-only when it is bytes. The constructor and
+    The five columns are held packed and read as np.ndarray views of the
+    dtypes below, built on first access (which imports numpy) and kept. The
+    columns stitch and a ranges import derive (turn_of, generated, positions)
+    are read-only; the others of an imported sequence are views of the
+    container, read-only when it is bytes. The constructor and
     memroll.core.replace take numpy arrays. Like every record it is frozen,
     and the columns are required arguments.
     """
@@ -305,7 +351,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     WordTokenizer(), as the export-masks command does. With one counter shared
     over the twelve records of a search_qa archive, the last record's table
     held 1,580 entries for the 382 ids it uses, and its ranges container took
-    33,486 bytes against 28,694 with a fresh counter.
+    19,247 bytes against 14,455 with a fresh counter.
     """
     turns = trajectory.turns
     if not turns:
@@ -313,25 +359,14 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     mode = trajectory.config.mode
     preset = trajectory.config.preset
 
-    tokens: list[int] = []
-    segments: list[int] = []
-    positions: list[int] = []
-    # Packed as they grow, one run per emit.
-    turn_of = array("H")
-    generated = array("B")
-
-    def emit(ids: list[int], codes: list[int], turn: int, gen: bool, pos0: int) -> None:
-        tokens.extend(ids)
-        segments.extend(codes)
-        turn_of.extend(array("H", (turn,)) * len(ids))
-        generated.extend(array("B", (gen,)) * len(ids))
-        positions.extend(range(pos0, pos0 + len(ids)))
-
     texts: dict[int, str] = {}
     head_ids, _ = _token_spans(turns[0].context_snapshot, counter, texts)
-    emit(head_ids, [_HEAD] * len(head_ids), 0, False, 0)
-    head = (0, len(head_ids))
-    bases: list[tuple[tuple[int, int], ...]] = [()]  # the head is turn 0
+    tokens, segments = list(head_ids), [_HEAD] * len(head_ids)
+    head = (0, len(tokens))
+    # Per turn, the head being turn 0: its first token, its generated count
+    # and its base. The other columns follow from these.
+    bounds, gens = [0], [0]
+    bases: list[tuple[tuple[int, int], ...]] = [()]
     # The previous turn's is/query runs and info block; turn 1 sees the head alone.
     kept: list[tuple[int, int]] = []
 
@@ -342,8 +377,10 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
         if n_context != counter.count(turn.context_snapshot):
             raise IntegrityError(f"turn {i}: context token count mismatch")
 
-        gen_ids, bounds = _token_spans(turn.generation.text, counter, texts)
+        gen_ids, offsets = _token_spans(turn.generation.text, counter, texts)
         gen_start = len(tokens)
+        bounds.append(gen_start)
+        gens.append(len(gen_ids))
         gen_codes = [_GLUE] * len(gen_ids)
         runs = []
         # A token belongs to a block only if it lies wholly inside it. Labels
@@ -353,7 +390,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             span = turn.parsed.spans.get(name)
             if span is None:
                 continue
-            lo, hi = bisect_left(bounds, span.start), bisect_right(bounds, span.end) - 1
+            lo, hi = bisect_left(offsets, span.start), bisect_right(offsets, span.end) - 1
             if lo < hi:
                 gen_codes[lo:hi] = [code] * (hi - lo)
                 if code != _ANSWER:
@@ -365,28 +402,31 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
                 kept[-1] = (kept[-1][0], max(kept[-1][1], hi))
             else:
                 kept.append((lo, hi))
-        emit(gen_ids, gen_codes, i + 1, True, n_context)
+        tokens += gen_ids
+        segments += gen_codes
 
         if turn.info is not None:
-            info_ids, bounds = _token_spans(info_block(turn.info, preset), counter, texts)
+            info_ids, offsets = _token_spans(info_block(turn.info, preset), counter, texts)
             info_codes = [_INFO] * len(info_ids)
             match = _HINT_RE.match(turn.info)
             if match:
                 # A hint token is one that starts inside the hint.
                 hint_start, n_info = len(preset.info_open), len(info_ids)
-                lo = bisect_left(bounds, hint_start, 0, n_info)
-                hi = bisect_left(bounds, hint_start + match.end(), 0, n_info)
+                lo = bisect_left(offsets, hint_start, 0, n_info)
+                hi = bisect_left(offsets, hint_start + match.end(), 0, n_info)
                 info_codes[lo:hi] = [_HINT] * (hi - lo)
-            info_start = len(tokens)
-            emit(info_ids, info_codes, i + 1, False, n_context + len(gen_ids))
-            kept.append((info_start, len(tokens)))
+            kept.append((len(tokens), len(tokens) + len(info_ids)))
+            tokens += info_ids
+            segments += info_codes
 
+    bounds.append(len(tokens))
+    turn_of, generated, positions = _derive(bounds, gens, bases)
     stitched = StitchedTrajectory(
         tokens=array("i", tokens),
         segments=array("B", segments),
         turn_of=turn_of,
         generated=generated,
-        positions=array("i", positions),
+        positions=positions,
         bases=tuple(bases),
         strings=tuple(texts.get(i, "") for i in range(max(texts, default=-1) + 1)),
     )
@@ -431,10 +471,10 @@ def _check_records(
                 bad = (k for k in range(lo, hi) if pieces[k] != want[offsets[k] - start : offsets[k + 1] - start])
                 k = next(bad, hi)  # hi when the tokens are a prefix of want
                 raise IntegrityError(f"token {k} (turn {t}): {what} tokens decode to other text than the record")
-        shift = sum(e - s for s, e in base) - a  # token k's position is k + shift
-        if positions[a:b].tolist() != list(range(a + shift, b + shift)):
-            k = next(k for k in range(a, b) if positions[k] != k + shift)
-            raise IntegrityError(f"token {k} (turn {t}): position {positions[k]}, not {k + shift}")
+        m = sum(e - s for s, e in base)  # token k's position is m + k - a
+        if positions[a:b].tobytes() != _ramp(m + b - a)[m : m + b - a].tobytes():
+            k = next(k for k in range(a, b) if positions[k] != m + k - a)
+            raise IntegrityError(f"token {k} (turn {t}): position {positions[k]}, not {m + k - a}")
 
 
 def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
@@ -543,6 +583,9 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
     # The packed columns are the container's columns: on a little-endian
     # host they are written as they are.
     yield _little_endian(_packed(stitched, "tokens"))
+    if fmt == "ranges":
+        yield from _ranges_payload(stitched, mask2d, mask1d)
+        return
     yield _little_endian(_packed(stitched, "positions"))
     yield _packed(mask1d, "loss")
     yield _packed(stitched, "segments")
@@ -552,7 +595,7 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
 
         # On a little-endian host the rows are written straight from the mask.
         yield np.ascontiguousarray(mask2d.words, dtype="<u8")
-    elif fmt == "index_list":
+    else:
         bounds = mask2d.bounds
         for base, a, b in zip(mask2d.bases, bounds, bounds[1:]):
             rows = array("I")
@@ -560,20 +603,47 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
                 rows.append(len(row))
                 rows += row
             yield _little_endian(rows)
-    else:
-        if stitched.strings is None:
-            raise ValueError(
-                "the ranges format needs the sequence's string table; export a "
-                "sequence imported from dense rows as dense_bitpack or index_list"
+
+
+def _ranges_payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D):
+    """Everything of a ranges payload after the tokens, once the sequence's
+    derived columns are found to be what the container gives back."""
+    if stitched.strings is None:
+        raise ValueError(
+            "the ranges format needs the sequence's string table; export a "
+            "sequence imported from dense rows as dense_bitpack or index_list"
+        )
+    bases, bounds = mask2d.bases, mask2d.bounds
+    given = _packed(stitched, "generated")
+    gens = []  # each turn's leading generated tokens
+    for a, b in zip(bounds, bounds[1:]):
+        flags = given[a:b].tobytes()
+        gens.append(len(flags) - len(flags.lstrip(b"\x01")))
+    turn_of, generated, positions = _derive(bounds, gens, bases)
+    for name, owner, column, want in (
+        ("turn_of", stitched, "turn_of", turn_of),
+        ("generated", stitched, "generated", generated),
+        ("loss", mask1d, "loss", generated),
+        ("position", stitched, "positions", positions),
+    ):
+        got = _packed(owner, column)
+        if got.tobytes() != want.tobytes():
+            k = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y), None)
+            if k is None:
+                raise IntegrityError(f"{name} holds {len(got)} tokens, the mask's turns {len(want)}")
+            t = bisect_right(bounds, k) - 1
+            raise IntegrityError(
+                f"token {k} (turn {t}): {name} {got[k]}, where a ranges container derives {want[k]}"
             )
-        ranges = array("I", [len(mask2d.bases)])
-        for base in mask2d.bases:
-            ranges.append(len(base))
-            ranges.extend(chain.from_iterable(base))
-        yield _little_endian(ranges)
-        encoded = [text.encode("utf-8", "surrogatepass") for text in stitched.strings]
-        yield _little_endian(array("I", [len(encoded), *map(len, encoded)]))
-        yield b"".join(encoded)
+    yield _packed(stitched, "segments")
+    words = array("I", [len(bases)])
+    for base, a, b, g in zip(bases, bounds, bounds[1:], gens):
+        words += array("I", (b - a, g, len(base)))
+        words.extend(chain.from_iterable(base))
+    yield _little_endian(words)
+    encoded = [text.encode("utf-8", "surrogatepass") for text in stitched.strings]
+    yield _little_endian(array("I", [len(encoded), *map(len, encoded)]))
+    yield b"".join(encoded)
 
 
 def export_masks(
@@ -586,13 +656,19 @@ def export_masks(
     """Serialize a stitched sequence and its masks to the binary container.
 
     ranges writes the mask's base ranges and the sequence's string table, so
-    it needs a sequence from stitch or a ranges container. The string table is the whole vocabulary of the counter the sequence was
-    stitched with; see stitch() for why that counter should be a fresh one.
+    it needs a sequence from stitch or a ranges container. The string table
+    is the whole vocabulary of the counter the sequence was stitched with;
+    see stitch() for why that counter should be a fresh one. ranges writes
+    each turn's token and leading generated counts in place of the turn_of,
+    generated, loss and positions columns, and raises IntegrityError, naming
+    the first token that differs, if the columns given are not the ones the
+    container derives from them (the rule is in the module docstring).
     """
     if fmt not in _VERSIONS:
         raise ValueError(f"unknown mask format {fmt!r}")
     header = {"n": stitched.n, "counter_id": counter_id, "format": fmt}
-    digest = hashlib.sha256(_canonical(header))
+    version = _VERSIONS[fmt][-1]
+    digest = _hash_head(version, header)
     # The header's length does not depend on its hash, so the payload goes
     # straight into its place in the container, hashed on the way, and the
     # header is put in front of it last: the payload is never held twice.
@@ -604,7 +680,7 @@ def export_masks(
         out.write(part)
     header["sha256"] = digest.hexdigest()
     out.seek(0)
-    out.write(MAGIC + _PREFIX.pack(_VERSIONS[fmt][-1], header_len) + _canonical(header))
+    out.write(MAGIC + _PREFIX.pack(version, header_len) + _canonical(header))
     return out.getvalue()
 
 
@@ -612,14 +688,16 @@ def _canonical(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
-def _digest(version: int, header: dict, payload: memoryview) -> str:
-    """The container hash: the payload alone in version 1; from version 2
-    the other header fields first, so they are covered too."""
+def _hash_head(version: int, header: dict):
+    """The container hash, fed what comes before the payload: nothing in
+    version 1; from version 2 the other header fields, so they are covered
+    too, and from version 4 the version before them."""
     h = hashlib.sha256()
+    if version >= 4:
+        h.update(version.to_bytes(2, "little"))
     if version >= 2:
         h.update(_canonical({k: v for k, v in header.items() if k != "sha256"}))
-    h.update(payload)
-    return h.hexdigest()
+    return h
 
 
 def _items(chunk: memoryview, fmt: str) -> memoryview:
@@ -640,18 +718,23 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
 
     Every malformed input, truncated or altered anywhere, raises
     IntegrityError. So does a container that is signed but unsound, since
-    anyone can re-sign one: in any format a decreasing turn_of, base ranges
-    that are unsorted, overlap or reach past their turn's first token, or a
-    loss byte other than 0 and 1; in ranges a token id outside the string
-    table or a table that is not UTF-8; in the dense formats a row that is
-    not the previous row plus one token, named by its first token.
+    anyone can re-sign one: in any format base ranges that are unsorted,
+    overlap or reach past their turn's first token; in ranges a token id
+    outside the string table or a table that is not UTF-8; in version 4
+    ranges turn token counts that do not sum to n or a generated count above
+    its turn's; in the other versions a decreasing turn_of or a loss byte
+    other than 0 and 1; in the dense formats a row that is not the previous
+    row plus one token, named by its first token.
 
     Every format comes back as a mask held as ranges, with no dense row
     built; only dense_bitpack loads numpy. A dense container's turns are
     counted from turn_of and its bases come back joined (see Mask2D.same_rows);
     only a ranges container fills in the sequence's bases and string table.
-    The columns are views of data, not copies: read-only when data is bytes.
-    generated and loss are one column.
+    The columns a container holds are views of data, not copies: read-only
+    when data is bytes. A version 4 ranges container holds tokens and
+    segments; turn_of, generated and positions are derived from its turns
+    (the rule is in the module docstring), read-only. generated and loss are
+    one column.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -682,7 +765,9 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     if version not in _VERSIONS[fmt]:
         raise IntegrityError(f"mask container version {version} does not hold format {fmt!r}")
     payload = memoryview(data)[offset:]  # read in place, not copied
-    if _digest(version, header, payload) != header["sha256"]:
+    digest = _hash_head(version, header)
+    digest.update(payload)
+    if digest.hexdigest() != header["sha256"]:
         raise IntegrityError("mask payload hash mismatch")
     n = header["n"]
     pos = 0
@@ -698,16 +783,6 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     def take_u32(count: int) -> memoryview:
         return _items(take(4 * count), "I")
 
-    tokens = _items(take(4 * n), "i")
-    positions = _items(take(4 * n), "i")
-    loss = take(n)
-    if loss.tobytes().translate(None, b"\x00\x01"):
-        raise IntegrityError("loss column holds a byte other than 0 and 1")
-    segments = take(n)
-    turn_of = _items(take(2 * n), "H")
-    turn_list = turn_of.tolist()
-    if turn_list != sorted(turn_list):
-        raise IntegrityError("turn_of decreases")
     bases: list[tuple[tuple[int, int], ...]] = []
 
     def add_base(edges: list[int]) -> tuple[tuple[int, int], ...]:
@@ -719,14 +794,43 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         bases.append(tuple(zip(edges[0::2], edges[1::2])))
         return bases[-1]
 
-    strings = None
-    if fmt == "ranges":
+    tokens = _items(take(4 * n), "i")
+    if version == RANGES_VERSION:
+        segments = take(n)
+        turns = take_u32(1)[0]
+        # Each turn takes 12 bytes or more, and turn_of holds its number.
+        if turns > min(1 << 16, (len(payload) - pos) // 12):
+            raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
+        bounds, gens = [0], []
+        for turn in range(turns):
+            count, gen, ranges = take_u32(3)
+            if gen > count:
+                raise IntegrityError(f"turn {turn}: {gen} leading generated tokens of its {count}")
+            bounds.append(bounds[-1] + count)
+            gens.append(gen)
+            add_base(take_u32(2 * ranges).tolist())
+        if bounds[-1] != n:
+            raise IntegrityError(f"the turns' token counts sum to {bounds[-1]}, not {n}")
+        turn_of, loss, positions = _derive(bounds, gens, bases)
+    else:
+        positions = _items(take(4 * n), "i")
+        loss = take(n)
+        if loss.tobytes().translate(None, b"\x00\x01"):
+            raise IntegrityError("loss column holds a byte other than 0 and 1")
+        segments = take(n)
+        turn_of = _items(take(2 * n), "H")
+        turn_list = turn_of.tolist()
+        if turn_list != sorted(turn_list):
+            raise IntegrityError("turn_of decreases")
+    if version == 3:  # ranges, each turn's count and pairs after the columns
         turns = take_u32(1)[0]
         if turns > (len(payload) - pos) // 4 or (n and turn_list[-1] >= turns):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds = _bounds(turn_list, turns)
         for _ in range(turns):
             add_base(take_u32(2 * take_u32(1)[0]).tolist())
+    strings = None
+    if fmt == "ranges":
         ends = list(accumulate(take_u32(take_u32(1)[0])))
         table = bytes(take(ends[-1] if ends else 0))
         try:

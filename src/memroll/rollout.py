@@ -235,7 +235,8 @@ class HttpPolicy:
 
 
 class RolloutError(RuntimeError):
-    """A backend failed mid-episode; partial holds the turns finished so far."""
+    """A backend failed to bind to its task or mid-episode; partial holds the
+    turns finished so far."""
 
     def __init__(self, task_id: str, cause: BaseException, partial: tuple[TurnRecord, ...]) -> None:
         super().__init__(f"rollout for task {task_id!r} failed: {cause}")
@@ -278,8 +279,11 @@ def run_rollout(
     final answer, as reward-bearing environments end episodes themselves).
     """
     _check_env_compat(task, env)
-    policy = _bind(policy, task)
-    env = _bind(env, task)
+    try:
+        policy = _bind(policy, task)
+        env = _bind(env, task)
+    except Exception as exc:
+        raise RolloutError(task.id, exc, ()) from exc
     preset = config.preset
     state = initial_state(task.rendered_prompt, task.prompt_prefix, preset, config.mode)
     turns: list[TurnRecord] = []

@@ -15,7 +15,7 @@ import pytest
 
 import memroll
 import memroll.cli
-from memroll import Mask2D, RolloutConfig, export_masks, import_masks, load_composites
+from memroll import Mask2D, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 from memroll.core import replace
 from memroll.rollout import RolloutError, load_turns, replay_contexts
@@ -562,6 +562,30 @@ class TestRollout:
             assert load_turns(error["turns"], record.config.preset) == record.turns
 
 
+    def test_bind_failure_fails_only_its_episode(self, smoke, monkeypatch, capsys):
+        # An env whose bind raises for one task: that episode is an error in
+        # the manifest, with no turns, and the others are still written.
+        tmp_path, tasks, script, env = smoke
+        scripted = ScriptedEnv.from_file(env)
+
+        class FussyEnv:
+            def bind(self, task):
+                if task.id == "q1":
+                    raise RuntimeError("nothing bound for q1")
+                return scripted.bind(task)
+
+        monkeypatch.setattr(memroll.cli, "_make_env", lambda spec, config: FussyEnv())
+        out = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, out)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["id"] for entry in manifest["trajectories"]] == ["q0", "q2"]
+        assert manifest["errors"] == [
+            {"id": "q1", "error": "rollout for task 'q1' failed: nothing bound for q1", "turns": []}
+        ]
+        assert [record.task.id for record in read_archive(out)] == ["q0", "q2"]
+        assert "nothing bound for q1" in capsys.readouterr().err
+
+
 class TestFileNameCollisions:
     """Distinct ids that map to one file name are refused before anything is written."""
 
@@ -933,20 +957,27 @@ class TestExportMasks:
         code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m3")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("column", ["positions", "segments", "turn_of"])
+    @pytest.mark.parametrize("column", ["positions", "segments", "turn_of", "generated"])
     def test_verify_checks_every_column(self, smoke, monkeypatch, capsys, column):
-        # A container that round-trips tokens, rows and loss but alters one
-        # other column must not pass --verify. Positions and turn_of are
-        # checked against the records; segments only by the round trip.
+        # A sequence with one column altered must not pass --verify. A ranges
+        # container derives positions, turn_of and generated from each turn's
+        # counts and base, so export refuses a sequence whose columns break
+        # that rule; segments are checked only by the round trip.
         tmp_path, archive, _, code = self.exported(smoke)
         assert code == EXIT_OK
 
         def tampered(stitched, *args, **kwargs):
-            altered = {
-                "positions": stitched.positions[::-1].copy(),
-                "segments": np.zeros_like(stitched.segments),
-                "turn_of": np.zeros_like(stitched.turn_of),
-            }[column]
+            if column == "generated":  # the last generated token moved past the turn's first info token
+                generated = stitched.generated.copy()
+                info = np.flatnonzero((stitched.turn_of == 1) & ~generated)[0]
+                generated[[info - 1, info]] = False, True
+                altered = generated
+            else:
+                altered = {
+                    "positions": stitched.positions[::-1].copy(),
+                    "segments": np.zeros_like(stitched.segments),
+                    "turn_of": np.zeros_like(stitched.turn_of),
+                }[column]
             return export_masks(replace(stitched, **{column: altered}), *args, **kwargs)
 
         monkeypatch.setattr(memroll.cli, "export_masks", tampered)
@@ -957,7 +988,8 @@ class TestExportMasks:
         message = {
             "positions": "token 0 (turn 0): position",
             "segments": "does not round-trip",
-            "turn_of": "(turn 0): row is not the previous row plus one token",
+            "turn_of": "(turn 1): turn_of 0, where a ranges container derives 1",
+            "generated": "(turn 1): generated 1, where a ranges container derives 0",
         }[column]
         assert message in capsys.readouterr().err
 

@@ -13,8 +13,9 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -575,11 +576,12 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def re_signed(blob: bytes, edit) -> bytes:
-    """blob re-signed after edit(payload, n) changed its payload in place."""
+    """blob re-signed, at its own version, after edit(payload, n) changed
+    its payload in place."""
     header, payload = container_parts(blob)
     payload = bytearray(payload)
     edit(payload, header["n"])
-    return forge(header, bytes(payload), RANGES_VERSION if header["format"] == "ranges" else FORMAT_VERSION)
+    return forge(header, bytes(payload), struct.unpack_from("<H", blob, 8)[0])
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -621,12 +623,23 @@ class TestRecordsCheck:
         def edit(payload, n):
             payload[8 * n + k] = 1
 
+        def one_more_generated(payload, n):
+            # A ranges container derives the loss from each turn's count of
+            # leading generated tokens.
+            tokens, segments, turns, lengths, table = v4_parts(bytes(payload), n)
+            turns[1][1] += 1
+            payload[:] = v4_payload(tokens, segments, turns, lengths, table)
+
         message = f"token {k} (turn 1): generated tokens decode to other text"
-        self.refused(record, re_signed(blob, edit), counter, message)
+        self.refused(record, re_signed(blob, one_more_generated if fmt == "ranges" else edit), counter, message)
 
     def test_shifted_position(self, fmt):
+        # A ranges container derives the positions; a version 3 one, still
+        # read, holds them as a column.
         record = self.record()
         st, counter, blob = self.exported(record, fmt)
+        if fmt == "ranges":
+            blob = v3_ranges(st, *build_masks(st), counter.name)
         k = int(turn_indices(st, 2, generated=True)[1])
         shifted = int(st.positions[k]) + 1
         forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * (n + k), shifted))
@@ -700,10 +713,13 @@ def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
     """Re-sign a container so only the hash check itself stays honest.
 
     Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
-    the other header fields, then the payload.
+    the other header fields, then the payload; version 4 hashes its u16
+    version before them.
     """
     header = {k: v for k, v in header.items() if k != "sha256"}
     signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    if version >= 4:
+        signed = struct.pack("<H", version) + signed
     header["sha256"] = hashlib.sha256(signed).hexdigest()
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + payload
@@ -846,6 +862,8 @@ class TestExportImport:
 @functools.cache
 def valid_container(fmt: str) -> bytes:
     st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(72), turns=3))
+    if fmt == "ranges_v3":
+        return v3_ranges(st, mask2d, mask1d, counter.name)
     return export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
 
 
@@ -870,11 +888,55 @@ def ranges_parts(payload: bytes, n: int) -> tuple[bytes, list, list, bytes]:
 
 
 def ranges_payload(columns: bytes, turns: list, lengths: list, table: bytes) -> bytes:
+    """A version 3 ranges payload: the five columns, then per turn its
+    ranges, then the string table."""
     words = [len(turns)]
     for ranges in turns:
         words += [len(ranges), *chain.from_iterable(ranges)]
     words += [len(lengths), *lengths]
     return columns + struct.pack(f"<{len(words)}I", *words) + table
+
+
+def v3_ranges(st, mask2d, mask1d, counter_id: str) -> bytes:
+    """The version 3 ranges container of a sequence, as version 3 wrote it."""
+    columns = b"".join(
+        np.asarray(column).astype(dtype).tobytes()
+        for column, dtype in (
+            (st.tokens, "<i4"), (st.positions, "<i4"), (mask1d.loss, "u1"), (st.segments, "u1"), (st.turn_of, "<u2"),
+        )
+    )
+    encoded = [text.encode("utf-8", "surrogatepass") for text in st.strings]
+    header = {"n": st.n, "counter_id": counter_id, "format": "ranges"}
+    payload = ranges_payload(columns, [list(base) for base in mask2d.bases], list(map(len, encoded)), b"".join(encoded))
+    return forge(header, payload, 3)
+
+
+def v4_parts(payload: bytes, n: int) -> tuple[bytes, bytes, list, list, bytes]:
+    """Split a version 4 ranges payload into its tokens and segments, each
+    turn's [token count, generated count, (start, end) pairs], the string
+    table's byte lengths and its bytes."""
+    at = 5 * n
+
+    def u32s(count: int) -> list[int]:
+        nonlocal at
+        values = list(struct.unpack_from(f"<{count}I", payload, at))
+        at += 4 * count
+        return values
+
+    turns = []
+    for _ in range(u32s(1)[0]):
+        count, gen, ranges = u32s(3)
+        turns.append([count, gen, list(zip(*[iter(u32s(2 * ranges))] * 2))])
+    lengths = u32s(u32s(1)[0])
+    return payload[: 4 * n], payload[4 * n : 5 * n], turns, lengths, payload[at:]
+
+
+def v4_payload(tokens: bytes, segments: bytes, turns: list, lengths: list, table: bytes) -> bytes:
+    words = [len(turns)]
+    for count, gen, ranges in turns:
+        words += [count, gen, len(ranges), *chain.from_iterable(ranges)]
+    words += [len(lengths), *lengths]
+    return tokens + segments + struct.pack(f"<{len(words)}I", *words) + table
 
 
 class TestMalformedContainers:
@@ -953,16 +1015,17 @@ class TestMalformedContainers:
             import_masks(bad)
 
 
-    @given(fmt=hst.sampled_from(ALL_FORMATS), data=hst.data())
+    @given(fmt=hst.sampled_from(FORMATS + ("ranges_v3",)), data=hst.data())
     def test_loss_is_one_bit_per_byte(self, fmt, data):
-        # export writes 0 or 1 per loss byte; a re-signed container with any
-        # other byte is refused rather than read as True.
+        # export wrote 0 or 1 per loss byte; a re-signed container with any
+        # other byte is refused rather than read as True. A version 4 ranges
+        # container holds no loss column.
         header, payload = container_parts(valid_container(fmt))
         n = header["n"]
         at = 8 * n + data.draw(hst.integers(0, n - 1))
         bad = bytearray(payload)
         bad[at] = data.draw(hst.integers(2, 255))
-        version = RANGES_VERSION if fmt == "ranges" else FORMAT_VERSION
+        version = 3 if fmt == "ranges_v3" else FORMAT_VERSION
         with pytest.raises(IntegrityError, match="loss column"):
             import_masks(forge(header, bytes(bad), version))
 
@@ -975,13 +1038,24 @@ class TestMalformedContainers:
 
 
 def forged_ranges(edit) -> bytes:
-    """The ranges test container with edit(header, columns, turns, lengths,
-    table) applied to its parts, re-signed."""
-    header, payload = container_parts(valid_container("ranges"))
+    """The version 3 ranges test container with edit(header, columns, turns,
+    lengths, table) applied to its parts, re-signed."""
+    header, payload = container_parts(valid_container("ranges_v3"))
     columns, turns, lengths, table = ranges_parts(payload, header["n"])
     columns, table = bytearray(columns), bytearray(table)
     edit(header, columns, turns, lengths, table)
-    return forge(header, ranges_payload(bytes(columns), turns, lengths, bytes(table)), RANGES_VERSION)
+    return forge(header, ranges_payload(bytes(columns), turns, lengths, bytes(table)), 3)
+
+
+def forged_v4(edit) -> bytes:
+    """The version 4 ranges test container with edit(tokens, turns, lengths,
+    table) applied to its parts, re-signed, and bytes appended if edit
+    returns them."""
+    header, payload = container_parts(valid_container("ranges"))
+    tokens, segments, turns, lengths, table = v4_parts(payload, header["n"])
+    tokens, table = bytearray(tokens), bytearray(table)
+    extra = edit(tokens, turns, lengths, table) or b""
+    return forge(header, v4_payload(bytes(tokens), segments, turns, lengths, bytes(table)) + extra, RANGES_VERSION)
 
 
 def _id_past_table(header, columns, turns, lengths, table):
@@ -1034,10 +1108,45 @@ def _table_not_utf8(header, columns, turns, lengths, table):
     table[0] = 0xFF
 
 
+def _v4_counts_past_n(tokens, turns, lengths, table):
+    turns[-1][0] += 1
+
+
+def _v4_counts_short_of_n(tokens, turns, lengths, table):
+    turns[-1][0] -= 1
+    turns[-1][1] = min(turns[-1][1], turns[-1][0])
+
+
+def _v4_generated_past_count(tokens, turns, lengths, table):
+    turns[1][1] = turns[1][0] + 1
+
+
+def _v4_unsorted(tokens, turns, lengths, table):
+    ranges = turns[_first_multi_range_turn([ranges for _, _, ranges in turns])][2]
+    ranges[0], ranges[1] = ranges[1], ranges[0]
+
+
+def _v4_past_first_token(tokens, turns, lengths, table):
+    (s, e), = turns[1][2]
+    turns[1][2][0] = (s, e + 1)
+
+
+def _v4_id_past_table(tokens, turns, lengths, table):
+    struct.pack_into("<i", tokens, 0, len(lengths))
+
+
+def _v4_table_not_utf8(tokens, turns, lengths, table):
+    table[0] = 0xFF
+
+
+def _v4_trailing_bytes(tokens, turns, lengths, table):
+    return b"\x00"
+
+
 class TestRangesContainer:
     def test_version_follows_the_format(self):
         versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
-        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 3}
+        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 4}
 
     def test_import_holds_ranges_and_string_table(self, monkeypatch):
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(73), turns=4))
@@ -1057,7 +1166,7 @@ class TestRangesContainer:
         _, payload = container_parts(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
         ranges = sum(len(base) for base in st.bases)
         table = sum(len(text.encode("utf-8")) for text in st.strings)
-        expected = 12 * st.n + 4 + 4 * len(st.bases) + 8 * ranges + 4 + 4 * len(st.strings) + table
+        expected = 5 * st.n + 4 + 12 * len(st.bases) + 8 * ranges + 4 + 4 * len(st.strings) + table
         assert len(payload) == expected
 
     def test_lone_surrogates_survive_the_string_table(self):
@@ -1128,6 +1237,7 @@ class TestRangesContainer:
 
     @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
     def test_ranges_only_in_version_3(self, version):
+        # Ranges containers are read from version 3 on.
         header, payload = container_parts(valid_container("ranges"))
         with pytest.raises(IntegrityError, match="version"):
             import_masks(forge(header, payload, version))
@@ -1135,12 +1245,90 @@ class TestRangesContainer:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_dense_formats_not_in_version_3(self, fmt):
         header, payload = container_parts(valid_container(fmt))
-        with pytest.raises(IntegrityError, match="version"):
-            import_masks(forge(header, payload, RANGES_VERSION))
+        for version in (3, RANGES_VERSION):
+            with pytest.raises(IntegrityError, match="version"):
+                import_masks(forge(header, payload, version))
 
     def test_forged_but_sound_container_is_read(self):
         blob = forged_ranges(lambda *parts: None)
-        assert blob == valid_container("ranges")
+        assert blob == valid_container("ranges_v3")
+        assert forged_v4(lambda *parts: None) == valid_container("ranges")
+
+    def test_version_3_reads_as_version_4(self):
+        # A version 3 container, which holds every column, and the version 4
+        # export of the same trajectory, which derives three of them, import
+        # to the same columns, mask, loss and string table.
+        for seed in range(12):
+            st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
+            st3, mask3, loss3, _ = import_masks(v3_ranges(st, mask2d, mask1d, counter.name))
+            st4, mask4, loss4, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name))
+            for name in COLUMNS:
+                assert _packed(st3, name) == _packed(st4, name) == _packed(st, name), (seed, name)
+            assert _packed(loss3, "loss") == _packed(loss4, "loss") == _packed(mask1d, "loss")
+            assert (mask3.bases, mask3.bounds) == (mask4.bases, mask4.bounds) == (mask2d.bases, mask2d.bounds)
+            assert st3.bases == st4.bases and st3.strings == st4.strings == st.strings
+
+    @pytest.mark.parametrize("column", ["positions", "turn_of", "generated", "loss"])
+    def test_export_refuses_columns_it_would_not_give_back(self, column):
+        # A ranges container derives turn_of, generated (the loss) and
+        # positions, so a sequence whose columns break the rule is refused,
+        # naming the first token that does. The dense formats hold them.
+        st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(78), turns=3, ending="answer"))
+        info = int(turn_indices(st, 1, generated=False)[0])  # turn 1's first info token
+        moved = st.generated.copy()
+        moved[[info - 1, info]] = False, True  # a generated token after a non-generated one
+        altered = {
+            "positions": (replace(st, positions=st.positions[::-1].copy()), mask1d),
+            "turn_of": (replace(st, turn_of=np.zeros_like(st.turn_of)), mask1d),
+            "generated": (replace(st, generated=moved), mask1d),
+            "loss": (st, Mask1D(loss=moved)),
+        }
+        message = {
+            "positions": f"token 0 (turn 0): position {int(st.positions[-1])}, where a ranges container derives 0",
+            "turn_of": f"token {mask2d.bounds[1]} (turn 1): turn_of 0, where a ranges container derives 1",
+            "generated": f"token {info} (turn 1): generated 1, where a ranges container derives 0",
+            "loss": f"token {info - 1} (turn 1): loss 0, where a ranges container derives 1",
+        }
+        bad, loss = altered[column]
+        with pytest.raises(IntegrityError, match=re.escape(message[column])):
+            export_masks(bad, mask2d, loss, counter.name)
+        for fmt in FORMATS:
+            export_masks(bad, mask2d, loss, counter.name, fmt=fmt)
+
+    def test_export_refuses_a_mask_of_other_length(self):
+        record = scripted_episode(random.Random(79), turns=3, ending="answer")
+        st, counter, mask2d, mask1d = full_build(record)
+        _, _, short, _ = full_build(replace(record, turns=record.turns[:-1]))
+        with pytest.raises(IntegrityError, match=f"turn_of holds {st.n} tokens, the mask's turns {short.bounds[-1]}"):
+            export_masks(st, short, mask1d, counter.name)
+
+    def test_version_byte_is_covered_by_the_hash(self):
+        # Both 3 and 4 hold ranges, so from version 4 the hash covers the
+        # version: a flip between them is a hash mismatch.
+        blob = valid_container("ranges")
+        with pytest.raises(IntegrityError, match="hash"):
+            import_masks(blob[:8] + struct.pack("<H", 3) + blob[10:])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_v4_counts_past_n, "sum to"),
+            (_v4_counts_short_of_n, "sum to"),
+            (_v4_generated_past_count, "leading generated tokens of its"),
+            (_v4_unsorted, "unsorted"),
+            (_v4_past_first_token, "first token"),
+            (_v4_id_past_table, "string table"),
+            (_v4_table_not_utf8, "UTF-8"),
+            (_v4_trailing_bytes, "trailing"),
+        ],
+        ids=[
+            "counts-past-n", "counts-short-of-n", "generated-past-count", "unsorted", "past-first-token",
+            "id-past-table", "table-not-utf8", "trailing-bytes",
+        ],
+    )
+    def test_signed_but_unsound_v4_container_rejected(self, edit, message):
+        with pytest.raises(IntegrityError, match=message):
+            import_masks(forged_v4(edit))
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1166,10 +1354,73 @@ class TestRangesContainer:
             import_masks(forged_ranges(edit))
 
 
+class TestRamp:
+    def test_threads_derive_exact_columns(self, monkeypatch):
+        # Positions are slices of one ramp that grows by rebinding. Sequences
+        # of different lengths derived by more threads than cores, with the
+        # ramp rebound under them all along and switches forced often, each
+        # get exactly the columns the rule gives.
+        rng = random.Random(77)
+        jobs = []
+        for _ in range(96):
+            counts = [rng.randrange(0, 600) for _ in range(rng.randrange(1, 10))]
+            bounds = list(accumulate(counts, initial=0))
+            gens = [rng.randrange(0, count + 1) for count in counts]
+            bases = [((0, rng.randrange(0, a + 1)),) if a else () for a in bounds[:-1]]
+            jobs.append((bounds, gens, bases))
+
+        def expected(bounds, gens, bases):
+            turn_of, generated, positions = [], [], []
+            for t, (base, a, b, g) in enumerate(zip(bases, bounds, bounds[1:], gens)):
+                seen = sum(e - s for s, e in base)
+                for k in range(a, b):
+                    turn_of.append(t)
+                    generated.append(int(k - a < g))
+                    positions.append(seen + k - a)
+            return [turn_of, generated, positions]
+
+        monkeypatch.setattr(memroll.masks, "_RAMP", array("i"))
+        done = threading.Event()
+        wrong = []
+
+        def derive(mine):
+            for job in mine:
+                try:
+                    if [column.tolist() for column in memroll.masks._derive(*job)] != expected(*job):
+                        wrong.append(job)
+                except Exception as exc:  # a thread's exception would be lost
+                    wrong.append(exc)
+
+        def rebind():
+            while not done.is_set():
+                memroll.masks._RAMP = array("i", range(rng.randrange(0, 64)))
+
+        workers = [threading.Thread(target=derive, args=(jobs[i::8],)) for i in range(8)]
+        rebinder = threading.Thread(target=rebind)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rebinder.start()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            done.set()
+            rebinder.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers + [rebinder])
+        assert wrong == []
+
+
 COLUMNS = {
     "tokens": np.int32, "segments": np.uint8, "turn_of": np.uint16,
     "generated": np.bool_, "positions": np.int32,
 }
+
+# The read-only columns that stitch and a ranges import derive from each
+# turn's counts and base (an imported loss is the generated column).
+DERIVED = {"stitch": ("turn_of", "generated", "positions"), "ranges": ("turn_of", "generated", "positions", "loss")}
 
 # n and the loss count of random_episode(Random(seed)), as the numpy columns
 # gave them before the columns were held packed.
@@ -1201,7 +1452,9 @@ class TestPackedColumns:
                 assert column.shape == (st.n,)
                 assert getattr(owner, name) is column
                 assert np.shares_memory(column, np.frombuffer(_packed(owner, name), np.uint8))
-                if blob is not None:  # imported columns are read in place
+                if name in DERIVED.get(source, ()):
+                    assert not column.flags.writeable, (source, name)
+                elif blob is not None:  # imported columns are read in place
                     assert np.shares_memory(column, np.frombuffer(blob, np.uint8))
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -1266,13 +1519,14 @@ class TestPackedColumns:
         swapped = export_masks(st, mask2d, mask1d, counter.name)
         (_, payload), (_, big) = container_parts(blob), container_parts(swapped)
         n = st.n
-        for at, width in ((0, 4 * n), (4 * n, 4 * n), (10 * n, 2 * n)):
-            item = 2 if at == 10 * n else 4
+        # tokens, then segments, bytes; then the u32 words, then the table's bytes.
+        words = 1 + sum(3 + 2 * len(base) for base in st.bases) + 1 + len(st.strings)
+        for at, width in ((0, 4 * n), (5 * n, 4 * words)):
             assert np.array_equal(
-                np.frombuffer(big[at : at + width], f">u{item}"),
-                np.frombuffer(payload[at : at + width], f"<u{item}"),
+                np.frombuffer(big[at : at + width], ">u4"), np.frombuffer(payload[at : at + width], "<u4")
             )
-        assert big[8 * n : 10 * n] == payload[8 * n : 10 * n]  # loss and segments are bytes
+        assert big[4 * n : 5 * n] == payload[4 * n : 5 * n]
+        assert big[5 * n + 4 * words :] == payload[5 * n + 4 * words :]
         st2, mask2, loss2, _ = import_masks(swapped)
         for name in COLUMNS:
             assert _packed(st2, name) == _packed(st, name), name
@@ -1432,7 +1686,7 @@ class TestExportBytes:
     EXPECTED = {
         "dense_bitpack": "9f16160ca78df2bdb17cbb4084216fbbe2b9b4c46dcf06098f00dd85cf85361b",
         "index_list": "efa89d1a92b6d4303e16d192a04e72f2f19b53817bb75aae458bd360954350ea",
-        "ranges": "11320f440a08fbdcd9ff597d14227e9806bb7c30c386e2bb2815744194e4f6ea",
+        "ranges": "f54b66db1b82a5ee93283efb87723fa0ab30381a0ddb8467fa319ea178a7e414",
     }
 
     @pytest.mark.parametrize("fmt", sorted(EXPECTED))

@@ -554,6 +554,33 @@ class TestRunBatch:
         assert results[1].task_id == "t1"
         assert isinstance(results[2], TrajectoryRecord)
 
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    @pytest.mark.parametrize("backend", ["policy", "env"])
+    def test_bind_failure_is_that_episodes_error(self, backend, concurrency):
+        # A third-party backend whose bind raises for one task fails that
+        # episode alone, before any turn; the rest of the batch still runs.
+        tasks = self.make_tasks(3)
+
+        class Fussy:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def bind(self, task):
+                if task.id == "t1":
+                    raise KeyError("nothing bound for t1")
+                return self.inner.bind(task)
+
+        policy, env = ScriptedPolicy([QUERY_TURN, ANSWER_TURN]), ScriptedEnv(["Paris is the capital."])
+        if backend == "policy":
+            policy = Fussy(policy)
+        else:
+            env = Fussy(env)
+        results = run_batch(tasks, policy, env, RolloutConfig(), concurrency=concurrency)
+        assert [r.terminated for r in (results[0], results[2])] == ["answered", "answered"]
+        assert isinstance(results[1], RolloutError)
+        assert (results[1].task_id, results[1].partial) == ("t1", ())
+        assert isinstance(results[1].cause, KeyError)
+
     def test_concurrency_beats_sequential_with_latency(self):
         tasks = self.make_tasks(8)
 
