@@ -1143,6 +1143,11 @@ def _v4_trailing_bytes(tokens, turns, lengths, table):
     return b"\x00"
 
 
+def _v4_more_turns_than_turn_of_holds(tokens, turns, lengths, table):
+    # Sound but for their number: turn_of holds turn numbers as u16.
+    turns += [[0, 0, []] for _ in range((1 << 16) + 1 - len(turns))]
+
+
 class TestRangesContainer:
     def test_version_follows_the_format(self):
         versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
@@ -1320,10 +1325,11 @@ class TestRangesContainer:
             (_v4_id_past_table, "string table"),
             (_v4_table_not_utf8, "UTF-8"),
             (_v4_trailing_bytes, "trailing"),
+            (_v4_more_turns_than_turn_of_holds, "short of turns: 65537 turns"),
         ],
         ids=[
             "counts-past-n", "counts-short-of-n", "generated-past-count", "unsorted", "past-first-token",
-            "id-past-table", "table-not-utf8", "trailing-bytes",
+            "id-past-table", "table-not-utf8", "trailing-bytes", "more-turns-than-turn_of-holds",
         ],
     )
     def test_signed_but_unsound_v4_container_rejected(self, edit, message):
