@@ -2,25 +2,26 @@
 
 Training on consolidation-style rollouts needs a single stitched sequence in
 which every generated token attends to exactly the tokens it could see when it
-was sampled. There is one visibility rule: row k is its turn's base plus the
-earlier tokens of its own turn, and the head is turn 0, with an empty base.
-stitch() alone decides each turn's base, as (start, end) index ranges: turn 1
-sees the head; a later turn sees the head plus the previous turn's is/query
-runs and info block (consolidate) or everything before it (full_append). One
-check holds a sequence to its records: per turn, the base decodes to the
-context snapshot, the leading generated tokens to the generation and the rest
-to the info block, and positions count on from the base's length. stitch()
-emits nothing that fails it; verify_masks() runs it on a given sequence. The
-ranges are the mask: build_masks() holds them as they are, a container of any
-format is read back as ranges, and dense rows are built only when asked for.
+was sampled. A sequence is held as its turns, the head being turn 0: turn t
+holds tokens [bounds[t], bounds[t + 1]), the first gens[t] of them generated,
+and saw the (start, end) index ranges bases[t]. There is one visibility rule:
+row k is its turn's base plus the earlier tokens of its own turn. stitch()
+alone decides each turn's base: turn 1 sees the head; a later turn sees the
+head plus the previous turn's is/query runs and info block (consolidate) or
+everything before it (full_append). The ranges are the mask: build_masks()
+gives the sequence's own, a container of any format is read back as ranges,
+and dense rows are built only when asked for. One check holds a sequence to
+its records: per turn, the base decodes to the context snapshot, the leading
+generated tokens to the generation and the rest to the info block. stitch()
+emits nothing that fails it; verify_masks() runs it on a given sequence.
 
 Token positions restart per rollout-time context: a generated token's position
 is its index within the context the policy actually saw, not within the
-stitched sequence. So the per-token columns turn_of, generated and positions
-follow from each turn's token count, its count of leading generated tokens
-and its base: token k of turn t, which starts at bounds[t], has position
-|base_t| + k - bounds[t]. Every run of positions is a slice of one ramp,
-0, 1, 2, ..., that the module keeps.
+stitched sequence. So the per-token columns turn_of, generated (the loss) and
+positions follow from the turns, token k of turn t at position
+|base_t| + k - bounds[t], and a sequence derives them on first access: they
+cannot disagree with its turns. Every run of positions is a slice of one
+ramp, 0, 1, 2, ..., that the module keeps.
 
 The per-token columns (and Mask1D.loss) are held packed, as memoryviews in
 native order, so stitch, build_masks, verify_masks, and export_masks and
@@ -39,24 +40,25 @@ the payload alone, are still read). Every payload starts with the tokens
 column, i32. The rest comes in one of three formats:
 
 - ranges (version 4, the default): segments u8 per token, then a u32 turn
-  count, then for each turn, the head being turn 0, its u32 token count, its
-  u32 count of leading generated tokens, a u32 range count and that many u32
-  (start, end) pairs, its base ranges. turn_of, generated (the loss) and
-  positions are derived at import, so export refuses a sequence whose columns
-  break the rule above. Then the string table: a u32 count, that many u32
-  byte lengths, then the UTF-8 bytes (lone surrogates pass through), where
-  entry i is the text of token id i. The container thus decodes without the
-  counter that made it. Version 3 ranges containers, still read, held every
-  column as the dense formats do, and each turn's range count and ranges
-  alone.
+  count, then for each turn its u32 token count, its u32 count of leading
+  generated tokens, a u32 range count and that many u32 (start, end) pairs,
+  its base ranges: the sequence as it is held. Then the string table: a u32
+  count, that many u32 byte lengths, then the UTF-8 bytes (lone surrogates
+  pass through), where entry i is the text of token id i. The container thus
+  decodes without the counter that made it. Version 3 ranges containers,
+  still read, held every column as the dense formats do, and each turn's
+  range count and ranges alone.
 - dense_bitpack (version 2): the columns positions i32, loss u8, segments
   u8, turn_of u16, then ceil(n/64) little-endian u64 words per token, bit i
   of word w covering token 64*w+i.
 - index_list (version 2): the same columns, then per token a u32 count
   followed by that many ascending u32 indices.
 
-Both dense formats are read back as ranges: a turn's base is the runs of its
-first row, and each later row must be the previous row plus one token.
+A container that stores turn_of, loss and positions is read back as turns,
+from turn_of and each turn's leading run of loss 1s, and its stored columns
+must be the ones the turns derive. A dense container's turn bases are the
+runs of each turn's first row, and each later row must be the previous row
+plus one token.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .archive import TrajectoryRecord
 from .context import HINT_TEMPLATE, info_block
-from .core import IntegrityError, TokenCounter, record
+from .core import DataError, IntegrityError, TokenCounter, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,6 +128,8 @@ _VERSIONS = {
 FORMATS = tuple(_VERSIONS)  # the default first
 _PREFIX = struct.Struct("<HI")  # version, header length
 _HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
+# turn_of numbers turns in u16, so a sequence holds the head and this many turns.
+_MAX_TURNS = (1 << 16) - 1
 
 # The container is little-endian; packed columns are held in native order, so
 # a big-endian host byteswaps them on the way in and out.
@@ -171,11 +175,12 @@ class _Column:
     """A per-token column of a record, held packed and read through numpy.
 
     The packed column is a memoryview of native items of format fmt, which
-    is the container's layout: an array.array, or a slice of an imported
-    container. Reading the attribute gives np.frombuffer(packed, dtype), built
-    on first access and kept, so it shares memory with the packed column.
-    Assigning takes a memoryview or array.array of format fmt as it is, and
-    anything else (an np.ndarray, a list) converted to dtype by numpy.
+    is the container's layout: an array.array, a slice of an imported
+    container, or a column derived from a sequence's turns. Reading the
+    attribute gives np.frombuffer(packed, dtype), built on first access and
+    kept, so it shares memory with the packed column. Assigning takes a
+    memoryview or array.array of format fmt as it is, and anything else (an
+    np.ndarray, a list) converted to dtype by numpy.
     """
 
     def __init__(self, fmt: str, dtype: str) -> None:
@@ -191,7 +196,7 @@ class _Column:
         if view is None:
             import numpy as np
 
-            view = obj.__dict__[self.name] = np.frombuffer(obj.__dict__[self.packed], self.dtype)
+            view = obj.__dict__[self.name] = np.frombuffer(_packed(obj, self.name), self.dtype)
         return view
 
     def __set__(self, obj, value) -> None:
@@ -208,8 +213,15 @@ class _Column:
 
 
 def _packed(obj, name: str) -> memoryview:
-    """The packed column behind a _Column field, read without numpy."""
-    return obj.__dict__["_" + name]
+    """The packed column behind a _Column attribute, read without numpy. A
+    sequence derives turn_of, generated and positions together, on the first
+    access to any of them."""
+    packed = obj.__dict__.get("_" + name)
+    if packed is None:  # threads deriving at once build equal columns; any set kept will do
+        derived = _derive(obj.bounds, obj.gens, obj.bases)
+        obj.__dict__.update(zip(("_turn_of", "_generated", "_positions"), derived))
+        packed = obj.__dict__["_" + name]
+    return packed
 
 
 def _reduce(obj):
@@ -219,31 +231,33 @@ def _reduce(obj):
 
 @record
 class StitchedTrajectory:
-    """One episode as a flat token sequence with per-token annotations.
+    """One episode as a flat token sequence, held as its turns.
 
-    turn_of is 0 for head tokens and 1-based for turn tokens. positions are
-    rollout-context-local. bases[t] holds the (start, end) index ranges turn t
-    saw as its context, bases[0] = () for the head. strings is the string
-    table: strings[i] is the text of token id i ("" for ids the sequence does
-    not use). Both are None for sequences imported from dense_bitpack or
-    index_list containers, which carry neither.
+    Turn t, the head being turn 0, holds tokens [bounds[t], bounds[t + 1]),
+    the first gens[t] of them generated, and saw bases[t], (start, end) index
+    ranges, as its context; bases[0] = (). strings is the string table:
+    strings[i] is the text of token id i ("" for ids the sequence does not
+    use), None for sequences imported from dense_bitpack or index_list
+    containers, which carry none.
 
-    The five columns are held packed and read as np.ndarray views of the
-    dtypes below, built on first access (which imports numpy) and kept. The
-    columns stitch and a ranges import derive (turn_of, generated, positions)
-    are read-only; the others of an imported sequence are views of the
-    container, read-only when it is bytes. The constructor and
-    memroll.core.replace take numpy arrays. Like every record it is frozen,
-    and the columns are required arguments.
+    tokens and segments are held packed and read as np.ndarray views of the
+    dtypes below, built on first access (which imports numpy) and kept; those
+    of an imported sequence are views of the container, read-only when it is
+    bytes. turn_of (0 for head tokens, 1-based for turn tokens), generated
+    and positions (rollout-context-local) are not fields: they are derived
+    from the turns on first access, read-only. The constructor and
+    memroll.core.replace take numpy arrays. Like every record it is frozen.
     """
 
     tokens: np.ndarray = _Column("i", "int32")
     segments: np.ndarray = _Column("B", "uint8")
-    turn_of: np.ndarray = _Column("H", "uint16")
-    generated: np.ndarray = _Column("B", "bool")
-    positions: np.ndarray = _Column("i", "int32")
-    bases: tuple[tuple[tuple[int, int], ...], ...] | None = None
+    bounds: tuple[int, ...]
+    gens: tuple[int, ...]
+    bases: tuple[tuple[tuple[int, int], ...], ...]
     strings: tuple[str, ...] | None = None
+    turn_of = _Column("H", "uint16")
+    generated = _Column("B", "bool")
+    positions = _Column("i", "int32")
 
     __reduce__ = _reduce
 
@@ -345,6 +359,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     counter counts in its snapshot; any disagreement (tampered records, a
     lossy counter) raises IntegrityError rather than producing wrong masks.
     The result keeps the ranges as its bases, each id's text as its strings.
+    A trajectory of more turns than turn_of can number raises DataError.
 
     The string table covers every id the counter has interned, not only the
     ids this trajectory uses, so stitch each trajectory with a fresh
@@ -356,6 +371,10 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     turns = trajectory.turns
     if not turns:
         raise ValueError("cannot stitch an empty trajectory")
+    if len(turns) > _MAX_TURNS:
+        raise DataError(
+            f"trajectory {trajectory.task.id!r}: {len(turns)} turns, more than the {_MAX_TURNS} a sequence holds"
+        )
     mode = trajectory.config.mode
     preset = trajectory.config.preset
 
@@ -364,7 +383,7 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     tokens, segments = list(head_ids), [_HEAD] * len(head_ids)
     head = (0, len(tokens))
     # Per turn, the head being turn 0: its first token, its generated count
-    # and its base. The other columns follow from these.
+    # and its base.
     bounds, gens = [0], [0]
     bases: list[tuple[tuple[int, int], ...]] = [()]
     # The previous turn's is/query runs and info block; turn 1 sees the head alone.
@@ -420,30 +439,25 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
             segments += info_codes
 
     bounds.append(len(tokens))
-    turn_of, generated, positions = _derive(bounds, gens, bases)
     stitched = StitchedTrajectory(
         tokens=array("i", tokens),
         segments=array("B", segments),
-        turn_of=turn_of,
-        generated=generated,
-        positions=positions,
+        bounds=tuple(bounds),
+        gens=tuple(gens),
         bases=tuple(bases),
         strings=tuple(texts.get(i, "") for i in range(max(texts, default=-1) + 1)),
     )
-    _check_records(trajectory, list(map(texts.__getitem__, tokens)), stitched, build_masks(stitched)[0])
+    _check_records(trajectory, list(map(texts.__getitem__, tokens)), stitched)
     return stitched
 
 
-def _check_records(
-    trajectory: TrajectoryRecord, pieces: list[str], stitched: StitchedTrajectory, mask: Mask2D
-) -> None:
+def _check_records(trajectory: TrajectoryRecord, pieces: list[str], stitched: StitchedTrajectory) -> None:
     """Hold a sequence, its tokens' texts being pieces, to its records by the
     rule in the module docstring, the head being a turn with no generation. A
-    dense mask may stop before trailing turns with no tokens, which it cannot
-    hold. Raises IntegrityError as "token K (turn T): ...", K the first token
-    that disagrees."""
-    generated, positions = _packed(stitched, "generated"), _packed(stitched, "positions")
-    bounds = mask.bounds
+    sequence read from dense rows may stop before trailing turns with no
+    tokens, which they cannot hold. Raises IntegrityError as "token K (turn
+    T): ...", K the first token that disagrees."""
+    bounds, bases = stitched.bounds, stitched.bases
     text = "".join(pieces)
     offsets = list(accumulate(map(len, pieces), initial=0))
     # Per turn: its snapshot, its generation, and its other tokens' text.
@@ -451,45 +465,41 @@ def _check_records(
     for turn in trajectory.turns:
         info = info_block(turn.info, trajectory.config.preset)
         expected.append((turn.context_snapshot, turn.generation.text, info))
-    held = len(mask.bases)
+    held = len(bases)
     if held > len(expected) or any(gen or rest for _, gen, rest in expected[held:]):
         t = min(held, len(expected))
         raise IntegrityError(
             f"token {bounds[t]} (turn {t}): {held - 1} turns in the mask, {len(expected) - 1} in the record"
         )
-    for t, ((snapshot, gen, rest), base, a, b) in enumerate(zip(expected, mask.bases, bounds, bounds[1:])):
+    for t, ((snapshot, gen, rest), base, a, b, g) in enumerate(zip(expected, bases, bounds, bounds[1:], stitched.gens)):
         if "".join(text[offsets[s] : offsets[e]] for s, e in base) != snapshot:
             raise IntegrityError(f"token {a} (turn {t}): visible tokens decode to a different context")
-        flags = generated[a:b].tobytes()  # the turn's tokens, 1 where generated
-        g = len(flags) - len(flags.lstrip(b"\x01"))  # the leading generated tokens
-        # A row is the previous row plus one token: generated tokens lead.
-        if flags.count(1) != g:
-            raise IntegrityError(_not_plus_one(a + flags.find(1, g), t))
         for lo, hi, want, what in ((a, a + g, gen, "generated"), (a + g, b, rest, "other")):
             start = offsets[lo]
             if text[start : offsets[hi]] != want:
                 bad = (k for k in range(lo, hi) if pieces[k] != want[offsets[k] - start : offsets[k + 1] - start])
                 k = next(bad, hi)  # hi when the tokens are a prefix of want
                 raise IntegrityError(f"token {k} (turn {t}): {what} tokens decode to other text than the record")
-        m = sum(e - s for s, e in base)  # token k's position is m + k - a
-        if positions[a:b].tobytes() != _ramp(m + b - a)[m : m + b - a].tobytes():
-            k = next(k for k in range(a, b) if positions[k] != m + k - a)
-            raise IntegrityError(f"token {k} (turn {t}): position {positions[k]}, not {m + k - a}")
 
 
 def build_masks(stitched: StitchedTrajectory) -> tuple[Mask2D, Mask1D]:
-    """Derive the visibility and loss masks from a stitched sequence.
-
-    The visibility mask is the base ranges stitch recorded, held as they are
-    (the rule is in the module docstring): a generated token sees its turn's
-    context plus the turn's generation so far, and injected feedback also
-    sees the whole generation that triggered it. No row is built here.
+    """The visibility and loss masks of a stitched sequence: its base ranges
+    and bounds, held as they are (the rule is in the module docstring), and
+    its generated column. A generated token sees its turn's context plus the
+    turn's generation so far, and injected feedback also sees the whole
+    generation that triggered it. No row is built here.
     """
-    if stitched.bases is None:
-        raise ValueError("stitched trajectory has no base ranges; masks cannot be rebuilt")
-    bounds = _bounds(_packed(stitched, "turn_of"), len(stitched.bases))
-    mask2d = Mask2D(stitched.n, bases=stitched.bases, bounds=bounds)
-    return mask2d, Mask1D(loss=bytearray(_packed(stitched, "generated")))
+    mask2d = Mask2D(stitched.n, stitched.bases, list(stitched.bounds))
+    return mask2d, Mask1D(loss=_packed(stitched, "generated"))
+
+
+def _check_own(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D | None = None) -> None:
+    """Raise IntegrityError unless the masks are the ones build_masks gives
+    the sequence."""
+    if (mask2d.n, mask2d.bases, list(mask2d.bounds)) != (stitched.n, stitched.bases, list(stitched.bounds)) or (
+        mask1d is not None and _packed(mask1d, "loss") != _packed(stitched, "generated")
+    ):
+        raise IntegrityError("the masks are not the sequence's own, the ones build_masks gives it")
 
 
 def _bounds(turn_of: Sequence[int], turns: int) -> list[int]:
@@ -544,16 +554,17 @@ def verify_masks(
     mask: Mask2D,
     counter: TokenCounter,
 ) -> None:
-    """Check a sequence and its mask against the records they were stitched
-    from, by the check stitch makes on the sequence it builds, reading only
-    the mask, never the sequence's bases. The counter must decode the whole
-    sequence as its tokens' own texts joined."""
+    """Check a sequence against the records it was stitched from, by the
+    check stitch makes on the sequence it builds, once mask is found to be
+    the sequence's own (IntegrityError if not). The counter must decode the
+    whole sequence as its tokens' own texts joined."""
+    _check_own(stitched, mask)
     tokens = _packed(stitched, "tokens").tolist()
     own = {i: counter.decode([i]) for i in set(tokens)}
     pieces = list(map(own.__getitem__, tokens))
     if counter.decode(tokens) != "".join(pieces):
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
-    _check_records(trajectory, pieces, stitched, mask)
+    _check_records(trajectory, pieces, stitched)
 
 
 def _not_plus_one(k: int, turn: int) -> str:
@@ -579,17 +590,15 @@ def _little_endian(items: memoryview | array) -> memoryview | array:
     return swapped
 
 
-def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: str):
+def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, fmt: str):
     # The packed columns are the container's columns: on a little-endian
     # host they are written as they are.
     yield _little_endian(_packed(stitched, "tokens"))
     if fmt == "ranges":
-        yield from _ranges_payload(stitched, mask2d, mask1d)
+        yield from _ranges_payload(stitched)
         return
-    yield _little_endian(_packed(stitched, "positions"))
-    yield _packed(mask1d, "loss")
-    yield _packed(stitched, "segments")
-    yield _little_endian(_packed(stitched, "turn_of"))
+    for name in ("positions", "generated", "segments", "turn_of"):  # generated is the loss
+        yield _little_endian(_packed(stitched, name))
     if fmt == "dense_bitpack":
         import numpy as np
 
@@ -605,36 +614,15 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D, fmt: 
             yield _little_endian(rows)
 
 
-def _ranges_payload(stitched: StitchedTrajectory, mask2d: Mask2D, mask1d: Mask1D):
-    """Everything of a ranges payload after the tokens, once the sequence's
-    derived columns are found to be what the container gives back."""
+def _ranges_payload(stitched: StitchedTrajectory):
+    """Everything of a ranges payload after the tokens: the sequence as it
+    is held."""
     if stitched.strings is None:
         raise ValueError(
             "the ranges format needs the sequence's string table; export a "
             "sequence imported from dense rows as dense_bitpack or index_list"
         )
-    bases, bounds = mask2d.bases, mask2d.bounds
-    given = _packed(stitched, "generated")
-    gens = []  # each turn's leading generated tokens
-    for a, b in zip(bounds, bounds[1:]):
-        flags = given[a:b].tobytes()
-        gens.append(len(flags) - len(flags.lstrip(b"\x01")))
-    turn_of, generated, positions = _derive(bounds, gens, bases)
-    for name, owner, column, want in (
-        ("turn_of", stitched, "turn_of", turn_of),
-        ("generated", stitched, "generated", generated),
-        ("loss", mask1d, "loss", generated),
-        ("position", stitched, "positions", positions),
-    ):
-        got = _packed(owner, column)
-        if got.tobytes() != want.tobytes():
-            k = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y), None)
-            if k is None:
-                raise IntegrityError(f"{name} holds {len(got)} tokens, the mask's turns {len(want)}")
-            t = bisect_right(bounds, k) - 1
-            raise IntegrityError(
-                f"token {k} (turn {t}): {name} {got[k]}, where a ranges container derives {want[k]}"
-            )
+    bases, bounds, gens = stitched.bases, stitched.bounds, stitched.gens
     yield _packed(stitched, "segments")
     words = array("I", [len(bases)])
     for base, a, b, g in zip(bases, bounds, bounds[1:], gens):
@@ -655,17 +643,17 @@ def export_masks(
 ) -> bytes:
     """Serialize a stitched sequence and its masks to the binary container.
 
-    ranges writes the mask's base ranges and the sequence's string table, so
-    it needs a sequence from stitch or a ranges container. The string table
-    is the whole vocabulary of the counter the sequence was stitched with;
-    see stitch() for why that counter should be a fresh one. ranges writes
-    each turn's token and leading generated counts in place of the turn_of,
-    generated, loss and positions columns, and raises IntegrityError, naming
-    the first token that differs, if the columns given are not the ones the
-    container derives from them (the rule is in the module docstring).
+    The masks must be the sequence's own, the ones build_masks gives it, or
+    IntegrityError is raised: a container holds one sequence, and each
+    format writes what it holds of it. ranges writes the sequence's turns
+    and string table, so it needs a sequence from stitch or a ranges
+    container. The string table is the whole vocabulary of the counter the
+    sequence was stitched with; see stitch() for why that counter should be
+    a fresh one.
     """
     if fmt not in _VERSIONS:
         raise ValueError(f"unknown mask format {fmt!r}")
+    _check_own(stitched, mask2d, mask1d)
     header = {"n": stitched.n, "counter_id": counter_id, "format": fmt}
     version = _VERSIONS[fmt][-1]
     digest = _hash_head(version, header)
@@ -675,7 +663,7 @@ def export_masks(
     header_len = len(_canonical(header | {"sha256": digest.hexdigest()}))
     out = io.BytesIO()
     out.seek(len(MAGIC) + _PREFIX.size + header_len)
-    for part in _payload(stitched, mask2d, mask1d, fmt):
+    for part in _payload(stitched, mask2d, fmt):
         digest.update(part)
         out.write(part)
     header["sha256"] = digest.hexdigest()
@@ -719,22 +707,24 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
     Every malformed input, truncated or altered anywhere, raises
     IntegrityError. So does a container that is signed but unsound, since
     anyone can re-sign one: in any format base ranges that are unsorted,
-    overlap or reach past their turn's first token; in ranges a token id
-    outside the string table or a table that is not UTF-8; in version 4
-    ranges turn token counts that do not sum to n or a generated count above
-    its turn's; in the other versions a decreasing turn_of or a loss byte
-    other than 0 and 1; in the dense formats a row that is not the previous
-    row plus one token, named by its first token.
+    overlap or reach past their turn's first token, or more turns than
+    turn_of can number; in ranges a token id outside the string table or a
+    table that is not UTF-8; in version 4 ranges turn token counts that do
+    not sum to n or a generated count above its turn's; in the other
+    versions a decreasing turn_of, a loss byte other than 0 and 1, a loss 1
+    after a 0 in one turn ("row is not the previous row plus one token") or
+    a position other than the turns derive ("position X, not Y"), each named
+    by its first token; in the dense formats a row that is not the previous
+    row plus one token.
 
-    Every format comes back as a mask held as ranges, with no dense row
-    built; only dense_bitpack loads numpy. A dense container's turns are
-    counted from turn_of and its bases come back joined (see Mask2D.same_rows);
-    only a ranges container fills in the sequence's bases and string table.
-    The columns a container holds are views of data, not copies: read-only
-    when data is bytes. A version 4 ranges container holds tokens and
-    segments; turn_of, generated and positions are derived from its turns
-    (the rule is in the module docstring), read-only. generated and loss are
-    one column.
+    Every format comes back as a sequence held as its turns (see
+    StitchedTrajectory) with the masks build_masks gives it, held as ranges,
+    with no dense row built; only dense_bitpack loads numpy. A dense
+    container's bases come back joined (see Mask2D.same_rows), and only a
+    ranges container fills in the string table. tokens and segments are
+    views of data, not copies: read-only when data is bytes. turn_of,
+    generated (the loss) and positions are derived from the turns, never
+    read from data.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -799,7 +789,7 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         segments = take(n)
         turns = take_u32(1)[0]
         # Each turn takes 12 bytes or more, and turn_of holds its number.
-        if turns > min(1 << 16, (len(payload) - pos) // 12):
+        if turns > min(_MAX_TURNS + 1, (len(payload) - pos) // 12):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds, gens = [0], []
         for turn in range(turns):
@@ -811,7 +801,6 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
             add_base(take_u32(2 * ranges).tolist())
         if bounds[-1] != n:
             raise IntegrityError(f"the turns' token counts sum to {bounds[-1]}, not {n}")
-        turn_of, loss, positions = _derive(bounds, gens, bases)
     else:
         positions = _items(take(4 * n), "i")
         loss = take(n)
@@ -824,7 +813,7 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
             raise IntegrityError("turn_of decreases")
     if version == 3:  # ranges, each turn's count and pairs after the columns
         turns = take_u32(1)[0]
-        if turns > (len(payload) - pos) // 4 or (n and turn_list[-1] >= turns):
+        if turns > min(_MAX_TURNS + 1, (len(payload) - pos) // 4) or (n and turn_list[-1] >= turns):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds = _bounds(turn_list, turns)
         for _ in range(turns):
@@ -873,8 +862,16 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
                         raise IntegrityError(_not_plus_one(k, turn))
     if pos != len(payload):
         raise IntegrityError("mask payload has trailing bytes")
-    mask = Mask2D(n, tuple(bases), bounds)
-    stitched = StitchedTrajectory(
-        tokens, segments, turn_of, loss, positions, mask.bases if fmt == "ranges" else None, strings
-    )
-    return stitched, mask, Mask1D(loss=loss), header
+    if version != RANGES_VERSION:  # each turn's generated count is its leading run of loss 1s
+        gens = [len(f) - len(f.lstrip(b"\x01")) for f in (loss[a:b].tobytes() for a, b in zip(bounds, bounds[1:]))]
+    stitched = StitchedTrajectory(tokens, segments, tuple(bounds), tuple(gens), tuple(bases), strings)
+    if version != RANGES_VERSION:
+        for got, name in ((loss, "generated"), (positions, "positions")):
+            want = _packed(stitched, name)
+            if got != want:
+                k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+                t = bisect_right(bounds, k) - 1
+                raise IntegrityError(
+                    _not_plus_one(k, t) if got is loss else f"token {k} (turn {t}): position {got[k]}, not {want[k]}"
+                )
+    return (stitched, *build_masks(stitched), header)

@@ -7,7 +7,10 @@ turn-limit and invalid endings, both context modes, and both tag presets.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import struct
 
 from memroll import (
     CompositeTask,
@@ -21,6 +24,7 @@ from memroll import (
     run_rollout,
 )
 from memroll.compose import composite_from_tasks
+from memroll.masks import FORMAT_VERSION, MAGIC
 
 WORDS = (
     "amber basalt cedar delta ember fjord garnet harbor iris juniper "
@@ -133,3 +137,35 @@ def random_episode(rng: random.Random) -> TrajectoryRecord:
         hint=rng.random() < 0.9,
         objective_count=rng.choice([1, 1, 2, 3]),
     )
+
+
+def container_parts(blob: bytes) -> tuple[dict, bytes]:
+    """A mask container's header, as a dict, and its payload."""
+    (header_len,) = struct.unpack_from("<I", blob, 10)
+    header = json.loads(blob[14 : 14 + header_len].decode("utf-8"))
+    return header, blob[14 + header_len :]
+
+
+def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """Re-sign a mask container so only the hash check itself stays honest.
+
+    Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
+    the other header fields, then the payload; version 4 hashes its u16
+    version before them.
+    """
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    if version >= 4:
+        signed = struct.pack("<H", version) + signed
+    header["sha256"] = hashlib.sha256(signed).hexdigest()
+    hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + payload
+
+
+def re_signed(blob: bytes, edit) -> bytes:
+    """blob re-signed, at its own version, after edit(payload, n) changed
+    its payload, a bytearray, in place."""
+    header, payload = container_parts(blob)
+    payload = bytearray(payload)
+    edit(payload, header["n"])
+    return forge(header, bytes(payload), struct.unpack_from("<H", blob, 8)[0])

@@ -6,6 +6,7 @@ import fnmatch
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,12 @@ import pytest
 
 import memroll
 import memroll.cli
-from memroll import Mask2D, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
+import memroll.masks
+from memroll import RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
-from memroll.core import replace
 from memroll.rollout import RolloutError, load_turns, replay_contexts
 
-from helpers import scrub_times
+from helpers import re_signed, scrub_times
 
 QUERY = "Let me look this up. <IS>narrowing it down</IS><query>lookup the fact</query>"
 ANSWER = "<IS>confident now</IS><answer>answer 0</answer>"
@@ -959,37 +960,41 @@ class TestExportMasks:
 
     @pytest.mark.parametrize("column", ["positions", "segments", "turn_of", "generated"])
     def test_verify_checks_every_column(self, smoke, monkeypatch, capsys, column):
-        # A sequence with one column altered must not pass --verify. A ranges
-        # container derives positions, turn_of and generated from each turn's
-        # counts and base, so export refuses a sequence whose columns break
-        # that rule; segments are checked only by the round trip.
+        # A dense container with one column altered, re-signed, must not
+        # pass --verify. turn_of, generated (the loss) and positions must be
+        # the ones the sequence's turns derive, so import refuses others;
+        # segments are checked only by the round trip.
         tmp_path, archive, _, code = self.exported(smoke)
         assert code == EXIT_OK
 
         def tampered(stitched, *args, **kwargs):
+            n = stitched.n
             if column == "generated":  # the last generated token moved past the turn's first info token
-                generated = stitched.generated.copy()
-                info = np.flatnonzero((stitched.turn_of == 1) & ~generated)[0]
-                generated[[info - 1, info]] = False, True
-                altered = generated
+                altered = stitched.generated.astype("u1")
+                info = np.flatnonzero((stitched.turn_of == 1) & ~stitched.generated)[0]
+                altered[[info - 1, info]] = 0, 1
             else:
                 altered = {
-                    "positions": stitched.positions[::-1].copy(),
-                    "segments": np.zeros_like(stitched.segments),
-                    "turn_of": np.zeros_like(stitched.turn_of),
+                    "positions": stitched.positions[::-1].astype("<i4"),
+                    "segments": np.zeros(n, "u1"),
+                    "turn_of": np.zeros(n, "<u2"),
                 }[column]
-            return export_masks(replace(stitched, **{column: altered}), *args, **kwargs)
+            # positions i32, loss u8, segments u8 and turn_of u16 follow the tokens
+            at = {"positions": 4 * n, "generated": 8 * n, "segments": 9 * n, "turn_of": 10 * n}[column]
+
+            def edit(payload, n):
+                payload[at : at + altered.nbytes] = altered.tobytes()
+
+            return re_signed(export_masks(stitched, *args, **kwargs), edit)
 
         monkeypatch.setattr(memroll.cli, "export_masks", tampered)
-        code = main(
-            ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m4"), "--verify"]
-        )
-        assert code == EXIT_INTEGRITY
+        argv = ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m4"), "--verify"]
+        assert main(argv + ["--format", "dense_bitpack"]) == EXIT_INTEGRITY
         message = {
             "positions": "token 0 (turn 0): position",
             "segments": "does not round-trip",
-            "turn_of": "(turn 1): turn_of 0, where a ranges container derives 1",
-            "generated": "(turn 1): generated 1, where a ranges container derives 0",
+            "turn_of": "(turn 0): row is not the previous row plus one token",
+            "generated": "(turn 1): row is not the previous row plus one token",
         }[column]
         assert message in capsys.readouterr().err
 
@@ -998,20 +1003,29 @@ class TestExportMasks:
         [("shifted", "visible tokens decode to a different context"), ("reversed", "unsorted")],
     )
     def test_verify_reads_the_written_ranges(self, smoke, monkeypatch, capsys, damage, message):
-        # A ranges container whose ranges are shifted (sound, but the wrong
-        # tokens) or reversed (unsound) fails --verify with exit 3.
+        # A written ranges container whose ranges are shifted (sound, but the
+        # wrong tokens) or reversed (unsound), re-signed, fails --verify with
+        # exit 3.
         tmp_path, archive, _, code = self.exported(smoke)
         assert code == EXIT_OK
 
         def damaged(stitched, mask2d, *args, **kwargs):
-            if damage == "shifted":
-                bases = tuple(
-                    tuple((s - 1, e - 1) if s else (s, e) for s, e in base) for base in mask2d.bases
-                )
-            else:
-                bases = tuple(base[::-1] for base in mask2d.bases)
-            mask = Mask2D(mask2d.n, bases=bases, bounds=mask2d.bounds)
-            return export_masks(stitched, mask, *args, **kwargs)
+            # Each turn's counts and ranges follow the tokens, the segments
+            # and the turn count.
+            at = 5 * stitched.n + 4
+
+            def edit(payload, n):
+                words = []
+                for base in mask2d.bases:
+                    if damage == "shifted":
+                        base = [(s - 1, e - 1) if s else (s, e) for s, e in base]
+                    else:
+                        base = base[::-1]
+                    words += [*struct.unpack_from("<2I", payload, at + 4 * len(words)), len(base)]
+                    words += [x for pair in base for x in pair]
+                struct.pack_into(f"<{len(words)}I", payload, at, *words)
+
+            return re_signed(export_masks(stitched, mask2d, *args, **kwargs), edit)
 
         monkeypatch.setattr(memroll.cli, "export_masks", damaged)
         code = main(
@@ -1019,6 +1033,17 @@ class TestExportMasks:
         )
         assert code == EXIT_INTEGRITY
         assert message in capsys.readouterr().err
+
+    def test_more_turns_than_a_sequence_holds_is_data_error(self, smoke, monkeypatch, capsys):
+        # A sequence holds the head and 65,535 turns; an episode of more is
+        # refused before it is stitched. Lowering the limit to 1 makes the
+        # smoke archive's two-turn episodes such episodes.
+        tmp_path, archive, _, code = self.exported(smoke)
+        assert code == EXIT_OK
+        monkeypatch.setattr(memroll.masks, "_MAX_TURNS", 1)
+        code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m6")])
+        assert code == EXIT_DATA
+        assert "2 turns, more than the 1 a sequence holds" in capsys.readouterr().err
 
     def test_default_export_builds_no_dense_rows(self, tmp_path, monkeypatch):
         # A full_append archive of a few thousand tokens goes through the

@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from memroll import (
+    DataError,
     IntegrityError,
     Mask1D,
     RolloutConfig,
@@ -49,7 +50,7 @@ from memroll.cli import read_archive
 from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
-from helpers import random_episode, scripted_episode
+from helpers import container_parts, forge, random_episode, re_signed, scripted_episode
 
 HEAD = SEGMENT_CODES["head"]
 IS = SEGMENT_CODES["is"]
@@ -312,6 +313,23 @@ class TestStitch:
         with pytest.raises(ValueError):
             stitch(replace(record, turns=()), WordTokenizer())
 
+    def test_holds_as_many_turns_as_turn_of_numbers(self):
+        # turn_of numbers turns in u16, the head being turn 0, so 65,535
+        # turns stitch and one more is refused before anything is built. In
+        # consolidate mode without hints, a turn that repeats the one before
+        # it sees the same context, so one turn stands for all the later ones.
+        limit = (1 << 16) - 1
+        task = composite_from_tasks([Task("q1", "Which glyph?", ["x"])])
+        config = RolloutConfig(mode="consolidate", max_turns=3, hint_enabled=False)
+        record = run_rollout(task, ScriptedPolicy(["<query>b</query>"] * 3), ScriptedEnv(["c"]), config)
+        record = replace(record, turns=record.turns[:2] + record.turns[2:] * (limit - 2))
+        st = stitch(record, WordTokenizer())
+        assert len(st.bases) == limit + 1 and int(st.turn_of[-1]) == limit
+        over = replace(record, turns=record.turns + record.turns[-1:])
+        message = f"trajectory {record.task.id!r}: {limit + 1} turns, more than the {limit} a sequence holds"
+        with pytest.raises(DataError, match=re.escape(message)):
+            stitch(over, WordTokenizer())
+
 
 class TestBuildMasks:
     def test_loss_mask_is_generated_flag(self):
@@ -430,12 +448,16 @@ class TestBuildMasks:
         assert modes == {"consolidate", "full_append"}
         assert offset_turns > 0  # turns over 64 tokens that start mid-word
 
-    def test_imported_sequences_cannot_rebuild_masks(self):
+    def test_imported_sequences_rebuild_their_masks(self):
+        # A sequence of any format is imported as its turns, dense ones with
+        # their bases joined, so build_masks gives it the masks import did.
         rng = random.Random(30)
-        st, _, _, _ = full_build(scripted_episode(rng, turns=2))
-        orphan = replace(st, bases=None)
-        with pytest.raises(ValueError):
-            build_masks(orphan)
+        st, counter, mask2d, mask1d = full_build(scripted_episode(rng, turns=2))
+        for fmt in ALL_FORMATS:
+            st2, mask2, loss2, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, fmt=fmt))
+            rebuilt, loss = build_masks(st2)
+            assert (rebuilt.n, rebuilt.bases, rebuilt.bounds) == (mask2.n, mask2.bases, mask2.bounds)
+            assert rebuilt.same_rows(mask2d) and _packed(loss, "loss") == _packed(loss2, "loss")
 
 
 class TestVisibleTokens:
@@ -493,14 +515,20 @@ class TestVerifyMasks:
 
     def test_detects_dropped_visibility(self):
         # A bit dropped from every row of a turn keeps each row the previous
-        # row plus one token, so the container imports; the turn's first
+        # row plus one token, but the turn's base is then a token shorter
+        # than its stored positions say, so import refuses it. With the
+        # positions moved down to match, it imports, and the turn's first
         # generated token then sees a different context.
         record = scripted_episode(random.Random(51), turns=2)
         st, counter, mask2d, mask1d = full_build(record)
         bits = dense_bits(mask2d)
         bits[st.turn_of == 1, 0] = False
+        a = mask2d.bounds[1]
+        positions = st.positions - (st.turn_of == 1)
         for fmt in ("dense_bitpack", "index_list"):
-            st2, mask2, _, _ = import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
+            with pytest.raises(IntegrityError, match=re.escape(f"token {a} (turn 1): position {a}, not {a - 1}")):
+                import_masks(forged_rows(st, mask2d, mask1d, bits, fmt))
+            st2, mask2, _, _ = import_masks(forged_rows(st, mask2d, mask1d, bits, fmt, positions))
             with pytest.raises(IntegrityError, match="different context"):
                 verify_masks(record, st2, mask2, counter)
 
@@ -557,31 +585,30 @@ class TestVerifyMasks:
     def test_ranges_mask_needs_each_turns_generation_unbroken(self, monkeypatch):
         # Row k of a turn is row k - 1 plus token k - 1, so a generated token
         # after a non-generated one in the same turn cannot see what the rule
-        # says; it is named without building rows.
+        # says. A container that stores such a loss column is refused at
+        # import, naming the token without building rows; export refuses
+        # such a loss mask, which is not the sequence's own.
         record = scripted_episode(random.Random(55), turns=3, ending="turn_limit")
-        st, counter, mask2d, _ = full_build(record)
+        st, counter, mask2d, mask1d = full_build(record)
         gen = turn_indices(st, 2, generated=True)
         assert gen.size >= 4
+        monkeypatch.setattr(memroll.masks, "_dense_rows", no_dense_rows)
+
+        def holey(payload, n):  # the loss column follows tokens and positions
+            payload[8 * n + gen[1] : 8 * n + gen[3]] = bytes(2)
+
+        message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
+        for blob in (v3_ranges(st, mask2d, mask1d, counter.name), export_masks(st, mask2d, mask1d, "c", "index_list")):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                import_masks(re_signed(blob, holey))
         generated = st.generated.copy()
         generated[gen[1:3]] = False
-        holey = replace(st, generated=generated)
-        monkeypatch.setattr(memroll.masks, "_dense_rows", no_dense_rows)
-        message = f"token {int(gen[3])} (turn 2): row is not the previous row plus one token"
-        with pytest.raises(IntegrityError, match=re.escape(message)):
-            verify_masks(record, holey, mask2d, counter)
+        with pytest.raises(IntegrityError, match="not the sequence's own"):
+            export_masks(st, mask2d, Mask1D(loss=generated), counter.name)
 
 
 FORMATS = ("ranges", "dense_bitpack", "index_list")
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def re_signed(blob: bytes, edit) -> bytes:
-    """blob re-signed, at its own version, after edit(payload, n) changed
-    its payload in place."""
-    header, payload = container_parts(blob)
-    payload = bytearray(payload)
-    edit(payload, header["n"])
-    return forge(header, bytes(payload), struct.unpack_from("<H", blob, 8)[0])
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -635,7 +662,8 @@ class TestRecordsCheck:
 
     def test_shifted_position(self, fmt):
         # A ranges container derives the positions; a version 3 one, still
-        # read, holds them as a column.
+        # read, holds them as a column, as the dense formats do, and import
+        # refuses a column other than the turns derive.
         record = self.record()
         st, counter, blob = self.exported(record, fmt)
         if fmt == "ranges":
@@ -643,7 +671,8 @@ class TestRecordsCheck:
         k = int(turn_indices(st, 2, generated=True)[1])
         shifted = int(st.positions[k]) + 1
         forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * (n + k), shifted))
-        self.refused(record, forged, counter, f"token {k} (turn 2): position {shifted}, not {shifted - 1}")
+        with pytest.raises(IntegrityError, match=re.escape(f"token {k} (turn 2): position {shifted}, not {shifted - 1}")):
+            import_masks(forged)
 
     def test_record_minus_its_last_turn(self, fmt):
         record = self.record()
@@ -692,37 +721,18 @@ def dense_bits(mask2d) -> np.ndarray:
     return bits[:, : mask2d.n].astype(bool)
 
 
-def forged_rows(st, mask2d, mask1d, bits, fmt) -> bytes:
-    """A re-signed fmt container of st whose rows are the bool matrix bits."""
+def forged_rows(st, mask2d, mask1d, bits, fmt, positions=None) -> bytes:
+    """A re-signed fmt container of st whose rows are the bool matrix bits,
+    and whose positions column is positions, if given."""
     n = st.n
     if fmt == "dense_bitpack":
         rows = np.packbits(np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little").tobytes()
     else:
         rows = b"".join(np.r_[row.sum(), np.flatnonzero(row)].astype("<u4").tobytes() for row in bits)
     header, payload = container_parts(export_masks(st, mask2d, mask1d, "c", fmt=fmt))
+    if positions is not None:
+        payload = payload[: 4 * n] + np.asarray(positions, "<i4").tobytes() + payload[8 * n :]
     return forge(header, payload[: 12 * n] + rows)
-
-
-def container_parts(blob: bytes) -> tuple[dict, bytes]:
-    (header_len,) = struct.unpack_from("<I", blob, 10)
-    header = json.loads(blob[14 : 14 + header_len].decode("utf-8"))
-    return header, blob[14 + header_len :]
-
-
-def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
-    """Re-sign a container so only the hash check itself stays honest.
-
-    Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
-    the other header fields, then the payload; version 4 hashes its u16
-    version before them.
-    """
-    header = {k: v for k, v in header.items() if k != "sha256"}
-    signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
-    if version >= 4:
-        signed = struct.pack("<H", version) + signed
-    header["sha256"] = hashlib.sha256(signed).hexdigest()
-    hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + payload
 
 
 class TestExportImport:
@@ -750,13 +760,14 @@ class TestExportImport:
         reblob = export_masks(st2, mask2, loss2, counter.name, fmt=fmt)
         assert reblob == blob
 
-    def test_imported_mode_is_none(self):
+    def test_imported_dense_sequence_holds_its_bases(self):
+        # A dense container carries no string table, but its sequence holds
+        # its turns, so it is written again as the same bytes.
         rng = random.Random(61)
         _, _, _, _, blob = self.exported(rng, "dense_bitpack")
-        st2, _, _, _ = import_masks(blob)
-        assert st2.bases is None
-        with pytest.raises(ValueError):
-            build_masks(st2)
+        st2, mask2, loss2, header = import_masks(blob)
+        assert st2.strings is None and (st2.bases, list(st2.bounds)) == (mask2.bases, mask2.bounds)
+        assert export_masks(st2, *build_masks(st2), header["counter_id"], "dense_bitpack") == blob
 
     def test_imported_dense_rows_are_read_only(self):
         # words are built from the ranges and kept: writing to them would
@@ -1036,6 +1047,49 @@ class TestMalformedContainers:
                 _items(memoryview(bytes(2 * size + cut)), fmt)
         assert _items(memoryview(bytes(2 * size)), fmt).tolist() == [0, 0]
 
+    @pytest.mark.parametrize("layout", ["ranges", "ranges_v3", "dense_bitpack", "index_list"])
+    def test_resigned_random_edits_are_refused_or_sound(self, layout):
+        # Anyone can re-sign a container, so import must hold up without
+        # the hash: after a random edit to the payload, it either raises
+        # IntegrityError or gives a sequence whose derived columns and masks
+        # build. Edits: a byte, a u32 of a telling value (aligned to the
+        # layout's u32 words), a cut, an insert; each in the tokens column,
+        # the words that give the turns and rows, or anywhere.
+        blob = valid_container(layout)
+        header, payload = container_parts(blob)
+        version, n = struct.unpack_from("<H", blob, 8)[0], header["n"]
+        words, end = 5 * n if layout == "ranges" else 12 * n, len(payload)
+        if layout.startswith("ranges"):  # the words stop where the string table's count starts
+            lengths, table = (v4_parts if layout == "ranges" else ranges_parts)(payload, n)[-2:]
+            end -= len(table) + 4 * (len(lengths) + 1)
+        regions = [(0, 4 * n), (words, end), (0, len(payload))]
+        rng = random.Random(f"edits of {layout}")
+        outcomes = {"refused": 0, "read": 0}
+        for _ in range(600):
+            data = bytearray(payload)
+            kind, (lo, hi) = rng.choice(("byte", "u32", "cut", "insert")), rng.choice(regions)
+            at = lo + 4 * rng.randrange((hi - lo) // 4)
+            if kind == "byte":
+                data[at + rng.randrange(4)] = rng.randrange(256)
+            elif kind == "u32":
+                struct.pack_into("<I", data, at, rng.choice((0, 1, 1 << 16, 1 << 31, (1 << 32) - 1)))
+            elif kind == "cut":
+                del data[at:]
+            else:
+                data[at:at] = rng.randbytes(rng.randrange(1, 9))
+            try:
+                st, mask2d, mask1d, _ = import_masks(forge(header, bytes(data), version))
+            except IntegrityError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["read"] += 1
+            for name in ("turn_of", "generated", "positions"):
+                assert getattr(st, name).shape == (st.n,), (layout, kind, at)
+            rebuilt, loss = build_masks(st)
+            assert rebuilt.same_rows(mask2d) and np.array_equal(loss.loss, mask1d.loss)
+            assert mask2d.words.shape == (st.n, (st.n + 63) // 64)
+        assert outcomes["refused"] and outcomes["read"], outcomes
+
 
 def forged_ranges(edit) -> bytes:
     """The version 3 ranges test container with edit(header, columns, turns,
@@ -1194,7 +1248,7 @@ class TestRangesContainer:
             for fmt in FORMATS:
                 st2, mask2, _, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name, fmt))
                 assert (mask2.bases, mask2.bounds) == (joined, mask2d.bounds)
-                assert st2.bases is None and mask2.same_rows(mask2d)
+                assert st2.bases == joined and mask2.same_rows(mask2d)
         assert touching > 0
 
     def test_dense_import_cannot_be_written_as_ranges(self):
@@ -1214,12 +1268,11 @@ class TestRangesContainer:
                 edges = sorted(set(rng.integers(0, a + 1, 2 * int(rng.integers(0, 4))).tolist()))
                 edges = edges[: len(edges) // 2 * 2]
                 bases.append(tuple(zip(edges[0::2], edges[1::2])))
-            turn_of = np.repeat(np.arange(len(bases)), np.diff(bounds)).astype(np.uint16)
             st = StitchedTrajectory(
-                tokens=np.zeros(n, np.int32), segments=np.zeros(n, np.uint8), turn_of=turn_of,
-                generated=np.zeros(n, bool), positions=np.zeros(n, np.int32),
+                tokens=np.zeros(n, np.int32), segments=np.zeros(n, np.uint8),
+                bounds=tuple(bounds), gens=(0,) * len(bases), bases=tuple(bases),
             )
-            mask, loss = Mask2D(n, bases=tuple(bases), bounds=bounds), Mask1D(loss=st.generated)
+            mask, loss = build_masks(st)
             for fmt in FORMATS:
                 blob = export_masks(st, mask, loss, "c", fmt=fmt)
                 _, mask2, loss2, _ = import_masks(blob)
@@ -1275,37 +1328,41 @@ class TestRangesContainer:
 
     @pytest.mark.parametrize("column", ["positions", "turn_of", "generated", "loss"])
     def test_export_refuses_columns_it_would_not_give_back(self, column):
-        # A ranges container derives turn_of, generated (the loss) and
-        # positions, so a sequence whose columns break the rule is refused,
-        # naming the first token that does. The dense formats hold them.
+        # A sequence derives turn_of, generated (the loss) and positions from
+        # its turns, so no export can be given other columns; a version 3
+        # container, which stores them, is refused at import when they break
+        # the rule, naming the first token that does. A loss mask other than
+        # the sequence's own is refused by export, in every format.
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(78), turns=3, ending="answer"))
         info = int(turn_indices(st, 1, generated=False)[0])  # turn 1's first info token
         moved = st.generated.copy()
         moved[[info - 1, info]] = False, True  # a generated token after a non-generated one
-        altered = {
-            "positions": (replace(st, positions=st.positions[::-1].copy()), mask1d),
-            "turn_of": (replace(st, turn_of=np.zeros_like(st.turn_of)), mask1d),
-            "generated": (replace(st, generated=moved), mask1d),
-            "loss": (st, Mask1D(loss=moved)),
-        }
-        message = {
-            "positions": f"token 0 (turn 0): position {int(st.positions[-1])}, where a ranges container derives 0",
-            "turn_of": f"token {mask2d.bounds[1]} (turn 1): turn_of 0, where a ranges container derives 1",
-            "generated": f"token {info} (turn 1): generated 1, where a ranges container derives 0",
-            "loss": f"token {info - 1} (turn 1): loss 0, where a ranges container derives 1",
-        }
-        bad, loss = altered[column]
-        with pytest.raises(IntegrityError, match=re.escape(message[column])):
-            export_masks(bad, mask2d, loss, counter.name)
-        for fmt in FORMATS:
-            export_masks(bad, mask2d, loss, counter.name, fmt=fmt)
+        if column == "loss":
+            for fmt in ALL_FORMATS:
+                with pytest.raises(IntegrityError, match="not the sequence's own"):
+                    export_masks(st, mask2d, Mask1D(loss=moved), counter.name, fmt=fmt)
+            return
+        n, first = st.n, mask2d.bounds[1]
+        at, altered, message = {  # the column's offset in a version 3 payload
+            "positions": (4 * n, st.positions[::-1].astype("<i4"), f"token 0 (turn 0): position {int(st.positions[-1])}, not 0"),
+            "turn_of": (10 * n, np.zeros(n, "<u2"), f"token {first} (turn 0): row is not the previous row plus one token"),
+            "generated": (8 * n, moved.astype("u1"), f"token {info} (turn 1): row is not the previous row plus one token"),
+        }[column]
+
+        def edit(payload, n):
+            payload[at : at + altered.nbytes] = altered.tobytes()
+
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            import_masks(re_signed(v3_ranges(st, mask2d, mask1d, counter.name), edit))
 
     def test_export_refuses_a_mask_of_other_length(self):
         record = scripted_episode(random.Random(79), turns=3, ending="answer")
         st, counter, mask2d, mask1d = full_build(record)
         _, _, short, _ = full_build(replace(record, turns=record.turns[:-1]))
-        with pytest.raises(IntegrityError, match=f"turn_of holds {st.n} tokens, the mask's turns {short.bounds[-1]}"):
+        with pytest.raises(IntegrityError, match="not the sequence's own"):
             export_masks(st, short, mask1d, counter.name)
+        with pytest.raises(IntegrityError, match="not the sequence's own"):
+            verify_masks(record, st, short, counter)
 
     def test_version_byte_is_covered_by_the_hash(self):
         # Both 3 and 4 hold ranges, so from version 4 the hash covers the
@@ -1419,14 +1476,47 @@ class TestRamp:
         assert wrong == []
 
 
+    def test_threads_read_one_sequences_derived_columns(self):
+        # A sequence derives its columns on first access. Threads that read
+        # them at once from one sequence, fresh each round, with switches
+        # forced often, each get exactly the columns of the sequence.
+        st, _ = stitched(random_episode(random.Random(95)))
+        names = ("turn_of", "generated", "positions")
+        want = [_packed(st, name).tobytes() for name in names]
+        wrong = []
+
+        def read(fresh, order):
+            try:
+                got = {name: _packed(fresh, name).tobytes() for name in order}
+                if [got[name] for name in names] != want:
+                    wrong.append(order)
+            except Exception as exc:  # a thread's exception would be lost
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                fresh = replace(st)  # nothing derived yet
+                threads = [threading.Thread(target=read, args=(fresh, names[i % 3 :] + names[: i % 3])) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
 COLUMNS = {
     "tokens": np.int32, "segments": np.uint8, "turn_of": np.uint16,
     "generated": np.bool_, "positions": np.int32,
 }
 
-# The read-only columns that stitch and a ranges import derive from each
-# turn's counts and base (an imported loss is the generated column).
-DERIVED = {"stitch": ("turn_of", "generated", "positions"), "ranges": ("turn_of", "generated", "positions", "loss")}
+# The read-only columns every sequence derives from its turns (the loss mask
+# build_masks gives is the generated column).
+DERIVED = ("turn_of", "generated", "positions", "loss")
 
 # n and the loss count of random_episode(Random(seed)), as the numpy columns
 # gave them before the columns were held packed.
@@ -1458,8 +1548,9 @@ class TestPackedColumns:
                 assert column.shape == (st.n,)
                 assert getattr(owner, name) is column
                 assert np.shares_memory(column, np.frombuffer(_packed(owner, name), np.uint8))
-                if name in DERIVED.get(source, ()):
+                if name in DERIVED:  # never read from a container
                     assert not column.flags.writeable, (source, name)
+                    assert blob is None or not np.shares_memory(column, np.frombuffer(blob, np.uint8))
                 elif blob is not None:  # imported columns are read in place
                     assert np.shares_memory(column, np.frombuffer(blob, np.uint8))
 
@@ -1475,20 +1566,25 @@ class TestPackedColumns:
 
     def test_fields_take_numpy_arrays(self):
         names = list(StitchedTrajectory._fields)
-        assert names == ["tokens", "segments", "turn_of", "generated", "positions", "bases", "strings"]
-        # The five columns are required; bases and strings default to None.
-        columns = [array("i"), array("B"), array("H"), array("B"), array("i")]
-        with pytest.raises(TypeError, match="missing 1 required positional argument: 'positions'"):
-            StitchedTrajectory(*columns[:4])
-        assert (StitchedTrajectory(*columns).bases, StitchedTrajectory(*columns).strings) == (None, None)
+        assert names == ["tokens", "segments", "bounds", "gens", "bases", "strings"]
+        # The columns and turns are required; strings defaults to None.
+        fields = [array("i"), array("B"), (0,), (), ()]
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'bases'"):
+            StitchedTrajectory(*fields[:4])
+        assert StitchedTrajectory(*fields).strings is None and StitchedTrajectory(*fields).n == 0
         st, _ = stitched(random_episode(random.Random(95)))
         # Another dtype or a strided view is converted to the column's dtype.
-        wide = np.arange(2 * st.n, dtype=np.int64)[::2]
-        other = replace(st, positions=wide, generated=st.generated.astype(np.uint8))
-        assert other.positions.dtype == np.int32 and np.array_equal(other.positions, wide)
-        assert other.generated.dtype == np.bool_ and np.array_equal(other.generated, st.generated)
-        assert other.bases == st.bases and np.array_equal(other.tokens, st.tokens)
-        assert np.shares_memory(other.tokens, st.tokens)  # a right-typed array is kept, not copied
+        wide = np.repeat(st.tokens.astype(np.int64), 2)[::2]
+        other = replace(st, tokens=wide, segments=st.segments.astype(np.int64))
+        assert other.tokens.dtype == np.int32 and np.array_equal(other.tokens, st.tokens)
+        assert other.segments.dtype == np.uint8 and np.array_equal(other.segments, st.segments)
+        assert other.bases == st.bases and np.array_equal(other.positions, st.positions)
+        same = replace(st, strings=None)
+        assert np.shares_memory(same.tokens, st.tokens)  # a right-typed array is kept, not copied
+        # The derived columns are no fields: they follow the turns.
+        for name in ("turn_of", "generated", "positions"):
+            with pytest.raises(TypeError):
+                replace(st, **{name: getattr(st, name)})
 
     def test_pickle_and_deepcopy(self):
         for source, st, mask1d, _ in column_sources(96):
@@ -1498,23 +1594,25 @@ class TestPackedColumns:
             assert np.array_equal(pickle.loads(pickle.dumps(mask1d)).loss, mask1d.loss)
 
     def test_records_print_as_the_dataclasses_did(self):
-        # The text the mutable dataclass versions printed; they are frozen
-        # records now, unhashable by their array fields as before.
-        st = StitchedTrajectory(array("i", [3, 1]), array("B", [0, 2]), array("H", [0, 1]), array("B", [0, 1]),
-                                array("i", [0, 0]), ((), ((0, 1),)), ("a", "b", "", "d"))
+        # Records print in the form the mutable dataclass versions did; they
+        # are frozen, unhashable by their array fields as before.
+        st = StitchedTrajectory(array("i", [3, 1]), array("B", [0, 2]), (0, 1, 2), (0, 1), ((), ((0, 1),)),
+                                ("a", "b", "", "d"))
         loss = Mask1D(loss=bytearray(b"\x00\x01"))
         assert repr(st) == (
             "StitchedTrajectory(tokens=array([3, 1], dtype=int32), segments=array([0, 2], dtype=uint8), "
-            "turn_of=array([0, 1], dtype=uint16), generated=array([False,  True]), "
-            "positions=array([0, 0], dtype=int32), bases=((), ((0, 1),)), strings=('a', 'b', '', 'd'))"
+            "bounds=(0, 1, 2), gens=(0, 1), bases=((), ((0, 1),)), strings=('a', 'b', '', 'd'))"
         )
         assert repr(loss) == "Mask1D(loss=array([False,  True]))"
+        assert [st.turn_of.tolist(), st.generated.tolist(), st.positions.tolist()] == [[0, 1], [False, True], [0, 1]]
         assert st.__eq__(loss) is NotImplemented and loss.__eq__(st) is NotImplemented
         for obj in (st, loss):
             with pytest.raises(TypeError):
                 hash(obj)
             with pytest.raises(AttributeError):
                 obj.bases = None
+        with pytest.raises(AttributeError):
+            st.positions = st.positions
 
     def test_big_endian_host_swaps_the_packed_columns(self, monkeypatch):
         # Packed columns are native, so a big-endian host byteswaps them on
