@@ -75,9 +75,6 @@ class Environment(Protocol):
 
 
 _WORD = re.compile(r"\w+", re.UNICODE)
-# Document norms square with pow(w, 2), as the formula's w ** 2 does: libm's
-# pow rounds differently from w * w for about one weight in a thousand.
-_SQUARE = itertools.repeat(2)
 
 
 def terms(text: str) -> list[str]:
@@ -482,7 +479,8 @@ def _build_index(ordered: Sequence[Doc]) -> _Index:
     weights = list(map(mul, map(log1p.__getitem__, counts), map(idf.__getitem__, term_ids)))
     norms, at = array("d"), 0
     for length in lengths:
-        norms.append(math.sqrt(math.fsum(map(pow, weights[at : at + length], _SQUARE))))
+        ws = weights[at : at + length]
+        norms.append(math.sqrt(math.fsum(map(mul, ws, ws))))
         at += length
     # Term-major: gaps less one, with each block's first document whole.
     starts = array("q", itertools.accumulate(df, initial=0))
@@ -511,7 +509,7 @@ def _index_key(data: bytes) -> dict | None:
     the source of _INDEX_SOURCES, so that any edit to how the index is built
     or stored makes every older file stale; the Python implementation, whose
     regular expressions split the words; the Unicode database, which decides
-    what \\w and str.lower mean; the C library, whose log and pow give the
+    what \\w and str.lower mean; the C library, whose log gives the
     weights; and the block size, which lays out the postings. None if the
     source cannot be read."""
     import unicodedata

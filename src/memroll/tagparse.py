@@ -5,9 +5,15 @@ action block, either a query or an answer. Tag matching is exact
 string matching, case sensitive, with no nesting support: nested or overlapping
 tag pairs invalidate the action. Text outside recognized tags never affects
 control flow but is preserved in raw.
+
+parse_turn reads a turn in one left-to-right scan for the preset's eight tags
+(TagPreset.scanner). A preset's tags cannot overlap in text, so that scan
+finds every tag that a separate search for each tag would.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import TagPreset, record
 
@@ -77,86 +83,54 @@ class ParsedTurn:
         return self.raw[span.inner_start:span.inner_end]
 
 
-def _marker_positions(raw: str, marker: str) -> list[int]:
-    """Non-overlapping left-to-right occurrences of marker in raw."""
-    out = []
-    start = 0
-    while True:
-        idx = raw.find(marker, start)
-        if idx < 0:
-            return out
-        out.append(idx)
-        start = idx + len(marker)
-
-
-def _scan_pairs(raw: str, open_tag: str, close_tag: str) -> tuple[list[Span], bool]:
-    """Pair up open/close markers in positional order.
-
-    Returns (well-formed spans, mismatched flag). A close without a pending
-    open, an open while another is pending (nesting), or a dangling open all
-    set the mismatched flag.
-    """
-    events = sorted(
-        [(pos, "open") for pos in _marker_positions(raw, open_tag)]
-        + [(pos, "close") for pos in _marker_positions(raw, close_tag)]
-    )
-    spans: list[Span] = []
-    pending: int | None = None
-    mismatched = False
-    for pos, kind in events:
-        if kind == "open":
-            if pending is not None:
-                mismatched = True
-            pending = pos
-        else:
-            if pending is None:
-                mismatched = True
-                continue
-            spans.append(Span(pending, pos + len(close_tag), pending + len(open_tag), pos))
-            pending = None
-    if pending is not None:
-        mismatched = True
-    return spans, mismatched
-
-
-def _overlaps(a: Span, b: Span) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
 def parse_turn(raw: str, preset: TagPreset) -> ParsedTurn:
     """Parse one generated turn. Never raises: malformed input yields Invalid.
 
     Validity is decided by the action tags alone. The internal-state block is
     extracted best effort (first well-formed pair) and may be present on
     invalid turns too.
+
+    One scan pairs the tags: an open tag pairs with the next close tag of its
+    kind. An open tag while its kind is already open, a close tag with none
+    open, or a tag left open makes the kind mismatched. A query or answer kind
+    is present when it has a pair or is mismatched; both present, or two
+    pairs of one, is multiple_actions, and an action overlapping the
+    internal-state block is mismatched_tags.
     """
-    is_spans, _ = _scan_pairs(raw, preset.is_open, preset.is_close)
-    is_span = is_spans[0] if is_spans else None
+    pairs: dict[str, list[Span]] = {"is": [], "query": [], "answer": [], "info": []}
+    opened: dict[str, re.Match[str]] = {}
+    mismatched: set[str] = set()
+    pattern, fields = preset.scanner()
+    for tag in pattern.finditer(raw):
+        kind, _, side = fields[tag.group()].partition("_")
+        if side == "open":
+            if kind in opened:
+                mismatched.add(kind)
+            opened[kind] = tag
+        elif kind in opened:
+            start = opened.pop(kind)
+            pairs[kind].append(Span(start.start(), tag.end(), start.end(), tag.start()))
+        else:
+            mismatched.add(kind)
+    mismatched.update(opened)
+
+    is_span = pairs["is"][0] if pairs["is"] else None
     is_segment = raw[is_span.inner_start:is_span.inner_end] if is_span else None
-
-    q_spans, q_bad = _scan_pairs(raw, preset.query_open, preset.query_close)
-    a_spans, a_bad = _scan_pairs(raw, preset.answer_open, preset.answer_close)
-    q_present = q_spans or q_bad
-    a_present = a_spans or a_bad
-
-    spans: dict[str, Span] = {}
-    if is_span is not None:
-        spans["is"] = is_span
+    spans = {"is": is_span} if is_span else {}
 
     def invalid(reason: str) -> ParsedTurn:
         return ParsedTurn(is_segment, Invalid(reason), raw, spans)
 
-    if q_present and a_present:
-        return invalid("multiple_actions")
-    if not q_present and not a_present:
-        return invalid("no_action")
-    name, tag_spans, bad = ("query", q_spans, q_bad) if q_present else ("answer", a_spans, a_bad)
-    if bad:
+    present = [name for name in ("query", "answer") if pairs[name] or name in mismatched]
+    if len(present) != 1:
+        return invalid("multiple_actions" if present else "no_action")
+    name = present[0]
+    if name in mismatched:
         return invalid("mismatched_tags")
-    if len(tag_spans) > 1:
+    if len(pairs[name]) > 1:
         return invalid("multiple_actions")
-    action_span = tag_spans[0]
-    if is_span is not None and _overlaps(is_span, action_span):
+    action_span = pairs[name][0]
+    if is_span is not None and is_span.start < action_span.end and action_span.start < is_span.end:
         # Nesting across tag kinds is unsupported.
         return invalid("mismatched_tags")
     spans[name] = action_span

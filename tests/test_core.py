@@ -127,6 +127,19 @@ class TestTagPreset:
         with pytest.raises(ValidationError):
             TagPreset("bad", "", "</IS>", "<q>", "</q>", "<a>", "</a>", "<i>", "</i>")
 
+    @pytest.mark.parametrize(
+        "tags",
+        [
+            ("<m", "m>", "<q>", "</q>", "<a>", "</a>", "<f>", "</f>"),  # "<m" ends with the start of "m>"
+            ("<is>", "</is>", "<q>", "</q>", "<a>", "</a>", "<is", "</f>"),  # "<is" lies inside "<is>"
+            ("<i>", "</i>", "<q>", "</q>", "<a>", "</a>", "<f>", "<f<"),  # "<f<" ends with its own start
+        ],
+        ids=["end_starts_another", "inside_another", "end_starts_itself"],
+    )
+    def test_tags_that_can_overlap_rejected(self, tags):
+        with pytest.raises(ValidationError, match="can overlap"):
+            TagPreset("bad", *tags)
+
 
 FILLER = st.text(alphabet=st.characters(blacklist_characters="<"), max_size=12)
 

@@ -87,7 +87,8 @@ def brute_force_rank(docs: list[Doc], query: str) -> list[tuple[str, float]]:
     q_norm = math.sqrt(math.fsum(w * w for w in q_w.values()))
     out = []
     for d, tf in zip(docs, doc_tf):
-        d_norm = math.sqrt(math.fsum((math.log(1 + c) * idf[t]) ** 2 for t, c in tf.items()))
+        d_w = [math.log(1 + c) * idf[t] for t, c in tf.items()]
+        d_norm = math.sqrt(math.fsum(w * w for w in d_w))
         dot = math.fsum(q_w[t] * math.log(1 + tf[t]) * idf[t] for t in sorted(q_w) if t in tf)
         score = dot / (q_norm * d_norm) if q_norm * d_norm > 0 and dot else 0.0
         out.append((d.doc_id, score))
@@ -223,10 +224,10 @@ class TestCorpusEdgeCases:
         assert_matches_oracle(docs, ["two", "three", "four"], [3, 100], tmp_path)
         assert Corpus([]).search("anything", 5) == []
 
-    def test_norms_square_with_pow(self, tmp_path):
-        # The formula squares with **, i.e. libm's pow, which rounds
-        # ln(3) * ln(28) differently from its product with itself (glibc):
-        # d00's score then depends on which square its norm uses.
+    def test_norms_square_by_multiplying(self, tmp_path):
+        # Norms square with IEEE *, as query weights do. libm's pow (**)
+        # rounds ln(3) * ln(28) squared differently (glibc): d00's score
+        # then depends on which square its norm uses.
         docs = [Doc("d00", "", "t t u"), Doc("d01", "", "u")]
         docs += [Doc(f"d{i:02d}", "", f"filler{i}") for i in range(2, 28)]
         assert_matches_oracle(docs, ["t", "t u", "u"], [1, 3], tmp_path)

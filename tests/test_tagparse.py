@@ -11,6 +11,7 @@ from memroll import (
     PROMPT_STYLE,
     ParsedTurn,
     Query,
+    TagPreset,
     parse_turn,
     rename_tags,
     render_turn,
@@ -50,6 +51,15 @@ class TestParseTurn:
     def test_nested_same_tag(self):
         raw = "<query>a<query>b</query></query>"
         assert parse_turn(raw, PAPER_BODY).action == Invalid("mismatched_tags")
+
+    def test_close_without_open(self):
+        raw = "</query><query>q</query>"
+        assert parse_turn(raw, PAPER_BODY).action == Invalid("mismatched_tags")
+
+    def test_is_block_overlapping_action(self):
+        parsed = parse_turn("<IS>a<query>q</IS></query>", PAPER_BODY)
+        assert parsed.action == Invalid("mismatched_tags")
+        assert parsed.is_segment == "a<query>q"
 
     def test_is_optional(self):
         parsed = parse_turn("<query>q</query>", PAPER_BODY)
@@ -145,6 +155,42 @@ class TestRenderTurn:
         b = parse_turn(raw, PAPER_BODY)
         assert a.is_segment == b.is_segment
         assert a.action == b.action
+
+
+TINY = TagPreset("tiny", "<i>", "</i>", "<q>", "</q>", "<a>", "</a>", "<f>", "</f>")
+
+
+def tagged_text(preset: TagPreset):
+    """Texts of the preset's tags, tag blocks (nested too) and filler drawn
+    from the tags' own characters, so that fragments and near misses of tags
+    are common and some texts are valid turns."""
+    tags = preset.all_tags()
+    filler = st.text(alphabet="".join(sorted(set("".join(tags)))) + " x", max_size=6)
+    pairs = st.sampled_from(list(zip(tags[::2], tags[1::2])))
+    pieces = st.recursive(
+        filler | st.sampled_from(tags),
+        lambda inner: st.builds(lambda pair, parts: "".join(parts).join(pair), pairs, st.lists(inner, max_size=3)),
+        max_leaves=8,
+    )
+    return st.lists(pieces, max_size=6).map("".join)
+
+
+@pytest.mark.parametrize("preset", [PAPER_BODY, PROMPT_STYLE, TINY], ids=lambda p: p.name)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_tagged_text_spans_and_render(preset, data):
+    # Spans are ordered and disjoint, and a valid turn renders back to itself.
+    raw = data.draw(tagged_text(preset))
+    parsed = parse_turn(raw, preset)
+    for name, span in parsed.spans.items():
+        assert 0 <= span.start <= span.inner_start <= span.inner_end <= span.end <= len(raw)
+        assert raw[span.start:span.inner_start] == getattr(preset, f"{name}_open")
+        assert raw[span.inner_end:span.end] == getattr(preset, f"{name}_close")
+    spans = sorted(parsed.spans.values(), key=lambda span: span.start)
+    assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
+    if parsed.valid:
+        again = parse_turn(render_turn(parsed, preset), preset)
+        assert (again.action, again.is_segment) == (parsed.action, parsed.is_segment)
 
 
 class TestSplitAnswers:
