@@ -80,7 +80,8 @@ def record(cls: type) -> type:
     __eq__ that compares the field values of two instances of the same class
     and returns NotImplemented for anything else; a __hash__ of the tuple of
     field values; and __setattr__ and __delattr__ that raise AttributeError.
-    Instances pickle and copy, and replace builds a changed copy.
+    A method cls defines itself is kept. Instances pickle and copy, and
+    replace builds a changed copy.
 
     Only __init__ is compiled from source generated per class, as dataclasses
     does, so that constructing costs no more than a hand-written __init__;
@@ -119,8 +120,9 @@ def record(cls: type) -> type:
         return hash(values(self))
 
     for method in (namespace["__init__"], __repr__, __eq__, __hash__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls._fields = names

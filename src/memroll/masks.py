@@ -36,21 +36,26 @@ payload. The header is the canonical (sort_keys) JSON of exactly those four
 fields. The sha256 covers the canonical JSON of the other three header fields
 followed by the payload (from version 4 the u16 version first), so no byte of
 a container can change unnoticed (version 1 containers, whose sha256 covers
-the payload alone, are still read). Every payload starts with the tokens
-column, i32. The rest comes in one of three formats:
+the payload alone, are still read). The payload comes in one of three formats:
 
-- ranges (version 4, the default): segments u8 per token, then a u32 turn
-  count, then for each turn its u32 token count, its u32 count of leading
-  generated tokens, a u32 range count and that many u32 (start, end) pairs,
-  its base ranges: the sequence as it is held. Then the string table: a u32
-  count, that many u32 byte lengths, then the UTF-8 bytes (lone surrogates
-  pass through), where entry i is the text of token id i. The container thus
-  decodes without the counter that made it. Version 3 ranges containers,
-  still read, held every column as the dense formats do, and each turn's
-  range count and ranges alone.
-- dense_bitpack (version 2): the columns positions i32, loss u8, segments
-  u8, turn_of u16, then ceil(n/64) little-endian u64 words per token, bit i
-  of word w covering token 64*w+i.
+- ranges (version 5, the default): the sequence as it is held, each part at
+  the narrowest width it needs. A width-coded field is a u8 width code, 1, 2
+  or 4, then its values little-endian at that width, the narrowest that
+  holds them all. First the token ids, width-coded; then the segments as
+  runs: a u32 run count, that many u8 codes and the runs' lengths,
+  width-coded; then a u32 turn count, and for each turn its u32 token count,
+  its u32 count of leading generated tokens, a u32 range count and that many
+  u32 (start, end) pairs, its base ranges. Last the string table: a u32
+  count, the entries' lengths in code points, width-coded, then their texts
+  joined, UTF-8 to the end of the payload (lone surrogates pass through),
+  where entry i is the text of token id i. The container thus decodes
+  without the counter that made it. Version 4, still read, stored ids as
+  i32, segments u8 per token and the table's byte lengths as u32; version 3
+  held every column as the dense formats do, and each turn's range count
+  and ranges alone.
+- dense_bitpack (version 2): the columns tokens i32, positions i32, loss u8,
+  segments u8, turn_of u16, then ceil(n/64) little-endian u64 words per
+  token, bit i of word w covering token 64*w+i.
 - index_list (version 2): the same columns, then per token a u32 count
   followed by that many ascending u32 indices.
 
@@ -72,6 +77,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .archive import TrajectoryRecord
@@ -116,12 +122,12 @@ _HINT_RE = re.compile(
 
 MAGIC = b"MEM1MASK"
 FORMAT_VERSION = 2  # dense_bitpack and index_list containers
-RANGES_VERSION = 4  # ranges containers
+RANGES_VERSION = 5  # ranges containers
 # The container versions each mask format is read from; export writes the last.
 # Pairing them means a version byte flipped between 2 and 3, which the hash
 # cannot see before version 4, is still refused.
 _VERSIONS = {
-    "ranges": (3, RANGES_VERSION),
+    "ranges": (3, 4, RANGES_VERSION),
     "dense_bitpack": (1, FORMAT_VERSION),
     "index_list": (1, FORMAT_VERSION),
 }
@@ -130,6 +136,11 @@ _PREFIX = struct.Struct("<HI")  # version, header length
 _HEADER_TYPES = {"counter_id": str, "format": str, "n": int, "sha256": str}
 # turn_of numbers turns in u16, so a sequence holds the head and this many turns.
 _MAX_TURNS = (1 << 16) - 1
+_SEGMENT_BYTES = bytes(range(len(SEGMENT_NAMES)))  # the codes that name a segment
+# A run of one segment code; a byte that names no segment is a run of its own.
+# (.)\1* would do, but its back-reference matches a byte at a time: over the
+# segments of the eight seed-9 long_append sequences it took 1.8 ms to this 0.4.
+_RUN = re.compile(b"|".join(b"%c+" % code for code in _SEGMENT_BYTES) + b"|.", re.S)
 
 # The container is little-endian; packed columns are held in native order, so
 # a big-endian host byteswaps them on the way in and out.
@@ -229,6 +240,20 @@ def _reduce(obj):
     return type(obj), tuple(getattr(obj, name) for name in obj._fields)
 
 
+def _eq(self, other):
+    # Field by field, a column by its packed items: a memoryview compare, in
+    # C and without numpy, where an np.ndarray's == gives no truth value.
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    cls = type(self)
+    return all(
+        _packed(self, name) == _packed(other, name)
+        if isinstance(getattr(cls, name, None), _Column)
+        else getattr(self, name) == getattr(other, name)
+        for name in self._fields
+    )
+
+
 @record
 class StitchedTrajectory:
     """One episode as a flat token sequence, held as its turns.
@@ -260,6 +285,8 @@ class StitchedTrajectory:
     positions = _Column("i", "int32")
 
     __reduce__ = _reduce
+    __eq__ = _eq
+    __hash__ = None  # unhashable: a column may be a writable view
 
     @property
     def n(self) -> int:
@@ -333,6 +360,8 @@ class Mask1D:
     loss: np.ndarray = _Column("B", "bool")
 
     __reduce__ = _reduce
+    __eq__ = _eq
+    __hash__ = None  # unhashable: the column may be a writable view
 
 
 def _token_spans(
@@ -590,14 +619,29 @@ def _little_endian(items: memoryview | array) -> memoryview | array:
     return swapped
 
 
+def _uints(items: memoryview | array) -> tuple[bytes, bytearray]:
+    """Packed native 32-bit items as a width-coded field: a u8 width code,
+    the narrowest of 1, 2 and 4 bytes that holds every item, then the items
+    little-endian at that width (a negative i32 takes 4, as its u32 bits).
+    The bytes move in strided slices, a byte lane at a time, never an item
+    at a time."""
+    wide = bytes(_little_endian(items))
+    lanes = [wide[j::4] for j in range(4)]  # byte j of every item
+    zero = bytes(len(lanes[0]))
+    width = 4 if lanes[3] != zero or lanes[2] != zero else 2 if lanes[1] != zero else 1
+    narrow = bytearray(width * len(zero))
+    for j in range(width):
+        narrow[j::width] = lanes[j]
+    return bytes((width,)), narrow
+
+
 def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, fmt: str):
     # The packed columns are the container's columns: on a little-endian
     # host they are written as they are.
-    yield _little_endian(_packed(stitched, "tokens"))
     if fmt == "ranges":
         yield from _ranges_payload(stitched)
         return
-    for name in ("positions", "generated", "segments", "turn_of"):  # generated is the loss
+    for name in ("tokens", "positions", "generated", "segments", "turn_of"):  # generated is the loss
         yield _little_endian(_packed(stitched, name))
     if fmt == "dense_bitpack":
         import numpy as np
@@ -615,23 +659,28 @@ def _payload(stitched: StitchedTrajectory, mask2d: Mask2D, fmt: str):
 
 
 def _ranges_payload(stitched: StitchedTrajectory):
-    """Everything of a ranges payload after the tokens: the sequence as it
-    is held."""
-    if stitched.strings is None:
+    """A ranges payload: the sequence as it is held, each part at the
+    narrowest width it needs."""
+    strings = stitched.strings
+    if strings is None:
         raise ValueError(
             "the ranges format needs the sequence's string table; export a "
             "sequence imported from dense rows as dense_bitpack or index_list"
         )
+    yield from _uints(_packed(stitched, "tokens"))
+    runs = _RUN.findall(_packed(stitched, "segments"))
+    yield _little_endian(array("I", [len(runs)]))
+    yield bytes(map(itemgetter(0), runs))
+    yield from _uints(array("I", map(len, runs)))
     bases, bounds, gens = stitched.bases, stitched.bounds, stitched.gens
-    yield _packed(stitched, "segments")
     words = array("I", [len(bases)])
     for base, a, b, g in zip(bases, bounds, bounds[1:], gens):
         words += array("I", (b - a, g, len(base)))
         words.extend(chain.from_iterable(base))
+    words.append(len(strings))
     yield _little_endian(words)
-    encoded = [text.encode("utf-8", "surrogatepass") for text in stitched.strings]
-    yield _little_endian(array("I", [len(encoded), *map(len, encoded)]))
-    yield b"".join(encoded)
+    yield from _uints(array("I", map(len, strings)))
+    yield "".join(strings).encode("utf-8", "surrogatepass")
 
 
 def export_masks(
@@ -701,30 +750,41 @@ def _items(chunk: memoryview, fmt: str) -> memoryview:
     return memoryview(items)
 
 
+def _utf8(table) -> str:
+    try:
+        return str(table, "utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"string table is not UTF-8: {exc}") from None
+
+
 def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]:
     """Parse the binary container, verifying magic, version, header and hash.
 
     Every malformed input, truncated or altered anywhere, raises
     IntegrityError. So does a container that is signed but unsound, since
-    anyone can re-sign one: in any format base ranges that are unsorted,
-    overlap or reach past their turn's first token, or more turns than
-    turn_of can number; in ranges a token id outside the string table or a
-    table that is not UTF-8; in version 4 ranges turn token counts that do
-    not sum to n or a generated count above its turn's; in the other
-    versions a decreasing turn_of, a loss byte other than 0 and 1, a loss 1
-    after a 0 in one turn ("row is not the previous row plus one token") or
-    a position other than the turns derive ("position X, not Y"), each named
-    by its first token; in the dense formats a row that is not the previous
-    row plus one token.
+    anyone can re-sign one: in any format a segment code that names no
+    segment, base ranges that are unsorted, overlap or reach past their
+    turn's first token, or more turns than turn_of can number; in ranges a
+    token id outside the string table or a table that is not UTF-8; from
+    version 4 turn token counts that do not sum to n or a generated count
+    above its turn's; in version 5 a width code other than 1, 2 and 4,
+    segment runs that do not sum to n, or table lengths that do not sum to
+    the code points of its text; in the other versions a decreasing turn_of,
+    a loss byte other than 0 and 1, a loss 1 after a 0 in one turn ("row is
+    not the previous row plus one token") or a position other than the turns
+    derive ("position X, not Y"), each named by its first token; in the
+    dense formats a row that is not the previous row plus one token.
 
     Every format comes back as a sequence held as its turns (see
     StitchedTrajectory) with the masks build_masks gives it, held as ranges,
     with no dense row built; only dense_bitpack loads numpy. A dense
     container's bases come back joined (see Mask2D.same_rows), and only a
     ranges container fills in the string table. tokens and segments are
-    views of data, not copies: read-only when data is bytes. turn_of,
-    generated (the loss) and positions are derived from the turns, never
-    read from data.
+    views of data, not copies, read-only when data is bytes; a version 5
+    container stores segments as runs and ids narrowed, so there they are
+    read-only columns built from data (ids stored 4 bytes wide stay views).
+    turn_of, generated (the loss) and positions are derived from the turns,
+    never read from data.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("not a mask container: bad magic")
@@ -770,8 +830,21 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         pos += count
         return chunk
 
-    def take_u32(count: int) -> memoryview:
-        return _items(take(4 * count), "I")
+    def take_uints(count: int, width: int | None = 4, fmt: str = "I") -> memoryview:
+        # count little-endian items width bytes wide, after a width code when
+        # width is None, as packed 4-byte items: read in place at width 4,
+        # else widened a byte lane at a time into a read-only column.
+        if width is None:
+            width = take(1)[0]
+            if width not in (1, 2, 4):
+                raise IntegrityError(f"width code {width}, not 1, 2 or 4")
+        if width == 4:
+            return _items(take(4 * count), fmt)
+        narrow = bytes(take(width * count))  # bytes: a strided memoryview copies an item at a time
+        wide = bytearray(4 * count)
+        for j in range(width):
+            wide[j::4] = narrow[j::width]
+        return _items(memoryview(wide), fmt).toreadonly()
 
     bases: list[tuple[tuple[int, int], ...]] = []
 
@@ -784,52 +857,69 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
         bases.append(tuple(zip(edges[0::2], edges[1::2])))
         return bases[-1]
 
-    tokens = _items(take(4 * n), "i")
     if version == RANGES_VERSION:
-        segments = take(n)
-        turns = take_u32(1)[0]
+        tokens = take_uints(n, None, "i")
+        codes = take(take_uints(1)[0])  # the segment runs' codes, then their lengths
+        runs = take_uints(len(codes), None)
+        if sum(runs) != n:
+            raise IntegrityError(f"the segment runs sum to {sum(runs)} tokens, not {n}")
+        segments = memoryview(b"".join(bytes((c,)) * k for c, k in zip(codes, runs)))
+    else:
+        tokens = take_uints(n, 4, "i")
+        if version == 4:
+            segments = codes = take(n)
+    if version >= 4:
+        turns = take_uints(1)[0]
         # Each turn takes 12 bytes or more, and turn_of holds its number.
         if turns > min(_MAX_TURNS + 1, (len(payload) - pos) // 12):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds, gens = [0], []
         for turn in range(turns):
-            count, gen, ranges = take_u32(3)
+            count, gen, ranges = take_uints(3)
             if gen > count:
                 raise IntegrityError(f"turn {turn}: {gen} leading generated tokens of its {count}")
             bounds.append(bounds[-1] + count)
             gens.append(gen)
-            add_base(take_u32(2 * ranges).tolist())
+            add_base(take_uints(2 * ranges).tolist())
         if bounds[-1] != n:
             raise IntegrityError(f"the turns' token counts sum to {bounds[-1]}, not {n}")
     else:
-        positions = _items(take(4 * n), "i")
+        positions = take_uints(n, 4, "i")
         loss = take(n)
         if loss.tobytes().translate(None, b"\x00\x01"):
             raise IntegrityError("loss column holds a byte other than 0 and 1")
-        segments = take(n)
+        segments = codes = take(n)
         turn_of = _items(take(2 * n), "H")
         turn_list = turn_of.tolist()
         if turn_list != sorted(turn_list):
             raise IntegrityError("turn_of decreases")
+    stray = codes.tobytes().translate(None, _SEGMENT_BYTES)
+    if stray:
+        raise IntegrityError(f"segment code {stray[0]} names no segment")
     if version == 3:  # ranges, each turn's count and pairs after the columns
-        turns = take_u32(1)[0]
+        turns = take_uints(1)[0]
         if turns > min(_MAX_TURNS + 1, (len(payload) - pos) // 4) or (n and turn_list[-1] >= turns):
             raise IntegrityError(f"mask payload truncated or short of turns: {turns} turns")
         bounds = _bounds(turn_list, turns)
         for _ in range(turns):
-            add_base(take_u32(2 * take_u32(1)[0]).tolist())
+            add_base(take_uints(2 * take_uints(1)[0]).tolist())
     strings = None
     if fmt == "ranges":
-        ends = list(accumulate(take_u32(take_u32(1)[0])))
-        table = bytes(take(ends[-1] if ends else 0))
-        try:
-            strings = tuple(
-                table[a:b].decode("utf-8", "surrogatepass") for a, b in zip([0] + ends, ends)
-            )
-        except UnicodeDecodeError as exc:
-            raise IntegrityError(f"string table is not UTF-8: {exc}") from None
-        ids = set(tokens)
-        if ids and (min(ids) < 0 or max(ids) >= len(strings)):
+        count = take_uints(1)[0]
+        if version == RANGES_VERSION:  # code-point lengths, then the text to the end
+            ends = list(accumulate(take_uints(count, None)))
+            text = _utf8(take(len(payload) - pos))
+        else:  # byte lengths, each entry decoded alone
+            ends = list(accumulate(take_uints(count)))
+            text = bytes(take(ends[-1] if ends else 0))
+        total = ends[-1] if ends else 0
+        if len(text) != total:
+            raise IntegrityError(f"string table lengths sum to {total}, not the {len(text)} code points of its text")
+        strings = tuple([text[a:b] for a, b in zip([0] + ends, ends)])
+        if version < RANGES_VERSION:
+            strings = tuple(map(_utf8, strings))
+        # A negative id reads as a u32 past any table.
+        if n and max(tokens.cast("B").cast("I")) >= len(strings):
             raise IntegrityError("token id outside the string table")
     else:
         # Each turn's base is the runs of its first row. The turn's rows are
@@ -854,18 +944,18 @@ def import_masks(data: bytes) -> tuple[StitchedTrajectory, Mask2D, Mask1D, dict]
                     raise IntegrityError(_not_plus_one(a + int(bad[0]), turn))
             else:
                 first = pos
-                base = add_base(_joined((k, k + 1) for k in take_u32(take_u32(1)[0])))
+                base = add_base(_joined((k, k + 1) for k in take_uints(take_uints(1)[0])))
                 pos = first  # the first row is compared too, with the rest
                 for k, row in enumerate(_turn_rows(base, a, b), a):
                     # Compared as bytes, a memcmp, where comparing items is not.
-                    if take_u32(1)[0] != len(row) or take_u32(len(row)).tobytes() != row.tobytes():
+                    if take_uints(1)[0] != len(row) or take_uints(len(row)).tobytes() != row.tobytes():
                         raise IntegrityError(_not_plus_one(k, turn))
     if pos != len(payload):
         raise IntegrityError("mask payload has trailing bytes")
-    if version != RANGES_VERSION:  # each turn's generated count is its leading run of loss 1s
+    if version < 4:  # each turn's generated count is its leading run of loss 1s
         gens = [len(f) - len(f.lstrip(b"\x01")) for f in (loss[a:b].tobytes() for a, b in zip(bounds, bounds[1:]))]
     stitched = StitchedTrajectory(tokens, segments, tuple(bounds), tuple(gens), tuple(bases), strings)
-    if version != RANGES_VERSION:
+    if version < 4:
         for got, name in ((loss, "generated"), (positions, "positions")):
             want = _packed(stitched, name)
             if got != want:

@@ -150,8 +150,8 @@ def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
     """Re-sign a mask container so only the hash check itself stays honest.
 
     Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
-    the other header fields, then the payload; version 4 hashes its u16
-    version before them.
+    the other header fields, then the payload; from version 4 the u16
+    version comes before them.
     """
     header = {k: v for k, v in header.items() if k != "sha256"}
     signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
@@ -169,3 +169,38 @@ def re_signed(blob: bytes, edit) -> bytes:
     payload = bytearray(payload)
     edit(payload, header["n"])
     return forge(header, bytes(payload), struct.unpack_from("<H", blob, 8)[0])
+
+
+WIDTH_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def v5_parts(payload: bytes, n: int) -> dict:
+    """Split a version 5 ranges payload into its parts: the token ids, the
+    segment runs' codes and lengths, each turn's [token count, generated
+    count, (start, end) pairs], the string table's code-point lengths and
+    its text; and at, the offsets where the runs, the turns and the table
+    start."""
+    parts, at = {"at": {}}, 0
+
+    def uints(count: int, width: int | None = None) -> list[int]:
+        nonlocal at
+        if width is None:  # a width-coded field
+            width, at = payload[at], at + 1
+        values = list(struct.unpack_from(f"<{count}{WIDTH_FORMATS[width]}", payload, at))
+        at += width * count
+        return values
+
+    parts["tokens"] = uints(n)
+    parts["at"]["runs"] = at
+    runs = uints(1, 4)[0]
+    parts["codes"], at = list(payload[at : at + runs]), at + runs
+    parts["runs"] = uints(runs)
+    parts["at"]["turns"] = at
+    parts["turns"] = []
+    for _ in range(uints(1, 4)[0]):
+        count, gen, ranges = uints(3, 4)
+        parts["turns"].append([count, gen, list(zip(*[iter(uints(2 * ranges, 4))] * 2))])
+    parts["at"]["table"] = at
+    parts["lengths"] = uints(uints(1, 4)[0])
+    parts["text"] = payload[at:].decode("utf-8", "surrogatepass")
+    return parts

@@ -21,7 +21,7 @@ from memroll import RolloutConfig, ScriptedEnv, export_masks, import_masks, load
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 from memroll.rollout import RolloutError, load_turns, replay_contexts
 
-from helpers import re_signed, scrub_times
+from helpers import re_signed, scrub_times, v5_parts
 
 QUERY = "Let me look this up. <IS>narrowing it down</IS><query>lookup the fact</query>"
 ANSWER = "<IS>confident now</IS><answer>answer 0</answer>"
@@ -1010,11 +1010,8 @@ class TestExportMasks:
         assert code == EXIT_OK
 
         def damaged(stitched, mask2d, *args, **kwargs):
-            # Each turn's counts and ranges follow the tokens, the segments
-            # and the turn count.
-            at = 5 * stitched.n + 4
-
             def edit(payload, n):
+                at = v5_parts(payload, n)["at"]["turns"] + 4  # each turn's counts and ranges, after their count
                 words = []
                 for base in mask2d.bases:
                     if damage == "shifted":

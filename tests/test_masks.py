@@ -15,7 +15,7 @@ import subprocess
 import sys
 import threading
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from memroll.cli import read_archive
 from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
-from helpers import container_parts, forge, random_episode, re_signed, scripted_episode
+from helpers import WIDTH_FORMATS, container_parts, forge, random_episode, re_signed, scripted_episode, v5_parts
 
 HEAD = SEGMENT_CODES["head"]
 IS = SEGMENT_CODES["is"]
@@ -639,7 +639,10 @@ class TestRecordsCheck:
         k = int(np.flatnonzero(st.segments == ANSWER)[-1])
         texts = {int(t): counter.decode([int(t)]) for t in st.tokens}
         other = next(t for t, text in texts.items() if text[:1] != texts[int(st.tokens[k])][:1])
-        forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * k, other))
+        if fmt == "ranges":  # the ids are narrowed
+            forged = forged_v5(lambda parts: parts["tokens"].__setitem__(k, other), blob)
+        else:
+            forged = re_signed(blob, lambda payload, n: struct.pack_into("<i", payload, 4 * k, other))
         self.refused(record, forged, counter, f"token {k} (turn 3): generated tokens decode to other text")
 
     def test_loss_on_an_info_token(self, fmt):
@@ -650,15 +653,14 @@ class TestRecordsCheck:
         def edit(payload, n):
             payload[8 * n + k] = 1
 
-        def one_more_generated(payload, n):
+        def one_more_generated(parts):
             # A ranges container derives the loss from each turn's count of
             # leading generated tokens.
-            tokens, segments, turns, lengths, table = v4_parts(bytes(payload), n)
-            turns[1][1] += 1
-            payload[:] = v4_payload(tokens, segments, turns, lengths, table)
+            parts["turns"][1][1] += 1
 
         message = f"token {k} (turn 1): generated tokens decode to other text"
-        self.refused(record, re_signed(blob, one_more_generated if fmt == "ranges" else edit), counter, message)
+        forged = forged_v5(one_more_generated, blob) if fmt == "ranges" else re_signed(blob, edit)
+        self.refused(record, forged, counter, message)
 
     def test_shifted_position(self, fmt):
         # A ranges container derives the positions; a version 3 one, still
@@ -875,6 +877,8 @@ def valid_container(fmt: str) -> bytes:
     st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(72), turns=3))
     if fmt == "ranges_v3":
         return v3_ranges(st, mask2d, mask1d, counter.name)
+    if fmt == "ranges_v4":
+        return v4_ranges(st, counter.name)
     return export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
 
 
@@ -948,6 +952,46 @@ def v4_payload(tokens: bytes, segments: bytes, turns: list, lengths: list, table
         words += [count, gen, len(ranges), *chain.from_iterable(ranges)]
     words += [len(lengths), *lengths]
     return tokens + segments + struct.pack(f"<{len(words)}I", *words) + table
+
+
+def v4_ranges(st, counter_id: str) -> bytes:
+    """The version 4 ranges container of a sequence, as version 4 wrote it."""
+    encoded = [text.encode("utf-8", "surrogatepass") for text in st.strings]
+    turns = [[b - a, g, list(base)] for base, a, b, g in zip(st.bases, st.bounds, st.bounds[1:], st.gens)]
+    payload = v4_payload(
+        st.tokens.astype("<i4").tobytes(), st.segments.tobytes(), turns, list(map(len, encoded)), b"".join(encoded)
+    )
+    return forge({"n": st.n, "counter_id": counter_id, "format": "ranges"}, payload, 4)
+
+
+def v5_payload(parts: dict, widths: dict | None = None) -> bytes:
+    """A version 5 ranges payload of parts (as v5_parts gives them), each
+    width-coded field (tokens, runs, lengths) at the narrowest width that
+    holds it, or at the width widths gives it."""
+
+    def coded(name: str) -> bytes:
+        values = parts[name]
+        width = (widths or {}).get(name) or next(w for w in (1, 2, 4) if max(values, default=0) < 1 << 8 * w)
+        return bytes((width,)) + struct.pack(f"<{len(values)}{WIDTH_FORMATS[width]}", *values)
+
+    words = [len(parts["turns"])]
+    for count, gen, ranges in parts["turns"]:
+        words += [count, gen, len(ranges), *chain.from_iterable(ranges)]
+    return b"".join((
+        coded("tokens"), struct.pack("<I", len(parts["codes"])), bytes(parts["codes"]), coded("runs"),
+        struct.pack(f"<{len(words) + 1}I", *words, len(parts["lengths"])), coded("lengths"),
+        parts["text"].encode("utf-8", "surrogatepass"),
+    ))
+
+
+def forged_v5(edit, blob: bytes | None = None, widths: dict | None = None) -> bytes:
+    """blob, the version 5 ranges test container by default, with
+    edit(parts) applied to its parts (see v5_parts), re-signed; bytes are
+    appended if edit returns them."""
+    header, payload = container_parts(blob or valid_container("ranges"))
+    parts = v5_parts(payload, header["n"])
+    extra = edit(parts) or b""
+    return forge(header, v5_payload(parts, widths) + extra, RANGES_VERSION)
 
 
 class TestMalformedContainers:
@@ -1047,22 +1091,26 @@ class TestMalformedContainers:
                 _items(memoryview(bytes(2 * size + cut)), fmt)
         assert _items(memoryview(bytes(2 * size)), fmt).tolist() == [0, 0]
 
-    @pytest.mark.parametrize("layout", ["ranges", "ranges_v3", "dense_bitpack", "index_list"])
+    @pytest.mark.parametrize("layout", ["ranges", "ranges_v4", "ranges_v3", "dense_bitpack", "index_list"])
     def test_resigned_random_edits_are_refused_or_sound(self, layout):
         # Anyone can re-sign a container, so import must hold up without
         # the hash: after a random edit to the payload, it either raises
         # IntegrityError or gives a sequence whose derived columns and masks
         # build. Edits: a byte, a u32 of a telling value (aligned to the
-        # layout's u32 words), a cut, an insert; each in the tokens column,
-        # the words that give the turns and rows, or anywhere.
+        # layout's u32 words), a cut, an insert; each in the tokens, the
+        # words that give the turns and rows, or anywhere.
         blob = valid_container(layout)
         header, payload = container_parts(blob)
         version, n = struct.unpack_from("<H", blob, 8)[0], header["n"]
-        words, end = 5 * n if layout == "ranges" else 12 * n, len(payload)
-        if layout.startswith("ranges"):  # the words stop where the string table's count starts
-            lengths, table = (v4_parts if layout == "ranges" else ranges_parts)(payload, n)[-2:]
+        if layout == "ranges":  # the tokens are width-coded, the turns' words follow the segment runs
+            at = v5_parts(payload, n)["at"]
+            tokens, words, end = at["runs"], at["turns"], at["table"]
+        else:
+            tokens, words, end = 4 * n, 5 * n if layout == "ranges_v4" else 12 * n, len(payload)
+        if layout in ("ranges_v4", "ranges_v3"):  # the words stop where the string table's count starts
+            lengths, table = (v4_parts if layout == "ranges_v4" else ranges_parts)(payload, n)[-2:]
             end -= len(table) + 4 * (len(lengths) + 1)
-        regions = [(0, 4 * n), (words, end), (0, len(payload))]
+        regions = [(0, tokens), (words, end), (0, len(payload))]
         rng = random.Random(f"edits of {layout}")
         outcomes = {"refused": 0, "read": 0}
         for _ in range(600):
@@ -1105,11 +1153,11 @@ def forged_v4(edit) -> bytes:
     """The version 4 ranges test container with edit(tokens, turns, lengths,
     table) applied to its parts, re-signed, and bytes appended if edit
     returns them."""
-    header, payload = container_parts(valid_container("ranges"))
+    header, payload = container_parts(valid_container("ranges_v4"))
     tokens, segments, turns, lengths, table = v4_parts(payload, header["n"])
     tokens, table = bytearray(tokens), bytearray(table)
     extra = edit(tokens, turns, lengths, table) or b""
-    return forge(header, v4_payload(bytes(tokens), segments, turns, lengths, bytes(table)) + extra, RANGES_VERSION)
+    return forge(header, v4_payload(bytes(tokens), segments, turns, lengths, bytes(table)) + extra, 4)
 
 
 def _id_past_table(header, columns, turns, lengths, table):
@@ -1202,10 +1250,42 @@ def _v4_more_turns_than_turn_of_holds(tokens, turns, lengths, table):
     turns += [[0, 0, []] for _ in range((1 << 16) + 1 - len(turns))]
 
 
+def _v5_runs_past_n(parts):
+    parts["runs"][-1] += 1
+
+
+def _v5_runs_short_of_n(parts):
+    parts["runs"][0] -= 1
+
+
+def _v5_lengths_past_text(parts):
+    parts["lengths"][-1] += 1
+
+
+def _v5_lengths_short_of_text(parts):
+    parts["lengths"][1] -= 1
+
+
+def _v5_id_past_table(parts):
+    parts["tokens"][0] = len(parts["lengths"])
+
+
+def _v5_counts_past_n(parts):
+    parts["turns"][-1][0] += 1
+
+
+def _v5_generated_past_count(parts):
+    parts["turns"][1][1] = parts["turns"][1][0] + 1
+
+
+def _v5_table_not_utf8(parts):
+    return b"\xff"  # the text runs to the end of the payload
+
+
 class TestRangesContainer:
     def test_version_follows_the_format(self):
         versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
-        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 4}
+        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 5}
 
     def test_import_holds_ranges_and_string_table(self, monkeypatch):
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(73), turns=4))
@@ -1223,10 +1303,22 @@ class TestRangesContainer:
     def test_size_formula(self):
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(74), turns=5))
         _, payload = container_parts(export_masks(st, mask2d, mask1d, counter.name, "ranges"))
+
+        def width(values) -> int:  # the narrowest of 1, 2 and 4 bytes that holds every value
+            return next(w for w in (1, 2, 4) if max(values, default=0) < 1 << 8 * w)
+
+        runs = [len(list(run)) for _, run in groupby(st.segments.tolist())]
+        lengths = list(map(len, st.strings))
         ranges = sum(len(base) for base in st.bases)
-        table = sum(len(text.encode("utf-8")) for text in st.strings)
-        expected = 5 * st.n + 4 + 12 * len(st.bases) + 8 * ranges + 4 + 4 * len(st.strings) + table
+        table = len("".join(st.strings).encode("utf-8"))
+        expected = (
+            1 + width(st.tokens.tolist()) * st.n
+            + 4 + len(runs) + 1 + width(runs) * len(runs)
+            + 4 + 12 * len(st.bases) + 8 * ranges
+            + 4 + 1 + width(lengths) * len(lengths) + table
+        )
         assert len(payload) == expected
+        assert len(runs) < st.n / 10  # segments come in long runs
 
     def test_lone_surrogates_survive_the_string_table(self):
         task = composite_from_tasks([Task("q1", "Which \ud800 glyph?", ["x"])])
@@ -1308,23 +1400,32 @@ class TestRangesContainer:
                 import_masks(forge(header, payload, version))
 
     def test_forged_but_sound_container_is_read(self):
+        # The test-side writers give export's bytes, and a re-signed
+        # container read back as written is read.
         blob = forged_ranges(lambda *parts: None)
         assert blob == valid_container("ranges_v3")
-        assert forged_v4(lambda *parts: None) == valid_container("ranges")
+        assert forged_v4(lambda *parts: None) == valid_container("ranges_v4")
+        assert forged_v5(lambda parts: None) == valid_container("ranges")
 
     def test_version_3_reads_as_version_4(self):
-        # A version 3 container, which holds every column, and the version 4
-        # export of the same trajectory, which derives three of them, import
-        # to the same columns, mask, loss and string table.
+        # A version 3 container, which holds every column, a version 4 one,
+        # which derives three of them, and the version 5 export of the same
+        # trajectory, which also stores each part narrowed, import to the
+        # same sequence, mask and loss.
         for seed in range(12):
             st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
-            st3, mask3, loss3, _ = import_masks(v3_ranges(st, mask2d, mask1d, counter.name))
-            st4, mask4, loss4, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name))
-            for name in COLUMNS:
-                assert _packed(st3, name) == _packed(st4, name) == _packed(st, name), (seed, name)
-            assert _packed(loss3, "loss") == _packed(loss4, "loss") == _packed(mask1d, "loss")
-            assert (mask3.bases, mask3.bounds) == (mask4.bases, mask4.bounds) == (mask2d.bases, mask2d.bounds)
-            assert st3.bases == st4.bases and st3.strings == st4.strings == st.strings
+            blobs = (
+                v3_ranges(st, mask2d, mask1d, counter.name),
+                v4_ranges(st, counter.name),
+                export_masks(st, mask2d, mask1d, counter.name),
+            )
+            for version, blob in zip((3, 4, 5), blobs):
+                assert struct.unpack_from("<H", blob, 8)[0] == version
+                st2, mask2, loss2, _ = import_masks(blob)
+                assert st2 == st and loss2 == mask1d, (seed, version)
+                for name in COLUMNS:
+                    assert _packed(st2, name) == _packed(st, name), (seed, version, name)
+                assert (mask2.bases, mask2.bounds) == (mask2d.bases, mask2d.bounds)
 
     @pytest.mark.parametrize("column", ["positions", "turn_of", "generated", "loss"])
     def test_export_refuses_columns_it_would_not_give_back(self, column):
@@ -1365,11 +1466,12 @@ class TestRangesContainer:
             verify_masks(record, st, short, counter)
 
     def test_version_byte_is_covered_by_the_hash(self):
-        # Both 3 and 4 hold ranges, so from version 4 the hash covers the
-        # version: a flip between them is a hash mismatch.
-        blob = valid_container("ranges")
-        with pytest.raises(IntegrityError, match="hash"):
-            import_masks(blob[:8] + struct.pack("<H", 3) + blob[10:])
+        # Versions 3, 4 and 5 all hold ranges, so from version 4 the hash
+        # covers the version: a flip between them is a hash mismatch.
+        for layout, other in (("ranges", 3), ("ranges", 4), ("ranges_v4", 3), ("ranges_v4", 5)):
+            blob = valid_container(layout)
+            with pytest.raises(IntegrityError, match="hash"):
+                import_masks(blob[:8] + struct.pack("<H", other) + blob[10:])
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1392,6 +1494,87 @@ class TestRangesContainer:
     def test_signed_but_unsound_v4_container_rejected(self, edit, message):
         with pytest.raises(IntegrityError, match=message):
             import_masks(forged_v4(edit))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_v5_runs_past_n, "segment runs sum to"),
+            (_v5_runs_short_of_n, "segment runs sum to"),
+            (_v5_lengths_past_text, "string table lengths sum to"),
+            (_v5_lengths_short_of_text, "string table lengths sum to"),
+            (_v5_id_past_table, "outside the string table"),
+            (_v5_counts_past_n, "token counts sum to"),
+            (_v5_generated_past_count, "leading generated tokens of its"),
+            (_v5_table_not_utf8, "UTF-8"),
+        ],
+        ids=[
+            "runs-past-n", "runs-short-of-n", "lengths-past-text", "lengths-short-of-text", "id-past-table",
+            "counts-past-n", "generated-past-count", "table-not-utf8",
+        ],
+    )
+    def test_signed_but_unsound_v5_container_rejected(self, edit, message):
+        with pytest.raises(IntegrityError, match=message):
+            import_masks(forged_v5(edit))
+
+    @pytest.mark.parametrize("field", ["tokens", "runs", "lengths"])
+    @pytest.mark.parametrize("code", [0, 3, 8, 255])
+    def test_width_code_other_than_1_2_or_4_rejected(self, field, code):
+        header, payload = container_parts(valid_container("ranges"))
+        parts = v5_parts(payload, header["n"])
+        at = {"tokens": 0, "runs": parts["at"]["runs"] + 4 + len(parts["codes"]), "lengths": parts["at"]["table"] + 4}
+        payload = bytearray(payload)
+        assert payload[at[field]] in (1, 2, 4)
+        payload[at[field]] = code
+        with pytest.raises(IntegrityError, match=f"width code {code}, not 1, 2 or 4"):
+            import_masks(forge(header, bytes(payload), RANGES_VERSION))
+
+    @pytest.mark.parametrize(
+        "strings, ids, longest, widths",
+        [
+            (2, [0, 1, 1], 1, (1, 1, 1)),  # a tiny table
+            (300, [299, 0, 5], 1, (2, 1, 1)),
+            (2, [1, 0], 300, (1, 1, 2)),  # an entry of 300 code points
+            (70_000, [0, 69_999, 65_536], 1, (4, 1, 1)),  # ids past u16
+        ],
+        ids=["width-1", "ids-width-2", "lengths-width-2", "ids-width-4"],
+    )
+    def test_widths_follow_the_data(self, strings, ids, longest, widths):
+        # Each width-coded field takes the narrowest width that holds it:
+        # 1 for a tiny table, 4 for ids past 65,535. Read back, the sequence
+        # is the one written, and a container with every field wider than
+        # it needs is read too.
+        n = len(ids)
+        table = ("x" * longest, *(chr(0x4E00 + i % 20_000) for i in range(1, strings)))
+        st = StitchedTrajectory(
+            tokens=array("i", ids), segments=array("B", [HEAD] * (n - 1) + [GLUE]),
+            bounds=(0, n - 1, n), gens=(0, 1), bases=((), ((0, n - 1),)), strings=table,
+        )
+        blob = export_masks(st, *build_masks(st), "c")
+        _, payload = container_parts(blob)
+        at = v5_parts(payload, n)["at"]  # each width code: the ids', the runs' (after 2 codes), the lengths'
+        assert (payload[0], payload[at["runs"] + 4 + 2], payload[at["table"] + 4]) == widths
+        st2, mask2, loss2, _ = import_masks(blob)
+        assert st2 == st and (mask2.bases, loss2) == (st.bases, build_masks(st)[1])
+        wide = forged_v5(lambda parts: None, blob, widths={"tokens": 4, "runs": 4, "lengths": 4})
+        assert len(wide) > len(blob) and import_masks(wide)[0] == st
+
+    @pytest.mark.parametrize("code", [len(SEGMENT_NAMES), 200])
+    @pytest.mark.parametrize("layout", ["ranges", "ranges_v4", "ranges_v3", "dense_bitpack", "index_list"])
+    def test_segment_code_that_names_no_segment_rejected(self, layout, code):
+        # Segment codes index SEGMENT_NAMES; a re-signed container with a
+        # code past it is refused in every layout, version 5 once per run.
+        blob = valid_container(layout)
+        if layout == "ranges":
+            forged = forged_v5(lambda parts: parts["codes"].__setitem__(-1, code), blob)
+        else:
+            at = {"ranges_v4": 4}.get(layout, 9)  # the segments follow the tokens, or positions and loss
+
+            def edit(payload, n):
+                payload[at * n + n - 1] = code
+
+            forged = re_signed(blob, edit)
+        with pytest.raises(IntegrityError, match=f"segment code {code} names no segment"):
+            import_masks(forged)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1528,8 +1711,8 @@ def column_sources(seed: int):
     sequence, then the sequence imported from each format."""
     st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
     yield "stitch", st, mask1d, None
-    for fmt in ALL_FORMATS:
-        blob = export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
+    for fmt in ALL_FORMATS + ("ranges_v4",):
+        blob = v4_ranges(st, counter.name) if fmt == "ranges_v4" else export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
         st2, _, loss2, _ = import_masks(blob)
         yield fmt, st2, loss2, blob
 
@@ -1541,6 +1724,8 @@ class TestPackedColumns:
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_columns_are_cached_views_of_their_dtype(self, seed):
         for source, st, mask1d, blob in column_sources(seed):
+            if source == "stitch":
+                stitched_st = st
             owners = [(st, name, dtype) for name, dtype in COLUMNS.items()] + [(mask1d, "loss", np.bool_)]
             for owner, name, dtype in owners:
                 column = getattr(owner, name)
@@ -1551,6 +1736,9 @@ class TestPackedColumns:
                 if name in DERIVED:  # never read from a container
                     assert not column.flags.writeable, (source, name)
                     assert blob is None or not np.shares_memory(column, np.frombuffer(blob, np.uint8))
+                elif source == "ranges":  # stored narrowed: built from the container, read-only
+                    assert not column.flags.writeable and np.array_equal(column, getattr(stitched_st, name))
+                    assert not np.shares_memory(column, np.frombuffer(blob, np.uint8))
                 elif blob is not None:  # imported columns are read in place
                     assert np.shares_memory(column, np.frombuffer(blob, np.uint8))
 
@@ -1593,9 +1781,27 @@ class TestPackedColumns:
                 assert (copied.bases, copied.strings) == (st.bases, st.strings)
             assert np.array_equal(pickle.loads(pickle.dumps(mask1d)).loss, mask1d.loss)
 
+    def test_sequences_compare_by_value(self):
+        # Sequences and loss masks are equal when their fields are, columns
+        # compared item by item, whatever holds them.
+        record = random_episode(random.Random(96))
+        st = stitch(record, WordTokenizer())
+        assert st == stitch(record, WordTokenizer())
+        mask2d, mask1d = build_masks(st)
+        st2, _, loss2, _ = import_masks(export_masks(st, mask2d, mask1d, "c"))
+        assert st2 == st and loss2 == mask1d and not (st2 != st)
+        assert pickle.loads(pickle.dumps(st)) == st and copy.deepcopy(mask1d) == mask1d
+        tokens = st.tokens.copy()
+        tokens[-1] += 1
+        for other in (replace(st, tokens=tokens), replace(st, strings=st.strings[:-1]), replace(st, gens=st.gens[:-1])):
+            assert st != other and other != st
+        assert Mask1D(loss=np.zeros(st.n, bool)) != mask1d
+        assert st != stitch(random_episode(random.Random(95)), WordTokenizer())
+
     def test_records_print_as_the_dataclasses_did(self):
         # Records print in the form the mutable dataclass versions did; they
-        # are frozen, unhashable by their array fields as before.
+        # are frozen, and unhashable on purpose: a column may be a writable
+        # view.
         st = StitchedTrajectory(array("i", [3, 1]), array("B", [0, 2]), (0, 1, 2), (0, 1), ((), ((0, 1),)),
                                 ("a", "b", "", "d"))
         loss = Mask1D(loss=bytearray(b"\x00\x01"))
@@ -1616,26 +1822,30 @@ class TestPackedColumns:
 
     def test_big_endian_host_swaps_the_packed_columns(self, monkeypatch):
         # Packed columns are native, so a big-endian host byteswaps them on
-        # the way out and in; a little-endian host made to swap plays one.
+        # the way out and in; a little-endian host made to swap plays one,
+        # writing every item byteswapped and reading it back as it was.
         st, counter, mask2d, mask1d = full_build(random_episode(random.Random(95)))
-        blob = export_masks(st, mask2d, mask1d, counter.name)
-        monkeypatch.setattr(memroll.masks, "_SWAP", True)
-        swapped = export_masks(st, mask2d, mask1d, counter.name)
-        (_, payload), (_, big) = container_parts(blob), container_parts(swapped)
         n = st.n
-        # tokens, then segments, bytes; then the u32 words, then the table's bytes.
-        words = 1 + sum(3 + 2 * len(base) for base in st.bases) + 1 + len(st.strings)
-        for at, width in ((0, 4 * n), (5 * n, 4 * words)):
-            assert np.array_equal(
-                np.frombuffer(big[at : at + width], ">u4"), np.frombuffer(payload[at : at + width], "<u4")
-            )
-        assert big[4 * n : 5 * n] == payload[4 * n : 5 * n]
-        assert big[5 * n + 4 * words :] == payload[5 * n + 4 * words :]
-        st2, mask2, loss2, _ = import_masks(swapped)
-        for name in COLUMNS:
-            assert _packed(st2, name) == _packed(st, name), name
-        assert _packed(loss2, "loss") == _packed(mask1d, "loss")
-        assert (mask2.bases, st2.strings) == (mask2d.bases, st.strings)
+        for fmt in ("ranges", "index_list"):
+            blob = export_masks(st, mask2d, mask1d, counter.name, fmt)
+            with monkeypatch.context() as patched:
+                patched.setattr(memroll.masks, "_SWAP", True)
+                swapped = export_masks(st, mask2d, mask1d, counter.name, fmt)
+                st2, mask2, loss2, _ = import_masks(swapped)
+            (_, payload), (_, big) = container_parts(blob), container_parts(swapped)
+            if fmt == "ranges":  # byteswapped, each id takes all 4 bytes
+                assert big[0] == 4 and big[1 : 1 + 4 * n] == st.tokens.astype(">i4").tobytes()
+                assert st2 == st and mask2.bases == mask2d.bases
+            else:  # tokens and positions, loss and segments bytes, turn_of, then the u32 rows
+                for at, end, dtype in ((0, 8 * n, "u4"), (10 * n, 12 * n, "u2"), (12 * n, len(payload), "u4")):
+                    assert np.array_equal(
+                        np.frombuffer(big[at:end], ">" + dtype), np.frombuffer(payload[at:end], "<" + dtype)
+                    )
+                assert big[8 * n : 10 * n] == payload[8 * n : 10 * n]
+                assert mask2.same_rows(mask2d)
+            for name in COLUMNS:
+                assert _packed(st2, name) == _packed(st, name), (fmt, name)
+            assert loss2 == mask1d
 
     def test_default_path_leaves_numpy_unloaded(self):
         # stitch, n, build_masks, a ranges export, import and verify run on
@@ -1653,7 +1863,7 @@ class TestPackedColumns:
             "mask2d, mask1d = build_masks(st)\n"
             "st2, mask2, loss2, _ = import_masks(export_masks(st, mask2d, mask1d, counter.name))\n"
             "verify_masks(record, st2, mask2, counter)\n"
-            "print(st.n > 0, st2.n == st.n, 'numpy' in sys.modules)\n"
+            "print(st.n > 0, st2 == st and loss2 == mask1d, 'numpy' in sys.modules)\n"
             "print(int(loss2.loss.sum()) > 0, 'numpy' in sys.modules)\n"
         )
         src = str(Path(memroll.masks.__file__).resolve().parents[1])
@@ -1787,10 +1997,13 @@ class TestExportBytes:
 
     # sha256 over the concatenated containers of random_episode(Random(s)),
     # s = 0..11 (six per context mode), each stitched with a fresh counter.
+    # ranges_v4 is the test-side version 4 writer, pinned to the digest the
+    # version 4 export gave.
     EXPECTED = {
         "dense_bitpack": "9f16160ca78df2bdb17cbb4084216fbbe2b9b4c46dcf06098f00dd85cf85361b",
         "index_list": "efa89d1a92b6d4303e16d192a04e72f2f19b53817bb75aae458bd360954350ea",
-        "ranges": "f54b66db1b82a5ee93283efb87723fa0ab30381a0ddb8467fa319ea178a7e414",
+        "ranges": "c1e4138e2c05cc1f556a10a15c4a9ca25ad70a2ee0b9897385c8f3be21974a09",
+        "ranges_v4": "f54b66db1b82a5ee93283efb87723fa0ab30381a0ddb8467fa319ea178a7e414",
     }
 
     @pytest.mark.parametrize("fmt", sorted(EXPECTED))
@@ -1801,6 +2014,9 @@ class TestExportBytes:
             record = random_episode(random.Random(seed))
             modes.append(record.config.mode)
             st, counter, mask2d, mask1d = full_build(record)
-            digest.update(export_masks(st, mask2d, mask1d, counter.name, fmt=fmt))
+            if fmt == "ranges_v4":
+                digest.update(v4_ranges(st, counter.name))
+            else:
+                digest.update(export_masks(st, mask2d, mask1d, counter.name, fmt=fmt))
         assert sorted(set(modes)) == ["consolidate", "full_append"]
         assert digest.hexdigest() == self.EXPECTED[fmt]
