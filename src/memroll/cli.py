@@ -93,8 +93,6 @@ def _make_policy(spec: str, config: RolloutConfig):
         return ScriptedPolicy.from_file(spec[len("scripted:") :])
     if spec.startswith(("http://", "https://")):
         return HttpPolicy.from_config(config, url=spec)
-    if spec.startswith("http:"):
-        return HttpPolicy.from_config(config, url=spec[len("http:") :])
     raise ConfigError(f"unknown policy spec {spec!r}; use scripted:FILE or an http(s) URL")
 
 
@@ -307,11 +305,10 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     Each trajectory is stitched with a fresh counter, so its token ids index
     its own string table and its bytes depend on nothing exported before it.
     With verify, the container is checked as written: re-imported, it must
-    pass verify_masks against the record and give back every column and the
-    mask: for ranges its exact ranges and the counter's vocabulary as its
-    string table, for the dense formats the same rows. A function of its own
-    so that the mask, the container and the re-imported mask are freed
-    before the next trajectory is built.
+    pass verify_masks against the record and give back the sequence, equal
+    to the stitched one for ranges, with the same rows and columns for the
+    dense formats (which join ranges and hold no table). A function of its
+    own so that what it builds is freed before the next trajectory is built.
     """
     counter = WordTokenizer()
     try:
@@ -321,13 +318,12 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
         if verify:
             re_st, re_mask, _, _ = import_masks(blob)
             verify_masks(record, re_st, re_mask, counter)
-            columns = ("tokens", "positions", "segments", "turn_of", "generated")  # generated is the loss
             if fmt == "ranges":
-                vocabulary = tuple(counter.decode([i]) for i in range(counter.vocab_size()))
-                same = re_mask.bases == mask2d.bases and re_st.strings == vocabulary
+                same = re_st == stitched
             else:
-                same = re_mask.same_rows(mask2d)
-            if not (same and all(_packed(re_st, c) == _packed(stitched, c) for c in columns)):
+                columns = ("tokens", "positions", "segments", "turn_of", "generated")  # generated is the loss
+                same = re_mask.same_rows(mask2d) and all(_packed(re_st, c) == _packed(stitched, c) for c in columns)
+            if not same:
                 raise IntegrityError("export does not round-trip")
     except IntegrityError as exc:
         raise IntegrityError(f"trajectory {record.task.id!r}: {exc}") from None

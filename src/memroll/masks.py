@@ -390,12 +390,11 @@ def stitch(trajectory: TrajectoryRecord, counter: TokenCounter) -> StitchedTraje
     The result keeps the ranges as its bases, each id's text as its strings.
     A trajectory of more turns than turn_of can number raises DataError.
 
-    The string table covers every id the counter has interned, not only the
-    ids this trajectory uses, so stitch each trajectory with a fresh
-    WordTokenizer(), as the export-masks command does. With one counter shared
-    over the twelve records of a search_qa archive, the last record's table
-    held 1,580 entries for the 382 ids it uses, and its ranges container took
-    19,247 bytes against 14,455 with a fresh counter.
+    The string table runs to the largest id the trajectory uses ("" for ids
+    it does not use), so stitch each trajectory with a fresh WordTokenizer(),
+    as export-masks does: with one counter shared over the twelve records of
+    a seed-9 search_qa archive, the last record's table held 1,580 entries
+    for the 382 ids it uses, and its container 8,460 bytes against 7,262.
     """
     turns = trajectory.turns
     if not turns:
@@ -585,11 +584,17 @@ def verify_masks(
 ) -> None:
     """Check a sequence against the records it was stitched from, by the
     check stitch makes on the sequence it builds, once mask is found to be
-    the sequence's own (IntegrityError if not). The counter must decode the
-    whole sequence as its tokens' own texts joined."""
+    the sequence's own (IntegrityError if not). The counter must decode each
+    id as its table entry, if any, and the sequence as its ids' texts joined."""
     _check_own(stitched, mask)
     tokens = _packed(stitched, "tokens").tolist()
     own = {i: counter.decode([i]) for i in set(tokens)}
+    table = stitched.strings
+    bad = [i for i, text in own.items() if table[i] != text] if table is not None else []
+    if bad:
+        k = min(map(tokens.index, bad))
+        i, t = tokens[k], bisect_right(stitched.bounds, k) - 1
+        raise IntegrityError(f"token {k} (turn {t}): table entry {i} is {table[i]!r}, the counter decodes {own[i]!r}")
     pieces = list(map(own.__getitem__, tokens))
     if counter.decode(tokens) != "".join(pieces):
         raise IntegrityError("token counter does not decode the sequence as its tokens' texts joined")
@@ -696,9 +701,8 @@ def export_masks(
     IntegrityError is raised: a container holds one sequence, and each
     format writes what it holds of it. ranges writes the sequence's turns
     and string table, so it needs a sequence from stitch or a ranges
-    container. The string table is the whole vocabulary of the counter the
-    sequence was stitched with; see stitch() for why that counter should be
-    a fresh one.
+    container. Its string table holds the decodes of the counter it was
+    stitched with; see stitch() for why that counter should be a fresh one.
     """
     if fmt not in _VERSIONS:
         raise ValueError(f"unknown mask format {fmt!r}")

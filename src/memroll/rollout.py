@@ -236,10 +236,10 @@ class HttpPolicy:
 
 class RolloutError(RuntimeError):
     """A backend failed to bind to its task or mid-episode; partial holds the
-    turns finished so far."""
+    turns finished so far, and the message names the cause's class."""
 
     def __init__(self, task_id: str, cause: BaseException, partial: tuple[TurnRecord, ...]) -> None:
-        super().__init__(f"rollout for task {task_id!r} failed: {cause}")
+        super().__init__(f"rollout for task {task_id!r} failed: {type(cause).__name__}: {cause}")
         self.task_id = task_id
         self.cause = cause
         self.partial = partial

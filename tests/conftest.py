@@ -2,6 +2,15 @@ from __future__ import annotations
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need hypothesis
+    pass
+else:
+    # CI runs with --hypothesis-profile=ci, so a failing property test prints
+    # the blob that reproduces it (@reproduce_failure).
+    settings.register_profile("ci", print_blob=True)
+
 # Each acceptance test records (criterion, passed, detail) before asserting, so
 # the terminal summary always prints one line per criterion even on failure.
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []

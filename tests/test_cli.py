@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import operator
 import os
+import random
 import re
 import struct
 import subprocess
 import sys
+from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 import memroll
 import memroll.cli
 import memroll.masks
-from memroll import RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
+from memroll import SEGMENT_CODES, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 from memroll.rollout import RolloutError, load_turns, replay_contexts
 
@@ -109,6 +113,18 @@ class TestExitCodes:
              "--env", f"scripted:{env}", "--out", str(tmp_path / "a")]
         )
         assert code == EXIT_USAGE
+
+    def test_rollout_policy_url_without_slashes(self, smoke, capsys):
+        # An http(s) policy is a whole URL; http:HOST/PATH is refused up front
+        # rather than failing every episode.
+        tmp_path, tasks, _, env = smoke
+        code = main(
+            ["rollout", "--in", str(tasks), "--policy", "http:localhost:8000/v1/completions",
+             "--env", f"scripted:{env}", "--out", str(tmp_path / "a")]
+        )
+        assert code == EXIT_USAGE
+        assert "unknown policy spec 'http:localhost:8000/v1/completions'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_rollout_missing_env_file(self, smoke, capsys):
         tmp_path, tasks, script, _ = smoke
@@ -581,7 +597,7 @@ class TestRollout:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [entry["id"] for entry in manifest["trajectories"]] == ["q0", "q2"]
         assert manifest["errors"] == [
-            {"id": "q1", "error": "rollout for task 'q1' failed: nothing bound for q1", "turns": []}
+            {"id": "q1", "error": "rollout for task 'q1' failed: RuntimeError: nothing bound for q1", "turns": []}
         ]
         assert [record.task.id for record in read_archive(out)] == ["q0", "q2"]
         assert "nothing bound for q1" in capsys.readouterr().err
@@ -760,6 +776,71 @@ class TestMalformedTrajectory:
         code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m"), "--verify"])
         assert code == EXIT_DATA
         assert "data error: archive entry 'q0'" in capsys.readouterr().err
+
+
+def json_paths(value, path=()):
+    """The path to every value inside a JSON value, in document order."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from json_paths(item, (*path, key))
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def one_field_edit(rng: random.Random, data) -> str:
+    """Edit one random field of data, a JSON value, in place: delete a key,
+    swap a value's JSON type, insert or drop a character in a string, or
+    change a number. Returns what was done."""
+    path = rng.choice(list(json_paths(data)))
+    parent = reduce(operator.getitem, path[:-1], data)
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["type"] + ["delete"] * isinstance(parent, dict)
+    if isinstance(value, str):
+        kinds += ["insert", "drop"] if value else ["insert"]
+    elif json_type(value) == "number":
+        kinds.append("number")
+    kind = rng.choice(kinds)
+    if kind == "delete":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = rng.choice([v for v in (None, True, 7, 2.5, "x", [], {}) if json_type(v) != json_type(value)])
+    elif kind == "insert":
+        at = rng.randint(0, len(value))
+        parent[key] = value[:at] + rng.choice("x <>/\n") + value[at:]
+    elif kind == "drop":
+        at = rng.randrange(len(value))
+        parent[key] = value[:at] + value[at + 1 :]
+    else:
+        parent[key] = rng.choice([value + 1, value - 1, -value, value * 1000, 0])
+    return f"{kind} at {'/'.join(map(str, path))}"
+
+
+def test_archive_edits_exit_cleanly(smoke, capsys):
+    # One-field edits to a trajectory file: export-masks --verify refuses
+    # one as bad data (2) or an integrity failure (3), or exports it (0);
+    # score skips or scores the trajectory (0). Neither raises.
+    tmp_path, tasks, script, env = smoke
+    archive = tmp_path / "archive"
+    assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+    victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
+    original = victim.read_text()
+    rng = random.Random(3)
+    export_codes, score_codes, escaped = Counter(), Counter(), []
+    for _ in range(300):
+        data = json.loads(original)
+        edit = one_field_edit(rng, data)
+        write_json(victim, data)
+        for command, codes, extra in (("export-masks", export_codes, ["--verify"]), ("score", score_codes, [])):
+            try:
+                codes[main([command, "--archive", str(archive), "--out", str(tmp_path / command), *extra])] += 1
+            except Exception as exc:
+                escaped.append(f"{command} after {edit}: {type(exc).__name__}: {exc}")
+        capsys.readouterr()
+    message = f"export-masks exit codes {dict(export_codes)}, score exit codes {dict(score_codes)}, escaped {escaped[:5]}"
+    assert not escaped and set(export_codes) <= {EXIT_OK, EXIT_DATA, EXIT_INTEGRITY} and set(score_codes) == {EXIT_OK}, message
 
 
 @pytest.mark.parametrize("version", [3, 0, True, "2"])
@@ -1030,6 +1111,49 @@ class TestExportMasks:
         )
         assert code == EXIT_INTEGRITY
         assert message in capsys.readouterr().err
+
+    def test_verify_compares_the_ranges_round_trip(self, smoke, monkeypatch, capsys):
+        # The records check reads no segment label, so a ranges container
+        # whose head is labelled info, re-signed, passes verify_masks; the
+        # round trip, the imported sequence against the stitched one, does not.
+        tmp_path, archive, _, code = self.exported(smoke)
+        assert code == EXIT_OK
+
+        def relabelled(stitched, *args, **kwargs):
+            def edit(payload, n):
+                payload[v5_parts(payload, n)["at"]["runs"] + 4] = SEGMENT_CODES["info"]  # the first run's code
+
+            return re_signed(export_masks(stitched, *args, **kwargs), edit)
+
+        monkeypatch.setattr(memroll.cli, "export_masks", relabelled)
+        argv = ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m8"), "--verify"]
+        assert main(argv) == EXIT_INTEGRITY
+        assert "trajectory 'q0': export does not round-trip" in capsys.readouterr().err
+
+    def test_verify_refuses_a_swapped_table(self, smoke, monkeypatch, capsys):
+        # A written ranges container with two string table entries of one
+        # length swapped, re-signed, imports, and the counter still decodes
+        # its ids to the records; --verify refuses the table with exit 3.
+        tmp_path, archive, _, code = self.exported(smoke)
+        assert code == EXIT_OK
+
+        def swapped(stitched, *args, **kwargs):
+            strings = list(stitched.strings)
+            a, b = strings.index("You"), strings.index("and")
+            strings[a], strings[b] = strings[b], strings[a]
+            text = "".join(strings).encode("utf-8")  # the table's text ends the payload
+
+            def edit(payload, n):
+                payload[len(payload) - len(text) :] = text
+
+            return re_signed(export_masks(stitched, *args, **kwargs), edit)
+
+        monkeypatch.setattr(memroll.cli, "export_masks", swapped)
+        argv = ["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m7")]
+        assert main(argv) == EXIT_OK
+        assert import_masks((tmp_path / "m7" / "q0.mem1mask").read_bytes())[0].strings[0] == "and"
+        assert main(argv + ["--verify"]) == EXIT_INTEGRITY
+        assert "token 0 (turn 0): table entry 0 is 'and', the counter decodes 'You'" in capsys.readouterr().err
 
     def test_more_turns_than_a_sequence_holds_is_data_error(self, smoke, monkeypatch, capsys):
         # A sequence holds the head and 65,535 turns; an episode of more is

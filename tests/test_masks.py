@@ -513,6 +513,28 @@ class TestVerifyMasks:
         with pytest.raises(IntegrityError, match="does not decode the sequence"):
             verify_masks(record, st, mask2d, spaced)
 
+    def test_table_must_be_the_counters_decode(self):
+        # A ranges container carries its string table, so a trainer reads its
+        # texts with no counter. Two entries of one length swapped, re-signed,
+        # import, and the counter still decodes the ids to the records; the
+        # table is refused at the first token that uses a swapped entry.
+        record = scripted_episode(random.Random(51), turns=2)
+        st, counter, mask2d, mask1d = full_build(record)
+        a, b = st.strings.index("You"), st.strings.index("and")
+
+        def swapped(parts):
+            strings = list(st.strings)
+            strings[a], strings[b] = strings[b], strings[a]
+            parts["text"] = "".join(strings)
+
+        blob = forged_v5(swapped, export_masks(st, mask2d, mask1d, counter.name))
+        st2, mask2, _, _ = import_masks(blob)
+        assert st2.strings[a] == "and" and st2.n == st.n
+        k = next(k for k, i in enumerate(st.tokens.tolist()) if i in (a, b))
+        message = f"token {k} (turn 0): table entry {a} is 'and', the counter decodes 'You'"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            verify_masks(record, st2, mask2, counter)
+
     def test_detects_dropped_visibility(self):
         # A bit dropped from every row of a turn keeps each row the previous
         # row plus one token, but the turn's base is then a token shorter
