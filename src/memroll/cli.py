@@ -173,7 +173,7 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
             )
             entries.append({"id": task.id, "file": name, "terminated": result.terminated})
         else:
-            errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial)})
+            errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial, config)})
             print(f"error: {result}", file=sys.stderr)
     manifest = {
         "version": ARCHIVE_VERSION,

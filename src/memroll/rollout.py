@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -32,7 +33,7 @@ from .archive import (
     shared_prefix,
 )
 from .compose import CompositeTask
-from .context import advance, initial_state, inject_hint, render_context
+from .context import advance, initial_state, inject_hint, render_context, replay
 from .core import DataError, RolloutConfig, segment_text
 from .tagparse import Answer, Query, parse_turn
 
@@ -399,11 +400,6 @@ def replay_contexts(trajectory: TrajectoryRecord) -> list[str]:
     context_snapshot fields byte for byte.
     """
     config = trajectory.config
-    task = trajectory.task
-    state = initial_state(task.rendered_prompt, task.prompt_prefix, config.preset, config.mode)
-    contexts = []
-    for turn in trajectory.turns:
-        contexts.append(render_context(state))
-        if turn.parsed.valid:
-            state = advance(state, turn.parsed, turn.info)
-    return contexts
+    turns = trajectory.turns
+    pairs = ((turn.parsed, turn.info) for turn in turns)
+    return list(islice(replay(trajectory.task.rendered_prompt, config.preset, config.mode, pairs), len(turns)))

@@ -23,7 +23,9 @@ import memroll.cli
 import memroll.masks
 from memroll import SEGMENT_CODES, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
-from memroll.rollout import RolloutError, load_turns, replay_contexts
+from memroll.context import replay
+from memroll.core import config_from_mapping
+from memroll.rollout import RolloutError, dump_turns, load_turns, replay_contexts
 
 from helpers import re_signed, scrub_times, v5_parts
 
@@ -276,7 +278,7 @@ class TestStartup:
     REQUIRED = {
         "compose": ("memroll.compose",),
         "rollout": ("memroll.rollout",),
-        "score": ("memroll.metrics", "memroll.archive", "statistics"),
+        "score": ("memroll.metrics", "memroll.archive", "memroll.context", "statistics"),
         "export-masks": ("memroll.masks", "memroll.archive"),
         "export-masks-dense": ("memroll.masks", "numpy"),
         "export-masks-index": ("memroll.masks",),
@@ -290,7 +292,7 @@ class TestStartup:
             ("rollout", ("numpy", "requests", "statistics", "dataclasses", "inspect", "memroll.masks",
                          "memroll.shop")),
             ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "string", "memroll.envs",
-                       "memroll.rollout", "memroll.context")),
+                       "memroll.rollout")),
             ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs",
                               "memroll.rollout", "dataclasses", "inspect")),
             ("export-masks-dense", ("requests", "memroll.envs")),
@@ -576,7 +578,8 @@ class TestRollout:
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         assert len(errors) == 3 and "backend down" in errors[0]["error"]
         for error in errors:
-            assert load_turns(error["turns"], record.config.preset) == record.turns
+            assert [turn["context_snapshot"] for turn in error["turns"][1:]] == [""]
+            assert load_turns(error["turns"], record.config) == record.turns
 
 
     def test_bind_failure_fails_only_its_episode(self, smoke, monkeypatch, capsys):
@@ -727,7 +730,9 @@ class TestScore:
 
 # Each sets one key of trajectory 0 of the smoke archive (a query turn, then
 # an answer turn), or of one of its turns, to a value no rollout writes:
-# case -> (turn index or None for the trajectory, key, value).
+# case -> (turn index or None for the trajectory, key, value or a function of
+# the stored value). Turn 1 stores context_kept as the length of its
+# reference, the context the rule derives from turn 0, so one more is past it.
 MALFORMED = {
     "generation_text_int": (0, "generation", {"text": 7, "finish": "stop"}),
     "snapshot_int": (1, "context_snapshot", 7),
@@ -742,12 +747,12 @@ MALFORMED = {
     "last_turn_invalid_but_answered": (1, "generation", {"text": "no tags", "finish": "eos"}),
     "final_answer_not_the_last_action": (None, "final_answer", "answer 1"),
     "context_kept_on_turn_0": (0, "context_kept", 1),
-    "context_kept_past_the_turn_before": (1, "context_kept", 10**6),
+    "context_kept_past_the_turn_before": (1, "context_kept", lambda kept: kept + 1),
     "context_kept_negative": (1, "context_kept", -1),
     "context_kept_true": (1, "context_kept", True),
     "context_kept_a_float": (1, "context_kept", 3.0),
     "context_kept_a_string": (1, "context_kept", "3"),
-    "version_unknown": (None, "version", 3),
+    "version_unknown": (None, "version", 4),
     "version_a_string": (None, "version", "2"),
 }
 
@@ -764,7 +769,8 @@ class TestMalformedTrajectory:
         victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
         data = json.loads(victim.read_text())
         turn, key, value = MALFORMED[case]
-        (data if turn is None else data["turns"][turn])[key] = value
+        target = data if turn is None else data["turns"][turn]
+        target[key] = value(target[key]) if callable(value) else value
         write_json(victim, data)
         capsys.readouterr()
 
@@ -843,13 +849,13 @@ def test_archive_edits_exit_cleanly(smoke, capsys):
     assert not escaped and set(export_codes) <= {EXIT_OK, EXIT_DATA, EXIT_INTEGRITY} and set(score_codes) == {EXIT_OK}, message
 
 
-@pytest.mark.parametrize("version", [3, 0, True, "2"])
+@pytest.mark.parametrize("version", [4, 0, True, "2"])
 def test_unknown_manifest_version_refused(smoke, capsys, version):
     tmp_path, tasks, script, env = smoke
     archive = tmp_path / "archive"
     assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
     manifest = json.loads((archive / "manifest.json").read_text())
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     write_json(archive / "manifest.json", {**manifest, "version": version})
     capsys.readouterr()
     assert main(["score", "--archive", str(archive), "--out", str(tmp_path / "r")]) == EXIT_DATA
@@ -935,13 +941,14 @@ class TestWholeSnapshotArchive:
         again.mkdir()
         for record, entry in zip(records, manifest["trajectories"], strict=True):
             write_json(again / entry["file"], record.to_dict())
-        write_json(again / "manifest.json", {**manifest, "version": 2})
+        write_json(again / "manifest.json", {**manifest, "version": 3})
         assert read_archive(again) == records
         for entry in manifest["trajectories"]:
             whole = json.loads((self.ARCHIVE / entry["file"]).read_text())
             assert "version" not in whole and not any("context_kept" in t for t in whole["turns"])
             turns = json.loads((again / entry["file"]).read_text())["turns"]
             assert "context_kept" not in turns[0] and all("context_kept" in t for t in turns[1:])
+            assert [t["context_snapshot"] for t in turns[1:]] == [""] * (len(turns) - 1)
             old_size = (self.ARCHIVE / entry["file"]).stat().st_size
             assert (again / entry["file"]).stat().st_size < old_size
         masks = {}
@@ -950,6 +957,59 @@ class TestWholeSnapshotArchive:
             assert main(["export-masks", "--archive", str(archive), "--out", str(out)]) == EXIT_OK
             masks[archive] = {path.name: path.read_bytes() for path in out.iterdir()}
         assert masks[again] == masks[self.ARCHIVE]
+
+
+class TestVersion2Archive:
+    """An archive written at version 2, when each turn stored its snapshot
+    against the previous one: a consolidate episode of a two-objective
+    composite and a full_append one with non-ASCII text, both answered, and
+    the errors entry of an episode whose search failed on its third turn.
+    memroll rollout wrote them; the manifest lists the two trajectories with
+    the first run's config and errors, and the score report is the one it gave."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+    ARCHIVE = DATA / "archive_version_2"
+
+    def test_snapshots_replay(self):
+        records = read_archive(self.ARCHIVE)
+        assert [(r.config.mode, len(r.turns)) for r in records] == [("consolidate", 3), ("full_append", 4)]
+        for record in records:
+            stored = json.loads((self.ARCHIVE / f"{record.task.id}.json").read_text())
+            assert stored["version"] == 2 and any(t["context_snapshot"] for t in stored["turns"][1:])
+            assert [t.context_snapshot for t in record.turns] == replay_contexts(record)
+
+    def test_errors_entry_reads(self):
+        manifest = json.loads((self.ARCHIVE / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        (error,) = manifest["errors"]
+        config = config_from_mapping(manifest["config"])
+        turns = load_turns(error["turns"], config, manifest["version"])
+        assert [t.parsed.action.text for t in turns] == ["lantern keeper", "lantern keeper north"]
+        contexts = replay(turns[0].context_snapshot, config.preset, config.mode, [(turns[0].parsed, turns[0].info)])
+        assert [t.context_snapshot for t in turns] == list(contexts)
+        stored = dump_turns(turns, config)
+        assert stored[1]["context_snapshot"] == "" and load_turns(stored, config) == turns
+
+    def test_score_and_verified_export(self, tmp_path):
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(self.ARCHIVE), "--out", str(prefix)]) == EXIT_OK
+        expected = json.loads((self.DATA / "archive_version_2.score.json").read_text())
+        assert json.loads(Path(str(prefix) + ".json").read_text()) == expected
+        argv = ["export-masks", "--archive", str(self.ARCHIVE), "--out", str(tmp_path / "masks"), "--verify"]
+        assert main(argv) == EXIT_OK
+        assert len(list((tmp_path / "masks").glob("*.mem1mask"))) == 2
+
+    def test_written_again_reads_the_same(self, tmp_path):
+        records = read_archive(self.ARCHIVE)
+        manifest = json.loads((self.ARCHIVE / "manifest.json").read_text())
+        again = tmp_path / "again"
+        again.mkdir()
+        for record, entry in zip(records, manifest["trajectories"], strict=True):
+            write_json(again / entry["file"], record.to_dict())
+            old_size = (self.ARCHIVE / entry["file"]).stat().st_size
+            assert (again / entry["file"]).stat().st_size < old_size
+        write_json(again / "manifest.json", {**manifest, "version": 3})
+        assert read_archive(again) == records
 
 
 class TestExportMasks:

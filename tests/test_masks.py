@@ -712,10 +712,10 @@ class TestRecordsCheck:
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("archive", ["archive_with_derived_fields", "archive_with_whole_snapshots"])
+@pytest.mark.parametrize("archive", ["archive_with_derived_fields", "archive_with_whole_snapshots", "archive_version_2"])
 def test_committed_archives_export_and_verify(archive, fmt):
-    # Both committed archives are version 1; each is also written again as
-    # version 2 and read back.
+    # The committed archives are version 1, but for archive_version_2; each
+    # is also written again at the current version and read back.
     records = read_archive(DATA / archive)
     again = [TrajectoryRecord.from_dict(record.to_dict()) for record in records]
     assert again == records

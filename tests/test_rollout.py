@@ -32,7 +32,8 @@ from memroll import (
     run_rollout,
 )
 from memroll.envs import Corpus, Doc
-from memroll.rollout import load_turns, shared_prefix
+from memroll.core import replace
+from memroll.rollout import dump_turns, load_turns, shared_prefix
 
 from helpers import make_composite, random_episode, scripted_episode, scrub_times
 import random
@@ -418,10 +419,15 @@ class TestRecordRoundTrips:
             assert TurnRecord.from_dict(turn.to_dict(), turn.index, record.config.preset) == turn
 
     def test_turn_stores_only_what_was_observed(self):
+        # Turn 0 whole; each later turn as a count of the characters of the
+        # context the rule derives from the turn before, and nothing else.
         record = scripted_episode(random.Random(7), mode="full_append", turns=3, ending="invalid")
+        contexts = replay_contexts(record)
         for index, turn in enumerate(record.to_dict()["turns"]):
             kept = ["context_kept"] if index else []
             assert sorted(turn) == [*kept, "context_snapshot", "env_reward", "generation", "info"]
+            if index:
+                assert (turn["context_kept"], turn["context_snapshot"]) == (len(contexts[index]), "")
 
 
 # Short strings, mostly over a few characters so that prefixes are often
@@ -432,24 +438,72 @@ _SHORT = st.text(
 )
 
 
+def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryRecord, int]:
+    """record with one character inserted into, deleted from or replaced in
+    one turn's snapshot, and that turn's index."""
+    index = rng.randrange(len(record.turns))
+    snapshot = record.turns[index].context_snapshot
+    at = rng.randrange(len(snapshot) + 1)
+    kind = rng.choice(["insert", "delete", "replace"]) if at < len(snapshot) else "insert"
+    char = rng.choice([c for c in "x<>/\n \u00e9\u4e2d\U0001f600" if c != snapshot[at : at + 1]])
+    snapshot = snapshot[:at] + (char if kind != "delete" else "") + snapshot[at + (kind != "insert") :]
+    turns = list(record.turns)
+    turns[index] = replace(turns[index], context_snapshot=snapshot)
+    return replace(record, turns=tuple(turns)), index
+
+
 class TestSnapshotDeltas:
-    """Each written turn stores only what its snapshot adds to the one before."""
+    """Turn 0 stores its snapshot whole; each later turn stores only what its
+    snapshot departs from the context the rule derives from the turn before."""
+
+    @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
+    @pytest.mark.parametrize("ending", ["answer", "turn_limit", "invalid", "env_done"])
+    def test_rollouts_store_nothing_after_turn_0(self, mode, ending):
+        rng = random.Random(f"{mode}/{ending}")
+        if ending == "env_done":
+            script = [f"<IS>s{i}</IS><query>find {i}</query>" for i in range(3)]
+            env = ScriptedEnv(["d one", "d two", {"text": "bought", "reward": 1.0, "done": True}])
+            record = run_rollout(simple_task(), ScriptedPolicy(script), env, RolloutConfig(max_turns=6, mode=mode))
+            assert (record.terminated, len(record.turns)) == ("answered", 3)
+        else:
+            record = scripted_episode(rng, mode=mode, turns=4, ending=ending)
+        data = json.loads(json.dumps(record.to_dict()))
+        assert data["version"] == 3
+        first, *later = data["turns"]
+        assert "context_kept" not in first and first["context_snapshot"] == record.turns[0].context_snapshot
+        assert [turn["context_snapshot"] for turn in later] == [""] * (len(record.turns) - 1)
+        assert TrajectoryRecord.from_dict(data) == record
 
     def test_writer_stores_only_new_characters(self):
+        # New: the characters the rule does not derive, which for a rollout
+        # is turn 0's snapshot alone.
         rng = random.Random(12)
         records = [random_episode(rng) for _ in range(30)]
         assert {r.config.mode for r in records} == {"consolidate", "full_append"}
-        stored = new = 0
         for record in records:
             data = json.loads(json.dumps(record.to_dict()))
-            assert data["version"] == 2
+            assert data["version"] == 3
             assert TrajectoryRecord.from_dict(data) == record
-            stored += sum(len(turn["context_snapshot"]) for turn in data["turns"])
-            previous = ""
-            for turn in record.turns:
-                new += len(turn.context_snapshot) - len(os.path.commonprefix([previous, turn.context_snapshot]))
-                previous = turn.context_snapshot
-        assert stored == new
+            stored = sum(len(turn["context_snapshot"]) for turn in data["turns"])
+            assert stored == len(record.turns[0].context_snapshot)
+
+    def test_a_perturbed_snapshot_round_trips(self):
+        # One turn's snapshot departs from the rule by one character; turn 0
+        # may be the one, and then every later reference departs with it.
+        rng = random.Random(12)
+        modes = set()
+        for _ in range(200):
+            base = random_episode(rng)
+            record, index = perturbed(rng, base)
+            assert record != base
+            modes.add(record.config.mode)
+            data = json.loads(json.dumps(record.to_dict()))
+            assert TrajectoryRecord.from_dict(data) == record
+            assert load_turns(dump_turns(record.turns, record.config), record.config) == record.turns
+            if index:
+                later = [turn["context_snapshot"] for turn in data["turns"][1:]]
+                assert [i for i, stored in enumerate(later, 1) if stored] == [index]
+        assert modes == {"consolidate", "full_append"}
 
     @settings(max_examples=300, deadline=None)
     @given(_SHORT, _SHORT, _SHORT)
@@ -458,12 +512,48 @@ class TestSnapshotDeltas:
             assert shared_prefix(x, y) == len(os.path.commonprefix([x, y]))
 
     def test_a_kept_count_rebuilds_from_the_turn_before(self):
+        # The reference is the context the rule derives from the turn before.
         record = scripted_episode(random.Random(3), mode="full_append", turns=3)
         turns = json.loads(json.dumps(record.to_dict()))["turns"]
-        assert turns[1]["context_kept"] == len(record.turns[0].context_snapshot)
+        reference = replay_contexts(record)[1]
+        assert turns[1]["context_kept"] == len(reference)
         turns[1]["context_kept"] -= 1
-        turns[1]["context_snapshot"] = record.turns[0].context_snapshot[-1] + turns[1]["context_snapshot"]
-        assert load_turns(turns, record.config.preset) == record.turns
+        turns[1]["context_snapshot"] = reference[-1] + turns[1]["context_snapshot"]
+        assert load_turns(turns, record.config) == record.turns
+
+    @pytest.mark.parametrize("text", ["<IS>s</IS><answer>a</answer>", "no tags", "<IS>s</IS><query>q</query>"])
+    def test_a_bad_middle_turn_is_refused_before_the_rule_advances(self, text):
+        # An answer or invalid turn, or a query without info, in the middle:
+        # DataError, never the rule's own ValueError.
+        record = scripted_episode(random.Random(5), mode="consolidate", turns=4)
+        data = json.loads(json.dumps(record.to_dict()))
+        data["turns"][1]["generation"]["text"] = text
+        if "query" in text:
+            data["turns"][1]["info"] = None
+        with pytest.raises(DataError, match="turn 1 reads as"):
+            TrajectoryRecord.from_dict(data)
+
+    def test_a_record_no_rollout_writes_is_written_and_refused_on_reading(self):
+        # A query turn without info in the middle: the rule cannot advance
+        # over it, yet writing succeeds, and reading refuses it as data.
+        record = scripted_episode(random.Random(6), mode="full_append", turns=4)
+        turns = list(record.turns)
+        turns[1] = replace(turns[1], info=None)
+        data = json.loads(json.dumps(replace(record, turns=tuple(turns)).to_dict()))
+        with pytest.raises(DataError, match="turn 1 reads as"):
+            TrajectoryRecord.from_dict(data)
+
+    def test_version_2_reads_against_the_snapshot_before(self):
+        # A turn stored against the previous snapshot, as version 2 wrote it.
+        record = scripted_episode(random.Random(4), mode="consolidate", turns=4)
+        previous, stored = "", []
+        for turn in record.turns:
+            stored.append(turn.to_dict(previous))
+            previous = turn.context_snapshot
+        assert any(turn["context_snapshot"] for turn in stored[1:])
+        assert load_turns(stored, record.config, 2) == record.turns
+        data = {**record.to_dict(), "version": 2, "turns": stored}
+        assert TrajectoryRecord.from_dict(data) == record
 
 
 class TestRunBatch:
