@@ -17,6 +17,7 @@ turn loop in rollout.py.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, repeat, takewhile
 from types import NoneType
 from typing import Sequence
@@ -174,19 +175,24 @@ def load_turns(data: list, config: RolloutConfig, version: int = ARCHIVE_VERSION
     last must be a query with its info, else DataError; each is checked
     before the rule advances over it."""
     turns: list[TurnRecord] = []
+    # The rule's input: the loop hands it each checked turn's (parsed, info)
+    # just before asking for the context after that turn. Asking for one more
+    # context than it was handed raises IndexError rather than ending the replay.
+    fed: deque[tuple[ParsedTurn, str | None]] = deque()
     contexts = None
     for index, item in enumerate(data):
         reference = ""
         if turns:
             if not _continues(turns[-1]):
                 raise _flow_error(turns[-1])
-            reference = turns[-1].context_snapshot if contexts is None else next(contexts)
+            if contexts is None:
+                reference = turns[-1].context_snapshot
+            else:
+                fed.append((turns[-1].parsed, turns[-1].info))
+                reference = next(contexts)
         turns.append(TurnRecord.from_dict(item, index, config.preset, reference))
         if index == 0 and version >= 3:
-            # The pairs are read from turns as it grows, so each reference
-            # comes from the turns read before it.
-            pairs = ((turn.parsed, turn.info) for turn in turns)
-            contexts = replay(turns[0].context_snapshot, config.preset, config.mode, pairs)
+            contexts = replay(turns[0].context_snapshot, config.preset, config.mode, iter(fed.popleft, None))
             next(contexts)  # turn 0's own context
     return tuple(turns)
 

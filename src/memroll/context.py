@@ -94,19 +94,11 @@ def replay(
     turn leaves the context as it was. Lazy: each pair is taken only when the
     context after it is asked for."""
     state = initial_state(head, head, preset, mode)
-    context = render_context(state)
-    yield context
+    yield render_context(state)
     for parsed, info in turns:
         if parsed.valid:
-            before = state.tail
             state = advance(state, parsed, info)
-            # A tail that extends the one before extends the context by the
-            # pieces added: one copy of the context, not two.
-            if state.tail[: len(before)] == before:
-                context += "".join(state.tail[len(before) :])
-            else:
-                context = render_context(state)
-        yield context
+        yield render_context(state)
 
 
 def info_block(info: str | None, preset: TagPreset) -> str:
