@@ -4,27 +4,26 @@ score and export-masks read.
 A trajectory file is TrajectoryRecord.to_dict as JSON. Each turn stores only
 its context snapshot, generation, info and reward; reading derives the rest
 with parse_turn and refuses a trajectory that no rollout could have written.
-A snapshot is stored against a reference: for turn 0 none, so it is stored
-whole; for each later turn the context the context rule (context.replay)
-derives from turn 0's snapshot and the turns before it, so a rollout's later
-turns store "". Turn 0 is never stored against the task's prompt, though it
-repeats it, and every turn keeps its context_snapshot key, "" or not: the
-benchmark's output check (perfbench/run.py) counts turn 0's stored snapshot
-as it stands, and its traced runs read the key from every turn. Reading an
-archive needs this module and the context rule, not the policies and the
-turn loop in rollout.py.
+Turn 0 stores its snapshot whole; each later turn stores only its length, as
+context_kept, and "", because its snapshot is the context the context rule
+(context.advance) derives from the task's prompt and the turns before it.
+Reading rebuilds each snapshot against that context and refuses, as an
+IntegrityError, one that is not it. Turn 0 is never stored against the
+task's prompt, though it repeats it, and every turn keeps its
+context_snapshot key, "" or not: the benchmark's output check
+(perfbench/run.py) counts turn 0's stored snapshot as it stands, and its
+traced runs read the key from every turn. Reading an archive needs this
+module and the context rule, not the policies and the turn loop in rollout.py.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain, repeat, takewhile
 from types import NoneType
 from typing import Sequence
 
 from .compose import CompositeTask, composite_from_dict
-from .context import replay
-from .core import DataError, RolloutConfig, TagPreset, config_from_mapping, record
+from .context import advance, initial_state, render_context
+from .core import DataError, IntegrityError, RolloutConfig, TagPreset, config_from_mapping, record
 from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Generation",
     "TurnRecord",
     "TrajectoryRecord",
-    "shared_prefix",
     "dump_turns",
     "load_turns",
     "check_version",
@@ -40,10 +38,10 @@ __all__ = [
 
 
 _NUMBER = (int, float)
-# The format of trajectory files and manifests. Version 3 stores each turn's
-# snapshot against the context the rule derives from the turn before
-# (dump_turns); version 2 stored it against the previous snapshot, and
-# version 1, which wrote no version key, stored it whole.
+# The format of trajectory files and manifests. Version 3 stores each turn
+# after turn 0 as the length of the context the rule derives from the turns
+# before it (dump_turns); version 2 stored each snapshot against the previous
+# one, and version 1, which wrote no version key, stored it whole.
 ARCHIVE_VERSION = 3
 # How an episode may end, by the action of its last turn.
 _ENDINGS = {Query: ("answered", "turn_limit"), Answer: ("answered",), Invalid: ("invalid",)}
@@ -104,9 +102,9 @@ class TurnRecord:
     def valid(self) -> bool:
         return self.parsed.valid
 
-    def to_dict(self, reference: str = "") -> dict:
-        """The stored form against reference ("" stores the snapshot whole)."""
-        kept = shared_prefix(reference, self.context_snapshot)
+    def to_dict(self, kept: int = 0) -> dict:
+        """The stored form against a reference that holds the snapshot's first
+        kept characters (0 stores the snapshot whole)."""
         data = {"context_snapshot": self.context_snapshot[kept:], "generation": self.generation.to_dict(),
                 "info": self.info, "env_reward": self.env_reward}
         if kept:
@@ -131,21 +129,6 @@ class TurnRecord:
                    data.get("env_reward"))
 
 
-def shared_prefix(a: str, b: str) -> int:
-    """The number of leading characters a and b share. A bisection over
-    str.startswith, so the characters are compared in C."""
-    if b.startswith(a):
-        return len(a)
-    low, high = 0, min(len(a), len(b))
-    while low < high:
-        mid = (low + high + 1) // 2
-        if b.startswith(a[:mid]):
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
 def _continues(turn: TurnRecord) -> bool:
     """Whether an episode can go on after turn: only a query with its info."""
     return isinstance(turn.parsed.action, Query) and turn.info is not None
@@ -155,45 +138,40 @@ def _flow_error(turn: TurnRecord) -> DataError:
     return DataError(f"turn {turn.index} reads as {turn.parsed.action}, info {turn.info!r:.40}")
 
 
-def dump_turns(turns: Sequence[TurnRecord], config: RolloutConfig) -> list[dict]:
-    """The stored form of an episode's turns, run with config: turn 0 whole,
-    each later turn against the context the rule derives from turn 0's
-    snapshot and the turns before it. Turns after one that does not continue
-    the episode, which no rollout writes and reading refuses, are stored whole."""
-    if not turns:
-        return []
-    pairs = ((turn.parsed, turn.info) for turn in takewhile(_continues, turns[:-1]))
-    contexts = replay(turns[0].context_snapshot, config.preset, config.mode, pairs)
-    next(contexts)  # turn 0's own context
-    references = chain([""], contexts, repeat(""))
-    return [turn.to_dict(reference) for turn, reference in zip(turns, references)]
+def dump_turns(turns: Sequence[TurnRecord]) -> list[dict]:
+    """The stored form of an episode's turns: turn 0 whole, each later turn as
+    the length of its snapshot, which load_turns reads against the context the
+    rule derives from the turns before it."""
+    return [turn.to_dict(len(turn.context_snapshot) if index else 0) for index, turn in enumerate(turns)]
 
 
-def load_turns(data: list, config: RolloutConfig, version: int = ARCHIVE_VERSION) -> tuple[TurnRecord, ...]:
-    """Read turns that dump_turns stored at version (version 2 stored each
-    snapshot against the one before, version 1 whole). Every turn but the
-    last must be a query with its info, else DataError; each is checked
-    before the rule advances over it."""
+def load_turns(
+    data: list, config: RolloutConfig, prompt: str, version: int = ARCHIVE_VERSION
+) -> tuple[TurnRecord, ...]:
+    """Read turns that dump_turns stored at version, of an episode run with
+    config on a task whose rendered prompt is prompt. The rule starts from
+    prompt, and each later turn is read against the context it derives from
+    the turns before (version 3), the previous snapshot (version 2) or
+    nothing (version 1). Every turn but the last must be a query with its
+    info, else DataError, checked before the rule advances over it; each
+    snapshot must be the rule's context, else IntegrityError."""
     turns: list[TurnRecord] = []
-    # The rule's input: the loop hands it each checked turn's (parsed, info)
-    # just before asking for the context after that turn. Asking for one more
-    # context than it was handed raises IndexError rather than ending the replay.
-    fed: deque[tuple[ParsedTurn, str | None]] = deque()
-    contexts = None
+    state = initial_state(prompt, prompt, config.preset, config.mode)
+    context = prompt
     for index, item in enumerate(data):
         reference = ""
         if turns:
-            if not _continues(turns[-1]):
-                raise _flow_error(turns[-1])
-            if contexts is None:
-                reference = turns[-1].context_snapshot
-            else:
-                fed.append((turns[-1].parsed, turns[-1].info))
-                reference = next(contexts)
-        turns.append(TurnRecord.from_dict(item, index, config.preset, reference))
-        if index == 0 and version >= 3:
-            contexts = replay(turns[0].context_snapshot, config.preset, config.mode, iter(fed.popleft, None))
-            next(contexts)  # turn 0's own context
+            previous = turns[-1]
+            if not _continues(previous):
+                raise _flow_error(previous)
+            state = advance(state, previous.parsed, previous.info)
+            context = render_context(state)
+            reference = context if version == 3 else previous.context_snapshot if version == 2 else ""
+        turn = TurnRecord.from_dict(item, index, config.preset, reference)
+        if turn.context_snapshot != context:
+            raise IntegrityError(f"turn {index}: its context is not the one the rule derives "
+                                 "from the prompt and the turns before it")
+        turns.append(turn)
     return tuple(turns)
 
 
@@ -222,7 +200,7 @@ class TrajectoryRecord:
         return {
             "version": ARCHIVE_VERSION,
             "task": self.task.to_dict(),
-            "turns": dump_turns(self.turns, self.config),
+            "turns": dump_turns(self.turns),
             "final_answer": self.final_answer,
             "terminated": self.terminated,
             "config": self.config.to_dict(),
@@ -236,12 +214,16 @@ class TrajectoryRecord:
         context_kept longer than its reference, no turns, or turns whose
         parses disagree with how the episode went. Every turn but the last
         is a query, info comes exactly with a query, and the last turn's action
-        decides terminated and, when answered, the final answer."""
+        decides terminated and, when answered, the final answer.
+        IntegrityError refuses a snapshot the policy could not have seen: turn
+        0's must be the task's prompt, and each later one the context the rule
+        derives from the turns before it."""
         _typed(data, {"task": dict, "turns": list, "final_answer": (str, NoneType), "terminated": str,
                       "config": dict, "wall_time_s": _NUMBER})
         version = check_version(data)
         config = config_from_mapping(data["config"])
-        turns = load_turns(data["turns"], config, version)
+        task = composite_from_dict(data["task"])
+        turns = load_turns(data["turns"], config, task.rendered_prompt, version)
         if not turns:
             raise DataError("a trajectory needs at least one turn")
         if isinstance(turns[-1].parsed.action, Query) != (turns[-1].info is not None):
@@ -252,5 +234,4 @@ class TrajectoryRecord:
             raise DataError(f"terminated {terminated!r} cannot follow a last turn read as {action}")
         if final_answer != (action.text if terminated == "answered" else None):
             raise DataError(f"final_answer {final_answer!r} does not follow a last turn read as {action}")
-        task = composite_from_dict(data["task"])
         return cls(task, turns, final_answer, terminated, config, data.get("wall_time_s", 0.0))

@@ -173,7 +173,7 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
             )
             entries.append({"id": task.id, "file": name, "terminated": result.terminated})
         else:
-            errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial, config)})
+            errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial)})
             print(f"error: {result}", file=sys.stderr)
     manifest = {
         "version": ARCHIVE_VERSION,
@@ -199,7 +199,8 @@ def read_archive(path: str | Path) -> list[TrajectoryRecord]:
     records = []
     for entry, loaded in _iter_archive(path):
         if isinstance(loaded, Exception):
-            raise DataError(f"archive entry {entry['id']!r}: {loaded}") from None
+            error = IntegrityError if isinstance(loaded, IntegrityError) else DataError
+            raise error(f"archive entry {entry['id']!r}: {loaded}") from None
         records.append(loaded)
     return records
 
@@ -235,7 +236,7 @@ def _iter_archive(path: str | Path):
         try:
             data = json.loads((root / entry["file"]).read_text(encoding="utf-8"))
             yield entry, TrajectoryRecord.from_dict(data)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, IntegrityError) as exc:
             yield entry, exc
 
 

@@ -12,8 +12,6 @@ context reproduces the string the policy actually saw, byte for byte.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .core import TagPreset, TokenCounter, record, replace
 from .tagparse import Answer, ParsedTurn, Query
 
@@ -23,7 +21,6 @@ __all__ = [
     "initial_state",
     "render_context",
     "advance",
-    "replay",
     "info_block",
     "inject_hint",
     "context_token_len",
@@ -84,21 +81,6 @@ def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> Contex
     else:
         raise ValueError("cannot advance over an invalid turn")
     return replace(state, turn_index=state.turn_index + 1, tail=tail)
-
-
-def replay(
-    head: str, preset: TagPreset, mode: str, turns: Iterable[tuple[ParsedTurn, str | None]]
-) -> Iterator[str]:
-    """The contexts the rule derives from head: head itself, then the context
-    after each of turns, given as (parsed, info) pairs, in order. An invalid
-    turn leaves the context as it was. Lazy: each pair is taken only when the
-    context after it is asked for."""
-    state = initial_state(head, head, preset, mode)
-    yield render_context(state)
-    for parsed, info in turns:
-        if parsed.valid:
-            state = advance(state, parsed, info)
-        yield render_context(state)
 
 
 def info_block(info: str | None, preset: TagPreset) -> str:

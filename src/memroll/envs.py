@@ -753,9 +753,11 @@ class RetrievalEnv:
 class ScriptedEnv:
     """Deterministic test environment that replays canned observations.
 
-    Entries are strings or {"text", "reward", "done"} mappings. Past the end
-    of the script the last observation repeats. by_task selects a dedicated
-    script per task id when the env is bound. Every script must be non-empty.
+    Entries are strings or {"text", "reward", "done"} mappings, whose done
+    must be a boolean and reward a number or None (else ValidationError).
+    Past the end of the script the last observation repeats. by_task selects
+    a dedicated script per task id when the env is bound. Every script must
+    be non-empty.
     """
 
     kind = None
@@ -778,11 +780,12 @@ class ScriptedEnv:
             return entry
         if isinstance(entry, str):
             return Observation(entry)
-        return Observation(
-            str(entry["text"]),
-            reward=entry.get("reward"),
-            done=bool(entry.get("done", False)),
-        )
+        text, reward, done = entry["text"], entry.get("reward"), entry.get("done", False)
+        # type(), not isinstance(): a JSON true reads as True, an int subclass.
+        if type(done) is not bool or not (reward is None or type(reward) in (int, float)):
+            raise ValidationError(f"scripted observation needs a boolean done and a number or null reward, "
+                                  f"got done {done!r}, reward {reward!r}")
+        return Observation(str(text), reward=reward, done=done)
 
     def respond(self, query: str) -> Observation:
         obs = self._script[min(self._cursor, len(self._script) - 1)]
@@ -798,8 +801,10 @@ class ScriptedEnv:
         default, by_task = read_script(path)
         try:
             return cls(default, by_task=by_task)
-        except (KeyError, TypeError, ValidationError):
+        except (KeyError, TypeError):
             raise DataError(f"{path}: expected a list or {{'default': [...], 'by_task': {{...}}}}") from None
+        except ValidationError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def read_script(path: str | Path) -> tuple[list, dict]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -30,10 +29,9 @@ from .archive import (
     check_version,
     dump_turns,
     load_turns,
-    shared_prefix,
 )
 from .compose import CompositeTask
-from .context import advance, initial_state, inject_hint, render_context, replay
+from .context import advance, initial_state, inject_hint, render_context
 from .core import DataError, RolloutConfig, segment_text
 from .tagparse import Answer, Query, parse_turn
 
@@ -125,10 +123,13 @@ class ScriptedPolicy:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedPolicy":
-        """Load a script file in envs.read_script's format; other keys are ignored."""
+        """Load a script file in envs.read_script's format, whose entries must
+        be strings (else DataError); other keys are ignored."""
         from .envs import read_script
 
         default, by_task = read_script(path)
+        if not all(isinstance(text, str) for script in (default, *by_task.values()) for text in script):
+            raise DataError(f"{path}: a scripted policy's entries must be strings")
         return cls(default, by_task=by_task)
 
 
@@ -400,6 +401,10 @@ def replay_contexts(trajectory: TrajectoryRecord) -> list[str]:
     context_snapshot fields byte for byte.
     """
     config = trajectory.config
-    turns = trajectory.turns
-    pairs = ((turn.parsed, turn.info) for turn in turns)
-    return list(islice(replay(trajectory.task.rendered_prompt, config.preset, config.mode, pairs), len(turns)))
+    prompt = trajectory.task.rendered_prompt
+    state = initial_state(prompt, trajectory.task.prompt_prefix, config.preset, config.mode)
+    contexts = [render_context(state)]
+    for turn in trajectory.turns[:-1]:
+        state = advance(state, turn.parsed, turn.info)
+        contexts.append(render_context(state))
+    return contexts

@@ -8,6 +8,7 @@ import operator
 import os
 import random
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -23,7 +24,6 @@ import memroll.cli
 import memroll.masks
 from memroll import SEGMENT_CODES, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
-from memroll.context import replay
 from memroll.core import config_from_mapping
 from memroll.rollout import RolloutError, dump_turns, load_turns, replay_contexts
 
@@ -579,7 +579,7 @@ class TestRollout:
         assert len(errors) == 3 and "backend down" in errors[0]["error"]
         for error in errors:
             assert [turn["context_snapshot"] for turn in error["turns"][1:]] == [""]
-            assert load_turns(error["turns"], record.config) == record.turns
+            assert load_turns(error["turns"], record.config, record.task.rendered_prompt) == record.turns
 
 
     def test_bind_failure_fails_only_its_episode(self, smoke, monkeypatch, capsys):
@@ -784,6 +784,61 @@ class TestMalformedTrajectory:
         assert "data error: archive entry 'q0'" in capsys.readouterr().err
 
 
+# Each edits trajectory 0 of the smoke archive, whose turns follow the
+# context rule, so that a snapshot is one the policy could not have seen:
+# case -> (turn index or None for the trajectory, key, function of the
+# stored value).
+DEPARTED = {
+    "turn_0_not_the_prompt": (0, "context_snapshot", lambda snapshot: snapshot + " "),
+    "turn_1_padded": (1, "context_snapshot", lambda stored: stored + " padding"),
+    "turn_1_short": (1, "context_kept", lambda kept: kept - 1),
+    "mode_edited": (None, "config", lambda config: {**config, "mode": "full_append"}),
+}
+
+
+class TestDepartedSnapshot:
+    """A snapshot that is not the context the rule derives from the prompt
+    and the turns before it is an integrity failure: score skips the
+    trajectory with a warning, export-masks exits 3."""
+
+    def refused(self, archive: Path, victim: str, tmp_path: Path, capsys) -> None:
+        capsys.readouterr()
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(archive), "--out", str(prefix)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert f"skipping corrupt trajectory {victim!r}" in err and "its context is not the one the rule" in err
+        report = json.loads(Path(str(prefix) + ".json").read_text())
+        assert report["aggregate"]["skipped"] == 1
+        assert victim not in [r["trajectory_id"] for r in report["per_trajectory"]]
+        code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m"), "--verify"])
+        assert code == EXIT_INTEGRITY
+        assert f"integrity error: archive entry {victim!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(DEPARTED))
+    def test_refused(self, smoke, capsys, case):
+        tmp_path, tasks, script, env = smoke
+        archive = tmp_path / "archive"
+        assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
+        victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
+        data = json.loads(victim.read_text())
+        assert data["config"]["mode"] == "consolidate"
+        turn, key, edit = DEPARTED[case]
+        target = data if turn is None else data["turns"][turn]
+        target[key] = edit(target[key])
+        write_json(victim, data)
+        self.refused(archive, "q0", tmp_path, capsys)
+
+    def test_a_padded_turn_of_an_older_archive(self, tmp_path, capsys):
+        # Version 1 stores every snapshot whole; turn 1 of q0+q1 padded.
+        archive = tmp_path / "archive"
+        shutil.copytree(TestOlderArchive.ARCHIVE, archive)
+        victim = archive / "q0+q1.json"
+        data = json.loads(victim.read_text())
+        data["turns"][1]["context_snapshot"] += " padding" * 100
+        write_json(victim, data)
+        self.refused(archive, "q0+q1", tmp_path, capsys)
+
+
 def json_paths(value, path=()):
     """The path to every value inside a JSON value, in document order."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
@@ -983,12 +1038,11 @@ class TestVersion2Archive:
         assert manifest["version"] == 2
         (error,) = manifest["errors"]
         config = config_from_mapping(manifest["config"])
-        turns = load_turns(error["turns"], config, manifest["version"])
+        prompt = error["turns"][0]["context_snapshot"]  # version 2 stores turn 0 whole
+        turns = load_turns(error["turns"], config, prompt, manifest["version"])
         assert [t.parsed.action.text for t in turns] == ["lantern keeper", "lantern keeper north"]
-        contexts = replay(turns[0].context_snapshot, config.preset, config.mode, [(turns[0].parsed, turns[0].info)])
-        assert [t.context_snapshot for t in turns] == list(contexts)
-        stored = dump_turns(turns, config)
-        assert stored[1]["context_snapshot"] == "" and load_turns(stored, config) == turns
+        stored = dump_turns(turns)
+        assert stored[1]["context_snapshot"] == "" and load_turns(stored, config, prompt) == turns
 
     def test_score_and_verified_export(self, tmp_path):
         prefix = tmp_path / "report"

@@ -823,6 +823,24 @@ class TestScriptedEnv:
         obs = env.respond("q")
         assert obs == Observation("done", reward=1.5, done=True)
 
+    @pytest.mark.parametrize("entry", [{"text": "t", "done": "no"}, {"text": "t", "done": 1},
+                                       {"text": "t", "reward": "high"}, {"text": "t", "reward": True}],
+                             ids=["done_a_string", "done_a_number", "reward_a_string", "reward_a_boolean"])
+    def test_mapping_values_need_json_types(self, tmp_path, entry):
+        # "no" would end the episode as bool("no"); "high" would be written,
+        # then refused when the archive is read.
+        message = "scripted observation needs a boolean done and a number or null reward"
+        with pytest.raises(ValidationError, match=message):
+            ScriptedEnv([entry])
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"default": ["one"], "by_task": {"t": [entry]}}))
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: {message}"):
+            ScriptedEnv.from_file(path)
+
+    def test_mapping_values_may_be_null_or_absent(self):
+        env = ScriptedEnv([{"text": "a", "reward": None}, {"text": "b", "reward": 2, "done": False}])
+        assert [env.respond("q") for _ in range(2)] == [Observation("a"), Observation("b", reward=2)]
+
     def test_bind_resets_cursor(self):
         env = ScriptedEnv(["a", "b"])
         env.respond("q")

@@ -2,17 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memroll import (
     Answer,
     DataError,
     Generation,
+    IntegrityError,
     HttpPolicy,
     Invalid,
     Observation,
@@ -33,7 +33,7 @@ from memroll import (
 )
 from memroll.envs import Corpus, Doc
 from memroll.core import replace
-from memroll.rollout import dump_turns, load_turns, shared_prefix
+from memroll.rollout import dump_turns, load_turns
 
 from helpers import make_composite, random_episode, scripted_episode, scrub_times
 import random
@@ -92,6 +92,14 @@ class TestScriptedPolicy:
         path.write_text(json.dumps({"default": ["a"], "by_task": {"q1": ["b"]}, "latency": 0}))
         policy = ScriptedPolicy.from_file(path)
         assert policy.bind(simple_task()).generate("c", [], 10, 0).text == "b"
+
+    @pytest.mark.parametrize("script", [[7, None], {"default": ["a"], "by_task": {"q1": ["b", 7]}}],
+                             ids=["default", "by_task"])
+    def test_from_file_refuses_entries_that_are_not_strings(self, tmp_path, script):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: a scripted policy's entries must be strings"):
+            ScriptedPolicy.from_file(path)
 
     def test_protocol(self):
         assert isinstance(ScriptedPolicy(["x"]), PolicyBackend)
@@ -430,14 +438,6 @@ class TestRecordRoundTrips:
                 assert (turn["context_kept"], turn["context_snapshot"]) == (len(contexts[index]), "")
 
 
-# Short strings, mostly over a few characters so that prefixes are often
-# shared: ASCII, Latin-1, CJK, one outside the BMP and lone surrogates.
-_SHORT = st.text(
-    st.sampled_from("ab\u00e9\u4e2d\U0001f600\ud800\udc00") | st.characters(exclude_categories=()),
-    max_size=6,
-)
-
-
 def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryRecord, int]:
     """record with one character inserted into, deleted from or replaced in
     one turn's snapshot, and that turn's index."""
@@ -453,8 +453,9 @@ def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryR
 
 
 class TestSnapshotDeltas:
-    """Turn 0 stores its snapshot whole; each later turn stores only what its
-    snapshot departs from the context the rule derives from the turn before."""
+    """Turn 0 stores its snapshot whole; each later turn stores only its
+    length, and reading holds it to the context the rule derives from the
+    turns before it."""
 
     @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
     @pytest.mark.parametrize("ending", ["answer", "turn_limit", "invalid", "env_done"])
@@ -487,29 +488,32 @@ class TestSnapshotDeltas:
             stored = sum(len(turn["context_snapshot"]) for turn in data["turns"])
             assert stored == len(record.turns[0].context_snapshot)
 
-    def test_a_perturbed_snapshot_round_trips(self):
-        # One turn's snapshot departs from the rule by one character; turn 0
-        # may be the one, and then every later reference departs with it.
+    def test_a_perturbed_snapshot_never_reads_back(self):
+        # One turn's snapshot departs from the rule by one character. Turn 0
+        # is refused as not the prompt. A later turn is stored as its length:
+        # a longer one is past its reference, a shorter one is not the rule's
+        # context, and one of the same length reads back as the rule's.
         rng = random.Random(12)
-        modes = set()
+        modes, outcomes = set(), set()
         for _ in range(200):
             base = random_episode(rng)
             record, index = perturbed(rng, base)
             assert record != base
             modes.add(record.config.mode)
             data = json.loads(json.dumps(record.to_dict()))
-            assert TrajectoryRecord.from_dict(data) == record
-            assert load_turns(dump_turns(record.turns, record.config), record.config) == record.turns
-            if index:
-                later = [turn["context_snapshot"] for turn in data["turns"][1:]]
-                assert [i for i, stored in enumerate(later, 1) if stored] == [index]
+            grown = len(record.turns[index].context_snapshot) - len(base.turns[index].context_snapshot)
+            if index and not grown:
+                assert TrajectoryRecord.from_dict(data) == base
+                outcomes.add("same length")
+                continue
+            error = DataError if index and grown > 0 else IntegrityError
+            with pytest.raises(error, match=f"^turn {index}: "):
+                TrajectoryRecord.from_dict(data)
+            with pytest.raises(error, match=f"^turn {index}: "):
+                load_turns(dump_turns(record.turns), record.config, record.task.rendered_prompt)
+            outcomes.add(error.__name__ if index else "turn 0")
         assert modes == {"consolidate", "full_append"}
-
-    @settings(max_examples=300, deadline=None)
-    @given(_SHORT, _SHORT, _SHORT)
-    def test_shared_prefix_matches_commonprefix(self, head, a, b):
-        for x, y in ((head + a, head + b), (head + a, head), (head, head + b), (a, b)):
-            assert shared_prefix(x, y) == len(os.path.commonprefix([x, y]))
+        assert outcomes == {"same length", "DataError", "IntegrityError", "turn 0"}
 
     def test_a_kept_count_rebuilds_from_the_turn_before(self):
         # The reference is the context the rule derives from the turn before.
@@ -519,7 +523,7 @@ class TestSnapshotDeltas:
         assert turns[1]["context_kept"] == len(reference)
         turns[1]["context_kept"] -= 1
         turns[1]["context_snapshot"] = reference[-1] + turns[1]["context_snapshot"]
-        assert load_turns(turns, record.config) == record.turns
+        assert load_turns(turns, record.config, record.task.rendered_prompt) == record.turns
 
     @pytest.mark.parametrize("text", ["<IS>s</IS><answer>a</answer>", "no tags", "<IS>s</IS><query>q</query>"])
     def test_a_bad_middle_turn_is_refused_before_the_rule_advances(self, text):
@@ -548,10 +552,10 @@ class TestSnapshotDeltas:
         record = scripted_episode(random.Random(4), mode="consolidate", turns=4)
         previous, stored = "", []
         for turn in record.turns:
-            stored.append(turn.to_dict(previous))
+            stored.append(turn.to_dict(len(os.path.commonprefix([previous, turn.context_snapshot]))))
             previous = turn.context_snapshot
         assert any(turn["context_snapshot"] for turn in stored[1:])
-        assert load_turns(stored, record.config, 2) == record.turns
+        assert load_turns(stored, record.config, record.task.rendered_prompt, 2) == record.turns
         data = {**record.to_dict(), "version": 2, "turns": stored}
         assert TrajectoryRecord.from_dict(data) == record
 
