@@ -753,8 +753,9 @@ class RetrievalEnv:
 class ScriptedEnv:
     """Deterministic test environment that replays canned observations.
 
-    Entries are strings or {"text", "reward", "done"} mappings, whose done
-    must be a boolean and reward a number or None (else ValidationError).
+    Entries are strings or {"text", "reward", "done"} mappings, whose text
+    must be a string, done a boolean and reward a number or None (else
+    ValidationError).
     Past the end of the script the last observation repeats. by_task selects
     a dedicated script per task id when the env is bound. Every script must
     be non-empty.
@@ -781,11 +782,13 @@ class ScriptedEnv:
         if isinstance(entry, str):
             return Observation(entry)
         text, reward, done = entry["text"], entry.get("reward"), entry.get("done", False)
+        if not isinstance(text, str):
+            raise ValidationError(f"scripted observation needs a string text, got {text!r}")
         # type(), not isinstance(): a JSON true reads as True, an int subclass.
         if type(done) is not bool or not (reward is None or type(reward) in (int, float)):
             raise ValidationError(f"scripted observation needs a boolean done and a number or null reward, "
                                   f"got done {done!r}, reward {reward!r}")
-        return Observation(str(text), reward=reward, done=done)
+        return Observation(text, reward=reward, done=done)
 
     def respond(self, query: str) -> Observation:
         obs = self._script[min(self._cursor, len(self._script) - 1)]

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 import struct
+import zlib
 
 from memroll import (
     CompositeTask,
@@ -139,27 +140,42 @@ def random_episode(rng: random.Random) -> TrajectoryRecord:
     )
 
 
-def container_parts(blob: bytes) -> tuple[dict, bytes]:
-    """A mask container's header, as a dict, and its payload."""
+def stored_parts(blob: bytes) -> tuple[dict, bytes]:
+    """A mask container's header, as a dict, and its payload as stored."""
     (header_len,) = struct.unpack_from("<I", blob, 10)
     header = json.loads(blob[14 : 14 + header_len].decode("utf-8"))
     return header, blob[14 + header_len :]
 
 
-def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
-    """Re-sign a mask container so only the hash check itself stays honest.
+def container_parts(blob: bytes) -> tuple[dict, bytes]:
+    """A mask container's header, as a dict, and its payload, inflated from
+    version 6, which stores it as one raw DEFLATE stream."""
+    header, stored = stored_parts(blob)
+    return header, zlib.decompress(stored, -15) if struct.unpack_from("<H", blob, 8)[0] >= 6 else stored
 
-    Version 1 hashes the payload alone; version 2 hashes the canonical JSON of
-    the other header fields, then the payload; from version 4 the u16
-    version comes before them.
-    """
+
+def sign(header: dict, stored: bytes, version: int) -> bytes:
+    """A mask container of stored as its payload bytes, signed as the
+    version signs them: version 1 hashes the payload alone; version 2 hashes
+    the canonical JSON of the other header fields, then the payload; from
+    version 4 the u16 version comes before them."""
     header = {k: v for k, v in header.items() if k != "sha256"}
-    signed = payload if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    signed = stored if version == 1 else json.dumps(header, sort_keys=True).encode("utf-8") + stored
     if version >= 4:
         signed = struct.pack("<H", version) + signed
     header["sha256"] = hashlib.sha256(signed).hexdigest()
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + payload
+    return MAGIC + struct.pack("<H", version) + struct.pack("<I", len(hb)) + hb + stored
+
+
+def forge(header: dict, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """Re-sign a mask container so only the hash check itself stays honest:
+    payload stored as the version stores it, deflated from version 6 (raw
+    DEFLATE at level 1, as export writes it), and signed (see sign)."""
+    if version >= 6:
+        stream = zlib.compressobj(1, zlib.DEFLATED, -15)
+        payload = stream.compress(payload) + stream.flush()
+    return sign(header, payload, version)
 
 
 def re_signed(blob: bytes, edit) -> bytes:

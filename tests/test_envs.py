@@ -837,6 +837,17 @@ class TestScriptedEnv:
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: {message}"):
             ScriptedEnv.from_file(path)
 
+    @pytest.mark.parametrize("text", [None, 7, ["a"]], ids=["null", "a_number", "a_list"])
+    def test_mapping_text_must_be_a_string(self, tmp_path, text):
+        # str() would serve null as the info "None" and 7 as "7".
+        message = f"scripted observation needs a string text, got {text!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ScriptedEnv([{"text": text}])
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"text": text}]))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            ScriptedEnv.from_file(path)
+
     def test_mapping_values_may_be_null_or_absent(self):
         env = ScriptedEnv([{"text": "a", "reward": None}, {"text": "b", "reward": 2, "done": False}])
         assert [env.respond("q") for _ in range(2)] == [Observation("a"), Observation("b", reward=2)]

@@ -50,7 +50,9 @@ from memroll.cli import read_archive
 from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
-from helpers import WIDTH_FORMATS, container_parts, forge, random_episode, re_signed, scripted_episode, v5_parts
+from helpers import (
+    WIDTH_FORMATS, container_parts, forge, random_episode, re_signed, scripted_episode, sign, stored_parts, v5_parts,
+)
 
 HEAD = SEGMENT_CODES["head"]
 IS = SEGMENT_CODES["is"]
@@ -901,6 +903,8 @@ def valid_container(fmt: str) -> bytes:
         return v3_ranges(st, mask2d, mask1d, counter.name)
     if fmt == "ranges_v4":
         return v4_ranges(st, counter.name)
+    if fmt == "ranges_v5":
+        return v5_ranges(export_masks(st, mask2d, mask1d, counter.name))
     return export_masks(st, mask2d, mask1d, counter.name, fmt=fmt)
 
 
@@ -1006,10 +1010,17 @@ def v5_payload(parts: dict, widths: dict | None = None) -> bytes:
     ))
 
 
+def v5_ranges(blob: bytes) -> bytes:
+    """A version 6 ranges container as version 5 wrote it: its payload,
+    inflated, re-signed as version 5."""
+    return forge(*container_parts(blob), 5)
+
+
 def forged_v5(edit, blob: bytes | None = None, widths: dict | None = None) -> bytes:
-    """blob, the version 5 ranges test container by default, with
-    edit(parts) applied to its parts (see v5_parts), re-signed; bytes are
-    appended if edit returns them."""
+    """blob, the ranges test container by default, with edit(parts) applied
+    to the parts of its version 5 payload (see v5_parts), re-signed at the
+    current version, which deflates it; bytes are appended to the payload if
+    edit returns them."""
     header, payload = container_parts(blob or valid_container("ranges"))
     parts = v5_parts(payload, header["n"])
     extra = edit(parts) or b""
@@ -1113,18 +1124,24 @@ class TestMalformedContainers:
                 _items(memoryview(bytes(2 * size + cut)), fmt)
         assert _items(memoryview(bytes(2 * size)), fmt).tolist() == [0, 0]
 
-    @pytest.mark.parametrize("layout", ["ranges", "ranges_v4", "ranges_v3", "dense_bitpack", "index_list"])
+    @pytest.mark.parametrize(
+        "layout", ["ranges", "ranges_v5", "ranges_deflated", "ranges_v4", "ranges_v3", "dense_bitpack", "index_list"]
+    )
     def test_resigned_random_edits_are_refused_or_sound(self, layout):
         # Anyone can re-sign a container, so import must hold up without
         # the hash: after a random edit to the payload, it either raises
         # IntegrityError or gives a sequence whose derived columns and masks
         # build. Edits: a byte, a u32 of a telling value (aligned to the
         # layout's u32 words), a cut, an insert; each in the tokens, the
-        # words that give the turns and rows, or anywhere.
-        blob = valid_container(layout)
-        header, payload = container_parts(blob)
+        # words that give the turns and rows, or anywhere. ranges edits the
+        # version 5 payload it deflates, ranges_v5 that payload stored as
+        # version 5 wrote it, and ranges_deflated the deflated bytes as
+        # stored, anywhere.
+        deflated = layout == "ranges_deflated"
+        blob = valid_container("ranges" if deflated else layout)
+        header, payload = (stored_parts if deflated else container_parts)(blob)
         version, n = struct.unpack_from("<H", blob, 8)[0], header["n"]
-        if layout == "ranges":  # the tokens are width-coded, the turns' words follow the segment runs
+        if layout in ("ranges", "ranges_v5"):  # the tokens are width-coded, the turns' words follow the segment runs
             at = v5_parts(payload, n)["at"]
             tokens, words, end = at["runs"], at["turns"], at["table"]
         else:
@@ -1132,7 +1149,7 @@ class TestMalformedContainers:
         if layout in ("ranges_v4", "ranges_v3"):  # the words stop where the string table's count starts
             lengths, table = (v4_parts if layout == "ranges_v4" else ranges_parts)(payload, n)[-2:]
             end -= len(table) + 4 * (len(lengths) + 1)
-        regions = [(0, tokens), (words, end), (0, len(payload))]
+        regions = [(0, len(payload))] if deflated else [(0, tokens), (words, end), (0, len(payload))]
         rng = random.Random(f"edits of {layout}")
         outcomes = {"refused": 0, "read": 0}
         for _ in range(600):
@@ -1148,7 +1165,7 @@ class TestMalformedContainers:
             else:
                 data[at:at] = rng.randbytes(rng.randrange(1, 9))
             try:
-                st, mask2d, mask1d, _ = import_masks(forge(header, bytes(data), version))
+                st, mask2d, mask1d, _ = import_masks((sign if deflated else forge)(header, bytes(data), version))
             except IntegrityError:
                 outcomes["refused"] += 1
                 continue
@@ -1307,7 +1324,7 @@ def _v5_table_not_utf8(parts):
 class TestRangesContainer:
     def test_version_follows_the_format(self):
         versions = {fmt: struct.unpack_from("<H", valid_container(fmt), 8)[0] for fmt in ALL_FORMATS}
-        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 5}
+        assert versions == {"dense_bitpack": 2, "index_list": 2, "ranges": 6}
 
     def test_import_holds_ranges_and_string_table(self, monkeypatch):
         st, counter, mask2d, mask1d = full_build(scripted_episode(random.Random(73), turns=4))
@@ -1417,7 +1434,7 @@ class TestRangesContainer:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_dense_formats_not_in_version_3(self, fmt):
         header, payload = container_parts(valid_container(fmt))
-        for version in (3, RANGES_VERSION):
+        for version in (3, 5, RANGES_VERSION):
             with pytest.raises(IntegrityError, match="version"):
                 import_masks(forge(header, payload, version))
 
@@ -1428,20 +1445,19 @@ class TestRangesContainer:
         assert blob == valid_container("ranges_v3")
         assert forged_v4(lambda *parts: None) == valid_container("ranges_v4")
         assert forged_v5(lambda parts: None) == valid_container("ranges")
+        assert sign(*stored_parts(valid_container("ranges")), RANGES_VERSION) == valid_container("ranges")
 
     def test_version_3_reads_as_version_4(self):
         # A version 3 container, which holds every column, a version 4 one,
-        # which derives three of them, and the version 5 export of the same
-        # trajectory, which also stores each part narrowed, import to the
+        # which derives three of them, a version 5 one, which also stores
+        # each part narrowed, and the version 6 export of the same
+        # trajectory, which deflates the version 5 payload, import to the
         # same sequence, mask and loss.
         for seed in range(12):
             st, counter, mask2d, mask1d = full_build(random_episode(random.Random(seed)))
-            blobs = (
-                v3_ranges(st, mask2d, mask1d, counter.name),
-                v4_ranges(st, counter.name),
-                export_masks(st, mask2d, mask1d, counter.name),
-            )
-            for version, blob in zip((3, 4, 5), blobs):
+            exported = export_masks(st, mask2d, mask1d, counter.name)
+            blobs = (v3_ranges(st, mask2d, mask1d, counter.name), v4_ranges(st, counter.name), v5_ranges(exported), exported)
+            for version, blob in zip((3, 4, 5, 6), blobs):
                 assert struct.unpack_from("<H", blob, 8)[0] == version
                 st2, mask2, loss2, _ = import_masks(blob)
                 assert st2 == st and loss2 == mask1d, (seed, version)
@@ -1488,9 +1504,10 @@ class TestRangesContainer:
             verify_masks(record, st, short, counter)
 
     def test_version_byte_is_covered_by_the_hash(self):
-        # Versions 3, 4 and 5 all hold ranges, so from version 4 the hash
-        # covers the version: a flip between them is a hash mismatch.
-        for layout, other in (("ranges", 3), ("ranges", 4), ("ranges_v4", 3), ("ranges_v4", 5)):
+        # Versions 3 to 6 all hold ranges, so from version 4 the hash covers
+        # the version: a flip between them is a hash mismatch.
+        flips = (("ranges", 3), ("ranges", 4), ("ranges", 5), ("ranges_v5", 6), ("ranges_v4", 3), ("ranges_v4", 5))
+        for layout, other in flips:
             blob = valid_container(layout)
             with pytest.raises(IntegrityError, match="hash"):
                 import_masks(blob[:8] + struct.pack("<H", other) + blob[10:])
@@ -1550,6 +1567,33 @@ class TestRangesContainer:
         with pytest.raises(IntegrityError, match=f"width code {code}, not 1, 2 or 4"):
             import_masks(forge(header, bytes(payload), RANGES_VERSION))
 
+    def test_truncated_deflate_stream_rejected(self):
+        # A version 6 payload is one raw DEFLATE stream: cut anywhere and
+        # re-signed, it does not end, which is an integrity error, never a
+        # zlib.error.
+        header, stored = stored_parts(valid_container("ranges"))
+        for cut in range(len(stored)):
+            with pytest.raises(IntegrityError, match="mask payload truncated: its deflate stream does not end"):
+                import_masks(sign(header, stored[:cut], RANGES_VERSION))
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x03\x00", bytes(range(1, 9))], ids=["zero", "empty-stream", "eight"])
+    def test_bytes_after_the_deflate_stream_rejected(self, extra):
+        # Bytes after the stream's last block are refused, re-signed or not,
+        # even when they are a deflate stream of their own.
+        header, stored = stored_parts(valid_container("ranges"))
+        with pytest.raises(IntegrityError, match="mask payload has trailing bytes after its deflate stream"):
+            import_masks(sign(header, stored + extra, RANGES_VERSION))
+
+    @pytest.mark.parametrize("version", [5, RANGES_VERSION])
+    def test_payload_stored_at_the_other_version_rejected(self, version):
+        # A version 5 payload signed as version 6 is read as a deflate
+        # stream, and a deflated payload signed as version 5 as a version 5
+        # payload; each is refused.
+        blob = valid_container("ranges")
+        header, payload = (stored_parts if version == 5 else container_parts)(blob)
+        with pytest.raises(IntegrityError):
+            import_masks(sign(header, payload, version))
+
     @pytest.mark.parametrize(
         "strings, ids, longest, widths",
         [
@@ -1578,7 +1622,7 @@ class TestRangesContainer:
         st2, mask2, loss2, _ = import_masks(blob)
         assert st2 == st and (mask2.bases, loss2) == (st.bases, build_masks(st)[1])
         wide = forged_v5(lambda parts: None, blob, widths={"tokens": 4, "runs": 4, "lengths": 4})
-        assert len(wide) > len(blob) and import_masks(wide)[0] == st
+        assert len(container_parts(wide)[1]) > len(payload) and import_masks(wide)[0] == st
 
     @pytest.mark.parametrize("code", [len(SEGMENT_NAMES), 200])
     @pytest.mark.parametrize("layout", ["ranges", "ranges_v4", "ranges_v3", "dense_bitpack", "index_list"])
@@ -2020,12 +2064,19 @@ class TestExportBytes:
     # sha256 over the concatenated containers of random_episode(Random(s)),
     # s = 0..11 (six per context mode), each stitched with a fresh counter.
     # ranges_v4 is the test-side version 4 writer, pinned to the digest the
-    # version 4 export gave.
+    # version 4 export gave. The deflated bytes of a ranges container depend
+    # on the zlib build, so ranges is pinned over what they hold: each
+    # container's version, its header fields but the sha256 (which covers
+    # the deflated bytes), then its payload inflated. ranges_v5 is each
+    # container re-signed as version 5, its payload inflated, pinned to the
+    # digest the version 5 export gave: version 6 is version 5 deflated, and
+    # version 5 still reads.
     EXPECTED = {
         "dense_bitpack": "9f16160ca78df2bdb17cbb4084216fbbe2b9b4c46dcf06098f00dd85cf85361b",
         "index_list": "efa89d1a92b6d4303e16d192a04e72f2f19b53817bb75aae458bd360954350ea",
-        "ranges": "c1e4138e2c05cc1f556a10a15c4a9ca25ad70a2ee0b9897385c8f3be21974a09",
+        "ranges": "e5110eafd56d4a78c5d3a20cc47d4268b9e69810e58e735c12a9a20668863724",
         "ranges_v4": "f54b66db1b82a5ee93283efb87723fa0ab30381a0ddb8467fa319ea178a7e414",
+        "ranges_v5": "c1e4138e2c05cc1f556a10a15c4a9ca25ad70a2ee0b9897385c8f3be21974a09",
     }
 
     @pytest.mark.parametrize("fmt", sorted(EXPECTED))
@@ -2038,7 +2089,15 @@ class TestExportBytes:
             st, counter, mask2d, mask1d = full_build(record)
             if fmt == "ranges_v4":
                 digest.update(v4_ranges(st, counter.name))
-            else:
-                digest.update(export_masks(st, mask2d, mask1d, counter.name, fmt=fmt))
+                continue
+            blob = export_masks(st, mask2d, mask1d, counter.name, fmt=fmt.removesuffix("_v5"))
+            if fmt == "ranges":
+                header, payload = container_parts(blob)
+                del header["sha256"]
+                blob = blob[8:10] + json.dumps(header, sort_keys=True).encode("utf-8") + payload
+            elif fmt == "ranges_v5":
+                blob = v5_ranges(blob)
+                assert import_masks(blob)[0] == st
+            digest.update(blob)
         assert sorted(set(modes)) == ["consolidate", "full_append"]
         assert digest.hexdigest() == self.EXPECTED[fmt]
