@@ -1,29 +1,39 @@
 """Trajectory records and the archive format: what a rollout writes and what
 score and export-masks read.
 
-A trajectory file is TrajectoryRecord.to_dict as JSON. Each turn stores only
-its context snapshot, generation, info and reward; reading derives the rest
-with parse_turn and refuses a trajectory that no rollout could have written.
-Turn 0 stores its snapshot whole; each later turn stores only its length, as
-context_kept, and "", because its snapshot is the context the context rule
-(context.advance) derives from the task's prompt and the turns before it.
-Reading rebuilds each snapshot against that context and refuses, as an
-IntegrityError, one that is not it. Turn 0 is never stored against the
-task's prompt, though it repeats it, and every turn keeps its
-context_snapshot key, "" or not: the benchmark's output check
-(perfbench/run.py) counts turn 0's stored snapshot as it stands, and its
-traced runs read the key from every turn. Reading an archive needs this
+A trajectory file is TrajectoryRecord.to_dict as compact JSON (to_json). Each
+turn stores only its context snapshot, generation, info and, when it has one,
+its reward; reading derives the rest with parse_turn and refuses a trajectory
+that no rollout could have written. Since version 4 a snapshot is stored only
+where the context rule (context.advance) cannot derive it. Turn 0 stores its
+snapshot whole: it is the task's rendered prompt, so the archived task stores
+no prompt of its own. Each later turn stores "context_snapshot": "", because
+its snapshot is the context the rule derives from the prompt and the turns
+before it, and reading replays the rule. A version 4 file is refused if its
+task stores a prompt, if a later turn stores a snapshot, or if any turn
+stores a context_kept. Every turn keeps its context_snapshot key: the
+benchmark's output check (perfbench/run.py) counts turn 0's stored snapshot as
+it stands, and its traced runs read the key from every turn.
+
+Versions 1 to 3 still read. Their task stores its prompt, and each turn its
+snapshot against a reference string: context_kept counts the leading
+characters the two share (absent when none) and context_snapshot holds the
+text after them. The reference is the rule's context (version 3), the
+previous snapshot (version 2) or nothing (version 1). Reading holds each
+snapshot to the rule, starting from the task's prompt, and refuses, as an
+IntegrityError, one that departs from it. Reading an archive needs this
 module and the context rule, not the policies and the turn loop in rollout.py.
 """
 
 from __future__ import annotations
 
+import json
 from types import NoneType
 from typing import Sequence
 
 from .compose import CompositeTask, composite_from_dict
 from .context import advance, initial_state, render_context
-from .core import DataError, IntegrityError, RolloutConfig, TagPreset, config_from_mapping, record
+from .core import DataError, IntegrityError, RolloutConfig, TagPreset, _typed, config_from_mapping, record
 from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
 
 __all__ = [
@@ -34,27 +44,27 @@ __all__ = [
     "dump_turns",
     "load_turns",
     "check_version",
+    "to_json",
 ]
 
 
 _NUMBER = (int, float)
-# The format of trajectory files and manifests. Version 3 stores each turn
-# after turn 0 as the length of the context the rule derives from the turns
-# before it (dump_turns); version 2 stored each snapshot against the previous
-# one, and version 1, which wrote no version key, stored it whole.
-ARCHIVE_VERSION = 3
+# The format of trajectory files and manifests. Version 4 stores the prompt
+# once, as turn 0's snapshot, and nothing of a later turn's snapshot
+# (dump_turns); version 3 stored each later turn as the length of the context
+# the rule derives, version 2 each snapshot against the previous one, and
+# version 1, which wrote no version key, every snapshot whole. Versions 1 to 3
+# also stored the task's prompt.
+ARCHIVE_VERSION = 4
 # How an episode may end, by the action of its last turn.
 _ENDINGS = {Query: ("answered", "turn_limit"), Answer: ("answered",), Invalid: ("invalid",)}
 
 
-def _typed(data: dict, kinds: dict) -> None:
-    """Refuse data with DataError unless it is an object whose keys named in
-    kinds hold one of the types given for them."""
-    if not isinstance(data, dict):
-        raise DataError(f"expected a JSON object, got {type(data).__name__}")
-    for key, kind in kinds.items():
-        if key in data and not isinstance(data[key], kind):
-            raise DataError(f"{key} holds {type(data[key]).__name__}")
+def to_json(data: dict) -> str:
+    """The text of an archive file holding data: JSON with sorted keys and no
+    whitespace, on one line. Non-ASCII characters are escaped, so a lone
+    surrogate in a generation round-trips."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @record
@@ -85,10 +95,9 @@ class TurnRecord:
 
     Only the snapshot, generation, info and env_reward are stored: index (the
     turn's position) and parsed (generation.text read with the trajectory's
-    tag preset) are derived on reading, and valid is parsed.valid. The
-    snapshot is stored against a reference string (dump_turns says which):
-    context_kept counts the leading characters the two share (absent when
-    none, as on turn 0), and context_snapshot holds the text after them.
+    tag preset) are derived on reading, and valid is parsed.valid. A turn
+    stores its snapshot whole, or "" when reading replays it (dump_turns
+    says which), and env_reward only when there is one.
     """
 
     index: int
@@ -102,31 +111,42 @@ class TurnRecord:
     def valid(self) -> bool:
         return self.parsed.valid
 
-    def to_dict(self, kept: int = 0) -> dict:
-        """The stored form against a reference that holds the snapshot's first
-        kept characters (0 stores the snapshot whole)."""
-        data = {"context_snapshot": self.context_snapshot[kept:], "generation": self.generation.to_dict(),
-                "info": self.info, "env_reward": self.env_reward}
-        if kept:
-            data["context_kept"] = kept
+    def to_dict(self, replayed: bool = False) -> dict:
+        """The stored form: the snapshot whole, or "" when replayed."""
+        data = {"context_snapshot": "" if replayed else self.context_snapshot,
+                "generation": self.generation.to_dict(), "info": self.info}
+        if self.env_reward is not None:
+            data["env_reward"] = self.env_reward
         return data
 
     @classmethod
-    def from_dict(cls, data: dict, index: int, preset: TagPreset, reference: str = "") -> "TurnRecord":
-        """Read turn index of a trajectory tagged with preset, stored against
-        reference; any other key (older archives store index, parsed, valid
-        and latency_s) is ignored."""
+    def from_dict(
+        cls, data: dict, index: int, preset: TagPreset, reference: str = "", version: int = ARCHIVE_VERSION
+    ) -> "TurnRecord":
+        """Read turn index of a trajectory tagged with preset, stored at
+        version against reference. From version 4 the snapshot is reference
+        followed by the stored text, which must be "" after turn 0, and no
+        turn stores context_kept. Before, context_kept counts the leading
+        characters of reference the snapshot shares (absent when none) and
+        the stored text follows them. Any other key (older archives store
+        index, parsed, valid and latency_s) is ignored."""
         _typed(data, {"context_snapshot": str, "generation": dict, "info": (str, NoneType),
                       "env_reward": (*_NUMBER, NoneType)})
-        kept = data.get("context_kept", 0)
-        # type(), not isinstance(): a JSON true reads as True, an int subclass.
-        if type(kept) is not int or not 0 <= kept <= len(reference):
-            raise DataError(f"turn {index}: context_kept {kept!r} is not a count of the "
-                            f"{len(reference)} characters of its reference")
+        stored = data["context_snapshot"]
+        if version < 4:
+            kept = data.get("context_kept", 0)
+            # type(), not isinstance(): a JSON true reads as True, an int subclass.
+            if type(kept) is not int or not 0 <= kept <= len(reference):
+                raise DataError(f"turn {index}: context_kept {kept!r} is not a count of the "
+                                f"{len(reference)} characters of its reference")
+        elif "context_kept" in data or (index and stored):
+            raise DataError(f"turn {index}: a version {version} turn stores no context_kept, "
+                            "and after turn 0 no snapshot")
+        else:
+            kept = len(reference)
         generation = Generation.from_dict(data["generation"])
         parsed = parse_turn(generation.text, preset)
-        return cls(index, reference[:kept] + data["context_snapshot"], generation, parsed, data["info"],
-                   data.get("env_reward"))
+        return cls(index, reference[:kept] + stored, generation, parsed, data["info"], data.get("env_reward"))
 
 
 def _continues(turn: TurnRecord) -> bool:
@@ -139,10 +159,9 @@ def _flow_error(turn: TurnRecord) -> DataError:
 
 
 def dump_turns(turns: Sequence[TurnRecord]) -> list[dict]:
-    """The stored form of an episode's turns: turn 0 whole, each later turn as
-    the length of its snapshot, which load_turns reads against the context the
-    rule derives from the turns before it."""
-    return [turn.to_dict(len(turn.context_snapshot) if index else 0) for index, turn in enumerate(turns)]
+    """The stored form of an episode's turns: turn 0's snapshot whole, and ""
+    for each later one, which load_turns replays from the turns before it."""
+    return [turn.to_dict(replayed=index > 0) for index, turn in enumerate(turns)]
 
 
 def load_turns(
@@ -151,7 +170,7 @@ def load_turns(
     """Read turns that dump_turns stored at version, of an episode run with
     config on a task whose rendered prompt is prompt. The rule starts from
     prompt, and each later turn is read against the context it derives from
-    the turns before (version 3), the previous snapshot (version 2) or
+    the turns before (versions 3 and 4), the previous snapshot (version 2) or
     nothing (version 1). Every turn but the last must be a query with its
     info, else DataError, checked before the rule advances over it; each
     snapshot must be the rule's context, else IntegrityError."""
@@ -166,8 +185,8 @@ def load_turns(
                 raise _flow_error(previous)
             state = advance(state, previous.parsed, previous.info)
             context = render_context(state)
-            reference = context if version == 3 else previous.context_snapshot if version == 2 else ""
-        turn = TurnRecord.from_dict(item, index, config.preset, reference)
+            reference = context if version >= 3 else previous.context_snapshot if version == 2 else ""
+        turn = TurnRecord.from_dict(item, index, config.preset, reference, version)
         if turn.context_snapshot != context:
             raise IntegrityError(f"turn {index}: its context is not the one the rule derives "
                                  "from the prompt and the turns before it")
@@ -199,7 +218,7 @@ class TrajectoryRecord:
     def to_dict(self) -> dict:
         return {
             "version": ARCHIVE_VERSION,
-            "task": self.task.to_dict(),
+            "task": self.task.to_dict(prompt=False),
             "turns": dump_turns(self.turns),
             "final_answer": self.final_answer,
             "terminated": self.terminated,
@@ -210,22 +229,31 @@ class TrajectoryRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectoryRecord":
         """Read a stored trajectory. DataError refuses one that run_rollout could
-        not have written: an unknown version, a value of the wrong JSON type, a
-        context_kept longer than its reference, no turns, or turns whose
-        parses disagree with how the episode went. Every turn but the last
-        is a query, info comes exactly with a query, and the last turn's action
-        decides terminated and, when answered, the final answer.
-        IntegrityError refuses a snapshot the policy could not have seen: turn
-        0's must be the task's prompt, and each later one the context the rule
-        derives from the turns before it."""
+        not have written: an unknown version, a value of the wrong JSON type,
+        no turns, a snapshot stored where the version stores none, a
+        context_kept longer than its reference, or turns whose parses
+        disagree with how the episode went. Every turn but the last is a
+        query, info comes exactly with a query, and the last turn's action
+        decides terminated and, when answered, the final answer. From version
+        4 the task's prompt is turn 0's stored snapshot. Before, the task
+        stores it, and IntegrityError refuses a snapshot the policy could not
+        have seen: turn 0's must be the task's prompt, and each later one the
+        context the rule derives from the turns before it."""
         _typed(data, {"task": dict, "turns": list, "final_answer": (str, NoneType), "terminated": str,
                       "config": dict, "wall_time_s": _NUMBER})
         version = check_version(data)
         config = config_from_mapping(data["config"])
-        task = composite_from_dict(data["task"])
-        turns = load_turns(data["turns"], config, task.rendered_prompt, version)
-        if not turns:
+        stored = data["turns"]
+        if not stored:
             raise DataError("a trajectory needs at least one turn")
+        prompt = None
+        if version >= 4:
+            if "prompt" in data["task"]:
+                raise DataError(f"a version {version} task stores no prompt: turn 0's snapshot is its prompt")
+            _typed(stored[0], {"context_snapshot": str})
+            prompt = stored[0]["context_snapshot"]
+        task = composite_from_dict(data["task"], prompt)
+        turns = load_turns(stored, config, task.rendered_prompt, version)
         if isinstance(turns[-1].parsed.action, Query) != (turns[-1].info is not None):
             raise _flow_error(turns[-1])
         action = turns[-1].parsed.action

@@ -45,7 +45,7 @@ EXIT_INTEGRITY = 3
 # already bound (a tracer's or a test's replacement) as it is, and calls them
 # through these globals; memroll.cli.<name> imports a name on first access.
 _DEFERRED = {
-    "archive": ("ARCHIVE_VERSION", "TrajectoryRecord", "check_version", "dump_turns"),
+    "archive": ("ARCHIVE_VERSION", "TrajectoryRecord", "check_version", "dump_turns", "to_json"),
     "envs": ("Corpus", "HttpSearchEnv", "RetrievalEnv", "ScriptedEnv"),
     "masks": ("FORMATS", "_packed", "build_masks", "export_masks", "import_masks", "stitch", "verify_masks"),
     "metrics": ("MetricReport", "aggregate", "score_trajectory"),
@@ -168,9 +168,7 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
     errors = []
     for task, name, (_, result) in zip(tasks, names, sorted(results.items())):
         if isinstance(result, TrajectoryRecord):
-            (out_dir / name).write_text(
-                json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            (out_dir / name).write_text(to_json(result.to_dict()), encoding="utf-8")
             entries.append({"id": task.id, "file": name, "terminated": result.terminated})
         else:
             errors.append({"id": task.id, "error": str(result), "turns": dump_turns(result.partial)})
@@ -182,9 +180,7 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
         "trajectories": entries,
         "errors": errors,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "manifest.json").write_text(to_json(manifest), encoding="utf-8")
     print(
         f"wrote {len(entries)} trajectories to {out_dir}"
         + (f" ({len(errors)} failed)" if errors else "")

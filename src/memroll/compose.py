@@ -23,6 +23,7 @@ from .core import (
     Task,
     ValidationError,
     _freeze_gold,
+    _typed,
     iter_jsonl,
     record,
 )
@@ -158,14 +159,18 @@ class CompositeTask:
     def question_block(self) -> str:
         return self.rendered_prompt[len(self.prompt_prefix):]
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, prompt: bool = True) -> dict:
+        """The wire dict, without the rendered prompt when prompt is false
+        (an archived task, whose turn 0 holds it)."""
+        data = {
             "id": self.id,
             "objective_count": self.objective_count,
-            "prompt": self.rendered_prompt,
             "sub_ids": [t.id for t in self.sub_tasks],
             "gold": gold_of(self),
         }
+        if prompt:
+            data["prompt"] = self.rendered_prompt
+        return data
 
 
 def gold_of(composite: CompositeTask) -> list[list[str]]:
@@ -315,12 +320,19 @@ def load_composites(path: str | Path) -> list[CompositeTask]:
     return composites
 
 
-def composite_from_dict(obj: dict) -> CompositeTask:
-    """Rebuild a CompositeTask from its wire dict."""
-    composite_id = str(obj["id"])
-    objective_count = int(obj["objective_count"])
-    prompt = str(obj["prompt"])
-    sub_ids = [str(s) for s in obj["sub_ids"]]
+def composite_from_dict(obj: dict, prompt: str | None = None) -> CompositeTask:
+    """Rebuild a CompositeTask from its wire dict, whose rendered prompt is
+    prompt when given and the dict's own otherwise. A field that holds a
+    value of another JSON type is a DataError naming it: id and prompt are
+    strings, objective_count an integer, sub_ids a list of strings and gold
+    a list."""
+    _typed(obj, {"id": str, "objective_count": int, "prompt": str, "sub_ids": list, "gold": list})
+    composite_id, objective_count, sub_ids = obj["id"], obj["objective_count"], obj["sub_ids"]
+    if prompt is None:
+        prompt = obj["prompt"]
+    for sub_id in sub_ids:
+        if not isinstance(sub_id, str):
+            raise DataError(f"composite {composite_id!r}: sub_ids holds {type(sub_id).__name__}")
     gold = [_freeze_gold([entry])[0] for entry in obj["gold"]]
     if len(sub_ids) != objective_count:
         raise DataError(f"composite {composite_id!r}: sub_ids do not match objective_count")

@@ -408,6 +408,17 @@ def iter_jsonl(path: str | Path):
         yield lineno, obj
 
 
+def _typed(data: dict, kinds: dict) -> None:
+    """Refuse data with DataError unless it is an object whose keys named in
+    kinds hold one of the types given for them. A JSON true or false is of
+    no type but bool, so it is never a number."""
+    if not isinstance(data, dict):
+        raise DataError(f"expected a JSON object, got {type(data).__name__}")
+    for key, kind in kinds.items():
+        if key in data and (not isinstance(data[key], kind) or type(data[key]) is bool):
+            raise DataError(f"{key} holds {type(data[key]).__name__}")
+
+
 @record
 class RolloutConfig:
     """Knobs for one rollout run.

@@ -29,6 +29,7 @@ from .archive import (
     check_version,
     dump_turns,
     load_turns,
+    to_json,
 )
 from .compose import CompositeTask
 from .context import advance, initial_state, inject_hint, render_context

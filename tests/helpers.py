@@ -140,6 +140,23 @@ def random_episode(rng: random.Random) -> TrajectoryRecord:
     )
 
 
+def stored_against(turn, kept: int) -> dict:
+    """turn as archive versions 2 and 3 stored it, against a reference that
+    holds its snapshot's first kept characters: the rest of the snapshot,
+    context_kept (absent when 0) and env_reward, null or not."""
+    data = {**turn.to_dict(), "context_snapshot": turn.context_snapshot[kept:], "env_reward": turn.env_reward}
+    if kept:
+        data["context_kept"] = kept
+    return data
+
+
+def version_3_form(record: TrajectoryRecord) -> dict:
+    """record as archive version 3 stored it: the task with its prompt, turn 0
+    whole and each later turn as the length of its snapshot."""
+    turns = [stored_against(turn, len(turn.context_snapshot) if index else 0) for index, turn in enumerate(record.turns)]
+    return {**record.to_dict(), "version": 3, "task": record.task.to_dict(), "turns": turns}
+
+
 def stored_parts(blob: bytes) -> tuple[dict, bytes]:
     """A mask container's header, as a dict, and its payload as stored."""
     (header_len,) = struct.unpack_from("<I", blob, 10)

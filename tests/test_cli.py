@@ -23,11 +23,12 @@ import memroll
 import memroll.cli
 import memroll.masks
 from memroll import SEGMENT_CODES, RolloutConfig, ScriptedEnv, export_masks, import_masks, load_composites
+from memroll.archive import ARCHIVE_VERSION, TrajectoryRecord, to_json
 from memroll.cli import EXIT_DATA, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main, read_archive
 from memroll.core import config_from_mapping
 from memroll.rollout import RolloutError, dump_turns, load_turns, replay_contexts
 
-from helpers import re_signed, scrub_times, v5_parts
+from helpers import re_signed, scrub_times, v5_parts, version_3_form
 
 QUERY = "Let me look this up. <IS>narrowing it down</IS><query>lookup the fact</query>"
 ANSWER = "<IS>confident now</IS><answer>answer 0</answer>"
@@ -731,8 +732,10 @@ class TestScore:
 # Each sets one key of trajectory 0 of the smoke archive (a query turn, then
 # an answer turn), or of one of its turns, to a value no rollout writes:
 # case -> (turn index or None for the trajectory, key, value or a function of
-# the stored value). Turn 1 stores context_kept as the length of its
+# the stored value). A context_kept_* case edits the trajectory stored as
+# version 3 stored it, where turn 1 stores context_kept as the length of its
 # reference, the context the rule derives from turn 0, so one more is past it.
+# Version 4 stores no context_kept at all, and no snapshot after turn 0.
 MALFORMED = {
     "generation_text_int": (0, "generation", {"text": 7, "finish": "stop"}),
     "snapshot_int": (1, "context_snapshot", 7),
@@ -752,8 +755,12 @@ MALFORMED = {
     "context_kept_true": (1, "context_kept", True),
     "context_kept_a_float": (1, "context_kept", 3.0),
     "context_kept_a_string": (1, "context_kept", "3"),
-    "version_unknown": (None, "version", 4),
+    "version_unknown": (None, "version", ARCHIVE_VERSION + 1),
     "version_a_string": (None, "version", "2"),
+    "task_stores_its_prompt": (None, "task", lambda task: {**task, "prompt": "the prompt"}),
+    "turn_1_stores_a_snapshot": (1, "context_snapshot", "a snapshot"),
+    "version_4_context_kept_on_turn_0": (0, "context_kept", 0),
+    "version_4_context_kept_on_turn_1": (1, "context_kept", 0),
 }
 
 
@@ -769,6 +776,8 @@ class TestMalformedTrajectory:
         victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
         data = json.loads(victim.read_text())
         turn, key, value = MALFORMED[case]
+        if case.startswith("context_kept"):
+            data = version_3_form(TrajectoryRecord.from_dict(data))
         target = data if turn is None else data["turns"][turn]
         target[key] = value(target[key]) if callable(value) else value
         write_json(victim, data)
@@ -784,10 +793,11 @@ class TestMalformedTrajectory:
         assert "data error: archive entry 'q0'" in capsys.readouterr().err
 
 
-# Each edits trajectory 0 of the smoke archive, whose turns follow the
-# context rule, so that a snapshot is one the policy could not have seen:
-# case -> (turn index or None for the trajectory, key, function of the
-# stored value).
+# Each edits trajectory 0 of the smoke archive, stored as version 3 stored
+# it, whose turns follow the context rule, so that a snapshot is one the
+# policy could not have seen: case -> (turn index or None for the
+# trajectory, key, function of the stored value). Version 4 stores no
+# snapshot these could edit but turn 0's, which is the task's prompt.
 DEPARTED = {
     "turn_0_not_the_prompt": (0, "context_snapshot", lambda snapshot: snapshot + " "),
     "turn_1_padded": (1, "context_snapshot", lambda stored: stored + " padding"),
@@ -797,8 +807,8 @@ DEPARTED = {
 
 
 class TestDepartedSnapshot:
-    """A snapshot that is not the context the rule derives from the prompt
-    and the turns before it is an integrity failure: score skips the
+    """A stored snapshot that is not the context the rule derives from the
+    prompt and the turns before it is an integrity failure: score skips the
     trajectory with a warning, export-masks exits 3."""
 
     def refused(self, archive: Path, victim: str, tmp_path: Path, capsys) -> None:
@@ -820,7 +830,7 @@ class TestDepartedSnapshot:
         archive = tmp_path / "archive"
         assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
         victim = archive / json.loads((archive / "manifest.json").read_text())["trajectories"][0]["file"]
-        data = json.loads(victim.read_text())
+        data = version_3_form(TrajectoryRecord.from_dict(json.loads(victim.read_text())))
         assert data["config"]["mode"] == "consolidate"
         turn, key, edit = DEPARTED[case]
         target = data if turn is None else data["turns"][turn]
@@ -904,13 +914,13 @@ def test_archive_edits_exit_cleanly(smoke, capsys):
     assert not escaped and set(export_codes) <= {EXIT_OK, EXIT_DATA, EXIT_INTEGRITY} and set(score_codes) == {EXIT_OK}, message
 
 
-@pytest.mark.parametrize("version", [4, 0, True, "2"])
+@pytest.mark.parametrize("version", [pytest.param(ARCHIVE_VERSION + 1, id="next"), 0, True, "2"])
 def test_unknown_manifest_version_refused(smoke, capsys, version):
     tmp_path, tasks, script, env = smoke
     archive = tmp_path / "archive"
     assert main(rollout_args(tasks, script, env, archive)) == EXIT_OK
     manifest = json.loads((archive / "manifest.json").read_text())
-    assert manifest["version"] == 3
+    assert manifest["version"] == ARCHIVE_VERSION
     write_json(archive / "manifest.json", {**manifest, "version": version})
     capsys.readouterr()
     assert main(["score", "--archive", str(archive), "--out", str(tmp_path / "r")]) == EXIT_DATA
@@ -996,13 +1006,15 @@ class TestWholeSnapshotArchive:
         again.mkdir()
         for record, entry in zip(records, manifest["trajectories"], strict=True):
             write_json(again / entry["file"], record.to_dict())
-        write_json(again / "manifest.json", {**manifest, "version": 3})
+        write_json(again / "manifest.json", {**manifest, "version": ARCHIVE_VERSION})
         assert read_archive(again) == records
         for entry in manifest["trajectories"]:
             whole = json.loads((self.ARCHIVE / entry["file"]).read_text())
             assert "version" not in whole and not any("context_kept" in t for t in whole["turns"])
-            turns = json.loads((again / entry["file"]).read_text())["turns"]
-            assert "context_kept" not in turns[0] and all("context_kept" in t for t in turns[1:])
+            written = json.loads((again / entry["file"]).read_text())
+            turns = written["turns"]
+            assert "prompt" in whole["task"] and "prompt" not in written["task"]
+            assert not any("context_kept" in t for t in turns)
             assert [t["context_snapshot"] for t in turns[1:]] == [""] * (len(turns) - 1)
             old_size = (self.ARCHIVE / entry["file"]).stat().st_size
             assert (again / entry["file"]).stat().st_size < old_size
@@ -1062,7 +1074,53 @@ class TestVersion2Archive:
             write_json(again / entry["file"], record.to_dict())
             old_size = (self.ARCHIVE / entry["file"]).stat().st_size
             assert (again / entry["file"]).stat().st_size < old_size
-        write_json(again / "manifest.json", {**manifest, "version": 3})
+        write_json(again / "manifest.json", {**manifest, "version": ARCHIVE_VERSION})
+        assert read_archive(again) == records
+
+
+class TestVersion3Archive:
+    """An archive written at version 3, when the task stored its prompt and
+    each later turn the length of its replayed context: a consolidate
+    episode of a two-objective composite that answers, with a reward on its
+    first turn, and a full_append one with non-ASCII text that ends at the
+    turn limit. memroll rollout wrote them in two runs; the manifest lists
+    the two with the first run's config, and the score report is the one it
+    gave."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+    ARCHIVE = DATA / "archive_version_3"
+
+    def test_snapshots_replay(self):
+        records = read_archive(self.ARCHIVE)
+        assert [(r.config.mode, r.terminated, len(r.turns)) for r in records] == [
+            ("consolidate", "answered", 3), ("full_append", "turn_limit", 3)
+        ]
+        assert records[0].turns[0].env_reward == 0.5
+        for record in records:
+            stored = json.loads((self.ARCHIVE / f"{record.task.id}.json").read_text())
+            assert stored["version"] == 3 and stored["task"]["prompt"] == record.task.rendered_prompt
+            assert all(t["context_kept"] and t["context_snapshot"] == "" for t in stored["turns"][1:])
+            assert [t.context_snapshot for t in record.turns] == replay_contexts(record)
+
+    def test_score_and_verified_export(self, tmp_path):
+        prefix = tmp_path / "report"
+        assert main(["score", "--archive", str(self.ARCHIVE), "--out", str(prefix)]) == EXIT_OK
+        expected = json.loads((self.DATA / "archive_version_3.score.json").read_text())
+        assert json.loads(Path(str(prefix) + ".json").read_text()) == expected
+        argv = ["export-masks", "--archive", str(self.ARCHIVE), "--out", str(tmp_path / "masks"), "--verify"]
+        assert main(argv) == EXIT_OK
+        assert len(list((tmp_path / "masks").glob("*.mem1mask"))) == 2
+
+    def test_written_again_reads_the_same(self, tmp_path):
+        records = read_archive(self.ARCHIVE)
+        manifest = json.loads((self.ARCHIVE / "manifest.json").read_text())
+        again = tmp_path / "again"
+        again.mkdir()
+        for record, entry in zip(records, manifest["trajectories"], strict=True):
+            (again / entry["file"]).write_text(to_json(record.to_dict()), encoding="utf-8")
+            old_size = (self.ARCHIVE / entry["file"]).stat().st_size
+            assert (again / entry["file"]).stat().st_size < old_size
+        (again / "manifest.json").write_text(to_json({**manifest, "version": ARCHIVE_VERSION}), encoding="utf-8")
         assert read_archive(again) == records
 
 
@@ -1136,7 +1194,8 @@ class TestExportMasks:
         assert code == EXIT_OK
         manifest = json.loads((archive / "manifest.json").read_text())
         victim = archive / manifest["trajectories"][0]["file"]
-        data = json.loads(victim.read_text())
+        # Version 3 stores a snapshot after turn 0 to tamper with; 4 does not.
+        data = version_3_form(TrajectoryRecord.from_dict(json.loads(victim.read_text())))
         data["turns"][1]["context_snapshot"] += "x"
         victim.write_text(json.dumps(data), encoding="utf-8")
         code = main(

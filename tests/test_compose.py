@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from memroll import (
     PAPER_BODY,
     PROMPT_STYLE,
     Task,
+    TrajectoryRecord,
     ValidationError,
     compose,
     composite_from_dict,
@@ -26,6 +28,8 @@ from memroll.compose import (
     prompt_prefix,
     render_questions,
 )
+
+from helpers import scripted_episode
 
 
 def qa_task(i: int, variants=None) -> Task:
@@ -291,3 +295,42 @@ class TestWireFormat:
         data["sub_ids"] = ["q1"]
         with pytest.raises(DataError):
             composite_from_dict(data)
+
+    def test_archived_form_leaves_out_the_prompt(self):
+        composite = composite_from_tasks([qa_task(1), qa_task(2)])
+        data = composite.to_dict(prompt=False)
+        assert set(data) == {"id", "objective_count", "sub_ids", "gold"}
+        assert composite_from_dict(data, composite.rendered_prompt) == composite
+
+
+# Each sets one field of a two-objective composite's wire record to a value
+# of another JSON type: case -> (field, value).
+WRONG_TYPES = {
+    "objective_count_a_float": ("objective_count", 2.9),
+    "objective_count_a_string": ("objective_count", "2"),
+    "objective_count_true": ("objective_count", True),
+    "id_a_number": ("id", 7),
+    "sub_ids_numbers": ("sub_ids", [1, 2]),
+}
+
+
+class TestWireTypes:
+    """The composite reader refuses a field of another JSON type, naming it,
+    where it used to coerce: in composites.jsonl and in an archived task."""
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_composites_file(self, tmp_path, case):
+        field, value = WRONG_TYPES[case]
+        data = {**composite_from_tasks([qa_task(1), qa_task(2)]).to_dict(), field: value}
+        path = tmp_path / "composites.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} line 1: .*{field} holds"):
+            load_composites(path)
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_archived_task(self, case):
+        field, value = WRONG_TYPES[case]
+        data = scripted_episode(random.Random(2), objective_count=2).to_dict()
+        data["task"][field] = value
+        with pytest.raises(DataError, match=f"{field} holds"):
+            TrajectoryRecord.from_dict(json.loads(json.dumps(data)))

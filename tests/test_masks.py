@@ -714,10 +714,13 @@ class TestRecordsCheck:
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("archive", ["archive_with_derived_fields", "archive_with_whole_snapshots", "archive_version_2"])
+@pytest.mark.parametrize(
+    "archive", ["archive_with_derived_fields", "archive_with_whole_snapshots", "archive_version_2", "archive_version_3"]
+)
 def test_committed_archives_export_and_verify(archive, fmt):
-    # The committed archives are version 1, but for archive_version_2; each
-    # is also written again at the current version and read back.
+    # The committed archives are version 1, but for archive_version_2 and
+    # archive_version_3; each is also written again at the current version
+    # and read back.
     records = read_archive(DATA / archive)
     again = [TrajectoryRecord.from_dict(record.to_dict()) for record in records]
     assert again == records

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -33,9 +34,9 @@ from memroll import (
 )
 from memroll.envs import Corpus, Doc
 from memroll.core import replace
-from memroll.rollout import dump_turns, load_turns
+from memroll.rollout import dump_turns, load_turns, to_json
 
-from helpers import make_composite, random_episode, scripted_episode, scrub_times
+from helpers import make_composite, random_episode, scripted_episode, scrub_times, stored_against, version_3_form
 import random
 
 
@@ -423,19 +424,22 @@ class TestRecordRoundTrips:
             simple_task(), ScriptedPolicy([QUERY_TURN, ANSWER_TURN]), ScriptedEnv(["d"]),
             RolloutConfig(),
         )
-        for turn in record.turns:
-            assert TurnRecord.from_dict(turn.to_dict(), turn.index, record.config.preset) == turn
+        # Turn 0 is read whole; a later turn's snapshot is the context the
+        # rule derives, which it is read against.
+        for turn, context in zip(record.turns, replay_contexts(record)):
+            stored = turn.to_dict(replayed=turn.index > 0)
+            reference = context if turn.index else ""
+            assert TurnRecord.from_dict(stored, turn.index, record.config.preset, reference) == turn
 
     def test_turn_stores_only_what_was_observed(self):
-        # Turn 0 whole; each later turn as a count of the characters of the
-        # context the rule derives from the turn before, and nothing else.
+        # Turn 0 whole; each later turn "" for its snapshot, and nothing
+        # else; no reward, as the scripted environment gives none.
         record = scripted_episode(random.Random(7), mode="full_append", turns=3, ending="invalid")
-        contexts = replay_contexts(record)
+        assert {turn.env_reward for turn in record.turns} == {None}
         for index, turn in enumerate(record.to_dict()["turns"]):
-            kept = ["context_kept"] if index else []
-            assert sorted(turn) == [*kept, "context_snapshot", "env_reward", "generation", "info"]
+            assert sorted(turn) == ["context_snapshot", "generation", "info"]
             if index:
-                assert (turn["context_kept"], turn["context_snapshot"]) == (len(contexts[index]), "")
+                assert turn["context_snapshot"] == ""
 
 
 def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryRecord, int]:
@@ -453,9 +457,10 @@ def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryR
 
 
 class TestSnapshotDeltas:
-    """Turn 0 stores its snapshot whole; each later turn stores only its
-    length, and reading holds it to the context the rule derives from the
-    turns before it."""
+    """Turn 0 stores its snapshot whole, and it is the task's prompt; each
+    later turn stores nothing of its snapshot, which reading replays. Version
+    3 stored each later turn as its length, and reading holds it to the
+    context the rule derives from the turns before it."""
 
     @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
     @pytest.mark.parametrize("ending", ["answer", "turn_limit", "invalid", "env_done"])
@@ -469,10 +474,14 @@ class TestSnapshotDeltas:
         else:
             record = scripted_episode(rng, mode=mode, turns=4, ending=ending)
         data = json.loads(json.dumps(record.to_dict()))
-        assert data["version"] == 3
+        assert data["version"] == 4 and "prompt" not in data["task"]
         first, *later = data["turns"]
-        assert "context_kept" not in first and first["context_snapshot"] == record.turns[0].context_snapshot
+        assert first["context_snapshot"] == record.turns[0].context_snapshot == record.task.rendered_prompt
         assert [turn["context_snapshot"] for turn in later] == [""] * (len(record.turns) - 1)
+        assert not any("context_kept" in turn for turn in data["turns"])
+        rewards = [turn.env_reward for turn in record.turns]
+        assert [turn.get("env_reward") for turn in data["turns"]] == rewards
+        assert [("env_reward" in turn) for turn in data["turns"]] == [r is not None for r in rewards]
         assert TrajectoryRecord.from_dict(data) == record
 
     def test_writer_stores_only_new_characters(self):
@@ -483,16 +492,17 @@ class TestSnapshotDeltas:
         assert {r.config.mode for r in records} == {"consolidate", "full_append"}
         for record in records:
             data = json.loads(json.dumps(record.to_dict()))
-            assert data["version"] == 3
+            assert data["version"] == 4
             assert TrajectoryRecord.from_dict(data) == record
             stored = sum(len(turn["context_snapshot"]) for turn in data["turns"])
             assert stored == len(record.turns[0].context_snapshot)
 
     def test_a_perturbed_snapshot_never_reads_back(self):
-        # One turn's snapshot departs from the rule by one character. Turn 0
-        # is refused as not the prompt. A later turn is stored as its length:
-        # a longer one is past its reference, a shorter one is not the rule's
-        # context, and one of the same length reads back as the rule's.
+        # One turn's snapshot departs from the rule by one character, stored
+        # as version 3 stored it. Turn 0 is refused as not the prompt. A
+        # later turn is stored as its length: a longer one is past its
+        # reference, a shorter one is not the rule's context, and one of the
+        # same length reads back as the rule's.
         rng = random.Random(12)
         modes, outcomes = set(), set()
         for _ in range(200):
@@ -500,7 +510,7 @@ class TestSnapshotDeltas:
             record, index = perturbed(rng, base)
             assert record != base
             modes.add(record.config.mode)
-            data = json.loads(json.dumps(record.to_dict()))
+            data = json.loads(json.dumps(version_3_form(record)))
             grown = len(record.turns[index].context_snapshot) - len(base.turns[index].context_snapshot)
             if index and not grown:
                 assert TrajectoryRecord.from_dict(data) == base
@@ -510,20 +520,45 @@ class TestSnapshotDeltas:
             with pytest.raises(error, match=f"^turn {index}: "):
                 TrajectoryRecord.from_dict(data)
             with pytest.raises(error, match=f"^turn {index}: "):
-                load_turns(dump_turns(record.turns), record.config, record.task.rendered_prompt)
+                load_turns(data["turns"], record.config, record.task.rendered_prompt, 3)
             outcomes.add(error.__name__ if index else "turn 0")
         assert modes == {"consolidate", "full_append"}
         assert outcomes == {"same length", "DataError", "IntegrityError", "turn 0"}
 
+    def test_a_perturbed_snapshot_is_written_as_the_rule_gives_it(self):
+        # Version 4 stores no later snapshot, so a perturbed one reads back
+        # as the rule's context. Turn 0 is the prompt: one that no template
+        # gives is refused, and any other reads back as the prompt of the
+        # task, with every later snapshot replayed from it.
+        rng = random.Random(12)
+        outcomes = set()
+        for _ in range(200):
+            base = random_episode(rng)
+            record, index = perturbed(rng, base)
+            data = json.loads(json.dumps(record.to_dict()))
+            if index:
+                assert TrajectoryRecord.from_dict(data) == base
+                outcomes.add("later turn")
+                continue
+            try:
+                read = TrajectoryRecord.from_dict(data)
+            except DataError:
+                outcomes.add("refused")
+                continue
+            assert read.task.rendered_prompt == record.turns[0].context_snapshot != base.task.rendered_prompt
+            assert [t.context_snapshot for t in read.turns] == replay_contexts(read)
+            outcomes.add("new prompt")
+        assert outcomes == {"later turn", "refused", "new prompt"}
+
     def test_a_kept_count_rebuilds_from_the_turn_before(self):
         # The reference is the context the rule derives from the turn before.
         record = scripted_episode(random.Random(3), mode="full_append", turns=3)
-        turns = json.loads(json.dumps(record.to_dict()))["turns"]
+        turns = version_3_form(record)["turns"]
         reference = replay_contexts(record)[1]
         assert turns[1]["context_kept"] == len(reference)
         turns[1]["context_kept"] -= 1
         turns[1]["context_snapshot"] = reference[-1] + turns[1]["context_snapshot"]
-        assert load_turns(turns, record.config, record.task.rendered_prompt) == record.turns
+        assert load_turns(turns, record.config, record.task.rendered_prompt, 3) == record.turns
 
     @pytest.mark.parametrize("text", ["<IS>s</IS><answer>a</answer>", "no tags", "<IS>s</IS><query>q</query>"])
     def test_a_bad_middle_turn_is_refused_before_the_rule_advances(self, text):
@@ -552,12 +587,48 @@ class TestSnapshotDeltas:
         record = scripted_episode(random.Random(4), mode="consolidate", turns=4)
         previous, stored = "", []
         for turn in record.turns:
-            stored.append(turn.to_dict(len(os.path.commonprefix([previous, turn.context_snapshot]))))
+            stored.append(stored_against(turn, len(os.path.commonprefix([previous, turn.context_snapshot]))))
             previous = turn.context_snapshot
         assert any(turn["context_snapshot"] for turn in stored[1:])
         assert load_turns(stored, record.config, record.task.rendered_prompt, 2) == record.turns
-        data = {**record.to_dict(), "version": 2, "turns": stored}
+        data = {**version_3_form(record), "version": 2, "turns": stored}
         assert TrajectoryRecord.from_dict(data) == record
+
+
+def untimed(record: TrajectoryRecord) -> TrajectoryRecord:
+    """record with its wall time and every generation's latency set to 0."""
+    turns = tuple(replace(t, generation=replace(t.generation, latency_s=0.0)) for t in record.turns)
+    return replace(record, turns=turns, wall_time_s=0.0)
+
+
+class TestArchiveBytes:
+    """The bytes the archive writer gives are pinned: a change to the stored
+    form or to its JSON shows up here even when every round trip still
+    holds, and it needs a new ARCHIVE_VERSION."""
+
+    # sha256 over to_json(record.to_dict()) for untimed(random_episode(Random(s))),
+    # s = 0..11, as written at archive version 4.
+    EXPECTED = "50a79fb6f16ca19770519b48a13f79bfe7190fc3d4e91d8f3333484a2a296c81"
+
+    def test_trajectory_files_are_byte_stable(self):
+        digest = hashlib.sha256()
+        modes = []
+        for seed in range(12):
+            record = untimed(random_episode(random.Random(seed)))
+            modes.append(record.config.mode)
+            text = to_json(record.to_dict())
+            assert text.isascii() and text.endswith("}\n") and text.count("\n") == 1
+            digest.update(text.encode("ascii"))
+        assert sorted(set(modes)) == ["consolidate", "full_append"]
+        assert digest.hexdigest() == self.EXPECTED
+
+    def test_a_lone_surrogate_round_trips(self):
+        # A generation need not be valid UTF-8 text; the file stays ASCII.
+        script = ["<IS>a \ud800 b</IS><query>q \udc00</query>", "<IS>\udfff</IS><answer>x</answer>"]
+        record = run_rollout(simple_task(), ScriptedPolicy(script), ScriptedEnv(["d"]), RolloutConfig())
+        text = to_json(record.to_dict())
+        assert text.isascii()
+        assert TrajectoryRecord.from_dict(json.loads(text)) == record
 
 
 class TestRunBatch:
