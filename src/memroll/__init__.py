@@ -28,8 +28,8 @@ _EXPORTS = {
         "render_turn", "split_answers",
     ),
     "context": (
-        "ContextState", "HINT_TEMPLATE", "advance", "context_token_len", "initial_state",
-        "inject_hint", "render_context",
+        "ContextState", "HINT_TEMPLATE", "advance", "initial_state", "inject_hint",
+        "render_context",
     ),
     "envs": (
         "Corpus", "Doc", "Environment", "HttpSearchEnv", "Observation", "RetrievalEnv",

@@ -9,11 +9,12 @@ where the context rule (context.advance) cannot derive it. Turn 0 stores its
 snapshot whole: it is the task's rendered prompt, so the archived task stores
 no prompt of its own. Each later turn stores "context_snapshot": "", because
 its snapshot is the context the rule derives from the prompt and the turns
-before it, and reading replays the rule. A version 4 file is refused if its
-task stores a prompt, if a later turn stores a snapshot, or if any turn
-stores a context_kept. Every turn keeps its context_snapshot key: the
-benchmark's output check (perfbench/run.py) counts turn 0's stored snapshot as
-it stands, and its traced runs read the key from every turn.
+before it. Reading replays the rule and keeps each turn's state, which the
+snapshot renders from on access. A version 4 file is refused if its task
+stores a prompt, if a later turn stores a snapshot, or if any turn stores a
+context_kept. Every turn keeps its context_snapshot key: the benchmark's
+output check (perfbench/run.py) counts turn 0's stored snapshot as it
+stands, and its traced runs read the key from every turn.
 
 Versions 1 to 3 still read. Their task stores its prompt, and each turn its
 snapshot against a reference string: context_kept counts the leading
@@ -32,8 +33,8 @@ from types import NoneType
 from typing import Sequence
 
 from .compose import CompositeTask, composite_from_dict
-from .context import advance, initial_state, render_context
-from .core import DataError, IntegrityError, RolloutConfig, TagPreset, _typed, config_from_mapping, record
+from .context import ContextState, advance, initial_state, render_context
+from .core import DataError, IntegrityError, RolloutConfig, _typed, config_from_mapping, record
 from .tagparse import Answer, Invalid, ParsedTurn, Query, parse_turn
 
 __all__ = [
@@ -89,23 +90,32 @@ class Generation:
 
 @record
 class TurnRecord:
-    """Everything observed during one turn. context_snapshot is the exact
-    string the policy saw; info is the hint-injected environment feedback
-    (present exactly for query turns).
+    """Everything observed during one turn. context is the rule's state when
+    the policy was asked (a snapshot string alone is a state whose head is
+    that string), and context_snapshot, its rendering, the exact string the
+    policy saw; info is the hint-injected environment feedback (present
+    exactly for query turns).
 
-    Only the snapshot, generation, info and env_reward are stored: index (the
-    turn's position) and parsed (generation.text read with the trajectory's
-    tag preset) are derived on reading, and valid is parsed.valid. A turn
-    stores its snapshot whole, or "" when reading replays it (dump_turns
-    says which), and env_reward only when there is one.
+    Only the snapshot, generation, info and env_reward are stored. Reading
+    replays context and reads generation.text with its preset into parsed;
+    index, context_snapshot and valid are derived on access. A turn stores
+    its snapshot whole, or "" when reading replays it (dump_turns says
+    which), and env_reward only when there is one.
     """
 
-    index: int
-    context_snapshot: str
+    context: ContextState
     generation: Generation
     parsed: ParsedTurn
     info: str | None
     env_reward: float | None = None
+
+    @property
+    def index(self) -> int:
+        return self.context.turn_index
+
+    @property
+    def context_snapshot(self) -> str:
+        return render_context(self.context)
 
     @property
     def valid(self) -> bool:
@@ -121,32 +131,39 @@ class TurnRecord:
 
     @classmethod
     def from_dict(
-        cls, data: dict, index: int, preset: TagPreset, reference: str = "", version: int = ARCHIVE_VERSION
+        cls, data: dict, context: ContextState, version: int = ARCHIVE_VERSION, previous: str = ""
     ) -> "TurnRecord":
-        """Read turn index of a trajectory tagged with preset, stored at
-        version against reference. From version 4 the snapshot is reference
-        followed by the stored text, which must be "" after turn 0, and no
+        """Read a turn stored at version, asked when the rule held context.
+        From version 4 only turn 0 stores a snapshot, context's head, and no
         turn stores context_kept. Before, context_kept counts the leading
-        characters of reference the snapshot shares (absent when none) and
-        the stored text follows them. Any other key (older archives store
-        index, parsed, valid and latency_s) is ignored."""
+        characters the snapshot shares with a reference (absent when none),
+        the stored text following them: after turn 0, context's rendering
+        (version 3) or previous, the snapshot before (version 2), else "".
+        IntegrityError refuses a snapshot that is not context's rendering.
+        Other keys (older archives store index, parsed, valid and latency_s)
+        are ignored."""
         _typed(data, {"context_snapshot": str, "generation": dict, "info": (str, NoneType),
                       "env_reward": (*_NUMBER, NoneType)})
-        stored = data["context_snapshot"]
+        index, stored = context.turn_index, data["context_snapshot"]
         if version < 4:
+            rendered = render_context(context)
+            reference = rendered if version == 3 and index else previous
             kept = data.get("context_kept", 0)
             # type(), not isinstance(): a JSON true reads as True, an int subclass.
             if type(kept) is not int or not 0 <= kept <= len(reference):
                 raise DataError(f"turn {index}: context_kept {kept!r} is not a count of the "
                                 f"{len(reference)} characters of its reference")
+            departed = reference[:kept] + stored != rendered
         elif "context_kept" in data or (index and stored):
             raise DataError(f"turn {index}: a version {version} turn stores no context_kept, "
                             "and after turn 0 no snapshot")
         else:
-            kept = len(reference)
+            departed = not index and stored != context.head
         generation = Generation.from_dict(data["generation"])
-        parsed = parse_turn(generation.text, preset)
-        return cls(index, reference[:kept] + stored, generation, parsed, data["info"], data.get("env_reward"))
+        if departed:
+            raise IntegrityError(f"turn {index}: its context is not the one the rule derives "
+                                 "from the prompt and the turns before it")
+        return cls(context, generation, parse_turn(generation.text, context.preset), data["info"], data.get("env_reward"))
 
 
 def _continues(turn: TurnRecord) -> bool:
@@ -169,28 +186,19 @@ def load_turns(
 ) -> tuple[TurnRecord, ...]:
     """Read turns that dump_turns stored at version, of an episode run with
     config on a task whose rendered prompt is prompt. The rule starts from
-    prompt, and each later turn is read against the context it derives from
-    the turns before (versions 3 and 4), the previous snapshot (version 2) or
-    nothing (version 1). Every turn but the last must be a query with its
-    info, else DataError, checked before the rule advances over it; each
-    snapshot must be the rule's context, else IntegrityError."""
+    prompt, and each turn holds the state it derives from the turns before,
+    which TurnRecord.from_dict reads the turn against. Every turn but the
+    last must be a query with its info, else DataError, checked before the
+    rule advances over it."""
     turns: list[TurnRecord] = []
-    state = initial_state(prompt, prompt, config.preset, config.mode)
-    context = prompt
-    for index, item in enumerate(data):
-        reference = ""
+    state = initial_state(prompt, config.preset, config.mode)
+    for item in data:
         if turns:
-            previous = turns[-1]
-            if not _continues(previous):
-                raise _flow_error(previous)
-            state = advance(state, previous.parsed, previous.info)
-            context = render_context(state)
-            reference = context if version >= 3 else previous.context_snapshot if version == 2 else ""
-        turn = TurnRecord.from_dict(item, index, config.preset, reference, version)
-        if turn.context_snapshot != context:
-            raise IntegrityError(f"turn {index}: its context is not the one the rule derives "
-                                 "from the prompt and the turns before it")
-        turns.append(turn)
+            if not _continues(turns[-1]):
+                raise _flow_error(turns[-1])
+            state = advance(state, turns[-1].parsed, turns[-1].info)
+        previous = turns[-1].context_snapshot if turns and version == 2 else ""
+        turns.append(TurnRecord.from_dict(item, state, version, previous))
     return tuple(turns)
 
 

@@ -232,7 +232,9 @@ def _iter_archive(path: str | Path):
         try:
             data = json.loads((root / entry["file"]).read_text(encoding="utf-8"))
             yield entry, TrajectoryRecord.from_dict(data)
-        except (OSError, KeyError, TypeError, ValueError, IntegrityError) as exc:
+        except KeyError as exc:
+            yield entry, DataError(f"missing key {exc.args[0]!r}")
+        except (OSError, TypeError, ValueError, IntegrityError) as exc:
             yield entry, exc
 
 
@@ -338,10 +340,7 @@ def _cmd_export_masks(args: argparse.Namespace) -> int:
     entries = [
         _export_one(record, out_dir / name, fmt, args.verify) for record, name in zip(records, names)
     ]
-    (out_dir / "masks_manifest.json").write_text(
-        json.dumps({"format": fmt, "masks": entries}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    (out_dir / "masks_manifest.json").write_text(to_json({"format": fmt, "masks": entries}), encoding="utf-8")
     print(f"exported {len(entries)} mask containers ({fmt}) to {out_dir}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ context reproduces the string the policy actually saw, byte for byte.
 
 from __future__ import annotations
 
-from .core import TagPreset, TokenCounter, record, replace
+from .core import TagPreset, record, replace
 from .tagparse import Answer, ParsedTurn, Query
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "advance",
     "info_block",
     "inject_hint",
-    "context_token_len",
 ]
 
 HINT_TEMPLATE = "[HINT: YOU HAVE {turns_left} TURNS LEFT] "
@@ -31,10 +30,10 @@ HINT_TEMPLATE = "[HINT: YOU HAVE {turns_left} TURNS LEFT] "
 
 @record
 class ContextState:
-    """Immutable snapshot of the context policy between turns."""
+    """The context rule's state before a turn, which renders as the context
+    the policy sees (render_context); an archived turn holds it."""
 
     head: str
-    head_template: str
     preset: TagPreset
     mode: str
     turn_index: int = 0
@@ -45,9 +44,9 @@ class ContextState:
             raise ValueError(f"unknown context mode {self.mode!r}")
 
 
-def initial_state(head: str, head_template: str, preset: TagPreset, mode: str) -> ContextState:
+def initial_state(head: str, preset: TagPreset, mode: str) -> ContextState:
     """State before the first generation: the context is exactly the head."""
-    return ContextState(head=head, head_template=head_template, preset=preset, mode=mode)
+    return ContextState(head=head, preset=preset, mode=mode)
 
 
 def render_context(state: ContextState) -> str:
@@ -93,12 +92,3 @@ def inject_hint(info: str, turns_left: int, enabled: bool = True) -> str:
     if not enabled:
         return info
     return HINT_TEMPLATE.format(turns_left=turns_left) + info
-
-
-def context_token_len(state: ContextState, counter: TokenCounter) -> int:
-    """Token length of the rendered context, excluding the prompt template.
-
-    The question block and everything the episode accumulated count; the fixed
-    instruction text does not.
-    """
-    return counter.count(render_context(state)) - counter.count(state.head_template)

@@ -500,18 +500,21 @@ def _check_records(trajectory: TrajectoryRecord, pieces: list[str], stitched: St
     bounds, bases = stitched.bounds, stitched.bases
     text = "".join(pieces)
     offsets = list(accumulate(map(len, pieces), initial=0))
-    # Per turn: its snapshot, its generation, and its other tokens' text.
-    expected = [("", "", trajectory.turns[0].context_snapshot)]
-    for turn in trajectory.turns:
-        info = info_block(turn.info, trajectory.config.preset)
-        expected.append((turn.context_snapshot, turn.generation.text, info))
-    held = len(bases)
-    if held > len(expected) or any(gen or rest for _, gen, rest in expected[held:]):
-        t = min(held, len(expected))
-        raise IntegrityError(
-            f"token {bounds[t]} (turn {t}): {held - 1} turns in the mask, {len(expected) - 1} in the record"
-        )
-    for t, ((snapshot, gen, rest), base, a, b, g) in enumerate(zip(expected, bases, bounds, bounds[1:], stitched.gens)):
+    turns, preset = trajectory.turns, trajectory.config.preset
+
+    def expected(t: int) -> tuple[str, str, str]:
+        """Turn t's snapshot, its generation, and its other tokens' text."""
+        if not t:
+            return "", "", turns[0].context_snapshot
+        turn = turns[t - 1]
+        return turn.context_snapshot, turn.generation.text, info_block(turn.info, preset)
+
+    held, n_turns = len(bases), len(turns) + 1
+    if held > n_turns or any(gen or rest for _, gen, rest in map(expected, range(held, n_turns))):
+        t = min(held, n_turns)
+        raise IntegrityError(f"token {bounds[t]} (turn {t}): {held - 1} turns in the mask, {n_turns - 1} in the record")
+    for t, (base, a, b, g) in enumerate(zip(bases, bounds, bounds[1:], stitched.gens)):
+        snapshot, gen, rest = expected(t)
         if "".join(text[offsets[s] : offsets[e]] for s, e in base) != snapshot:
             raise IntegrityError(f"token {a} (turn {t}): visible tokens decode to a different context")
         for lo, hi, want, what in ((a, a + g, gen, "generated"), (a + g, b, rest, "other")):

@@ -288,19 +288,16 @@ def run_rollout(
     except Exception as exc:
         raise RolloutError(task.id, exc, ()) from exc
     preset = config.preset
-    state = initial_state(task.rendered_prompt, task.prompt_prefix, preset, config.mode)
+    state = initial_state(task.rendered_prompt, preset, config.mode)
     turns: list[TurnRecord] = []
     final_answer: str | None = None
     terminated = "turn_limit"
     started = time.perf_counter()
     for t in range(config.max_turns):
-        snapshot = render_context(state)
         stops = config.stop_markers_for(t)
         turn_started = time.perf_counter()
         try:
-            generation = policy.generate(
-                snapshot, stops, config.max_tokens_per_generation, config.seed
-            )
+            generation = policy.generate(render_context(state), stops, config.max_tokens_per_generation, config.seed)
         except Exception as exc:
             raise RolloutError(task.id, exc, tuple(turns)) from exc
         latency = time.perf_counter() - turn_started
@@ -318,7 +315,7 @@ def run_rollout(
             turns_left = config.max_turns - (t + 1)
             info = inject_hint(obs.text, turns_left, enabled=config.hint_enabled)
             reward, done = obs.reward, obs.done
-        turns.append(TurnRecord(t, snapshot, generation, parsed, info, reward))
+        turns.append(TurnRecord(state, generation, parsed, info, reward))
         if not parsed.valid:
             terminated = "invalid"
             break
@@ -403,7 +400,7 @@ def replay_contexts(trajectory: TrajectoryRecord) -> list[str]:
     """
     config = trajectory.config
     prompt = trajectory.task.rendered_prompt
-    state = initial_state(prompt, trajectory.task.prompt_prefix, config.preset, config.mode)
+    state = initial_state(prompt, config.preset, config.mode)
     contexts = [render_context(state)]
     for turn in trajectory.turns[:-1]:
         state = advance(state, turn.parsed, turn.info)

@@ -15,6 +15,7 @@ import zlib
 
 from memroll import (
     CompositeTask,
+    ContextState,
     PAPER_BODY,
     RolloutConfig,
     ScriptedEnv,
@@ -22,9 +23,11 @@ from memroll import (
     Task,
     TagPreset,
     TrajectoryRecord,
+    initial_state,
     run_rollout,
 )
 from memroll.compose import composite_from_tasks
+from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC
 
 WORDS = (
@@ -138,6 +141,16 @@ def random_episode(rng: random.Random) -> TrajectoryRecord:
         hint=rng.random() < 0.9,
         objective_count=rng.choice([1, 1, 2, 3]),
     )
+
+
+def state_of(snapshot: str, like: ContextState | None = None) -> ContextState:
+    """A turn's state built from its snapshot string: the head is snapshot
+    and the tail is empty, at like's turn index, preset and mode, or those of
+    turn 0 of a consolidate episode tagged with PAPER_BODY when like is
+    None. It renders as snapshot, whether or not the rule derives it."""
+    if like is None:
+        return initial_state(snapshot, PAPER_BODY, "consolidate")
+    return replace(like, head=snapshot, tail=())
 
 
 def stored_against(turn, kept: int) -> dict:

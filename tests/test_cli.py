@@ -761,12 +761,15 @@ MALFORMED = {
     "turn_1_stores_a_snapshot": (1, "context_snapshot", "a snapshot"),
     "version_4_context_kept_on_turn_0": (0, "context_kept", 0),
     "version_4_context_kept_on_turn_1": (1, "context_kept", 0),
+    "task_without_sub_ids": (None, "task", lambda task: {k: v for k, v in task.items() if k != "sub_ids"}),
 }
 
 
 class TestMalformedTrajectory:
     """A trajectory file no rollout could have written is a data error: score
-    skips it with a warning, export-masks exits 2, neither with a traceback."""
+    skips it with a warning, export-masks exits 2, neither with a traceback,
+    and both give the reason in words (a missing key as "missing key 'k'",
+    not as its bare name)."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_refused_as_data(self, smoke, capsys, case):
@@ -785,12 +788,12 @@ class TestMalformedTrajectory:
 
         prefix = tmp_path / "report"
         assert main(["score", "--archive", str(archive), "--out", str(prefix)]) == EXIT_OK
-        assert "skipping corrupt trajectory 'q0'" in capsys.readouterr().err
+        assert re.search(r"skipping corrupt trajectory 'q0': [a-z]", capsys.readouterr().err)
         report = json.loads(Path(str(prefix) + ".json").read_text())
         assert (report["aggregate"]["count"], report["aggregate"]["skipped"]) == (2, 1)
         code = main(["export-masks", "--archive", str(archive), "--out", str(tmp_path / "m"), "--verify"])
         assert code == EXIT_DATA
-        assert "data error: archive entry 'q0'" in capsys.readouterr().err
+        assert re.search(r"data error: archive entry 'q0': [a-z]", capsys.readouterr().err)
 
 
 # Each edits trajectory 0 of the smoke archive, stored as version 3 stored

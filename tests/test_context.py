@@ -9,7 +9,6 @@ from memroll import (
     HINT_TEMPLATE,
     PAPER_BODY,
     advance,
-    context_token_len,
     initial_state,
     inject_hint,
     parse_turn,
@@ -21,7 +20,7 @@ HEAD = TEMPLATE + "Who wrote Hamlet?"
 
 
 def fresh(mode: str = "consolidate"):
-    return initial_state(HEAD, TEMPLATE, PAPER_BODY, mode)
+    return initial_state(HEAD, PAPER_BODY, mode)
 
 
 def turn(raw: str):
@@ -56,7 +55,7 @@ class TestRenderContext:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            initial_state(HEAD, TEMPLATE, PAPER_BODY, "windowed")
+            initial_state(HEAD, PAPER_BODY, "windowed")
 
 
 class TestAdvance:
@@ -135,16 +134,22 @@ class TestInjectHint:
         assert HINT_TEMPLATE.format(turns_left=7) == "[HINT: YOU HAVE 7 TURNS LEFT] "
 
 
+def context_token_len(state) -> int:
+    """Token length of the rendered context, the prompt template excluded, as
+    metrics.peak_tokens counts it."""
+    return DEFAULT_COUNTER.count(render_context(state).removeprefix(TEMPLATE))
+
+
 class TestContextTokenLen:
     def test_question_only(self):
-        state = initial_state(TEMPLATE + "q", TEMPLATE, PAPER_BODY, "consolidate")
-        assert context_token_len(state, DEFAULT_COUNTER) == 1
+        state = initial_state(TEMPLATE + "q", PAPER_BODY, "consolidate")
+        assert context_token_len(state) == 1
 
     def test_retained_tuple_counts(self):
         state = advance(fresh(), turn("<IS>x</IS><query>y</query>"), "d")
         tuple_text = "<IS>x</IS><query>y</query><info>d</info>"
         expected = DEFAULT_COUNTER.count("Who wrote Hamlet?") + DEFAULT_COUNTER.count(tuple_text)
-        assert context_token_len(state, DEFAULT_COUNTER) == expected
+        assert context_token_len(state) == expected
 
     def test_full_append_exceeds_consolidate(self):
         turns = [f"<IS>notes {i}</IS><query>find {i}</query>" for i in range(3)]
@@ -152,9 +157,7 @@ class TestContextTokenLen:
         for i, raw in enumerate(turns):
             consolidated = advance(consolidated, turn(raw), f"doc {i}")
             appended = advance(appended, turn(raw), f"doc {i}")
-        assert context_token_len(appended, DEFAULT_COUNTER) > context_token_len(
-            consolidated, DEFAULT_COUNTER
-        )
+        assert context_token_len(appended) > context_token_len(consolidated)
 
     def test_constant_memory_bound(self):
         # Fixed-size segments: the consolidate context length is identical at
@@ -163,7 +166,7 @@ class TestContextTokenLen:
         sizes = []
         for i in range(50):
             state = advance(state, turn("<IS>aa bb</IS><query>cc dd</query>"), "ee ff")
-            sizes.append(context_token_len(state, DEFAULT_COUNTER))
+            sizes.append(context_token_len(state))
         assert len(set(sizes)) == 1
         assert state.turn_index == 50
 
@@ -172,6 +175,6 @@ class TestContextTokenLen:
         sizes = []
         for i in range(10):
             state = advance(state, turn("<IS>aa</IS><query>bb</query>"), "cc")
-            sizes.append(context_token_len(state, DEFAULT_COUNTER))
+            sizes.append(context_token_len(state))
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1]

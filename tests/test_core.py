@@ -49,6 +49,8 @@ from memroll import (
 )
 from memroll.core import iter_jsonl, replace
 
+from helpers import state_of
+
 
 class TestErrors:
     def test_value_error_family(self):
@@ -486,10 +488,10 @@ PARSED_REPR = (
 )
 GENERATION = Generation("<answer>x</answer>", "stop", "</answer>", 0.5)
 GENERATION_REPR = "Generation(text='<answer>x</answer>', finish='stop', stop_marker='</answer>', latency_s=0.5)"
-TURN = TurnRecord(0, "Q: Capital of France?", GENERATION, PARSED, None)
+TURN = TurnRecord(state_of("Q: Capital of France?"), GENERATION, PARSED, None)
 TURN_REPR = (
-    f"TurnRecord(index=0, context_snapshot='Q: Capital of France?', generation={GENERATION_REPR}, "
-    f"parsed={PARSED_REPR}, info=None, env_reward=None)"
+    f"TurnRecord(context=ContextState(head='Q: Capital of France?', preset={PAPER_BODY!r}, mode='consolidate', "
+    f"turn_index=0, tail=()), generation={GENERATION_REPR}, parsed={PARSED_REPR}, info=None, env_reward=None)"
 )
 
 RECORDS = {
@@ -499,16 +501,15 @@ RECORDS = {
     "RolloutConfig": (lambda: RolloutConfig(max_turns=4, seed=7), CONFIG_REPR.format(4, 7)),
     "CompositeTask": (lambda: CompositeTask("c1", (TASK,), "Q: Capital of France?", 1, "retrieval_qa", "Q: "),
                       COMPOSITE_REPR),
-    "ContextState": (lambda: ContextState("H", "T", TINY, "consolidate", 1, ("a", "b")),
-                     f"ContextState(head='H', head_template='T', preset={TINY_REPR}, mode='consolidate', "
-                     "turn_index=1, tail=('a', 'b'))"),
+    "ContextState": (lambda: ContextState("H", TINY, "consolidate", 1, ("a", "b")),
+                     f"ContextState(head='H', preset={TINY_REPR}, mode='consolidate', turn_index=1, tail=('a', 'b'))"),
     "Span": (lambda: Span(0, 18, 8, 9), SPAN_REPR),
     "Query": (lambda: Query("x"), "Query(text='x')"),
     "Answer": (lambda: Answer("x"), "Answer(text='x')"),
     "Invalid": (lambda: Invalid("no_action"), "Invalid(reason='no_action')"),
     "ParsedTurn": (lambda: parse_turn("<answer>x</answer>", PAPER_BODY), PARSED_REPR),
     "Generation": (lambda: Generation("<answer>x</answer>", "stop", "</answer>", 0.5), GENERATION_REPR),
-    "TurnRecord": (lambda: TurnRecord(0, "Q: Capital of France?", GENERATION, PARSED, None), TURN_REPR),
+    "TurnRecord": (lambda: TurnRecord(state_of("Q: Capital of France?"), GENERATION, PARSED, None), TURN_REPR),
     "TrajectoryRecord": (lambda: TrajectoryRecord(COMPOSITE, (TURN,), "x", "answered", RolloutConfig(), 0.25),
                          f"TrajectoryRecord(task={COMPOSITE_REPR}, turns=({TURN_REPR},), final_answer='x', "
                          f"terminated='answered', config={CONFIG_REPR.format(6, 0)}, wall_time_s=0.25)"),

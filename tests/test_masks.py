@@ -51,7 +51,8 @@ from memroll.core import replace
 from memroll.masks import FORMAT_VERSION, MAGIC, RANGES_VERSION, Mask2D, _items, _packed
 
 from helpers import (
-    WIDTH_FORMATS, container_parts, forge, random_episode, re_signed, scripted_episode, sign, stored_parts, v5_parts,
+    WIDTH_FORMATS, container_parts, forge, random_episode, re_signed, scripted_episode, sign, state_of, stored_parts,
+    v5_parts,
 )
 
 HEAD = SEGMENT_CODES["head"]
@@ -257,7 +258,7 @@ class TestStitch:
         record = scripted_episode(rng, turns=3)
         bad_turn = replace(
             record.turns[1],
-            context_snapshot=record.turns[1].context_snapshot + "x",
+            context=state_of(record.turns[1].context_snapshot + "x", record.turns[1].context),
         )
         bad = replace(
             record, turns=(record.turns[0], bad_turn, record.turns[2])

@@ -26,8 +26,8 @@ EXPORTS = {
     "default_max_turns", "load_config", "rename_tags", "segment_text",
     "Action", "Answer", "Invalid", "ParsedTurn", "Query", "Span", "parse_turn",
     "render_turn", "split_answers",
-    "ContextState", "HINT_TEMPLATE", "advance", "context_token_len",
-    "initial_state", "inject_hint", "render_context",
+    "ContextState", "HINT_TEMPLATE", "advance", "initial_state", "inject_hint",
+    "render_context",
     "Corpus", "Doc", "Environment", "HttpSearchEnv", "Observation", "Product",
     "RetrievalEnv", "ScriptedEnv", "ShopEnv", "ShopGoal", "ShopSim", "ShopState",
     "load_catalog", "render_passages", "retrieve",
@@ -52,7 +52,7 @@ def imported_from() -> dict[str, str]:
 
 class TestExports:
     def test_names_are_pinned(self):
-        assert len(memroll.__all__) == len(EXPORTS) == 91
+        assert len(memroll.__all__) == len(EXPORTS) == 90
         assert set(memroll.__all__) == EXPORTS
 
     def test_every_name_resolves(self):

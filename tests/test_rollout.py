@@ -6,6 +6,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -36,7 +37,9 @@ from memroll.envs import Corpus, Doc
 from memroll.core import replace
 from memroll.rollout import dump_turns, load_turns, to_json
 
-from helpers import make_composite, random_episode, scripted_episode, scrub_times, stored_against, version_3_form
+from helpers import (
+    make_composite, random_episode, scripted_episode, scrub_times, state_of, stored_against, version_3_form,
+)
 import random
 
 
@@ -425,11 +428,27 @@ class TestRecordRoundTrips:
             RolloutConfig(),
         )
         # Turn 0 is read whole; a later turn's snapshot is the context the
-        # rule derives, which it is read against.
-        for turn, context in zip(record.turns, replay_contexts(record)):
+        # rule derives, which is read from the state it holds.
+        for turn in record.turns:
             stored = turn.to_dict(replayed=turn.index > 0)
-            reference = context if turn.index else ""
-            assert TurnRecord.from_dict(stored, turn.index, record.config.preset, reference) == turn
+            assert TurnRecord.from_dict(stored, turn.context) == turn
+
+    def test_a_read_record_holds_states_not_snapshots(self):
+        # A full_append snapshot grows every turn, so the rendered snapshots
+        # of 40 turns come to about 18 times the record's JSON. Each turn
+        # holds the rule's state instead, which shares the pieces of the
+        # turns before it: about 6 times the JSON, object overhead included.
+        for seed in range(3):
+            record = scripted_episode(random.Random(seed), mode="full_append", turns=40)
+            text = to_json(record.to_dict())
+            tracemalloc.start()
+            try:
+                read = TrajectoryRecord.from_dict(json.loads(text))
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert read == record
+            assert held < 10 * len(text), (seed, held, len(text))
 
     def test_turn_stores_only_what_was_observed(self):
         # Turn 0 whole; each later turn "" for its snapshot, and nothing
@@ -452,7 +471,7 @@ def perturbed(rng: random.Random, record: TrajectoryRecord) -> tuple[TrajectoryR
     char = rng.choice([c for c in "x<>/\n \u00e9\u4e2d\U0001f600" if c != snapshot[at : at + 1]])
     snapshot = snapshot[:at] + (char if kind != "delete" else "") + snapshot[at + (kind != "insert") :]
     turns = list(record.turns)
-    turns[index] = replace(turns[index], context_snapshot=snapshot)
+    turns[index] = replace(turns[index], context=state_of(snapshot, turns[index].context))
     return replace(record, turns=tuple(turns)), index
 
 
