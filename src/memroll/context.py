@@ -61,18 +61,19 @@ def advance(state: ContextState, parsed: ParsedTurn, info: str | None) -> Contex
     exactly for query turns. In consolidate mode a query turn replaces the
     tail with its is and query blocks, in that order, and its info block; an
     answer turn leaves the tail untouched. In full_append mode the turn text
-    (and its info block, for query turns) is appended to the tail.
+    (and its info block, for query turns) is appended to the tail. An info
+    block is three pieces, the info tags and info itself, not a copy of it.
     """
     consolidate = state.mode == "consolidate"
     if isinstance(parsed.action, Query):
         if info is None:
             raise ValueError("query turns require environment feedback")
-        block = info_block(info, state.preset)
+        block = (state.preset.info_open, info, state.preset.info_close)
         if consolidate:
             spans = [parsed.spans[name] for name in ("is", "query") if name in parsed.spans]
-            tail = tuple(parsed.raw[s.start : s.end] for s in spans) + (block,)
+            tail = tuple(parsed.raw[s.start : s.end] for s in spans) + block
         else:
-            tail = state.tail + (parsed.raw, block)
+            tail = state.tail + (parsed.raw, *block)
     elif isinstance(parsed.action, Answer):
         if info is not None:
             raise ValueError("only query turns carry environment feedback")

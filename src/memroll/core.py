@@ -280,6 +280,29 @@ def segment_text(text: str) -> list[str]:
     return _SCAN.findall(text)
 
 
+# Each ASCII character's class under _SCAN: "s" for whitespace (\x1c-\x1f
+# included), "w" for word characters, "o" for the rest; indexed by code point,
+# it is a str.translate table.
+_CLASSES = "".join(
+    "s" if c.isspace() else "w" if c.isalnum() or c == "_" else "o" for c in map(chr, range(128))
+)
+
+
+def _count(text: str) -> int:
+    """len(_SCAN.findall(text)), without the list for ASCII text.
+
+    An ASCII text's token count is its count of other characters plus the
+    starts of its whitespace and word runs. Translated to classes, a run
+    starts at the first character or after a character of another class, and
+    none of the two-character needles counted can overlap itself.
+    """
+    if text.isascii():
+        c = text.translate(_CLASSES)
+        return (c.count("o") + c.count("ow") + c.count("sw") + c.count("os") + c.count("ws")
+                + c.startswith(("s", "w")))
+    return len(_SCAN.findall(text))
+
+
 @runtime_checkable
 class TokenCounter(Protocol):
     """Counts, encodes, and decodes text deterministically.
@@ -289,7 +312,8 @@ class TokenCounter(Protocol):
     vocabularies) but must stay deterministic for a fixed call sequence.
     WordTokenizer.count keeps the last text it counted, as one tuple replaced
     whole, so concurrent calls stay exact and a shared counter holds one
-    string; a text that extends that one costs only what it adds.
+    string; a text that extends that one costs only what it adds, and ASCII
+    text is counted from its character classes, with no scan.
     """
 
     name: str
@@ -323,17 +347,17 @@ class WordTokenizer:
 
         The counter keeps the last (text, count) as one tuple, replaced whole,
         so concurrent calls stay exact and a shared counter holds one string.
-        A text that extends the last one is counted from the join: its tail
-        adds its own tokens, less one when the two characters at the join
-        fall in one run (whitespace or word). Any other text is counted whole.
+        A text that extends the last one is counted from the last one's
+        final character on: that piece holds one token more than the
+        extension adds, whether or not the join falls in one run (whitespace
+        or word). Any other text is counted whole. ASCII text is counted
+        from its character classes, without the segmenting scan.
         """
         last, n = self._last
         if last and text.startswith(last):
-            rest = text[len(last):]
-            if rest:
-                n += len(_SCAN.findall(rest)) - bool(_SCAN.fullmatch(last[-1] + rest[0]))
+            n += _count(text[len(last) - 1:]) - 1
         else:
-            n = len(_SCAN.findall(text))
+            n = _count(text)
         self._last = (text, n)
         return n
 

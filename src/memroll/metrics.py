@@ -87,16 +87,39 @@ def f1(prediction: str, gold: list[list[str]]) -> float:
     return sum(max(f1_single(part, v) for v in variants) for part, variants in zip(parts, gold))
 
 
-def peak_tokens(trajectory: TrajectoryRecord, counter: TokenCounter = DEFAULT_COUNTER) -> int:
+def _count_turns(
+    trajectory: TrajectoryRecord, counter: TokenCounter
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Per turn, the size of the sequence peak_tokens measures, and the
+    (n_p, n_o) pair dependency sums: the context's size, template excluded,
+    and the generation's.
+
+    Each snapshot renders once. Its context is counted, then the context
+    and the generation, which extends it, so a counter that counts only what
+    a text adds to the last one tokenizes just the generation; a full_append
+    context in turn extends the sequence before it. The generations are
+    counted whole after all the contexts, so that none comes between a
+    sequence and the context that extends it.
+    """
+    prefix = trajectory.task.prompt_prefix
+    contexts, sequences = [], []
+    for turn in trajectory.turns:
+        context = turn.context_snapshot.removeprefix(prefix)
+        contexts.append(counter.count(context))
+        sequences.append(counter.count(context + turn.generation.text))
+    return sequences, list(zip(contexts, [counter.count(t.generation.text) for t in trajectory.turns]))
+
+
+def peak_tokens(
+    trajectory_or_sizes: TrajectoryRecord | Sequence[int], counter: TokenCounter = DEFAULT_COUNTER
+) -> int:
     """Largest single sequence the episode ever held: per turn, the context
     snapshot (template excluded, questions included) concatenated with that
-    turn's generated text."""
-    prefix = trajectory.task.prompt_prefix
-    peak = 0
-    for turn in trajectory.turns:
-        seq = turn.context_snapshot.removeprefix(prefix) + turn.generation.text
-        peak = max(peak, counter.count(seq))
-    return peak
+    turn's generated text. Accepts a trajectory (sizes counted with counter)
+    or the per-turn sequence sizes."""
+    if isinstance(trajectory_or_sizes, TrajectoryRecord):
+        trajectory_or_sizes = _count_turns(trajectory_or_sizes, counter)[0]
+    return max(trajectory_or_sizes, default=0)
 
 
 def _turn_sizes(
@@ -104,13 +127,7 @@ def _turn_sizes(
     counter: TokenCounter,
 ) -> list[tuple[int, int]]:
     if isinstance(trajectory_or_turns, TrajectoryRecord):
-        prefix = trajectory_or_turns.task.prompt_prefix
-        turns = trajectory_or_turns.turns
-        # All snapshots first, then all generations: a counter that counts
-        # only what a text adds to the last one sees each snapshot extend the
-        # one before it, instead of a generation in between.
-        contexts = [counter.count(t.context_snapshot.removeprefix(prefix)) for t in turns]
-        return list(zip(contexts, [counter.count(t.generation.text) for t in turns]))
+        return _count_turns(trajectory_or_turns, counter)[1]
     turns = trajectory_or_turns
     if len(turns) == 2 and all(isinstance(v, (int, float)) for v in turns):
         return [tuple(turns)]
@@ -195,13 +212,14 @@ def score_trajectory(
     gold = gold_of(trajectory.task)
     answered = trajectory.terminated == "answered" and trajectory.final_answer is not None
     env_rewards = [t.env_reward for t in trajectory.turns if t.env_reward is not None]
+    sequences, turn_sizes = _count_turns(trajectory, counter)
     return MetricReport(
         trajectory_id=trajectory.task.id,
         objective_count=trajectory.task.objective_count,
         em=exact_match(trajectory.final_answer, gold) if answered else 0.0,
         f1=f1(trajectory.final_answer, gold) if answered else 0.0,
-        peak_tokens=peak_tokens(trajectory, counter),
-        dependency=dependency(trajectory, counter),
+        peak_tokens=peak_tokens(sequences),
+        dependency=dependency(turn_sizes),
         wall_time_s=trajectory.wall_time_s,
         valid_action_ratio=valid_action_ratio(trajectory),
         terminated=trajectory.terminated,

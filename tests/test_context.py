@@ -62,7 +62,7 @@ class TestAdvance:
     def test_only_most_recent_tuple_survives(self):
         state = advance(fresh(), turn("<IS>first</IS><query>q1</query>"), "d1")
         state = advance(state, turn("<IS>second</IS><query>q2</query>"), "d2")
-        assert state.tail == ("<IS>second</IS>", "<query>q2</query>", "<info>d2</info>")
+        assert state.tail == ("<IS>second</IS>", "<query>q2</query>", "<info>", "d2", "</info>")
         rendered = render_context(state)
         assert "first" not in rendered
         assert "q1" not in rendered
@@ -71,19 +71,28 @@ class TestAdvance:
     def test_answer_leaves_retained_untouched(self):
         state = advance(fresh(), turn("<IS>x</IS><query>q</query>"), "d")
         done = advance(state, turn("<IS>y</IS><answer>final</answer>"), None)
-        assert done.tail == state.tail == ("<IS>x</IS>", "<query>q</query>", "<info>d</info>")
+        assert done.tail == state.tail == ("<IS>x</IS>", "<query>q</query>", "<info>", "d", "</info>")
         assert done.turn_index == state.turn_index + 1
 
     def test_full_append_history_grows(self):
         state = fresh("full_append")
         state = advance(state, turn("<query>a</query>"), "d1")
         state = advance(state, turn("<query>b</query>"), "d2")
-        assert state.tail == ("<query>a</query>", "<info>d1</info>", "<query>b</query>", "<info>d2</info>")
+        assert state.tail == ("<query>a</query>", "<info>", "d1", "</info>",
+                              "<query>b</query>", "<info>", "d2", "</info>")
 
     def test_retained_keeps_exact_inner_text(self):
         # No trimming: the policy must see exactly what it emitted.
         state = advance(fresh(), turn("<IS> pad </IS><query>  q  </query>"), "d")
-        assert state.tail == ("<IS> pad </IS>", "<query>  q  </query>", "<info>d</info>")
+        assert state.tail == ("<IS> pad </IS>", "<query>  q  </query>", "<info>", "d", "</info>")
+
+    @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
+    def test_tail_holds_the_info_it_was_given(self, mode):
+        # Not a copy: a read archive holds each turn's feedback once.
+        info = "".join(["doc ", "body"])
+        state = advance(fresh(mode), turn("<IS>x</IS><query>q</query>"), info)
+        assert state.tail[-2] is info
+        assert render_context(state).endswith("<info>doc body</info>")
 
     def test_query_requires_info(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import codecs
 import copy
 import importlib
 import pickle
+import re
 import sys
 import threading
 
@@ -47,7 +48,7 @@ from memroll import (
     rename_tags,
     segment_text,
 )
-from memroll.core import iter_jsonl, replace
+from memroll.core import _CLASSES, iter_jsonl, replace
 
 from helpers import state_of
 
@@ -222,6 +223,38 @@ class TestWordTokenizer:
     @given(st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=60))
     def test_count_is_the_segment_count(self, text):
         assert WordTokenizer().count(text) == len(segment_text(text))
+
+
+# Text of any of the 128 ASCII code points, which count takes by character class.
+ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=200)
+
+
+class TestAsciiCount:
+    """count classes ASCII text through a table instead of scanning it; the
+    table and the counts must be the scan's."""
+
+    def test_class_table_is_the_scans(self):
+        assert len(_CLASSES) == 128
+        for code in range(128):
+            char = chr(code)
+            want = "s" if re.fullmatch(r"\s", char) else "w" if re.fullmatch(r"\w", char) else "o"
+            assert _CLASSES[code] == want, hex(code)
+
+    @settings(max_examples=500)
+    @example("\x1c\x1d a_9\x1f.")
+    @example("\x00+\x7f")
+    @given(ascii_text)
+    def test_count_is_the_segment_count(self, text):
+        assert WordTokenizer().count(text) == len(segment_text(text))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.booleans(), ascii_text), max_size=12))
+    def test_every_chained_count_is_exact(self, steps):
+        # Each step extends the last text by an ASCII piece, or starts anew.
+        tok, text = WordTokenizer(), ""
+        for fresh, piece in steps:
+            text = piece if fresh else text + piece
+            assert tok.count(text) == len(segment_text(text)), text
 
 
 # Characters for the joins of a counting chain: ASCII and non-ASCII word and

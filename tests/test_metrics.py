@@ -219,6 +219,32 @@ class TestSharedCounter:
             report = score_trajectory(record)
             assert (report.peak_tokens, report.dependency) == expected[i]
 
+    @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
+    def test_generations_that_merge_with_their_context(self, mode):
+        # Space after space, word after word (ASCII and not): each first
+        # generation continues the run its context ends with, so counting the
+        # two together gives one token fewer than counting them apart. In the
+        # one-turn episodes that merged sequence is the peak.
+        records = []
+        for question, lead in [("Capital of France? ", "  "), ("Capital of France", "so"),
+                               ("\u9996\u90fd", "\u6771\u4eac")]:
+            answer = f"{lead}<answer>Paris</answer>"
+            for script in ([f"{lead}<IS>note</IS><query>find</query>", answer], [answer]):
+                records.append(run_rollout(
+                    composite_from_tasks([Task("q1", question, ["Paris"])]), ScriptedPolicy(script),
+                    ScriptedEnv(["some document text"]), RolloutConfig(mode=mode),
+                ))
+        for record in records:
+            context = record.turns[0].context_snapshot.removeprefix(record.task.prompt_prefix)
+            generation = record.turns[0].generation.text
+            count = WordTokenizer().count
+            assert count(context + generation) - count(context) == count(generation) - 1
+        expected = [fresh_metrics(r) for r in records]
+        for i in [0, 1, 1, 2, 3, 3, 4, 5, 4, 5, 2, 0]:
+            assert (peak_tokens(records[i]), dependency(records[i])) == expected[i]
+            report = score_trajectory(records[i])
+            assert (report.peak_tokens, report.dependency) == expected[i]
+
 
 class TestEmReward:
     def answered_record(self):

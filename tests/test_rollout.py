@@ -450,6 +450,15 @@ class TestRecordRoundTrips:
             assert read == record
             assert held < 10 * len(text), (seed, held, len(text))
 
+    @pytest.mark.parametrize("mode", ["consolidate", "full_append"])
+    def test_a_read_record_holds_each_info_once(self, mode):
+        # The state after a query turn holds that turn's info itself, between
+        # the info tags, not a copy framed by them.
+        record = scripted_episode(random.Random(11), mode=mode, turns=5)
+        read = TrajectoryRecord.from_dict(json.loads(to_json(record.to_dict())))
+        for turn, after in zip(read.turns, read.turns[1:]):
+            assert after.context.tail[-2] is turn.info
+
     def test_turn_stores_only_what_was_observed(self):
         # Turn 0 whole; each later turn "" for its snapshot, and nothing
         # else; no reward, as the scripted environment gives none.
