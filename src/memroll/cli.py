@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
 from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
@@ -330,6 +331,110 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     return {"id": record.task.id, "file": path.name, "n": stitched.n}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where forking is not safe.
+
+    A process that runs more than one OS thread (numpy's BLAS pool, for
+    one) is not forked: the child would hold only the forking thread.
+    """
+    try:
+        if len(os.listdir("/proc/self/task")) == 1:
+            return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call or no /proc: not Linux
+        pass
+    return 1
+
+
+def _forked(run, part: list) -> tuple[int, BinaryIO]:
+    """Start run(part) in a forked child; return its pid and the read end of
+    the pipe that carries back (True, result) or (False, exception), pickled."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    code = 1
+    try:  # the child leaves through os._exit, whatever happens
+        os.close(read_fd)
+        try:
+            result = (True, run(part))
+        except Exception as exc:
+            result = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _export_parts(jobs: list[tuple[TrajectoryRecord, Path]], fmt: str, verify: bool) -> list[dict]:
+    """Run _export_one over every (record, path), one contiguous part per CPU.
+
+    Containers depend on nothing exported before them, so the parts run
+    side by side: part 0 here, every other part in a forked child (or here,
+    in its turn, if the fork fails). Entries come back in input order, and
+    the first failure in record order is raised as the loop would raise it.
+    Every child is reaped before this returns or raises, and killed first
+    if this raises.
+    """
+
+    def run(part):
+        return [_export_one(record, path, fmt, verify) for record, path in part]
+
+    count = min(len(jobs), _usable_cpus())
+    if count < 2:
+        return run(jobs)
+    import pickle
+
+    cuts = [len(jobs) * index // count for index in range(count + 1)]
+    parts = [jobs[start:end] for start, end in zip(cuts, cuts[1:])]
+    children = {}  # part index -> (pid, read end of its pipe)
+    try:
+        for index in range(1, count):
+            try:
+                children[index] = _forked(run, parts[index])
+            except OSError:
+                pass
+        entries = []
+        for index, part in enumerate(parts):
+            if index not in children:
+                entries += run(part)
+                continue
+            pid, pipe = children[index]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[index]
+            try:
+                done, value = pickle.loads(data)
+            except Exception:  # nothing, or a result cut short
+                raise ChildProcessError(
+                    f"the forked export of trajectories {part[0][0].task.id!r} to {part[-1][0].task.id!r} "
+                    f"ended with exit status {os.waitstatus_to_exitcode(status)} and no result"
+                ) from None
+            if not done:
+                raise value
+            entries += value
+        return entries
+    except BaseException:
+        import signal
+
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def _cmd_export_masks(args: argparse.Namespace) -> int:
     _bind("masks")
     fmt = args.format or FORMATS[0]
@@ -337,9 +442,8 @@ def _cmd_export_masks(args: argparse.Namespace) -> int:
     names = _file_names([record.task.id for record in records], ".mem1mask")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = [
-        _export_one(record, out_dir / name, fmt, args.verify) for record, name in zip(records, names)
-    ]
+    jobs = [(record, out_dir / name) for record, name in zip(records, names)]
+    entries = _export_parts(jobs, fmt, args.verify)
     (out_dir / "masks_manifest.json").write_text(to_json({"format": fmt, "masks": entries}), encoding="utf-8")
     print(f"exported {len(entries)} mask containers ({fmt}) to {out_dir}")
     return EXIT_OK

@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -295,9 +296,9 @@ class TestStartup:
             ("score", ("numpy", "requests", "concurrent.futures", "dataclasses", "inspect", "string", "memroll.envs",
                        "memroll.rollout")),
             ("export-masks", ("numpy", "requests", "statistics", "concurrent.futures", "memroll.envs",
-                              "memroll.rollout", "dataclasses", "inspect")),
+                              "memroll.rollout", "dataclasses", "inspect", "multiprocessing")),
             ("export-masks-dense", ("requests", "memroll.envs")),
-            ("export-masks-index", ("numpy", "requests", "memroll.envs", "memroll.rollout")),
+            ("export-masks-index", ("numpy", "requests", "memroll.envs", "memroll.rollout", "multiprocessing")),
         ],
     )
     def test_loads_only_what_it_runs(self, smoke, command, unloaded):
@@ -1433,6 +1434,116 @@ class TestContainerIds:
             "print(checked)\n"
         )
         assert _run_python(code, str(archive), str(tmp_path / "masks")).split()[-1] == "6"
+
+
+class TestForkedExport:
+    """export-masks runs one part of the records per usable CPU, forking a
+    child per part after the first. Once numpy is loaded, this test process
+    usually runs numpy's BLAS threads, so exports run here take the loop;
+    the forked path is run in a fresh interpreter that has loaded no numpy."""
+
+    # argv: archive, out, format, CPUs, fault. Patches the CPU count, counts
+    # forks, injects the fault, and prints the exit code, the forks made and
+    # whether a child of the command is left.
+    EXPORT = (
+        "import json, os, sys\n"
+        "import memroll.cli as cli\n"
+        "archive, out, fmt, cpus, fault = sys.argv[1:]\n"
+        "ids = [e['id'] for e in json.loads(open(archive + '/manifest.json').read())['trajectories']]\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(cpus)))\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    forks.append(1)\n"
+        "    if fault == 'fork':\n"
+        "        raise OSError(11, 'Resource temporarily unavailable')\n"
+        "    return fork()\n"
+        "os.fork = counted\n"
+        "export_one, verify_masks = cli._export_one, cli.verify_masks\n"
+        "def exiting(record, *rest):\n"
+        "    if fault == 'exit' and record.task.id == ids[-1]:\n"
+        "        os._exit(9)\n"
+        "    return export_one(record, *rest)\n"
+        "def tampered(record, *rest):\n"
+        "    if fault == 'tamper' and record.task.id in ids[1:]:\n"
+        "        raise cli.IntegrityError('tampered')\n"
+        "    return verify_masks(record, *rest)\n"
+        "cli._export_one, cli.verify_masks = exiting, tampered\n"
+        "code = cli.main(['export-masks', '--archive', archive, '--out', out, '--format', fmt, '--verify'])\n"
+        "try:\n"
+        "    left = os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    left = None\n"
+        "print(code, len(forks), left)\n"
+    )
+
+    @pytest.fixture
+    def archive(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        assert main(rollout_args(tasks, script, env, tmp_path / "archive")) == EXIT_OK
+        return tmp_path / "archive"
+
+    def export(self, archive: Path, out: Path, fmt: str, cpus: int, fault: str = "none"):
+        src = str(Path(memroll.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.EXPORT, str(archive), str(out), fmt, str(cpus), fault],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        code, forks, left = result.stdout.split()[-3:]
+        assert left == "None"  # no child outlives the command
+        return int(code), int(forks), result.stderr
+
+    @staticmethod
+    def files(out: Path) -> dict[str, bytes]:
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("fmt", ["ranges", "dense_bitpack", "index_list"])
+    def test_output_does_not_depend_on_the_cpu_count(self, archive, fmt):
+        one, three = archive.parent / "one", archive.parent / "three"
+        assert self.export(archive, one, fmt, 1)[:2] == (EXIT_OK, 0)
+        assert self.export(archive, three, fmt, 3)[:2] == (EXIT_OK, 2)
+        assert len(self.files(one)) == 4  # three containers and the manifest
+        assert self.files(one) == self.files(three)
+
+    def test_a_part_that_cannot_fork_runs_here(self, archive):
+        one, here = archive.parent / "one", archive.parent / "here"
+        assert self.export(archive, one, "ranges", 1)[:2] == (EXIT_OK, 0)
+        assert self.export(archive, here, "ranges", 3, "fork")[:2] == (EXIT_OK, 2)
+        assert self.files(one) == self.files(here)
+
+    def test_the_first_failure_in_record_order_is_raised(self, archive):
+        ids = [e["id"] for e in json.loads((archive / "manifest.json").read_text())["trajectories"]]
+        out = archive.parent / "masks"
+        code, forks, err = self.export(archive, out, "ranges", 3, "tamper")
+        assert (code, forks) == (EXIT_INTEGRITY, 2)
+        assert f"integrity error: trajectory {ids[1]!r}: tampered" in err
+        assert repr(ids[2]) not in err
+        assert not (out / "masks_manifest.json").exists()
+
+    def test_a_part_that_ends_without_a_result_fails_the_command(self, archive):
+        out = archive.parent / "masks"
+        code, forks, err = self.export(archive, out, "ranges", 3, "exit")
+        assert (code, forks) == (EXIT_DATA, 2)
+        assert "exit status 9 and no result" in err
+        assert not (out / "masks_manifest.json").exists()
+
+    def test_a_threaded_process_does_not_fork(self, archive, monkeypatch):
+        # Forking copies only the calling thread; the loop runs instead.
+        def no_fork():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            out = archive.parent / "masks"
+            assert main(["export-masks", "--archive", str(archive), "--out", str(out), "--verify"]) == EXIT_OK
+        finally:
+            stop.set()
+            thread.join()
+        assert len(json.loads((out / "masks_manifest.json").read_text())["masks"]) == 3
 
 
 class TestTracerContract:
