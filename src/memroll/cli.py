@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import BinaryIO
 
 from .compose import compose, load_composites, load_dataset, write_composites
 from .core import (
@@ -331,66 +330,45 @@ def _export_one(record: TrajectoryRecord, path: Path, fmt: str, verify: bool) ->
     return {"id": record.task.id, "file": path.name, "n": stitched.n}
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where forking is not safe.
+# A forked part costs 3-10 ms more CPU than exporting its trajectories here
+# (the fork, and the pages the child copies as it touches them) and 3-6 MB of
+# memory of its own. Exporting costs 0.37-0.64 us per character of
+# generations and infos, so a part this size does 24-42 ms of work, twice
+# that cost or more (BENCH_parallel_export.json).
+_PART_CHARS = 1 << 16
 
-    A process that runs more than one OS thread (numpy's BLAS pool, for
-    one) is not forked: the child would hold only the forking thread.
-    """
+
+def _part_count(jobs: list[tuple[TrajectoryRecord, Path]]) -> int:
+    """One part per usable CPU and per _PART_CHARS characters, or 1 where a
+    fork would lose a thread or what a replaced function records: a child
+    holds only the forking thread (numpy's BLAS pool is a second one), and
+    the calls it makes never reach this process's replacements of the masks
+    functions (perfbench/tracer.py's timing wrappers, a test's stub)."""
+    masks = sys.modules[f"{__package__}.masks"]
+    if any(globals()[name] is not getattr(masks, name) for name in _DEFERRED["masks"]):
+        return 1
     try:
-        if len(os.listdir("/proc/self/task")) == 1:
-            return len(os.sched_getaffinity(0))
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+        cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # no affinity call or no /proc: not Linux
-        pass
-    return 1
-
-
-def _forked(run, part: list) -> tuple[int, BinaryIO]:
-    """Start run(part) in a forked child; return its pid and the read end of
-    the pipe that carries back (True, result) or (False, exception), pickled."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    code = 1
-    try:  # the child leaves through os._exit, whatever happens
-        os.close(read_fd)
-        try:
-            result = (True, run(part))
-        except Exception as exc:
-            result = (False, exc)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-        code = 0
-    finally:
-        os._exit(code)
+        return 1
+    chars = sum(len(turn.generation.text) + len(turn.info or "") for record, _ in jobs for turn in record.turns)
+    return max(1, min(len(jobs), cpus, chars // _PART_CHARS))
 
 
 def _export_parts(jobs: list[tuple[TrajectoryRecord, Path]], fmt: str, verify: bool) -> list[dict]:
-    """Run _export_one over every (record, path), one contiguous part per CPU.
+    """Run _export_one over jobs in _part_count contiguous parts: part 0 here,
+    every other part in a forked child, or here in its turn if the fork
+    fails. Return what the loop would return, or raise its first failure in
+    job order; no child outlives this."""
 
-    Containers depend on nothing exported before them, so the parts run
-    side by side: part 0 here, every other part in a forked child (or here,
-    in its turn, if the fork fails). Entries come back in input order, and
-    the first failure in record order is raised as the loop would raise it.
-    Every child is reaped before this returns or raises, and killed first
-    if this raises.
-    """
-
-    def run(part):
+    def export(part):
         return [_export_one(record, path, fmt, verify) for record, path in part]
 
-    count = min(len(jobs), _usable_cpus())
+    count = _part_count(jobs)
     if count < 2:
-        return run(jobs)
+        return export(jobs)
     import pickle
 
     cuts = [len(jobs) * index // count for index in range(count + 1)]
@@ -398,29 +376,52 @@ def _export_parts(jobs: list[tuple[TrajectoryRecord, Path]], fmt: str, verify: b
     children = {}  # part index -> (pid, read end of its pipe)
     try:
         for index in range(1, count):
+            read_fd, write_fd = os.pipe()
             try:
-                children[index] = _forked(run, parts[index])
+                pid = os.fork()
             except OSError:
-                pass
+                os.close(read_fd)
+                os.close(write_fd)
+                continue
+            if pid:
+                os.close(write_fd)
+                children[index] = pid, open(read_fd, "rb")
+                continue
+            # The child sends (True, entries) or (False, exception, traceback)
+            # and leaves through os._exit, whatever happens.
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    result = True, export(parts[index])
+                except Exception as exc:
+                    import traceback
+
+                    result = False, exc, traceback.format_exc()
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(result))
+                code = 0
+            finally:
+                os._exit(code)
         entries = []
         for index, part in enumerate(parts):
             if index not in children:
-                entries += run(part)
+                entries += export(part)
                 continue
             pid, pipe = children[index]
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[index]
+            where = f"the forked export of trajectories {part[0][0].task.id!r} to {part[-1][0].task.id!r}"
             try:
-                done, value = pickle.loads(data)
+                done, value, *trace = pickle.loads(data)
             except Exception:  # nothing, or a result cut short
                 raise ChildProcessError(
-                    f"the forked export of trajectories {part[0][0].task.id!r} to {part[-1][0].task.id!r} "
-                    f"ended with exit status {os.waitstatus_to_exitcode(status)} and no result"
+                    f"{where} ended with exit status {os.waitstatus_to_exitcode(status)} and no result"
                 ) from None
-            if not done:
-                raise value
+            if not done:  # the pickled exception lost its traceback; the cause carries the child's frames
+                raise value from RuntimeError(f"raised in {where}:\n{trace[0]}")
             entries += value
         return entries
     except BaseException:

@@ -1437,20 +1437,25 @@ class TestContainerIds:
 
 
 class TestForkedExport:
-    """export-masks runs one part of the records per usable CPU, forking a
-    child per part after the first. Once numpy is loaded, this test process
-    usually runs numpy's BLAS threads, so exports run here take the loop;
-    the forked path is run in a fresh interpreter that has loaded no numpy."""
+    """export-masks cuts the records into parts, one per usable CPU and per
+    _PART_CHARS characters, and forks a child per part after the first. Once
+    numpy is loaded, this test process usually runs numpy's BLAS threads, so
+    exports run here take the loop; the forked path is run in a fresh
+    interpreter that has loaded no numpy."""
 
-    # argv: archive, out, format, CPUs, fault. Patches the CPU count, counts
-    # forks, injects the fault, and prints the exit code, the forks made and
-    # whether a child of the command is left.
+    ROOT = Path(__file__).resolve().parents[1]
+
+    # argv: archive, out, format, CPUs, part size, fault. Patches the CPU
+    # count and the part size, counts forks, injects the fault through
+    # _export_one, and prints the exit code ("raised" when main raises), the
+    # forks made and whether a child of the command is left.
     EXPORT = (
-        "import json, os, sys\n"
+        "import json, os, sys, traceback\n"
         "import memroll.cli as cli\n"
-        "archive, out, fmt, cpus, fault = sys.argv[1:]\n"
+        "archive, out, fmt, cpus, part_chars, fault = sys.argv[1:]\n"
         "ids = [e['id'] for e in json.loads(open(archive + '/manifest.json').read())['trajectories']]\n"
         "os.sched_getaffinity = lambda pid: set(range(int(cpus)))\n"
+        "cli._PART_CHARS = int(part_chars)\n"
         "forks, fork = [], os.fork\n"
         "def counted():\n"
         "    forks.append(1)\n"
@@ -1458,17 +1463,21 @@ class TestForkedExport:
         "        raise OSError(11, 'Resource temporarily unavailable')\n"
         "    return fork()\n"
         "os.fork = counted\n"
-        "export_one, verify_masks = cli._export_one, cli.verify_masks\n"
-        "def exiting(record, *rest):\n"
+        "export_one = cli._export_one\n"
+        "def faulty(record, *rest):\n"
+        "    if fault == 'tamper' and record.task.id in ids[1:]:\n"
+        "        raise cli.IntegrityError(f'trajectory {record.task.id!r}: tampered')\n"
         "    if fault == 'exit' and record.task.id == ids[-1]:\n"
         "        os._exit(9)\n"
+        "    if fault == 'bug' and record.task.id == ids[-1]:\n"
+        "        raise TypeError('a bug')\n"
         "    return export_one(record, *rest)\n"
-        "def tampered(record, *rest):\n"
-        "    if fault == 'tamper' and record.task.id in ids[1:]:\n"
-        "        raise cli.IntegrityError('tampered')\n"
-        "    return verify_masks(record, *rest)\n"
-        "cli._export_one, cli.verify_masks = exiting, tampered\n"
-        "code = cli.main(['export-masks', '--archive', archive, '--out', out, '--format', fmt, '--verify'])\n"
+        "cli._export_one = faulty\n"
+        "try:\n"
+        "    code = cli.main(['export-masks', '--archive', archive, '--out', out, '--format', fmt, '--verify'])\n"
+        "except TypeError:\n"
+        "    traceback.print_exc()\n"
+        "    code = 'raised'\n"
         "try:\n"
         "    left = os.waitpid(-1, os.WNOHANG)\n"
         "except ChildProcessError:\n"
@@ -1482,16 +1491,15 @@ class TestForkedExport:
         assert main(rollout_args(tasks, script, env, tmp_path / "archive")) == EXIT_OK
         return tmp_path / "archive"
 
-    def export(self, archive: Path, out: Path, fmt: str, cpus: int, fault: str = "none"):
-        src = str(Path(memroll.__file__).resolve().parents[1])
+    def export(self, archive: Path, out: Path, fmt: str, cpus: int, fault: str = "none", part_chars: int = 1):
         result = subprocess.run(
-            [sys.executable, "-c", self.EXPORT, str(archive), str(out), fmt, str(cpus), fault],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", self.EXPORT, str(archive), str(out), fmt, str(cpus), str(part_chars), fault],
+            env=dict(os.environ, PYTHONPATH=str(self.ROOT / "src")), capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
         code, forks, left = result.stdout.split()[-3:]
         assert left == "None"  # no child outlives the command
-        return int(code), int(forks), result.stderr
+        return int(code) if code.isdigit() else code, int(forks), result.stderr
 
     @staticmethod
     def files(out: Path) -> dict[str, bytes]:
@@ -1504,6 +1512,12 @@ class TestForkedExport:
         assert self.export(archive, three, fmt, 3)[:2] == (EXIT_OK, 2)
         assert len(self.files(one)) == 4  # three containers and the manifest
         assert self.files(one) == self.files(three)
+
+    def test_an_export_smaller_than_two_parts_runs_here(self, archive):
+        one, small = archive.parent / "one", archive.parent / "small"
+        assert self.export(archive, one, "ranges", 1)[:2] == (EXIT_OK, 0)
+        assert self.export(archive, small, "ranges", 3, part_chars=memroll.cli._PART_CHARS)[:2] == (EXIT_OK, 0)
+        assert self.files(one) == self.files(small)
 
     def test_a_part_that_cannot_fork_runs_here(self, archive):
         one, here = archive.parent / "one", archive.parent / "here"
@@ -1520,12 +1534,49 @@ class TestForkedExport:
         assert repr(ids[2]) not in err
         assert not (out / "masks_manifest.json").exists()
 
+    def test_an_unexpected_error_keeps_the_forked_frames(self, archive):
+        ids = [e["id"] for e in json.loads((archive / "manifest.json").read_text())["trajectories"]]
+        out = archive.parent / "masks"
+        code, forks, err = self.export(archive, out, "ranges", 3, "bug")
+        assert (code, forks) == ("raised", 2)
+        cause, raised = err.split("The above exception was the direct cause")
+        assert f"raised in the forked export of trajectories {ids[2]!r} to {ids[2]!r}:" in cause
+        assert "in faulty\nTypeError: a bug" in cause  # the child's frame (a -c script shows no source)
+        assert raised.rstrip().endswith("TypeError: a bug")
+        assert not (out / "masks_manifest.json").exists()
+
     def test_a_part_that_ends_without_a_result_fails_the_command(self, archive):
         out = archive.parent / "masks"
         code, forks, err = self.export(archive, out, "ranges", 3, "exit")
         assert (code, forks) == (EXIT_DATA, 2)
         assert "exit status 9 and no result" in err
         assert not (out / "masks_manifest.json").exists()
+
+    def test_a_traced_export_runs_in_one_process(self, archive, tmp_path):
+        # perfbench/tracer.py keeps its spans in this process, so every
+        # trajectory's masks.* spans must be recorded here.
+        code = (
+            "import os, sys\n"
+            "spans, archive, out, perfbench = sys.argv[1:]\n"
+            "sys.path.insert(0, perfbench)\n"
+            "import tracer\n"
+            "import memroll.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "cli._PART_CHARS = 1\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "code = tracer.main([spans, '--', 'export-masks', '--archive', archive, '--out', out, '--verify'])\n"
+            "print(code, len(forks), len(os.listdir('/proc/self/task')))\n"
+        )
+        spans = tmp_path / "spans.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(spans), str(archive), str(tmp_path / "masks"), str(self.ROOT / "perfbench")],
+            env=dict(os.environ, PYTHONPATH=str(self.ROOT / "src")), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-3:] == ["0", "0", "1"]  # exit 0, no fork, one thread
+        names = Counter(span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"])
+        assert names["masks.stitch"] == names["masks.verify_masks"] == 3
 
     def test_a_threaded_process_does_not_fork(self, archive, monkeypatch):
         # Forking copies only the calling thread; the loop runs instead.
@@ -1534,6 +1585,7 @@ class TestForkedExport:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(memroll.cli, "_PART_CHARS", 1)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
