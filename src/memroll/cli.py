@@ -13,6 +13,8 @@ verification).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
 import json
 import os
@@ -515,6 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Freeze the heap as the interpreter exits, so its final collections
+    # scan nothing: the OS reclaims that memory anyway, and every file a
+    # command writes is closed before it returns. Registered once however
+    # often main runs, and never run here, so a caller's collector keeps
+    # working while the process lives.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import atexit
 import fnmatch
+import gc
 import json
 import operator
 import os
@@ -13,6 +15,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -1644,3 +1647,105 @@ class TestTracerContract:
             )
             recorded |= {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
         assert indexed - recorded == set()
+
+
+class TestExitFreeze:
+    """main registers gc.freeze to run as the interpreter exits, so its final
+    collections scan nothing; no output may depend on that teardown."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    # A fresh child that counts gc.freeze calls and runs each argv through
+    # main; the handler it registers before main runs after main's (atexit
+    # runs last-in, first-out).
+    TWICE = (
+        "import atexit, gc, json, sys\n"
+        "freezes, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: (freezes.append(1), freeze())\n"
+        "atexit.register(lambda: print('at exit', len(freezes), gc.get_freeze_count() > 0))\n"
+        "from memroll.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "    print('while running', len(freezes), gc.get_freeze_count())\n"
+    )
+    CHILD = "import sys; from memroll.cli import main; sys.exit(main())"
+
+    @staticmethod
+    def in_process(argv: list[str]) -> None:
+        assert main(argv) == EXIT_OK
+
+    def pipeline(self, out: Path, run) -> dict:
+        """compose -> rollout -> score -> export-masks --verify into out, each
+        command through run(argv); returns the paths written."""
+        out.mkdir()
+        dataset = write_dataset(out / "qa.jsonl", 4)
+        docs = [{"doc_id": f"d{i}", "title": f"fact {i}", "body": f"answer {i} is fact number {i}"}
+                for i in range(5)]
+        corpus = out / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        script = write_json(out / "script.json", [QUERY, ANSWER])
+        paths = {"tasks": out / "tasks.jsonl", "archive": out / "archive", "report": out / "report",
+                 "masks": out / "masks"}
+        for argv in (
+            ["compose", "--in", str(dataset), "--n", "2", "--seed", "3", "--out", str(paths["tasks"])],
+            ["rollout", "--in", str(paths["tasks"]), "--policy", f"scripted:{script}",
+             "--env", f"corpus:{corpus}", "--out", str(paths["archive"]), "--turns", "4", "--k", "1"],
+            ["score", "--archive", str(paths["archive"]), "--out", str(paths["report"])],
+            ["export-masks", "--archive", str(paths["archive"]), "--out", str(paths["masks"]), "--verify"],
+        ):
+            run(argv)
+        return paths
+
+    def test_main_leaves_the_callers_collector_alone(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        assert main(rollout_args(tasks, script, env, tmp_path / "archive")) == EXIT_OK
+        assert gc.get_freeze_count() == 0
+
+    def test_a_child_freezes_its_heap_once_and_only_at_exit(self, smoke):
+        tmp_path, tasks, script, env = smoke
+        runs = [rollout_args(tasks, script, env, tmp_path / "archive"),
+                ["score", "--archive", str(tmp_path / "archive"), "--out", str(tmp_path / "r")]]
+        lines = [line for line in _run_python(self.TWICE, json.dumps(runs)).splitlines()
+                 if line.startswith(("while", "at exit"))]
+        assert lines == ["while running 0 0", "while running 0 0", "at exit 1 True"]
+
+    def test_fresh_children_write_what_an_in_process_run_writes(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+
+        def child(argv):
+            subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, check=True, timeout=120)
+
+        ours, theirs = self.pipeline(tmp_path / "here", self.in_process), self.pipeline(tmp_path / "child", child)
+        assert ours["tasks"].read_bytes() == theirs["tasks"].read_bytes()
+        assert archive_dicts(ours["archive"]) == archive_dicts(theirs["archive"])
+        reports = [scrub_times(json.loads(p["report"].with_suffix(".json").read_text()))
+                   for p in (ours, theirs)]
+        assert reports[0] == reports[1] and reports[0]["aggregate"]["count"] == 2
+        names = sorted(p.name for p in ours["masks"].iterdir())
+        assert "masks_manifest.json" in names and len(names) == 3
+        assert names == sorted(p.name for p in theirs["masks"].iterdir())
+        for name in names:
+            assert (ours["masks"] / name).read_bytes() == (theirs["masks"] / name).read_bytes()
+
+    def test_no_command_leaves_a_file_for_the_collector_to_close(self, tmp_path):
+        # With the shutdown collection skipped, a buffered file that only a
+        # reference cycle holds would never be flushed; every command closes
+        # what it opens before it returns.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            here = self.in_process
+            paths = self.pipeline(tmp_path / "run", here)
+            script = write_json(tmp_path / "env.json", ["first fact sheet", "second fact sheet"])
+            policy = write_json(tmp_path / "script.json", [QUERY, ANSWER])
+            corpus = tmp_path / "run" / "corpus.jsonl"
+            for name, env in (("scripted", f"scripted:{script}"), ("corpus", f"corpus:{corpus}")):
+                here(["rollout", "--in", str(paths["tasks"]), "--policy", f"scripted:{policy}", "--env", env,
+                      "--out", str(tmp_path / f"archive-{name}"), "--turns", "4", "--concurrency", "4"])
+            here(["score", "--archive", str(paths["archive"]), "--out", str(tmp_path / "r"),
+                  "--plot-data", str(tmp_path / "plot.csv")])
+            for fmt in ("ranges", "dense_bitpack", "index_list"):
+                here(["export-masks", "--archive", str(paths["archive"]), "--out", str(tmp_path / fmt),
+                      "--format", fmt, "--verify"])
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
